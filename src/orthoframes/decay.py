@@ -64,7 +64,11 @@ class SamplingPlan:
 
 @dataclass
 class DecayEnvelope:
-    """Binned map rho -> max |kernel| (weighted when flagged)."""
+    """Binned map rho -> max |kernel| (weighted when flagged).
+
+    ``counts`` holds the number of pairs (or samples) evaluated per bin, so
+    a bin whose value is 0 because it saw no pair can be told apart.
+    """
 
     family: str
     n: int
@@ -73,6 +77,7 @@ class DecayEnvelope:
     weighted: bool
     scale: float
     prefactor: float
+    counts: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,7 @@ def measure_envelope(kernel, plan=None):
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
     rho_centers = 0.5 * (edges[:-1] + edges[1:])
     maxima = np.zeros(plan.n_bins)
+    counts = np.zeros(plan.n_bins, dtype=int)
     count = plan.pairs_per_bin
     for b in range(plan.n_bins):
         deltas = edges[b] + _vdc(count, 2, shift) * (edges[b + 1] - edges[b])
@@ -238,7 +244,8 @@ def measure_envelope(kernel, plan=None):
         elif fam in kernels.TENSOR_VARIANTS:
             vals = _tensor_bin_values(kernel, edges[b], edges[b + 1], count, shift)
         else:
-            vals = _generic_bin_values(kernel, edges[b], edges[b + 1], count, shift, plan)
+            vals = _generic_bin_values(kernel, edges[b], edges[b + 1], count, plan)
+        counts[b] = len(vals)
         if len(vals):
             maxima[b] = float(np.max(vals))
     return DecayEnvelope(
@@ -249,6 +256,7 @@ def measure_envelope(kernel, plan=None):
         weighted=plan.weighted,
         scale=scale,
         prefactor=prefactor,
+        counts=counts,
     )
 
 
@@ -275,28 +283,25 @@ def _tensor_bin_values(kernel, lo, hi, count, shift):
     return np.asarray(vals)
 
 
-def _generic_bin_values(kernel, lo, hi, count, shift, plan):
-    # rejection sampling stratified by distance for ball/simplex
+def _generic_bin_values(kernel, lo, hi, count, plan):
+    # rejection sampling stratified by distance for ball/simplex: all 50 *
+    # count attempts are drawn at once, in the order a per-attempt loop draws
+    # them, and the first ``count`` pairs that land in the bin are evaluated
     rng = np.random.default_rng(plan.seed + int(1e6 * lo))
-    fam = kernel.family
-    vals = []
-    attempts = 0
-    while len(vals) < count and attempts < 50 * count:
-        attempts += 1
-        if fam == "ball":
-            d = kernel.params["d"]
-            x = rng.uniform(-1, 1, d)
-            y = rng.uniform(-1, 1, d)
-            if np.dot(x, x) > 1 or np.dot(y, y) > 1:
-                continue
-        else:
-            d = len(np.atleast_1d(kernel.params["kappa"])) - 1
-            x = rng.dirichlet(np.ones(d + 1))[:d]
-            y = rng.dirichlet(np.ones(d + 1))[:d]
-        r = kernel.distance(x, y)
-        if lo <= r <= hi:
-            vals.append(abs(kernel(x, y)))
-    return np.asarray(vals)
+    attempts = 50 * count
+    if kernel.family == "ball":
+        pts = rng.uniform(-1, 1, (attempts, 2, kernel.params["d"]))
+        pts = pts[np.all(np.sum(pts * pts, axis=-1) <= 1, axis=-1)]
+    else:
+        d = len(np.atleast_1d(kernel.params["kappa"])) - 1
+        pts = rng.dirichlet(np.ones(d + 1), (attempts, 2))[..., :d]
+    r = kernel.distance(pts[:, 0], pts[:, 1])
+    keep = np.flatnonzero((lo <= r) & (r <= hi))[:count]
+    xs, ys = pts[keep, 0], pts[keep, 1]
+    vals = np.abs(kernel.pair_values(xs, ys))
+    if plan.weighted:
+        vals = vals * np.sqrt(kernel.weight(xs) * kernel.weight(ys))
+    return vals
 
 
 def _log_product(u, epsilon, log_depth):
@@ -447,6 +452,7 @@ def build_wavelet(epsilon, grid=cutoff_mod.DEFAULT_GRID, n_bins=64):
         weighted=False,
         scale=1.0,
         prefactor=1.0,
+        counts=np.bincount(idx, minlength=n_bins),
     )
     return Wavelet(epsilon, x_grid, psi, plancherel_defect, mean_abs, env)
 

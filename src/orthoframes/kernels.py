@@ -215,24 +215,54 @@ def _gegenbauer_sum(band, lam, arg):
     return np.tensordot(band * (j + lam) / lam, table, axes=(0, 0))
 
 
-def _adaptive_doubling(eval_at, m0, tol=1e-9, max_doublings=4):
-    prev = eval_at(m0)
-    m = 2 * m0
-    for _ in range(max_doublings):
-        cur = eval_at(m)
-        if abs(cur - prev) < tol:
-            return cur
-        prev, m = cur, 2 * m
-    return prev
+# Largest Gegenbauer table (entries) that one chunk of a ball or simplex
+# evaluation builds; pairs beyond it are evaluated chunk by chunk, which keeps
+# peak memory bounded at any n, d and pair count.
+_TABLE_ENTRIES = 2**21
 
 
-def ball_kernel(cutoff, n, mu, d, x, y, tol=1e-9):
+def _auxiliary_integral(series, rows, base, coef, nodes, weights):
+    """sum_k weights_k series(base + coef . nodes_k) for every pair.
+
+    ``base`` has the pairs' shape, ``coef`` adds one axis of length
+    ``nodes.shape[1]``, and ``series`` maps an argument array to the sum of a
+    ``rows``-deep Gegenbauer table.  Pairs are taken in chunks whose table
+    stays within ``_TABLE_ENTRIES``.
+    """
+    shape = base.shape
+    base = base.reshape(-1)
+    coef = coef.reshape(len(base), nodes.shape[1])
+    out = np.empty(len(base))
+    step = max(1, _TABLE_ENTRIES // (rows * len(weights)))
+    for s in range(0, len(base), step):
+        arg = base[s : s + step, None]
+        for i in range(nodes.shape[1]):
+            arg = arg + coef[s : s + step, i, None] * nodes[:, i]
+        out[s : s + step] = series(np.clip(arg, -1.0, 1.0)) @ weights
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
+
+
+def _hemisphere_height(x):
+    """sqrt(1 - |x|^2) of ball points (..., d), clamped at the sphere."""
+    return np.sqrt(np.maximum(1.0 - np.sum(x * x, axis=-1), 0.0))
+
+
+def _barycentric(x):
+    """Simplex points (..., d) with the slack coordinate 1 - sum(x) appended."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.concatenate([x, 1.0 - np.sum(x, axis=-1, keepdims=True)], axis=-1)
+
+
+def ball_kernel(cutoff, n, mu, d, x, y):
     """Kernel on the unit ball, weight (1 - |x|^2)^(mu - 1/2), mu > 0.
 
-    One auxiliary Gauss-Jacobi integral; the rule order starts at n + 16 and
-    doubles until the value moves by less than ``tol`` (the integrand is a
-    polynomial in the auxiliary variable, so the first comparison already
-    certifies exactness).
+    ``x`` and ``y`` are points of shape (d,) or broadcastable arrays of pairs
+    of shape (..., d); the result has the pairs' shape (a float for one
+    pair).  The kernel is one auxiliary Gauss-Jacobi integral of a Gegenbauer
+    sum, a polynomial of degree 2n - 1 in the auxiliary variable, so the
+    ceil(len(band) / 2)-node rule built once per call is exact; one
+    Gegenbauer table covers every (pair, node).
     """
     if mu <= 0:
         raise ValueError("ball kernel requires mu > 0")
@@ -240,22 +270,22 @@ def ball_kernel(cutoff, n, mu, d, x, y, tol=1e-9):
         raise ValueError("ball dimension d must be >= 2")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nx2, ny2 = np.dot(x, x), np.dot(y, y)
-    if nx2 > 1 + 1e-12 or ny2 > 1 + 1e-12:
+    if x.ndim == 0 or y.ndim == 0 or x.shape[-1] != d or y.shape[-1] != d:
+        raise ValueError(f"points must have dimension {d}")
+    if np.any(np.sum(x * x, axis=-1) > 1 + 1e-12) or np.any(np.sum(y * y, axis=-1) > 1 + 1e-12):
         raise ValueError("points must lie in the closed unit ball")
     lam = mu + (d - 1) / 2.0
     band = cutoff_band(cutoff, n)
-    inner = float(np.dot(x, y))
-    rx = math.sqrt(max(1.0 - nx2, 0.0))
-    ry = math.sqrt(max(1.0 - ny2, 0.0))
-
-    def eval_at(m):
-        rule = quadrature.gauss_rule("jacobi", m, alpha=mu - 1.0, beta=mu - 1.0)
-        wn = rule.weights / rule.weights.sum()
-        arg = np.clip(inner + rule.nodes * rx * ry, -1.0, 1.0)
-        return float(np.dot(wn, _gegenbauer_sum(band, lam, arg)))
-
-    return _adaptive_doubling(eval_at, n + 16, tol)
+    rule = quadrature.gauss_rule("jacobi", -(-len(band) // 2), alpha=mu - 1.0, beta=mu - 1.0)
+    rxy = _hemisphere_height(x) * _hemisphere_height(y)
+    return _auxiliary_integral(
+        lambda arg: _gegenbauer_sum(band, lam, arg),
+        len(band),
+        np.sum(x * y, axis=-1),
+        rxy[..., None],
+        rule.nodes[:, None],
+        rule.weights / rule.weights.sum(),
+    )
 
 
 def _axis_rule(kappa_i, m):
@@ -266,47 +296,43 @@ def _axis_rule(kappa_i, m):
     return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
 
 
-def simplex_kernel(cutoff, n, kappa, x, y, tol=1e-9):
+def simplex_kernel(cutoff, n, kappa, x, y):
     """Kernel on the d-simplex with weight prod x_i^(kappa_i - 1/2).
 
-    Supported for d in {1, 2} (the auxiliary integral is a (d+1)-fold tensor
-    Gauss-Jacobi rule).  Zero kappa components collapse their axis to the
-    two-point average.
+    ``x`` and ``y`` are points of shape (d,) or broadcastable arrays of pairs
+    of shape (..., d); the result has the pairs' shape (a float for one
+    pair).  Supported for d in {1, 2}: the auxiliary integral is a (d+1)-fold
+    tensor Gauss-Jacobi rule whose integrand has degree 2(2n - 1) on each
+    axis, so len(band) nodes per axis are exact.  The rule is built once per
+    call and the pairs are evaluated in chunks of bounded table size.  Zero
+    kappa components collapse their axis to the two-point average.
     """
     kappa = np.asarray(kappa, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = len(x)
-    if d not in (1, 2):
-        raise ValueError("simplex kernel supports d in {1, 2}")
+    xb = _barycentric(x)
+    yb = _barycentric(y)
+    d = xb.shape[-1] - 1
+    if d not in (1, 2) or yb.shape[-1] != d + 1:
+        raise ValueError("simplex kernel supports d in {1, 2}, the same for x and y")
     if len(kappa) != d + 1 or np.any(kappa < 0):
         raise ValueError("kappa must be a nonnegative vector of length d + 1")
-    if np.any(x < -1e-12) or np.any(y < -1e-12):
+    if np.any(xb[..., :d] < -1e-12) or np.any(yb[..., :d] < -1e-12):
         raise ValueError("points must have nonnegative coordinates")
-    xb = np.append(x, 1.0 - x.sum())
-    yb = np.append(y, 1.0 - y.sum())
-    if xb[-1] < -1e-12 or yb[-1] < -1e-12:
+    if np.any(xb[..., d] < -1e-12) or np.any(yb[..., d] < -1e-12):
         raise ValueError("points must lie in the simplex")
-    np.clip(xb, 0.0, None, out=xb)
-    np.clip(yb, 0.0, None, out=yb)
     lam = kappa.sum() + (d - 1) / 2.0
     band = cutoff_band(cutoff, n)
-    root = np.sqrt(xb * yb)
-
-    def eval_at(m):
-        axes = [_axis_rule(k, m) for k in kappa]
-        z = 0.0
-        wgt = 1.0
-        for i, (nodes, wts) in enumerate(axes):
-            shape = [1] * (d + 1)
-            shape[i] = len(nodes)
-            z = z + root[i] * nodes.reshape(shape)
-            wgt = wgt * wts.reshape(shape)
-        z = np.clip(z, -1.0, 1.0).ravel()
-        vals = _gegenbauer_sum_even(band, lam, z)
-        return float(np.dot(wgt.ravel(), vals))
-
-    return _adaptive_doubling(eval_at, 2 * n + 16, tol)
+    axes = [_axis_rule(k, len(band)) for k in kappa]
+    nodes = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1)
+    wgt = np.prod(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=0)
+    root = np.sqrt(np.clip(xb, 0.0, None) * np.clip(yb, 0.0, None))
+    return _auxiliary_integral(
+        lambda arg: _gegenbauer_sum_even(band, lam, arg),
+        2 * len(band) - 1,
+        np.zeros(root.shape[:-1]),
+        root,
+        nodes.reshape(-1, d + 1),
+        wgt.ravel(),
+    )
 
 
 def _gegenbauer_sum_even(band, lam, arg):
@@ -511,7 +537,11 @@ def tensor_slice_cheb_coeffs(cutoff, n, variant):
 
 def distance(family, x, y):
     """The family's natural metric; arccos arguments are clamped against
-    round-off within 1e-12 of the boundary."""
+    round-off within 1e-12 of the boundary.
+
+    Ball and simplex points may be (..., d) arrays of pairs, giving an array
+    of distances; a single pair gives a float.
+    """
     if family in ("interval", "chebyshev", "jacobi"):
         return float(np.abs(_safe_arccos(x) - _safe_arccos(y)))
     if family == "trig":
@@ -524,15 +554,14 @@ def distance(family, x, y):
     if family == "ball":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        rx = math.sqrt(max(1.0 - np.dot(x, x), 0.0))
-        ry = math.sqrt(max(1.0 - np.dot(y, y), 0.0))
-        return float(_safe_arccos(np.dot(x, y) + rx * ry))
+        cosine = np.sum(x * y, axis=-1) + _hemisphere_height(x) * _hemisphere_height(y)
+        out = _safe_arccos(cosine)
+        return out if out.ndim else float(out)
     if family == "simplex":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        xb = np.append(x, max(1.0 - x.sum(), 0.0))
-        yb = np.append(y, max(1.0 - y.sum(), 0.0))
-        return float(_safe_arccos(np.sum(np.sqrt(np.clip(xb * yb, 0.0, None)))))
+        xb = np.maximum(_barycentric(x), 0.0)
+        yb = np.maximum(_barycentric(y), 0.0)
+        out = _safe_arccos(np.sum(np.sqrt(xb * yb), axis=-1))
+        return out if out.ndim else float(out)
     if family in ("hermite", "laguerre"):
         return float(np.max(np.abs(np.atleast_1d(x) - np.atleast_1d(y))))
     if family in ("tensor", "legleg", "chebcheb", "chebleg"):
@@ -541,7 +570,11 @@ def distance(family, x, y):
 
 
 def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
-    """Normalizing weight entering the off-diagonal kernel bounds."""
+    """Normalizing weight entering the off-diagonal kernel bounds.
+
+    Ball and simplex points may be (..., d) arrays, giving an array of
+    weights; a single point gives a float.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if family == "jacobi":
@@ -551,14 +584,12 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
     if family in ("chebyshev", "trig", "sphere", "hermite"):
         return 1.0
     if family == "ball":
-        x = np.asarray(x, dtype=float)
-        r = math.sqrt(max(1.0 - np.dot(x, x), 0.0))
-        return float((r + 1.0 / n) ** (2.0 * mu))
+        out = (_hemisphere_height(np.asarray(x, dtype=float)) + 1.0 / n) ** (2.0 * mu)
+        return out if out.ndim else float(out)
     if family == "simplex":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        kappa = np.asarray(kappa, dtype=float)
-        xb = np.append(x, max(1.0 - x.sum(), 0.0))
-        return float(np.prod((xb + n**-2.0) ** kappa))
+        xb = np.maximum(_barycentric(x), 0.0)
+        out = np.prod((xb + n**-2.0) ** np.asarray(kappa, dtype=float), axis=-1)
+        return out if out.ndim else float(out)
     if family == "laguerre":
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -626,8 +657,14 @@ class KernelInstance:
         return tensor2d_kernel(self.cutoff, self.n, self.family, x, y)
 
     def pair_values(self, xs, ys):
-        """Vectorized |pairs| evaluation for the one-dimensional families;
-        the multivariate families fall back to a loop."""
+        """Kernel values over arrays of pairs.
+
+        The one-dimensional families take point arrays; the sphere, ball and
+        simplex take (..., d) arrays and evaluate every pair in one array
+        pass (the ball and simplex with one auxiliary rule per call).  The
+        multivariate Hermite, Laguerre and tensor-product kernels loop over
+        the pairs.
+        """
         if self.family in ("chebyshev", "jacobi", "hermite", "laguerre", "trig"):
             d = self.params.get("d", 1)
             if self.family in ("chebyshev", "jacobi") or d == 1:
@@ -635,6 +672,11 @@ class KernelInstance:
         if self.family == "sphere":
             cosine = np.clip(np.sum(np.asarray(xs) * np.asarray(ys), axis=-1), -1, 1)
             return np.asarray(sphere_kernel(self.cutoff, self.n, self.params["d"], cosine))
+        p = self.params
+        if self.family == "ball":
+            return np.asarray(ball_kernel(self.cutoff, self.n, p["mu"], p["d"], xs, ys))
+        if self.family == "simplex":
+            return np.asarray(simplex_kernel(self.cutoff, self.n, p["kappa"], xs, ys))
         return np.array([self(x, y) for x, y in zip(xs, ys)])
 
     def distance(self, x, y):

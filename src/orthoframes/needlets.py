@@ -296,12 +296,14 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
     edges = np.linspace(0.0, diameter, n_bins + 1)
     rho_c = 0.5 * (edges[:-1] + edges[1:])
     maxima = np.zeros(n_bins)
+    counts = np.zeros(n_bins, dtype=int)
     for b in range(n_bins):
         offsets = np.linspace(edges[b], edges[b + 1], points_per_bin)
         pts = np.concatenate([sample(s * offsets) for s in (1.0, -1.0)])
         vals = np.abs(system.psi(j, xi_index, pts))
         rr = dist(pts)
         keep = (rr >= edges[b] - 1e-12) & (rr <= edges[b + 1] + 1e-12)
+        counts[b] = np.count_nonzero(keep)
         if keep.any():
             maxima[b] = vals[keep].max()
     return decay.DecayEnvelope(
@@ -312,6 +314,7 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
         weighted=False,
         scale=scale,
         prefactor=scale if system.family == "jacobi" else max(lvl.n_j, 1.0) ** 0.5,
+        counts=counts,
     )
 
 

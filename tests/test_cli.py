@@ -87,6 +87,17 @@ def test_needlet_subcommands(tmp_path):
     assert run(["needlet", "roundtrip"] + args) == 0
 
 
+@pytest.mark.parametrize("action", ["parseval", "roundtrip"])
+def test_needlet_nonfinite_defect_fails(tmp_path, capsys, action):
+    # Hermite J=5 levels carry non-finite quadrature weights, so the trial
+    # defects are NaN; the verdict must report nan and fail
+    out = str(tmp_path / "o")
+    args = ["--family", "hermite", "--jmax", "5", "--trials", "2"] + FAST + ["--out", out]
+    with np.errstate(all="ignore"):
+        assert run(["needlet", action] + args) == 1
+    assert "worst defect nan" in capsys.readouterr().out
+
+
 def test_decay_envelope_and_fit(tmp_path):
     out = str(tmp_path / "o")
     args = ["--family", "chebyshev", "--n", "32"] + FAST + ["--out", out]

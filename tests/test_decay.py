@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,9 +154,84 @@ def test_ball_envelope_generic_path():
     kernel = ke.KernelInstance("ball", cut, 8, {"mu": 1.5, "d": 2})
     env = de.measure_envelope(kernel, de.SamplingPlan(n_bins=40, pairs_per_bin=200))
     assert (env.values > 0).sum() >= 35
+    # every bin sees a pair, but the narrow bins near the diagonal exhaust
+    # their 50 * 200 attempts before 200 pairs land in them
+    assert env.counts.min() >= 1 and env.counts.max() == 200
     assert env.prefactor == 64.0
     fit = de.fit_bound(env, de.SubExponential(1.0))
     assert fit.satisfied and fit.c_rate > 0
+
+
+def test_simplex_envelope_generic_path(cutoff_c):
+    kernel = ke.KernelInstance("simplex", cutoff_c, 4, {"kappa": (0.5, 0.5)})
+    env = de.measure_envelope(kernel, de.SamplingPlan(seed=42, n_bins=40, pairs_per_bin=200))
+    # the bins beyond the largest sampled distance see no pair at all
+    assert np.array_equal(env.counts == 0, env.values == 0)
+    assert np.count_nonzero(env.counts == 0) == 10
+    assert env.counts.max() == 200
+    fit = de.fit_bound(env, de.SubExponential(1.0))
+    assert fit.satisfied and fit.violations == 0 and fit.c_rate > 0
+
+
+def _per_attempt_pairs(kernel, lo, hi, count, seed):
+    # the per-attempt rejection loop the batched sampler must reproduce
+    rng = np.random.default_rng(seed + int(1e6 * lo))
+    xs, ys = [], []
+    attempts = 0
+    while len(xs) < count and attempts < 50 * count:
+        attempts += 1
+        if kernel.family == "ball":
+            d = kernel.params["d"]
+            x = rng.uniform(-1, 1, d)
+            y = rng.uniform(-1, 1, d)
+            if np.dot(x, x) > 1 or np.dot(y, y) > 1:
+                continue
+        else:
+            d = len(kernel.params["kappa"]) - 1
+            x = rng.dirichlet(np.ones(d + 1))[:d]
+            y = rng.dirichlet(np.ones(d + 1))[:d]
+        if lo <= kernel.distance(x, y) <= hi:
+            xs.append(x)
+            ys.append(y)
+    return np.array(xs).reshape(-1, d), np.array(ys).reshape(-1, d)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("ball", {"mu": 1.0, "d": 2}), ("simplex", {"kappa": (0.5, 0.5)}), ("simplex", {"kappa": (0.5, 0.5, 0.5)})],
+)
+def test_batched_sampler_keeps_per_attempt_pairs(cutoff_c, family, params, monkeypatch):
+    kernel = ke.KernelInstance(family, cutoff_c, 4, params)
+    seen = []
+    monkeypatch.setattr(
+        kernel, "pair_values", lambda xs, ys: seen.append((xs, ys)) or np.ones(len(xs))
+    )
+    plan = de.SamplingPlan(seed=42)
+    # a narrow bin at the diagonal (1 and 9 hits for the ball and the
+    # 2-simplex), a wide one, and one past the largest distance drawn (none)
+    for lo, hi in ((0.0, 0.05), (0.5, 1.5), (3.0, 3.1)):
+        seen.clear()
+        vals = de._generic_bin_values(kernel, lo, hi, 40, plan)
+        ref_x, ref_y = _per_attempt_pairs(kernel, lo, hi, 40, plan.seed)
+        assert len(vals) == len(ref_x)
+        assert np.array_equal(seen[0][0], ref_x) and np.array_equal(seen[0][1], ref_y)
+
+
+@pytest.mark.parametrize(
+    "family, params", [("ball", {"mu": 1.5, "d": 2}), ("simplex", {"kappa": (0.5, 1.0)})]
+)
+def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
+    kernel = ke.KernelInstance(family, cutoff_c, 4, params)
+    lo, hi = 0.5, 1.0
+    raw = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3))
+    wtd = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3, weighted=True))
+    x, y = _per_attempt_pairs(kernel, lo, hi, 1, 3)
+    factor = math.sqrt(
+        ke.weight_factor(family, 4, x[0], mu=params.get("mu"), kappa=params.get("kappa"))
+        * ke.weight_factor(family, 4, y[0], mu=params.get("mu"), kappa=params.get("kappa"))
+    )
+    assert wtd[0] == pytest.approx(raw[0] * factor, rel=1e-15)
+    assert not np.array_equal(raw, wtd)
 
 
 def test_weighted_jacobi_envelope_flattens_endpoint_growth(cutoff_c):

@@ -359,6 +359,91 @@ def test_simplex_zero_kappa_collapses_to_point_average(cutoff_a):
     assert val == pytest.approx(acc, rel=1e-12)
 
 
+def _ball_at_order(cut, n, mu, d, x, y, m):
+    # one pair, one m-node auxiliary rule
+    band = ke.cutoff_band(cut, n)
+    rule = qd.gauss_rule("jacobi", m, alpha=mu - 1.0, beta=mu - 1.0)
+    rxy = math.sqrt(1.0 - x @ x) * math.sqrt(1.0 - y @ y)
+    arg = np.clip(x @ y + rule.nodes * rxy, -1.0, 1.0)
+    vals = ke._gegenbauer_sum(band, mu + (d - 1) / 2.0, arg)
+    return float(rule.weights @ vals / rule.weights.sum())
+
+
+def _simplex_at_order(cut, n, kappa, x, y, m):
+    # one pair, an m-node rule on every axis of the tensor grid
+    band = ke.cutoff_band(cut, n)
+    root = np.sqrt(np.append(x, 1.0 - x.sum()) * np.append(y, 1.0 - y.sum()))
+    axes = [ke._axis_rule(k, m) for k in kappa]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wgt = np.prod(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=0)
+    z = np.clip(sum(r * g for r, g in zip(root, grids)), -1.0, 1.0)
+    lam = sum(kappa) + (len(x) - 1) / 2.0
+    return float(np.sum(wgt * ke._gegenbauer_sum_even(band, lam, z)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mu", [0.3, 1.0, 1.5])
+def test_ball_exact_order_matches_doubled_order(cutoff_c, mu, d, n):
+    # the integrand has degree 2n - 1, so ceil(len(band)/2) nodes are exact
+    gen = np.random.default_rng(7)
+    pts = gen.uniform(-1, 1, (400, d))
+    pts = np.vstack([np.zeros(d), pts[np.sum(pts * pts, axis=1) < 1][:6]])
+    x, y = pts[:4], pts[3:]
+    vals = ke.ball_kernel(cutoff_c, n, mu, d, x, y)
+    m = -(-len(ke.cutoff_band(cutoff_c, n)) // 2)
+    ref = np.array([_ball_at_order(cutoff_c, n, mu, d, a, b, 2 * m) for a, b in zip(x, y)])
+    # relative to the diagonal pair (x[3] == y[0]), the size of the summands
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize(
+    "kappa", [(0.5, 0.5), (0.0, 1.0), (0.5, 0.25, 1.0), (0.0, 0.5, 0.5)]
+)
+def test_simplex_exact_order_matches_doubled_order(cutoff_c, kappa, n):
+    # degree 2(2n - 1) per axis, so len(band) nodes per axis are exact
+    d = len(kappa) - 1
+    pts = np.random.default_rng(11).dirichlet(np.ones(d + 1), 7)[:, :d]
+    x, y = pts[:4], pts[3:]
+    vals = ke.simplex_kernel(cutoff_c, n, kappa, x, y)
+    m = len(ke.cutoff_band(cutoff_c, n))
+    ref = np.array([_simplex_at_order(cutoff_c, n, kappa, a, b, 2 * m) for a, b in zip(x, y)])
+    # relative to the diagonal pair (x[3] == y[0]), the size of the summands
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("ball", {"mu": 1.5, "d": 2}),
+        ("ball", {"mu": 0.3, "d": 3}),
+        ("simplex", {"kappa": (0.5, 0.5)}),
+        ("simplex", {"kappa": (0.5, 0.25, 1.0)}),
+    ],
+)
+def test_pair_values_match_scalar_calls(cutoff_c, family, params, monkeypatch):
+    gen = np.random.default_rng(5)
+    if family == "ball":
+        pts = gen.uniform(-1, 1, (200, 2, params["d"]))
+        pts = pts[np.all(np.sum(pts * pts, axis=-1) <= 1, axis=-1)][:40]
+    else:
+        d = len(params["kappa"]) - 1
+        pts = gen.dirichlet(np.ones(d + 1), (40, 2))[..., :d]
+    k = ke.KernelInstance(family, cutoff_c, 6, params)
+    loop = np.array([k(x, y) for x, y in pts])
+    # one chunk per pair must give the same values as one chunk for all
+    for entries in (ke._TABLE_ENTRIES, 1):
+        monkeypatch.setattr(ke, "_TABLE_ENTRIES", entries)
+        vals = k.pair_values(pts[:, 0], pts[:, 1])
+        assert vals.shape == (len(pts),)
+        assert np.all(np.abs(vals - loop) <= 1e-13 * np.abs(loop).max())
+    dist = k.distance(pts[:, 0], pts[:, 1])
+    assert np.array_equal(dist, [k.distance(x, y) for x, y in pts])
+    wts = k.weight(pts[:, 0])
+    assert np.allclose(wts, [k.weight(x) for x in pts[:, 0]], rtol=1e-15, atol=0)
+
+
 def test_simplex_rejects_bad_input(cutoff_c):
     with pytest.raises(ValueError):
         ke.simplex_kernel(cutoff_c, 4, [0.5, 0.5, 0.5, 0.5], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
