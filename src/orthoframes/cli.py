@@ -54,6 +54,16 @@ def _add_cutoff_opts(p):
     p.add_argument("--config", default=None, help="JSON cutoff spec (overrides flags)")
 
 
+def _add_family_opts(p, n):
+    p.add_argument("--family", default="chebyshev")
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--kappa", default="0.5,0.5")
+
+
 def _resolve_cutoff(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -62,22 +72,18 @@ def _resolve_cutoff(args):
     return _cutoff_from_args(args)
 
 
+def _params_from_args(args, names):
+    """The family parameters ``names``, read from the options of that name."""
+    params = {name: getattr(args, "dim" if name == "d" else name) for name in names}
+    if "kappa" in params:
+        params["kappa"] = tuple(float(v) for v in params["kappa"].split(","))
+    return params
+
+
 def _kernel_from_args(args, cut):
-    params = {}
-    fam = args.family
-    if fam == "jacobi":
-        params = {"alpha": args.alpha, "beta": args.beta}
-    elif fam == "sphere":
-        params = {"d": args.dim}
-    elif fam == "ball":
-        params = {"mu": args.mu, "d": args.dim}
-    elif fam == "simplex":
-        params = {"kappa": tuple(float(v) for v in args.kappa.split(","))}
-    elif fam == "hermite":
-        params = {"d": args.dim}
-    elif fam == "laguerre":
-        params = {"alpha": args.alpha, "d": args.dim}
-    return kernels.KernelInstance(fam, cut, args.n, params)
+    spec = kernels.FAMILIES.get(args.family)
+    params = _params_from_args(args, spec.params if spec else ())
+    return kernels.KernelInstance(args.family, cut, args.n, params)
 
 
 def _parse_point(text):
@@ -147,18 +153,11 @@ def cmd_kernel(args):
         return 0
     # grid
     rng = np.random.default_rng(args.seed)
+    r = kernels.FAMILIES[args.family].diameter(args.n, kernel.params)
     if args.family in ("chebyshev", "jacobi"):
-        th = rng.uniform(0, np.pi, args.count)
-        ph = rng.uniform(0, np.pi, args.count)
-        xs, ys = np.cos(th), np.cos(ph)
-    elif args.family == "hermite":
-        r = np.sqrt(8.0 * args.n + 2.0)
-        xs = rng.uniform(-r, r, args.count)
-        ys = rng.uniform(-r, r, args.count)
-    elif args.family == "laguerre":
-        r = np.sqrt(12.0 * args.n + 3.0 * args.alpha + 3.0)
-        xs = rng.uniform(0, r, args.count)
-        ys = rng.uniform(0, r, args.count)
+        xs, ys = np.cos(rng.uniform(0, r, (2, args.count)))
+    elif args.family in ("hermite", "laguerre"):
+        xs, ys = rng.uniform(0 if args.family == "laguerre" else -r, r, (2, args.count))
     else:
         print(f"kernel grid: family {args.family} not supported", file=sys.stderr)
         return 2
@@ -187,13 +186,14 @@ def cmd_quad(args):
     return 0 if err < tol else 1
 
 
+# the interval on which ``needlet roundtrip`` compares reconstructions
+_ROUNDTRIP_POINTS = {"jacobi": (-1, 1), "hermite": (-3, 3), "laguerre": (0.05, 3)}
+
+
 def _system_from_args(args, cut):
-    params = {}
-    if args.family == "jacobi":
-        params = {"alpha": args.alpha, "beta": args.beta}
-    elif args.family == "laguerre":
-        params = {"alpha": args.alpha}
-    return needlets.build_needlet_system(args.family, params, cut, args.jmax)
+    # a frame lives on the line, so it reads every family parameter but d
+    names = [name for name in kernels.FAMILIES[args.family].params if name != "d"]
+    return needlets.build_needlet_system(args.family, _params_from_args(args, names), cut, args.jmax)
 
 
 def cmd_needlet(args):
@@ -215,12 +215,7 @@ def cmd_needlet(args):
             defects.append(needlets.parseval_check(system, coeffs))
         else:
             frame = needlets.analyze(system, coeffs)
-            if args.family == "jacobi":
-                pts = rng.uniform(-1, 1, 50)
-            elif args.family == "hermite":
-                pts = rng.uniform(-3, 3, 50)
-            else:
-                pts = rng.uniform(0.05, 3, 50)
+            pts = rng.uniform(*_ROUNDTRIP_POINTS[args.family], 50)
             rec = needlets.synthesize(system, frame, pts)
             ref = np.tensordot(
                 coeffs, system.basis_values(np.arange(len(coeffs)), pts), axes=(0, 0)
@@ -341,13 +336,7 @@ def build_parser():
 
     p = sub.add_parser("kernel", help="evaluate kernels or export value grids")
     p.add_argument("action", choices=("eval", "grid"))
-    p.add_argument("--family", default="chebyshev")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--kappa", default="0.5,0.5")
+    _add_family_opts(p, n=32)
     p.add_argument("--x", default="0.5")
     p.add_argument("--y", default="0.25")
     p.add_argument("--count", type=int, default=200)
@@ -380,13 +369,7 @@ def build_parser():
     p.add_argument(
         "action", choices=("envelope", "fit", "compare", "wavelet", "counterexample")
     )
-    p.add_argument("--family", default="chebyshev")
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--kappa", default="0.5,0.5")
+    _add_family_opts(p, n=128)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--form", default="subexp", choices=("poly", "subexp"))
     p.add_argument("--sigma", type=float, default=4.0)

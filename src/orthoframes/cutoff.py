@@ -126,6 +126,7 @@ class CutoffFunction:
     t: np.ndarray
     values: np.ndarray
     interpolation_degree: int = 3
+    flat_edge: float = 1.0  # largest t where a kind-"a" profile equals 1 exactly
     derivative_norm_cache: object = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
@@ -145,16 +146,11 @@ class CutoffFunction:
         out = self._spline(x)
         np.clip(out, 0.0, 1.0, out=out)
         if self.spec.kind == "a":
-            out = np.where(x <= self._flat_hi, 1.0, out)
+            out = np.where(x <= self.flat_edge, 1.0, out)
         out = np.where(x >= 2.0, 0.0, out)
         if self.spec.kind in ("b", "c"):
             out = np.where(x <= 0.5, 0.0, out)
         return out if out.ndim else float(out)
-
-    @property
-    def _flat_hi(self):
-        # largest t with ahat == 1 exactly (kind "a" only)
-        return getattr(self, "_flat_edge", 1.0)
 
 
 def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
@@ -261,10 +257,6 @@ def build_bump(spec):
     Accepts any ``m_max >= 2`` (the full cutoff assembly requires more
     factors, but the bump alone is well defined from two).
     """
-    if not 0.0 < spec.epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {spec.epsilon}")
-    if spec.m_max < 2:
-        raise ValueError("m_max must be at least 2")
     if spec.grid_points < 4096 or spec.grid_points % 2:
         raise ValueError("grid_points must be an even integer >= 4096")
     delta = build_delta_sequence(spec.epsilon, spec.log_depth, spec.m_max)
@@ -304,6 +296,7 @@ def _assemble_from_bump(kind, bump, spec):
     g_eval, edge = _phase_spline(bump, scale)
     g_points = int(spec.grid_points)
     t = 2.0 * np.arange(g_points + 1) / g_points
+    flat_edge = 1.0
     if kind == "a":
         u = 1.5 - t
         vals = (2.0 / np.pi) * g_eval(u)
@@ -316,11 +309,8 @@ def _assemble_from_bump(kind, bump, spec):
         hi = (t > 1.0) & (t <= 2.0)
         vals[lo] = np.sin(g_eval(2.0 * t[lo] - 1.5))
         vals[hi] = np.sin(g_eval(1.5 - t[hi]))
-        flat_edge = 0.0
     np.clip(vals, 0.0, 1.0, out=vals)
-    out = CutoffFunction(spec=spec, t=t, values=vals)
-    out._flat_edge = flat_edge
-    return out
+    return CutoffFunction(spec=spec, t=t, values=vals, flat_edge=flat_edge)
 
 
 def assemble_cutoff(spec):

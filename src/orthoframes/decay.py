@@ -13,9 +13,8 @@ For the sub-exponential shape the rate is selected by grid search as the
 largest value whose implied leading constant stays within a fixed factor of
 the diagonal constant ("a finite c"); the fit reports that constant and a
 zero violation count, or declares the shape unsatisfied at every rate on the
-grid.  Pair sampling uses nested van der Corput sequences rotated by the
-plan seed, so envelopes are deterministic and doubling the pair budget only
-refines the sampled set.
+grid.  Pairs come from each family's sampler in ``kernels.FAMILIES``, so
+envelopes are deterministic for a fixed plan seed.
 """
 
 import json
@@ -104,200 +103,45 @@ class BoundFit:
     satisfied: bool
 
 
-def _vdc(count, base, shift=0.0):
-    """First ``count`` van der Corput points in the given base, rotated."""
-    out = np.zeros(count)
-    for i in range(count):
-        v, denom, k = 0.0, 1.0, i + 1
-        while k:
-            k, r = divmod(k, base)
-            denom *= base
-            v += r / denom
-        out[i] = v
-    return (out + shift) % 1.0
-
-
-def _family_diameter(kernel):
-    fam = kernel.family
-    if fam in ("chebyshev", "jacobi", "trig", "sphere", "ball", "simplex"):
-        return np.pi
-    if fam == "hermite":
-        return math.sqrt(8.0 * kernel.n + 2.0)
-    if fam == "laguerre":
-        alpha = np.atleast_1d(np.asarray(kernel.params.get("alpha", 0.0)))
-        return math.sqrt(12.0 * kernel.n + 3.0 * np.max(np.abs(alpha)) + 3.0)
-    if fam in kernels.TENSOR_VARIANTS:
-        return np.pi
-    raise ValueError(f"no default diameter for family {fam!r}")
-
-
-def _scale_and_prefactor(kernel):
-    fam, n = kernel.family, kernel.n
-    if fam in ("chebyshev", "jacobi", "trig"):
-        return float(n), float(n)
-    if fam == "sphere":
-        return float(n), float(n) ** kernel.params["d"]
-    if fam == "ball":
-        return float(n), float(n) ** kernel.params["d"]
-    if fam == "simplex":
-        d = len(np.atleast_1d(kernel.params["kappa"])) - 1
-        return float(n), float(n) ** d
-    if fam == "hermite":
-        d = kernel.params.get("d", 1)
-        return math.sqrt(n), float(n) ** (d / 2.0)
-    if fam == "laguerre":
-        d = kernel.params.get("d", 1)
-        return math.sqrt(n), float(n) ** (d / 2.0)
-    return float(n), float(n)
-
-
-def _weight_values(kernel, pts):
-    fam = kernel.family
-    p = kernel.params
-    n = kernel.n
-    pts = np.asarray(pts, dtype=float)
-    if fam == "jacobi":
-        return (1.0 - pts + n**-2.0) ** (p["alpha"] + 0.5) * (
-            1.0 + pts + n**-2.0
-        ) ** (p["beta"] + 0.5)
-    if fam == "laguerre":
-        a = float(np.atleast_1d(p.get("alpha", 0.0))[0])
-        return (pts + n**-0.5) ** (2.0 * a + 1.0)
-    return np.ones_like(pts)
-
-
-def _interval_pairs(lo, hi, count, delta, shift, core=None, pin_center=False):
-    # extremal pairs at a given separation ride distinguished slices (the
-    # domain endpoints and, for the symmetric families, the pairs mirrored
-    # about the center), so those slices are evaluated at the full
-    # separation density; interior pairs cover the (optionally restricted)
-    # oscillatory core with nested low-discrepancy streams
-    span = np.maximum(hi - lo - delta, 0.0)
-    c_lo, c_hi = (lo, hi) if core is None else core
-    c_lo = np.maximum(lo, c_lo)
-    c_span = np.maximum(np.minimum(hi, c_hi) - delta - c_lo, 0.0)
-    streams = [_vdc(count, 3, shift)]
-    if core is not None:
-        streams.append(_vdc(count, 5, shift))
-    groups = [lo + span, np.full_like(span, lo)]
-    if pin_center:
-        groups.append(0.5 * (lo + hi) - 0.5 * delta)
-    groups.extend(c_lo + s * c_span for s in streams)
-    x = np.concatenate(groups)
-    d3 = np.concatenate([delta] * len(groups))
-    return x, x + d3
-
-
 def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
-    Deterministic for a fixed plan seed.  Pair generation is family aware:
-    interval families walk an (angle, angle-offset) tensor set, the
-    unbounded families walk (position, offset) sets clipped to the domain,
-    and the tensor-product families combine interior pairs with pairs
-    pinned to the boundary lines where those kernels are known to spread.
+    Deterministic for a fixed plan seed: each bin's pairs come from the
+    family's sampler in ``kernels.FAMILIES``.  Weighted plans need a family
+    with a bound weight.
     """
     plan = plan or SamplingPlan()
     plan.validate()
-    fam = kernel.family
-    diameter = plan.rho_max if plan.rho_max is not None else _family_diameter(kernel)
-    shift = (plan.seed * 0.6180339887498949) % 1.0
-    scale, prefactor = _scale_and_prefactor(kernel)
+    spec = kernels.FAMILIES[kernel.family]
+    if plan.weighted and spec.weight is None:
+        raise ValueError(f"{kernel.family} kernels carry no bound weight; measure them unweighted")
+    diameter = plan.rho_max if plan.rho_max is not None else spec.diameter(kernel.n, kernel.params)
+    scale, prefactor = spec.scale(kernel.n, kernel.params)
     # geometric bin edges pin the scaled-distance grid u = scale * rho to the
     # same locations for every n, which keeps fitted constants comparable
     # across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
-    rho_centers = 0.5 * (edges[:-1] + edges[1:])
-    maxima = np.zeros(plan.n_bins)
-    counts = np.zeros(plan.n_bins, dtype=int)
-    count = plan.pairs_per_bin
-    for b in range(plan.n_bins):
-        deltas = edges[b] + _vdc(count, 2, shift) * (edges[b + 1] - edges[b])
-        if b == 0:
-            deltas[0] = 0.0
-        if fam in ("chebyshev", "jacobi"):
-            th, ph = _interval_pairs(0.0, np.pi, count, deltas, shift)
-            xs, ys = np.cos(th), np.cos(ph)
-            vals = np.abs(kernel.pair_values(xs, ys))
-            if plan.weighted:
-                vals = vals * np.sqrt(_weight_values(kernel, xs) * _weight_values(kernel, ys))
-        elif fam == "trig":
-            vals = np.abs(kernel.pair_values(deltas, np.zeros_like(deltas)))
-        elif fam == "sphere":
-            cosine = np.cos(deltas)
-            vals = np.abs(
-                kernels.sphere_kernel(kernel.cutoff, kernel.n, kernel.params["d"], cosine)
-            )
-        elif fam in ("hermite", "laguerre"):
-            lo = 0.0 if fam == "laguerre" else -_family_diameter(kernel)
-            hi = _family_diameter(kernel)
-            # restrict interior sampling to the oscillatory core, where the
-            # eigenfunctions (and hence the extremal pairs) live
-            tp = math.sqrt(2.0 * 2.0 * kernel.n + 2.0) + 4.0
-            xs, ys = _interval_pairs(
-                lo, hi, count, deltas, shift, core=(-tp, tp), pin_center=(fam == "hermite")
-            )
-            vals = np.abs(kernel.pair_values(xs, ys))
-            if plan.weighted:
-                vals = vals * np.sqrt(_weight_values(kernel, xs) * _weight_values(kernel, ys))
-        elif fam in kernels.TENSOR_VARIANTS:
-            vals = _tensor_bin_values(kernel, edges[b], edges[b + 1], count, shift)
-        else:
-            vals = _generic_bin_values(kernel, edges[b], edges[b + 1], count, plan)
-        counts[b] = len(vals)
-        if len(vals):
-            maxima[b] = float(np.max(vals))
+    bins = [
+        _generic_bin_values(kernel, a, b, plan.pairs_per_bin, plan)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
     return DecayEnvelope(
-        family=fam,
+        family=kernel.family,
         n=kernel.n,
-        rho=rho_centers,
-        values=maxima,
+        rho=0.5 * (edges[:-1] + edges[1:]),
+        values=np.array([np.max(v) if len(v) else 0.0 for v in bins]),
         weighted=plan.weighted,
         scale=scale,
         prefactor=prefactor,
-        counts=counts,
+        counts=np.array([len(v) for v in bins]),
     )
 
 
-def _tensor_bin_values(kernel, lo, hi, count, shift):
-    # pairs pinned to the boundary lines (where tensor kernels fail to
-    # localize) plus Halton interior pairs, filtered to the bin
-    m = max(count // 2, 8)
-    t1 = _vdc(m, 2, shift)
-    vals = []
-    y = np.array([1.0, 1.0])
-    for u in np.cos(np.pi * t1):
-        for x in (np.array([u, -1.0]), np.array([1.0, u]), np.array([u, 1.0])):
-            r = kernel.distance(x, y)
-            if lo <= r <= hi:
-                vals.append(abs(kernel(x, y)))
-    h2 = _vdc(m, 3, shift)
-    h5 = _vdc(m, 5, shift)
-    for a, b, c in zip(t1, h2, h5):
-        x = np.array([math.cos(np.pi * a), math.cos(np.pi * b)])
-        yv = np.array([math.cos(np.pi * c), math.cos(np.pi * ((a + c) % 1.0))])
-        r = kernel.distance(x, yv)
-        if lo <= r <= hi:
-            vals.append(abs(kernel(x, yv)))
-    return np.asarray(vals)
-
-
 def _generic_bin_values(kernel, lo, hi, count, plan):
-    # rejection sampling stratified by distance for ball/simplex: all 50 *
-    # count attempts are drawn at once, in the order a per-attempt loop draws
-    # them, and the first ``count`` pairs that land in the bin are evaluated
-    rng = np.random.default_rng(plan.seed + int(1e6 * lo))
-    attempts = 50 * count
-    if kernel.family == "ball":
-        pts = rng.uniform(-1, 1, (attempts, 2, kernel.params["d"]))
-        pts = pts[np.all(np.sum(pts * pts, axis=-1) <= 1, axis=-1)]
-    else:
-        d = len(np.atleast_1d(kernel.params["kappa"])) - 1
-        pts = rng.dirichlet(np.ones(d + 1), (attempts, 2))[..., :d]
-    r = kernel.distance(pts[:, 0], pts[:, 1])
-    keep = np.flatnonzero((lo <= r) & (r <= hi))[:count]
-    xs, ys = pts[keep, 0], pts[keep, 1]
+    # |kernel| over the family sampler's pairs at distances in [lo, hi],
+    # times sqrt(w(x) w(y)) when the plan is weighted
+    xs, ys = kernels.FAMILIES[kernel.family].sample(kernel, lo, hi, count, plan.seed)
     vals = np.abs(kernel.pair_values(xs, ys))
     if plan.weighted:
         vals = vals * np.sqrt(kernel.weight(xs) * kernel.weight(ys))

@@ -365,26 +365,48 @@ def _composition_value(band, tables_x, tables_y):
     return float(np.dot(band, conv[: len(band)]))
 
 
+def _each_pair(one, x, y):
+    """one(x, y) over (..., d) arrays of pairs, pair by pair."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim <= 1 and y.ndim <= 1:
+        return one(x, y)
+    x, y = np.broadcast_arrays(x, y)
+    flat = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+    return np.array([one(a, b) for a, b in flat]).reshape(x.shape[:-1])
+
+
+def _product_kernel(band, fns, x, y):
+    """sum_m band_m sum_{|nu| = m} prod_i f_{nu_i}(x_i) f_{nu_i}(y_i), where
+    fns[i](t) tabulates the orthonormal functions of axis i at t.  One axis
+    takes point arrays; more axes take (..., d) arrays of pairs."""
+    if len(fns) == 1:
+        out = np.tensordot(band, fns[0](x) * fns[0](y), axes=(0, 0))
+        return out if out.ndim else float(out)
+
+    def one(a, b):
+        if np.size(a) != len(fns) or np.size(b) != len(fns):
+            raise ValueError(f"points must have dimension {len(fns)}")
+        return _composition_value(band, *([f(t) for f, t in zip(fns, p)] for p in (a, b)))
+
+    return _each_pair(one, x, y)
+
+
+def _hermite_basis(p, top, x):
+    return orthopoly._hermite_fn_values(top, np.asarray(x, dtype=float))
+
+
+def _laguerre_basis(p, top, x):
+    return np.sqrt(2.0) * orthopoly._laguerre_core(p["alpha"], top, np.asarray(x, dtype=float) ** 2)
+
+
 def hermite_kernel(cutoff, n, x, y, d=1):
-    """Hermite-function kernel on R^d; d = 1 accepts point arrays."""
+    """Hermite-function kernel on R^d; d = 1 accepts point arrays, d > 1
+    (..., d) arrays of pairs."""
     if d not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
     band = cutoff_band(cutoff, n)
-    top = len(band) - 1
-    if d == 1:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        hx = orthopoly._hermite_fn_values(top, x)
-        hy = orthopoly._hermite_fn_values(top, y)
-        out = np.tensordot(band, hx * hy, axes=(0, 0))
-        return out if out.ndim else float(out)
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != d or len(y) != d:
-        raise ValueError(f"points must have dimension {d}")
-    tx = [orthopoly._hermite_fn_values(top, np.asarray(xi)) for xi in x]
-    ty = [orthopoly._hermite_fn_values(top, np.asarray(yi)) for yi in y]
-    return _composition_value(band, tx, ty)
+    return _product_kernel(band, [lambda t: _hermite_basis({}, len(band) - 1, t)] * d, x, y)
 
 
 def hermite_block(j, x, y, d):
@@ -402,33 +424,20 @@ def hermite_block(j, x, y, d):
 
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     """Laguerre F-function kernel on the positive orthant; d = 1 accepts
-    point arrays.  ``alpha`` is scalar for d = 1, else one entry per axis."""
+    point arrays, d > 1 (..., d) arrays of pairs.  ``alpha`` is scalar for
+    d = 1, else one entry per axis."""
     if d not in (1, 2):
         raise ValueError("laguerre kernel supports d in {1, 2}")
-    band = cutoff_band(cutoff, n)
-    top = len(band) - 1
     alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any(alpha_vec < 0):
         raise ValueError("alpha components must be >= 0")
-    if d == 1:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(x < 0) or np.any(y < 0):
-            raise ValueError("points must be nonnegative")
-        a = float(alpha_vec[0])
-        fx = np.sqrt(2.0) * orthopoly._laguerre_core(a, top, x**2)
-        fy = np.sqrt(2.0) * orthopoly._laguerre_core(a, top, y**2)
-        out = np.tensordot(band, fx * fy, axes=(0, 0))
-        return out if out.ndim else float(out)
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != d or len(y) != d or len(alpha_vec) != d:
+    if d > 1 and len(alpha_vec) != d:
         raise ValueError(f"points and alpha must have dimension {d}")
-    if np.any(x < 0) or np.any(y < 0):
+    if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
         raise ValueError("points must be nonnegative")
-    tx = [np.sqrt(2.0) * orthopoly._laguerre_core(alpha_vec[i], top, np.asarray(x[i] ** 2)) for i in range(d)]
-    ty = [np.sqrt(2.0) * orthopoly._laguerre_core(alpha_vec[i], top, np.asarray(y[i] ** 2)) for i in range(d)]
-    return _composition_value(band, tx, ty)
+    band = cutoff_band(cutoff, n)
+    fns = [lambda t, a=a: _laguerre_basis({"alpha": a}, len(band) - 1, t) for a in alpha_vec[:d]]
+    return _product_kernel(band, fns, x, y)
 
 
 def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
@@ -535,66 +544,334 @@ def tensor_slice_cheb_coeffs(cutoff, n, variant):
 # distances and weight factors
 
 
+def _angle_distance(x, y):
+    """Largest coordinate gap in arccos (interval and tensor-square metric)."""
+    return np.max(np.abs(_safe_arccos(x) - _safe_arccos(y)), axis=-1)
+
+
+def _periodic_distance(x, y):
+    delta = np.abs(x - y) % (2.0 * np.pi)
+    return np.max(np.minimum(delta, 2.0 * np.pi - delta), axis=-1)
+
+
+def _inner(x, y):
+    """x . y over the last axis, summed the way np.dot sums one pair."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _family(name):
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
+
+
+def _as_points(spec, p, x):
+    """Points as (..., dim) arrays: a scalar point gains its coordinate axis."""
+    x = np.asarray(x, dtype=float)
+    return x[..., None] if spec.scalar(p) else np.atleast_1d(x)
+
+
 def distance(family, x, y):
     """The family's natural metric; arccos arguments are clamped against
     round-off within 1e-12 of the boundary.
 
-    Ball and simplex points may be (..., d) arrays of pairs, giving an array
-    of distances; a single pair gives a float.
+    A point is a scalar or an array whose last axis holds its coordinates, so
+    (..., k) arrays of pairs give an array of distances and a single pair a
+    float.  ``KernelInstance.distance`` also takes arrays of scalar points.
     """
-    if family in ("interval", "chebyshev", "jacobi"):
-        return float(np.abs(_safe_arccos(x) - _safe_arccos(y)))
-    if family == "trig":
-        delta = abs(float(x) - float(y)) % (2.0 * np.pi)
-        return min(delta, 2.0 * np.pi - delta)
-    if family == "sphere":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(_safe_arccos(np.dot(x, y)))
-    if family == "ball":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        cosine = np.sum(x * y, axis=-1) + _hemisphere_height(x) * _hemisphere_height(y)
-        out = _safe_arccos(cosine)
-        return out if out.ndim else float(out)
-    if family == "simplex":
-        xb = np.maximum(_barycentric(x), 0.0)
-        yb = np.maximum(_barycentric(y), 0.0)
-        out = _safe_arccos(np.sum(np.sqrt(xb * yb), axis=-1))
-        return out if out.ndim else float(out)
-    if family in ("hermite", "laguerre"):
-        return float(np.max(np.abs(np.atleast_1d(x) - np.atleast_1d(y))))
-    if family in ("tensor", "legleg", "chebcheb", "chebleg"):
-        return float(np.max(np.abs(_safe_arccos(np.atleast_1d(x)) - _safe_arccos(np.atleast_1d(y)))))
-    raise ValueError(f"unknown family {family!r}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    out = _family(family).distance(x, y)
+    return out if out.ndim else float(out)
+
+
+def _weight(family, n, x, p):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    spec = _family(family)
+    if spec.weight is None:
+        raise ValueError(f"{family} kernels carry no bound weight")
+    out = spec.weight(n, _as_points(spec, p, x), p)
+    return out if out.ndim else float(out)
 
 
 def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
     """Normalizing weight entering the off-diagonal kernel bounds.
 
-    Ball and simplex points may be (..., d) arrays, giving an array of
-    weights; a single point gives a float.
+    One weight per point: the one-dimensional families take scalars or
+    arrays of them, the others (..., d) arrays; a single point gives a float.
+    The tensor-product families have no weight.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if family == "jacobi":
-        return float(
-            (1.0 - x + n**-2.0) ** (alpha + 0.5) * (1.0 + x + n**-2.0) ** (beta + 0.5)
-        )
-    if family in ("chebyshev", "trig", "sphere", "hermite"):
-        return 1.0
-    if family == "ball":
-        out = (_hemisphere_height(np.asarray(x, dtype=float)) + 1.0 / n) ** (2.0 * mu)
-        return out if out.ndim else float(out)
-    if family == "simplex":
-        xb = np.maximum(_barycentric(x), 0.0)
-        out = np.prod((xb + n**-2.0) ** np.asarray(kappa, dtype=float), axis=-1)
-        return out if out.ndim else float(out)
-    if family == "laguerre":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return float(np.prod((x + n**-0.5) ** (2.0 * a + 1.0)))
-    raise ValueError(f"unknown family {family!r}")
+    given = {"alpha": alpha, "beta": beta, "mu": mu, "kappa": kappa}
+    return _weight(family, n, x, {k: v for k, v in given.items() if v is not None})
+
+
+# ---------------------------------------------------------------------------
+# envelope pair samplers, each drawing the pairs (xs, ys) of one bin [lo, hi]:
+# nested van der Corput sequences rotated by the seed, so doubling the pair
+# budget only refines the sampled set, or (ball, simplex) the first ``count``
+# seeded random pairs that land in the bin
+
+
+def _vdc(count, base, shift=0.0):
+    """First ``count`` van der Corput points in the given base, rotated."""
+    out, denom, k = np.zeros(count), 1.0, np.arange(1, count + 1)
+    while k.any():
+        k, r = np.divmod(k, base)
+        denom *= base
+        out += r / denom
+    return (out + shift) % 1.0
+
+
+def _shift(seed):
+    return (seed * 0.6180339887498949) % 1.0
+
+
+def _bin_offsets(lo, hi, count, seed):
+    """Pair separations spread over the bin; the first bin starts at the diagonal."""
+    deltas = lo + _vdc(count, 2, _shift(seed)) * (hi - lo)
+    if lo == 0.0:
+        deltas[0] = 0.0
+    return deltas
+
+
+def _interval_pairs(lo, hi, bin_lo, bin_hi, count, seed, core=None, pin_center=False):
+    # pairs of [lo, hi] at separations spread over the bin: extremal pairs
+    # ride distinguished slices (the domain ends and, for the symmetric
+    # families, pairs mirrored about the center) at the full separation
+    # density; interior pairs cover the (optionally restricted) oscillatory
+    # core with nested low-discrepancy streams
+    delta, shift = _bin_offsets(bin_lo, bin_hi, count, seed), _shift(seed)
+    span = np.maximum(hi - lo - delta, 0.0)
+    c_lo, c_hi = (lo, hi) if core is None else core
+    c_lo = np.maximum(lo, c_lo)
+    c_span = np.maximum(np.minimum(hi, c_hi) - delta - c_lo, 0.0)
+    streams = [_vdc(count, 3, shift)]
+    if core is not None:
+        streams.append(_vdc(count, 5, shift))
+    groups = [lo + span, np.full_like(span, lo)]
+    if pin_center:
+        groups.append(0.5 * (lo + hi) - 0.5 * delta)
+    groups.extend(c_lo + s * c_span for s in streams)
+    x = np.concatenate(groups)
+    d3 = np.concatenate([delta] * len(groups))
+    return x, x + d3
+
+
+def _angle_pairs(k, lo, hi, count, seed):
+    th, ph = _interval_pairs(0.0, np.pi, lo, hi, count, seed)
+    return np.cos(th), np.cos(ph)
+
+
+def _sphere_pairs(k, lo, hi, count, seed):
+    # the pole and the point at angle delta from it on one great circle
+    deltas = _bin_offsets(lo, hi, count, seed)
+    xs = np.zeros((count, k.params["d"] + 1))
+    ys = np.zeros_like(xs)
+    xs[:, 0] = 1.0
+    ys[:, 0], ys[:, 1] = np.cos(deltas), np.sin(deltas)
+    return xs, ys
+
+
+def _line_pairs(k, lo, hi, count, seed, half_line):
+    d = k.params.get("d", 1)
+    if d != 1:
+        raise ValueError(f"{k.family} envelopes sample d = 1 only, got d = {d}")
+    r = FAMILIES[k.family].diameter(k.n, k.params)
+    # restrict interior sampling to the oscillatory core, where the
+    # eigenfunctions (and hence the extremal pairs) live
+    tp = math.sqrt(2.0 * 2.0 * k.n + 2.0) + 4.0
+    return _interval_pairs(
+        0.0 if half_line else -r, r, lo, hi, count, seed, core=(-tp, tp), pin_center=not half_line
+    )
+
+
+def _in_bin(k, pts, lo, hi, count):
+    """The first ``count`` candidate pairs pts[:, 0], pts[:, 1] in the bin."""
+    r = k.distance(pts[:, 0], pts[:, 1])
+    keep = np.flatnonzero((lo <= r) & (r <= hi))[:count]
+    return pts[keep, 0], pts[keep, 1]
+
+
+def _ball_pairs(k, lo, hi, count, seed):
+    # rejection sampling: 50 * count pairs of the cube, drawn at once in the
+    # order a per-attempt loop draws them, kept where both lie in the ball
+    rng = np.random.default_rng(seed + int(1e6 * lo))
+    pts = rng.uniform(-1, 1, (50 * count, 2, k.params["d"]))
+    return _in_bin(k, pts[np.all(np.sum(pts * pts, axis=-1) <= 1, axis=-1)], lo, hi, count)
+
+
+def _simplex_pairs(k, lo, hi, count, seed):
+    rng = np.random.default_rng(seed + int(1e6 * lo))
+    d = len(np.atleast_1d(k.params["kappa"])) - 1
+    pts = rng.dirichlet(np.ones(d + 1), (50 * count, 2))[..., :d]
+    return _in_bin(k, pts, lo, hi, count)
+
+
+def _tensor_pairs(k, lo, hi, count, seed):
+    # pairs pinned to the boundary lines (where tensor kernels fail to
+    # localize) plus Halton interior pairs, filtered to the bin
+    shift = _shift(seed)
+    m = max(count // 2, 8)
+    t1, h2, h5 = _vdc(m, 2, shift), _vdc(m, 3, shift), _vdc(m, 5, shift)
+    u, one = np.cos(np.pi * t1), np.ones(m)
+    edge = np.stack([np.stack(p, axis=-1) for p in ((u, -one), (one, u), (u, one))], axis=1)
+    xs = np.concatenate([edge.reshape(-1, 2), np.stack([u, np.cos(np.pi * h2)], axis=-1)])
+    inner = np.stack([np.cos(np.pi * h5), np.cos(np.pi * ((t1 + h5) % 1.0))], axis=-1)
+    ys = np.concatenate([np.ones((3 * m, 2)), inner])
+    return _in_bin(k, np.stack([xs, ys], axis=1), lo, hi, len(xs))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+def _jacobi_basis(p, top, x):
+    jp = JacobiParams(p["alpha"], p["beta"])
+    vals = orthopoly._jacobi_values(jp.alpha, jp.beta, top, x)
+    h = orthopoly.jacobi_norms(jp, top)
+    return vals / np.sqrt(h).reshape((-1,) + (1,) * x.ndim)
+
+
+def _power_scale(dim):
+    """Bounds in the distance scaled by n, with prefactor n^dim(p)."""
+    return lambda n, p: (float(n), float(n) ** dim(p))
+
+
+def _root_scale(n, p):
+    """Hermite and Laguerre kernels localize at the scale sqrt(n)."""
+    return math.sqrt(n), float(n) ** (p.get("d", 1) / 2.0)
+
+
+def _unit_weight(n, x, p):
+    return np.ones(x.shape[:-1])
+
+
+def _one_dimensional(p):
+    return p.get("d", 1) == 1 and np.size(p.get("alpha", 0.0)) == 1
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package knows about one family, in one place.
+
+    ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs and
+    ``sample(k, lo, hi, count, seed)`` draws one envelope bin's pairs; the
+    rest take level ``n`` and parameters ``p``: the metric ``distance(x, y)``,
+    ``scalar`` points, the bound ``weight`` per point (None: none), the
+    bounds' (scale, prefactor), the envelope ``diameter``, and for the frame
+    families the Gauss ``rule(p, m)`` and orthonormal ``basis(p, top, x)``.
+    ``params`` names the parameters read; when not ``required``, all default.
+    """
+
+    distance: object
+    values: object = None
+    sample: object = None
+    scalar: object = lambda p: False
+    weight: object = None
+    scale: object = _power_scale(lambda p: 1)
+    diameter: object = lambda n, p: np.pi
+    params: tuple = ()
+    required: bool = True
+    rule: object = None
+    basis: object = None
+
+
+# Entries call kernel, quadrature and orthopoly functions by module name at call
+# time, so replacing a module attribute (to trace it, say) reaches every family.
+_TENSOR = Family(
+    _angle_distance, sample=_tensor_pairs,
+    values=lambda k, x, y: _each_pair(
+        lambda a, b: tensor2d_kernel(k.cutoff, k.n, k.family, a, b), x, y
+    ),
+)
+
+FAMILIES = {
+    "trig": Family(
+        _periodic_distance,
+        values=lambda k, x, y: trig_kernel(k.cutoff, k.n, np.asarray(x) - np.asarray(y)),
+        sample=lambda k, lo, hi, count, seed: (_bin_offsets(lo, hi, count, seed), np.zeros(count)),
+        scalar=lambda p: True, weight=_unit_weight,
+    ),
+    "chebyshev": Family(
+        _angle_distance, values=lambda k, x, y: chebyshev_kernel(k.cutoff, k.n, x, y),
+        sample=_angle_pairs, scalar=lambda p: True, weight=_unit_weight,
+    ),
+    "jacobi": Family(
+        _angle_distance,
+        values=lambda k, x, y: jacobi_kernel(
+            k.cutoff, k.n, k.params["alpha"], k.params["beta"], x, y
+        ),
+        sample=_angle_pairs, scalar=lambda p: True,
+        weight=lambda n, x, p: np.prod(
+            (1.0 - x + n**-2.0) ** (p["alpha"] + 0.5) * (1.0 + x + n**-2.0) ** (p["beta"] + 0.5),
+            axis=-1,
+        ),
+        params=("alpha", "beta"),
+        rule=lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
+        basis=_jacobi_basis,
+    ),
+    "sphere": Family(
+        lambda x, y: _safe_arccos(_inner(x, y)),
+        values=lambda k, x, y: sphere_kernel(
+            k.cutoff, k.n, k.params["d"],
+            np.clip(_inner(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), -1, 1),
+        ),
+        sample=_sphere_pairs, weight=_unit_weight, scale=_power_scale(lambda p: p["d"]),
+        params=("d",),
+    ),
+    "ball": Family(
+        lambda x, y: _safe_arccos(
+            np.sum(x * y, axis=-1) + _hemisphere_height(x) * _hemisphere_height(y)
+        ),
+        values=lambda k, x, y: ball_kernel(k.cutoff, k.n, k.params["mu"], k.params["d"], x, y),
+        sample=_ball_pairs,
+        weight=lambda n, x, p: (_hemisphere_height(x) + 1.0 / n) ** (2.0 * p["mu"]),
+        scale=_power_scale(lambda p: p["d"]),
+        params=("mu", "d"),
+    ),
+    "simplex": Family(
+        lambda x, y: _safe_arccos(
+            np.sum(np.sqrt(np.maximum(_barycentric(x), 0.0) * np.maximum(_barycentric(y), 0.0)), -1)
+        ),
+        values=lambda k, x, y: simplex_kernel(k.cutoff, k.n, k.params["kappa"], x, y),
+        sample=_simplex_pairs,
+        weight=lambda n, x, p: np.prod(
+            (np.maximum(_barycentric(x), 0.0) + n**-2.0) ** np.asarray(p["kappa"], dtype=float), axis=-1
+        ),
+        scale=_power_scale(lambda p: len(np.atleast_1d(p["kappa"])) - 1),
+        params=("kappa",),
+    ),
+    "hermite": Family(
+        lambda x, y: np.max(np.abs(x - y), axis=-1),
+        values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params.get("d", 1)),
+        sample=lambda k, lo, hi, count, seed: _line_pairs(k, lo, hi, count, seed, False),
+        scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
+        diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
+        params=("d",), required=False,
+        rule=lambda p, m: quadrature.hermite_function_rule(m),
+        basis=_hermite_basis,
+    ),
+    "laguerre": Family(
+        lambda x, y: np.max(np.abs(x - y), axis=-1),
+        values=lambda k, x, y: laguerre_kernel(
+            k.cutoff, k.n, k.params.get("alpha", 0.0), x, y, d=k.params.get("d", 1)
+        ),
+        sample=lambda k, lo, hi, count, seed: _line_pairs(k, lo, hi, count, seed, True),
+        scalar=_one_dimensional, scale=_root_scale,
+        diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p.get("alpha", 0.0))) + 3.0),
+        weight=lambda n, x, p: np.prod(
+            (x + n**-0.5) ** (2.0 * np.asarray(p.get("alpha", 0.0), dtype=float) + 1.0), axis=-1
+        ),
+        params=("alpha", "d"), required=False,
+        rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
+        basis=_laguerre_basis,
+    ),
+    **{variant: _TENSOR for variant in TENSOR_VARIANTS},
+    # metrics only
+    "interval": Family(_angle_distance),
+    "tensor": Family(_angle_distance),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -615,85 +892,30 @@ class KernelInstance:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        known = (
-            "trig",
-            "chebyshev",
-            "jacobi",
-            "sphere",
-            "ball",
-            "simplex",
-            "hermite",
-            "laguerre",
-            "legleg",
-            "chebcheb",
-            "chebleg",
-        )
-        if self.family not in known:
+        spec = FAMILIES.get(self.family)
+        if spec is None or spec.values is None:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        missing = [name for name in spec.params if name not in self.params]
+        if spec.required and missing:
+            raise ValueError(f"{self.family} kernels need the parameter(s) {', '.join(missing)}")
         if self.n <= 0:
             raise ValueError("level parameter n must be positive")
 
     def __call__(self, x, y):
-        p = self.params
-        if self.family == "trig":
-            return trig_kernel(self.cutoff, self.n, np.asarray(x) - np.asarray(y))
-        if self.family == "chebyshev":
-            return chebyshev_kernel(self.cutoff, self.n, x, y)
-        if self.family == "jacobi":
-            return jacobi_kernel(self.cutoff, self.n, p["alpha"], p["beta"], x, y)
-        if self.family == "sphere":
-            cosine = np.clip(np.dot(np.asarray(x, float), np.asarray(y, float)), -1, 1)
-            return sphere_kernel(self.cutoff, self.n, p["d"], cosine)
-        if self.family == "ball":
-            return ball_kernel(self.cutoff, self.n, p["mu"], p["d"], x, y)
-        if self.family == "simplex":
-            return simplex_kernel(self.cutoff, self.n, p["kappa"], x, y)
-        if self.family == "hermite":
-            return hermite_kernel(self.cutoff, self.n, x, y, d=p.get("d", 1))
-        if self.family == "laguerre":
-            return laguerre_kernel(
-                self.cutoff, self.n, p.get("alpha", 0.0), x, y, d=p.get("d", 1)
-            )
-        return tensor2d_kernel(self.cutoff, self.n, self.family, x, y)
+        return FAMILIES[self.family].values(self, x, y)
 
     def pair_values(self, xs, ys):
-        """Kernel values over arrays of pairs.
-
-        The one-dimensional families take point arrays; the sphere, ball and
-        simplex take (..., d) arrays and evaluate every pair in one array
-        pass (the ball and simplex with one auxiliary rule per call).  The
-        multivariate Hermite, Laguerre and tensor-product kernels loop over
-        the pairs.
-        """
-        if self.family in ("chebyshev", "jacobi", "hermite", "laguerre", "trig"):
-            d = self.params.get("d", 1)
-            if self.family in ("chebyshev", "jacobi") or d == 1:
-                return np.asarray(self(np.asarray(xs), np.asarray(ys)), dtype=float)
-        if self.family == "sphere":
-            cosine = np.clip(np.sum(np.asarray(xs) * np.asarray(ys), axis=-1), -1, 1)
-            return np.asarray(sphere_kernel(self.cutoff, self.n, self.params["d"], cosine))
-        p = self.params
-        if self.family == "ball":
-            return np.asarray(ball_kernel(self.cutoff, self.n, p["mu"], p["d"], xs, ys))
-        if self.family == "simplex":
-            return np.asarray(simplex_kernel(self.cutoff, self.n, p["kappa"], xs, ys))
-        return np.array([self(x, y) for x, y in zip(xs, ys)])
+        """Kernel values over arrays of pairs (scalar points for the
+        one-dimensional families, (..., d) arrays otherwise), in one array pass
+        but for the multivariate Hermite, Laguerre and tensor-product kernels."""
+        return np.asarray(FAMILIES[self.family].values(self, xs, ys), dtype=float)
 
     def distance(self, x, y):
-        fam = "tensor" if self.family in TENSOR_VARIANTS else self.family
-        return distance(fam, x, y)
+        spec = FAMILIES[self.family]
+        return distance(self.family, _as_points(spec, self.params, x), _as_points(spec, self.params, y))
 
     def weight(self, x):
-        p = self.params
-        return weight_factor(
-            self.family,
-            self.n,
-            x,
-            alpha=p.get("alpha"),
-            beta=p.get("beta"),
-            mu=p.get("mu"),
-            kappa=p.get("kappa"),
-        )
+        return _weight(self.family, self.n, x, self.params)
 
     def descriptor(self):
         d = {"family": self.family, "n": self.n}

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import orthopoly, quadrature
-from .orthopoly import JacobiParams
+from . import kernels, quadrature
 
 __all__ = [
     "NeedletLevel",
@@ -42,7 +41,7 @@ __all__ = [
     "coefficients_to_csv",
 ]
 
-_FAMILIES = ("jacobi", "hermite", "laguerre")
+_FAMILIES = tuple(name for name, spec in kernels.FAMILIES.items() if spec.basis)
 
 
 @dataclass
@@ -80,19 +79,8 @@ class NeedletSystem:
 
     def basis_values(self, degrees, x):
         """Orthonormal family values phi_nu(x) for nu in ``degrees``."""
-        top = int(max(degrees))
-        x = np.asarray(x, dtype=float)
-        if self.family == "jacobi":
-            p = JacobiParams(self.params["alpha"], self.params["beta"])
-            vals = orthopoly._jacobi_values(p.alpha, p.beta, top, x)
-            h = orthopoly.jacobi_norms(p, top)
-            vals = vals / np.sqrt(h).reshape((-1,) + (1,) * x.ndim)
-        elif self.family == "hermite":
-            vals = orthopoly._hermite_fn_values(top, x)
-        else:
-            vals = np.sqrt(2.0) * orthopoly._laguerre_core(
-                self.params["alpha"], top, x**2
-            )
+        basis = kernels.FAMILIES[self.family].basis
+        vals = basis(self.params, int(max(degrees)), np.asarray(x, dtype=float))
         return vals[np.asarray(degrees, dtype=int)]
 
     def psi(self, j, i, x):
@@ -121,27 +109,19 @@ class FrameCoefficients:
         return float(sum(np.dot(c, c) for c in self.levels))
 
 
-def _level_geometry(family, j):
-    if family == "jacobi":
-        if j == 0:
-            return 1.0, 0, 1, 1
-        n_j = 2.0 ** (j - 1)
-        lo = int(math.floor(n_j / 2.0)) + 1
-        hi = int(math.ceil(2.0 * n_j))
-        return n_j, lo, hi, 2**j
+def _level(family, cutoff, j):
+    """(n_j, band_lo, band_hi, nodes, band) of level j.  Jacobi bands are
+    dyadic in nu; Hermite and Laguerre bands are 4-adic in nu, dyadic in
+    the natural frequency sqrt(nu)."""
     if j == 0:
-        return 1.0, 0, 1, 1
-    n_j = 4.0 ** (j - 1)
-    lo = int(math.floor(n_j / 4.0)) + 1
-    hi = int(math.ceil(4.0 * n_j))
-    return n_j, lo, hi, 4**j
-
-
-def _band_profile(family, cutoff, n_j, lo, hi):
-    nu = np.arange(lo, hi, dtype=float)
-    if family == "jacobi":
-        return np.asarray(cutoff(nu / n_j), dtype=float)
-    return np.asarray(cutoff(np.sqrt(nu / n_j)), dtype=float)
+        return 1.0, 0, 1, 1, np.ones(1)
+    base = 2.0 if family == "jacobi" else 4.0
+    n_j = base ** (j - 1)
+    lo = int(math.floor(n_j / base)) + 1
+    hi = int(math.ceil(base * n_j))
+    t = np.arange(lo, hi, dtype=float) / n_j
+    band = cutoff(t if base == 2.0 else np.sqrt(t))
+    return n_j, lo, hi, int(base) ** j, np.asarray(band, dtype=float)
 
 
 def build_needlet_system(family, params, cutoff, j_max):
@@ -163,16 +143,8 @@ def build_needlet_system(family, params, cutoff, j_max):
     system = NeedletSystem(family, params, cutoff, j_max, [], 0)
     levels = []
     for j in range(j_max + 1):
-        n_j, lo, hi, m = _level_geometry(family, j)
-        if family == "jacobi":
-            rule = quadrature.gauss_rule(
-                "jacobi", m, alpha=params["alpha"], beta=params["beta"]
-            )
-        elif family == "hermite":
-            rule = quadrature.hermite_function_rule(m)
-        else:
-            rule = quadrature.laguerre_function_rule(params["alpha"], m)
-        band = _band_profile(family, cutoff, n_j, lo, hi) if j > 0 else np.ones(1)
+        n_j, lo, hi, m, band = _level(family, cutoff, j)
+        rule = kernels.FAMILIES[family].rule(params, m)
         degs = np.arange(lo, hi)
         basis = system.basis_values(degs, rule.nodes)  # (band, nodes)
         psi = np.sqrt(rule.weights)[:, None] * (band[None, :] * basis.T)
@@ -218,15 +190,7 @@ def analyze(system, f, f_degree=None):
 def _project_callable(system, f, degree, meta):
     """Spectral coefficients of a callable via one high-order Gauss rule."""
     top = system.levels[-1].band_hi
-    m = max(top, degree) + 2
-    if system.family == "jacobi":
-        rule = quadrature.gauss_rule(
-            "jacobi", m, alpha=system.params["alpha"], beta=system.params["beta"]
-        )
-    elif system.family == "hermite":
-        rule = quadrature.hermite_function_rule(m)
-    else:
-        rule = quadrature.laguerre_function_rule(system.params["alpha"], m)
+    rule = kernels.FAMILIES[system.family].rule(system.params, max(top, degree) + 2)
     vals = np.asarray(f(rule.nodes), dtype=float)
     basis = system.basis_values(np.arange(top), rule.nodes)
     meta["fallback_rule"] = {"weight": rule.weight, "m": rule.m}
@@ -282,17 +246,13 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
     if system.family == "jacobi":
         diameter = np.pi
         sample = lambda r: np.cos(np.clip(np.arccos(xi) + r, 0.0, np.pi))
-        dist = lambda pts: np.abs(np.arccos(np.clip(pts, -1, 1)) - np.arccos(xi))
-        scale = lvl.n_j
     else:
-        spread = math.sqrt(8.0 * lvl.n_j + 2.0) + 2.0
-        diameter = rho_max if rho_max is not None else 2.0 * spread
+        diameter = 2.0 * (math.sqrt(8.0 * lvl.n_j + 2.0) + 2.0)
         lo_clip = 0.0 if system.family == "laguerre" else -np.inf
         sample = lambda r: np.clip(xi + r, lo_clip, np.inf)
-        dist = lambda pts: np.abs(pts - xi)
-        scale = math.sqrt(lvl.n_j)
     if rho_max is not None:
         diameter = rho_max
+    scale, prefactor = kernels.FAMILIES[system.family].scale(lvl.n_j, system.params)
     edges = np.linspace(0.0, diameter, n_bins + 1)
     rho_c = 0.5 * (edges[:-1] + edges[1:])
     maxima = np.zeros(n_bins)
@@ -301,7 +261,7 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
         offsets = np.linspace(edges[b], edges[b + 1], points_per_bin)
         pts = np.concatenate([sample(s * offsets) for s in (1.0, -1.0)])
         vals = np.abs(system.psi(j, xi_index, pts))
-        rr = dist(pts)
+        rr = kernels.distance(system.family, pts[:, None], xi)
         keep = (rr >= edges[b] - 1e-12) & (rr <= edges[b + 1] + 1e-12)
         counts[b] = np.count_nonzero(keep)
         if keep.any():
@@ -313,7 +273,7 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
         values=maxima,
         weighted=False,
         scale=scale,
-        prefactor=scale if system.family == "jacobi" else max(lvl.n_j, 1.0) ** 0.5,
+        prefactor=prefactor,
         counts=counts,
     )
 

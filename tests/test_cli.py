@@ -109,6 +109,20 @@ def test_decay_envelope_and_fit(tmp_path):
     assert fit["form"] == "sub_exponential" and fit["violations"] == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--family", "chebcheb", "--n", "8", "--weighted"], "no bound weight"),
+        (["--family", "hermite", "--n", "8", "--dim", "2"], "envelopes sample d = 1 only"),
+    ],
+)
+def test_decay_envelope_rejects_unsupported_plans(tmp_path, capsys, args, message):
+    out = str(tmp_path / "o")
+    assert run(["decay", "envelope"] + args + FAST + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_decay_counterexample(tmp_path, capsys):
     out = str(tmp_path / "o")
     code = run(

@@ -95,6 +95,19 @@ def test_bump_rejects_width_budget_overrun():
         co.build_bump(co.CutoffSpec("a", epsilon=1.0, m_max=20000, grid_points=4096))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (co.CutoffSpec("a", epsilon=1.5, grid_points=4096), "epsilon must lie in"),
+        (co.CutoffSpec("a", m_max=1, grid_points=4096), "m_max must be at least 2"),
+    ],
+)
+def test_bump_rejects_bad_widths(spec, message):
+    # the width sequence checks epsilon and m_max for the bump
+    with pytest.raises(ValueError, match=message):
+        co.build_bump(spec)
+
+
 def test_type_a_profile(cutoff_a):
     t = np.linspace(0.0, 1.0, 1001)
     assert np.abs(cutoff_a(t) - 1.0).max() < 1e-9

@@ -234,6 +234,24 @@ def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     assert not np.array_equal(raw, wtd)
 
 
+@pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
+def test_weighted_tensor_envelope_is_rejected(cutoff_c, variant):
+    # tensor-product kernels carry no bound weight, so a weighted plan would
+    # return the unweighted values under a weighted label
+    kernel = ke.KernelInstance(variant, cutoff_c, 8)
+    with pytest.raises(ValueError, match="no bound weight"):
+        de.measure_envelope(kernel, de.SamplingPlan(n_bins=40, pairs_per_bin=200, weighted=True))
+
+
+@pytest.mark.parametrize(
+    "family, params", [("hermite", {"d": 2}), ("laguerre", {"alpha": (0.0, 1.0), "d": 2})]
+)
+def test_line_envelopes_sample_one_dimension(cutoff_c, family, params):
+    kernel = ke.KernelInstance(family, cutoff_c, 8, params)
+    with pytest.raises(ValueError, match="envelopes sample d = 1 only"):
+        de.measure_envelope(kernel, de.SamplingPlan(n_bins=40, pairs_per_bin=200))
+
+
 def test_weighted_jacobi_envelope_flattens_endpoint_growth(cutoff_c):
     params = {"alpha": 2.0, "beta": 0.0}
     kernel = ke.KernelInstance("jacobi", cutoff_c, 128, params)

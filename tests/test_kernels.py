@@ -714,6 +714,80 @@ def test_weight_factors():
 # kernel instances and export
 
 
+def test_weight_and_distance_one_value_per_point():
+    x = np.array([0.1, 0.5])
+    jac = ke.weight_factor("jacobi", 4, x, alpha=1.0, beta=0.5)
+    assert jac.shape == (2,)
+    assert np.array_equal(jac, [ke.weight_factor("jacobi", 4, v, alpha=1.0, beta=0.5) for v in x])
+    lag = ke.weight_factor("laguerre", 4, x, alpha=1.0)
+    assert np.allclose(lag, (x + 0.5) ** 3, rtol=1e-15, atol=0)
+    pts = np.random.default_rng(3).standard_normal((2, 5, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    rho = ke.distance("sphere", pts[0], pts[1])
+    assert rho.shape == (5,)
+    assert np.array_equal(rho, [ke.distance("sphere", a, b) for a, b in zip(pts[0], pts[1])])
+
+
+_TABLE_CASES = {
+    "trig": {},
+    "chebyshev": {},
+    "jacobi": {"alpha": 1.5, "beta": -0.5},
+    "sphere": {"d": 2},
+    "ball": {"mu": 1.5, "d": 2},
+    "simplex": {"kappa": (0.5, 0.5, 0.5)},
+    "hermite": {"d": 1},
+    "laguerre": {"alpha": 1.0, "d": 1},
+    "legleg": {},
+    "chebcheb": {},
+    "chebleg": {},
+}
+
+
+def test_table_cases_cover_every_kernel_family():
+    kernel_families = {name for name, spec in ke.FAMILIES.items() if spec.values is not None}
+    assert kernel_families == set(_TABLE_CASES)
+    for alias in set(ke.FAMILIES) - kernel_families:
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            ke.KernelInstance(alias, None, 4)
+
+
+@pytest.mark.parametrize("family", sorted(_TABLE_CASES))
+def test_family_array_paths_match_scalar_loops(cutoff_c, family):
+    # pairs from the family's own envelope sampler, one bin away from the diagonal
+    k = ke.KernelInstance(family, cutoff_c, 6, _TABLE_CASES[family])
+    xs, ys = ke.FAMILIES[family].sample(k, 0.2, 0.6, 12, 42)
+    assert 0 < len(xs) == len(ys)
+    vals = k.pair_values(xs, ys)
+    loop = np.array([k(x, y) for x, y in zip(xs, ys)])
+    assert vals.shape == (len(xs),)
+    assert np.all(np.abs(vals - loop) <= 1e-13 * np.abs(loop).max())
+    dist = k.distance(xs, ys)
+    assert dist.shape == (len(xs),)
+    assert np.all((dist >= 0.2 - 1e-12) & (dist <= 0.6 + 1e-12))
+    assert np.allclose(dist, [k.distance(x, y) for x, y in zip(xs, ys)], rtol=1e-15, atol=1e-15)
+    if ke.FAMILIES[family].weight is None:
+        with pytest.raises(ValueError, match="no bound weight"):
+            k.weight(xs)
+        return
+    wts = k.weight(xs)
+    assert wts.shape == (len(xs),)
+    assert np.allclose(wts, [k.weight(x) for x in xs], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "family, params, missing",
+    [
+        ("jacobi", {"alpha": 1.0}, "beta"),
+        ("sphere", {}, "d"),
+        ("ball", {"d": 2}, "mu"),
+        ("simplex", {}, "kappa"),
+    ],
+)
+def test_kernel_instance_names_missing_parameter(cutoff_c, family, params, missing):
+    with pytest.raises(ValueError, match=f"need the parameter\\(s\\) {missing}"):
+        ke.KernelInstance(family, cutoff_c, 8, params)
+
+
 def test_kernel_instance_dispatch(cutoff_c, rng):
     cases = [
         ("chebyshev", {}, 0.2, -0.4),
