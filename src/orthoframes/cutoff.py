@@ -125,17 +125,12 @@ class CutoffFunction:
     spec: CutoffSpec
     t: np.ndarray
     values: np.ndarray
-    interpolation_degree: int = 3
     flat_edge: float = 1.0  # largest t where a kind-"a" profile equals 1 exactly
     derivative_norm_cache: object = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.interpolation_degree < 3:
-            raise ValueError("interpolation_degree must be >= 3")
-        self._spline = InterpolatedUnivariateSpline(
-            self.t, self.values, k=self.interpolation_degree, ext="zeros"
-        )
+        self._spline = InterpolatedUnivariateSpline(self.t, self.values, k=3, ext="zeros")
 
     @property
     def grid_step(self):
@@ -350,7 +345,7 @@ class DerivativeNorms:
 
     ``values[k]`` estimates ``sup |ahat^(k)|`` by spectral differentiation;
     ``finite_difference[k]`` is the central-difference cross check and
-    ``reliable[k]`` records whether the two agree within ``rel_tol``.  High
+    ``reliable[k]`` records whether the two agree within 5%.  High
     orders on a double-precision grid are expected to lose reliability; the
     flags make that explicit instead of hiding it.
     """
@@ -359,7 +354,6 @@ class DerivativeNorms:
     values: np.ndarray
     finite_difference: np.ndarray
     reliable: np.ndarray
-    rel_tol: float
 
 
 def _even_extension_lattice(f):
@@ -368,7 +362,6 @@ def _even_extension_lattice(f):
     step = 2.0 / g
     half = (3 * g) // 2  # 3/step
     vals = np.zeros(2 * half)
-    idx = np.arange(half + 1)
     base = np.zeros(half + 1)
     base[: g + 1] = f.values
     # positions m*step for m = 0..half map to |t| = m*step
@@ -377,30 +370,26 @@ def _even_extension_lattice(f):
     return vals, step
 
 
-def estimate_derivative_norms(f, k_max=6, rel_tol=0.05, cache=True):
+def estimate_derivative_norms(f, k_max=6):
     """Estimate sup-norms of the first ``k_max`` derivatives of a cutoff.
 
     Spectral differentiation of the raw samples (with a hard noise-floor
     truncation of the Fourier coefficients) is the primary estimator; central
     finite differences at the spectral argmax provide the cross check.
     ``k_max`` is capped at 10: beyond that no double-precision grid retains
-    meaningful derivative information.
+    meaningful derivative information.  The estimates are cached on ``f``;
+    a later call for no more orders slices the cached ones.
     """
     if k_max > 10:
         raise ValueError("k_max is capped at 10 on double-precision grids")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if cache and f.derivative_norm_cache is not None:
-        cached = f.derivative_norm_cache
-        if cached.k_max >= k_max and cached.rel_tol == rel_tol:
-            sl = slice(0, k_max + 1)
-            return DerivativeNorms(
-                k_max,
-                cached.values[sl],
-                cached.finite_difference[sl],
-                cached.reliable[sl],
-                rel_tol,
-            )
+    cached = f.derivative_norm_cache
+    if cached is not None and cached.k_max >= k_max:
+        sl = slice(0, k_max + 1)
+        return DerivativeNorms(
+            k_max, cached.values[sl], cached.finite_difference[sl], cached.reliable[sl]
+        )
     vals, step = _even_extension_lattice(f)
     m = len(vals)
     spec = np.fft.rfft(vals)
@@ -420,11 +409,9 @@ def estimate_derivative_norms(f, k_max=6, rel_tol=0.05, cache=True):
         estimates[k] = abs(deriv[i_star])
         fd[k] = _central_fd(f, x[i_star], k, step)
         denom = max(estimates[k], 1e-300)
-        reliable[k] = abs(fd[k] - estimates[k]) <= rel_tol * denom
-    out = DerivativeNorms(k_max, estimates, fd, reliable, rel_tol)
-    if cache:
-        f.derivative_norm_cache = out
-    return out
+        reliable[k] = abs(fd[k] - estimates[k]) <= 0.05 * denom
+    f.derivative_norm_cache = DerivativeNorms(k_max, estimates, fd, reliable)
+    return f.derivative_norm_cache
 
 
 def _central_fd(f, x0, k, grid_step):

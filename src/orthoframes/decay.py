@@ -173,13 +173,13 @@ def _exp_tower(level):
     return v
 
 
-def fit_bound(env, form, rate_grid=None, cap_factor=10.0):
+def fit_bound(env, form, rate_grid=None):
     """Fit a bound shape to an envelope.
 
     Polynomial fits always succeed: the leading constant is the smallest c
     making the bound hold at every bin (its growth across n is what callers
     examine).  Sub-exponential fits pick the largest rate on the grid whose
-    implied constant stays within ``cap_factor`` of the diagonal constant;
+    implied constant stays within 10 times the diagonal constant;
     failing that the form is declared unsatisfied at the smallest rate and
     the violating bins are counted.
     """
@@ -198,7 +198,7 @@ def fit_bound(env, form, rate_grid=None, cap_factor=10.0):
     if not np.any(np.isfinite(logm)):
         return BoundFit(form, 0.0, float(rate_grid[-1]) if rate_grid is not None else 20.0, 0, True)
     log_diag = np.max(logm) - logp
-    log_cap = log_diag + math.log(cap_factor)
+    log_cap = log_diag + math.log(10.0)
     if rate_grid is None:
         rate_grid = np.geomspace(1e-3, 20.0, 120)
     rates = np.sort(np.asarray(rate_grid, dtype=float))

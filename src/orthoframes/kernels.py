@@ -47,20 +47,18 @@ __all__ = [
 TENSOR_VARIANTS = ("legleg", "chebcheb", "chebleg")
 
 
-def cutoff_band(cutoff, n, top=None):
+def cutoff_band(cutoff, n):
     """Band weights ahat(j/n) for j = 0 .. ceil(2n) - 1 (support truncation)."""
     if n <= 0:
         raise ValueError("level parameter n must be positive")
-    if top is None:
-        top = int(math.ceil(2.0 * n))
-    j = np.arange(top)
+    j = np.arange(int(math.ceil(2.0 * n)))
     return np.asarray(cutoff(j / n), dtype=float)
 
 
-def _safe_arccos(v, tol=1e-12):
+def _safe_arccos(v):
     v = np.asarray(v, dtype=float)
     over = np.abs(v) - 1.0
-    if np.any(over > tol):
+    if np.any(over > 1e-12):
         raise ValueError(f"arccos argument outside [-1, 1] by {over.max():.3e}")
     return np.arccos(np.clip(v, -1.0, 1.0))
 
@@ -397,14 +395,20 @@ def _hermite_basis(p, top, x):
 
 
 def _laguerre_basis(p, top, x):
-    return np.sqrt(2.0) * orthopoly._laguerre_core(p["alpha"], top, np.asarray(x, dtype=float) ** 2)
+    out = orthopoly._laguerre_core(p["alpha"], top, np.asarray(x, dtype=float) ** 2)
+    out *= np.sqrt(2.0)
+    return out
+
+
+def _hermite_check(p):
+    if p.get("d", 1) not in (1, 2, 3):
+        raise ValueError("hermite kernel supports d in {1, 2, 3}")
 
 
 def hermite_kernel(cutoff, n, x, y, d=1):
     """Hermite-function kernel on R^d; d = 1 accepts point arrays, d > 1
     (..., d) arrays of pairs."""
-    if d not in (1, 2, 3):
-        raise ValueError("hermite kernel supports d in {1, 2, 3}")
+    _hermite_check({"d": d})
     band = cutoff_band(cutoff, n)
     return _product_kernel(band, [lambda t: _hermite_basis({}, len(band) - 1, t)] * d, x, y)
 
@@ -422,17 +426,23 @@ def hermite_block(j, x, y, d):
     return float(conv[j])
 
 
+def _laguerre_check(p):
+    d = p.get("d", 1)
+    if d not in (1, 2):
+        raise ValueError("laguerre kernel supports d in {1, 2}")
+    alpha = np.atleast_1d(np.asarray(p.get("alpha", 0.0), dtype=float))
+    if np.any(alpha < 0):
+        raise ValueError("alpha components must be >= 0")
+    if d > 1 and len(alpha) != d:
+        raise ValueError(f"alpha must have one component per axis (d = {d})")
+
+
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     """Laguerre F-function kernel on the positive orthant; d = 1 accepts
     point arrays, d > 1 (..., d) arrays of pairs.  ``alpha`` is scalar for
     d = 1, else one entry per axis."""
-    if d not in (1, 2):
-        raise ValueError("laguerre kernel supports d in {1, 2}")
+    _laguerre_check({"alpha": alpha, "d": d})
     alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(alpha_vec < 0):
-        raise ValueError("alpha components must be >= 0")
-    if d > 1 and len(alpha_vec) != d:
-        raise ValueError(f"points and alpha must have dimension {d}")
     if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
         raise ValueError("points must be nonnegative")
     band = cutoff_band(cutoff, n)
@@ -585,12 +595,27 @@ def distance(family, x, y):
     return out if out.ndim else float(out)
 
 
+def _check_params(family, p, exempt=()):
+    """Raise ValueError naming a required parameter missing from ``p`` (other
+    than those ``exempt``) or, for families whose parameters default, one
+    that does not fit."""
+    spec = FAMILIES[family]
+    if spec.check is not None:
+        spec.check(p)
+        return
+    missing = [name for name in spec.params if name not in p and name not in exempt]
+    if missing:
+        raise ValueError(f"{family} kernels need the parameter(s) {', '.join(missing)}")
+
+
 def _weight(family, n, x, p):
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = _family(family)
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
+    # a weight reads the dimension off its points
+    _check_params(family, p, exempt=("d",))
     out = spec.weight(n, _as_points(spec, p, x), p)
     return out if out.ndim else float(out)
 
@@ -761,7 +786,8 @@ class Family:
     ``scalar`` points, the bound ``weight`` per point (None: none), the
     bounds' (scale, prefactor), the envelope ``diameter``, and for the frame
     families the Gauss ``rule(p, m)`` and orthonormal ``basis(p, top, x)``.
-    ``params`` names the parameters read; when not ``required``, all default.
+    ``params`` names the parameters read, all required unless ``check(p)``
+    is given: then they default, and ``check`` rejects values that do not fit.
     """
 
     distance: object
@@ -772,7 +798,7 @@ class Family:
     scale: object = _power_scale(lambda p: 1)
     diameter: object = lambda n, p: np.pi
     params: tuple = ()
-    required: bool = True
+    check: object = None
     rule: object = None
     basis: object = None
 
@@ -848,7 +874,7 @@ FAMILIES = {
         sample=lambda k, lo, hi, count, seed: _line_pairs(k, lo, hi, count, seed, False),
         scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
-        params=("d",), required=False,
+        params=("d",), check=_hermite_check,
         rule=lambda p, m: quadrature.hermite_function_rule(m),
         basis=_hermite_basis,
     ),
@@ -863,7 +889,7 @@ FAMILIES = {
         weight=lambda n, x, p: np.prod(
             (x + n**-0.5) ** (2.0 * np.asarray(p.get("alpha", 0.0), dtype=float) + 1.0), axis=-1
         ),
-        params=("alpha", "d"), required=False,
+        params=("alpha", "d"), check=_laguerre_check,
         rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
         basis=_laguerre_basis,
     ),
@@ -895,9 +921,7 @@ class KernelInstance:
         spec = FAMILIES.get(self.family)
         if spec is None or spec.values is None:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        missing = [name for name in spec.params if name not in self.params]
-        if spec.required and missing:
-            raise ValueError(f"{self.family} kernels need the parameter(s) {', '.join(missing)}")
+        _check_params(self.family, self.params)
         if self.n <= 0:
             raise ValueError("level parameter n must be positive")
 

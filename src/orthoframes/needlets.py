@@ -78,10 +78,13 @@ class NeedletSystem:
     capacity: int
 
     def basis_values(self, degrees, x):
-        """Orthonormal family values phi_nu(x) for nu in ``degrees``."""
+        """Orthonormal family values phi_nu(x) for nu in ``degrees``; a run
+        of consecutive degrees is a view of the table's rows."""
+        degrees = np.asarray(degrees, dtype=int)
         basis = kernels.FAMILIES[self.family].basis
-        vals = basis(self.params, int(max(degrees)), np.asarray(x, dtype=float))
-        return vals[np.asarray(degrees, dtype=int)]
+        vals = basis(self.params, int(degrees.max()), np.asarray(x, dtype=float))
+        run = np.array_equal(degrees, np.arange(degrees[0], degrees[-1] + 1))
+        return vals[degrees[0] :] if run else vals[degrees]
 
     def psi(self, j, i, x):
         """Frame element psi_xi at node index i of level j."""
@@ -146,8 +149,8 @@ def build_needlet_system(family, params, cutoff, j_max):
         n_j, lo, hi, m, band = _level(family, cutoff, j)
         rule = kernels.FAMILIES[family].rule(params, m)
         degs = np.arange(lo, hi)
-        basis = system.basis_values(degs, rule.nodes)  # (band, nodes)
-        psi = np.sqrt(rule.weights)[:, None] * (band[None, :] * basis.T)
+        psi = band * system.basis_values(degs, rule.nodes).T  # (nodes, band)
+        psi *= np.sqrt(rule.weights)[:, None]
         levels.append(NeedletLevel(j, n_j, lo, hi, band, rule, psi))
     system.levels = levels
     system.capacity = int(levels[-1].n_j) if j_max >= 1 else 0
@@ -232,12 +235,13 @@ def parseval_check(system, f, f_degree=None):
     return abs(frame.norm_squared() - norm2) / norm2
 
 
-def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho_max=None):
+def needlet_decay_profile(system, j, xi_index, n_bins=48, rho_max=None):
     """Envelope of |psi_xi| against the family distance from its node.
 
     Returns a decay envelope ready for bound fitting; the effective level
     parameter is n_j (Jacobi) or sqrt(n_j)-scaled (Hermite/Laguerre), matching
-    how the kernels localize.
+    how the kernels localize.  Each bin samples 64 offsets on either side of
+    the node.
     """
     from . import decay
 
@@ -258,7 +262,7 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, points_per_bin=64, rho
     maxima = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=int)
     for b in range(n_bins):
-        offsets = np.linspace(edges[b], edges[b + 1], points_per_bin)
+        offsets = np.linspace(edges[b], edges[b + 1], 64)
         pts = np.concatenate([sample(s * offsets) for s in (1.0, -1.0)])
         vals = np.abs(system.psi(j, xi_index, pts))
         rr = kernels.distance(system.family, pts[:, None], xi)

@@ -163,6 +163,52 @@ def gegenbauer_all(lam, n_max, t):
     return OrthoValueTable("gegenbauer", (float(lam),), n_max, t, vals)
 
 
+# A seed below _TINY would underflow the rows grown from it, so a call with
+# such points recurs on mantissas carrying a power-of-two exponent per point
+# (0 for the others, whose values stay exactly as without them); every row is
+# ldexp(mantissa, exponent), 0 only where its true value lies below double
+# range.  Mantissas past _HUGE are renormalized every _RENORM rows: one step
+# grows them by less than 2^31 wherever a mantissa is not 0 from the start.
+_TINY = 2.0**-1000
+_HUGE = 2.0**400
+_RENORM = 16
+
+
+def _recur(out, x, step, log_seed, lift):
+    """Rows 2.. of ``out`` from its seeded rows 0 and 1 by
+    ``row[n + 1] = step(n, x, row[n], row[n - 1])``; points whose seed lies
+    below _TINY restart from the log ``log_seed(x)`` of their seed and the
+    ratio ``lift(x)`` of row 1 to row 0."""
+    far = out[0] < _TINY
+    if not far.any():
+        for n in range(1, len(out) - 1):
+            out[n + 1] = step(n, x, out[n], out[n - 1])
+        return out
+    rows, x, far = out.reshape(len(out), -1), x.reshape(-1), far.reshape(-1)
+    log2 = log_seed(x[far]) / np.log(2.0)
+    exp = np.zeros(x.shape, dtype=np.int32)
+    exp[far] = np.maximum(np.floor(log2), -(2.0**30))
+    prev, cur = rows[0].copy(), rows[1].copy()
+    prev[far] = np.exp2(log2 - exp[far])
+    cur[far] = lift(x[far]) * prev[far]
+    np.ldexp(prev, exp, out=rows[0])
+    np.ldexp(cur, exp, out=rows[1])
+    for n in range(1, len(rows) - 1):
+        prev, cur = cur, step(n, x, cur, prev)
+        if n % _RENORM == 0 and np.abs(cur).max() > _HUGE:
+            big = np.abs(cur) > _HUGE
+            shift = np.frexp(cur[big])[1]
+            cur[big] = np.ldexp(cur[big], -shift)
+            prev[big] = np.ldexp(prev[big], -shift)
+            exp[big] += shift
+        np.ldexp(cur, exp, out=rows[n + 1])
+    return out
+
+
+def _hermite_step(n, t, cur, prev):
+    return t * np.sqrt(2.0 / (n + 1)) * cur - np.sqrt(n / (n + 1.0)) * prev
+
+
 def _hermite_fn_values(n_max, t):
     t = np.asarray(t, dtype=float)
     out = np.empty((n_max + 1,) + t.shape)
@@ -170,16 +216,17 @@ def _hermite_fn_values(n_max, t):
     if n_max == 0:
         return out
     out[1] = np.sqrt(2.0) * t * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = t * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+    return _recur(
+        out, t, _hermite_step,
+        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t,
+    )
 
 
 def hermite_fn_all(n_max, t):
     """L2-normalized Hermite functions h_0..h_{n_max} at t.
 
-    The recurrence carries exp(-t^2/2) in its initial values; far-tail
-    underflow to 0 is the correct limiting behavior.
+    The recurrence carries exp(-t^2/2) in its initial values; a value is 0
+    only where its true size lies below double range.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -196,11 +243,17 @@ def _laguerre_core(alpha, n_max, s):
     if n_max == 0:
         return out
     out[1] = (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0))
-    for n in range(1, n_max):
+
+    def step(n, s, cur, prev):
         c1 = (2.0 * n + alpha + 1.0 - s) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
         c2 = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
-        out[n + 1] = c1 * out[n] - c2 * out[n - 1]
-    return out
+        return c1 * cur - c2 * prev
+
+    return _recur(
+        out, s, step,
+        lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
+        lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
+    )
 
 
 def laguerre_fn_all(alpha, n_max, t, which="F"):

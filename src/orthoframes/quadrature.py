@@ -48,9 +48,6 @@ class QuadratureRule:
     def m(self):
         return len(self.nodes)
 
-    def integrate(self, f):
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def _jacobi_coeffs(m, alpha, beta):
     if alpha <= -1.0 or beta <= -1.0:
@@ -101,56 +98,50 @@ def gauss_rule(weight, m, alpha=None, beta=None):
     """
     if weight not in _FAMILIES:
         raise ValueError(f"unknown weight {weight!r}; expected one of {_FAMILIES}")
+    if weight != "jacobi":
+        params = () if weight == "hermite" else (0.0 if alpha is None else float(alpha),)
+        nodes, sums, mu0 = _christoffel_pass(weight, m, *params)
+        # eigenvector first components underflow for the unbounded weights;
+        # Christoffel sums of the exponentially normalized functions give
+        # every weight to full relative accuracy, and 0 below double range
+        with np.errstate(under="ignore"):
+            weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
+        return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1)
     if m < 1:
         raise ValueError("node count m must be >= 1")
-    if weight == "jacobi":
-        if alpha is None or beta is None:
-            raise ValueError("jacobi rule needs alpha and beta")
-        a, b, mu0 = _jacobi_coeffs(m, alpha, beta)
-        params = (float(alpha), float(beta))
-    elif weight == "hermite":
-        a, b, mu0 = _hermite_coeffs(m)
-        params = ()
-    else:
-        alpha = 0.0 if alpha is None else float(alpha)
-        a, b, mu0 = _laguerre_coeffs(m, alpha)
-        params = (alpha,)
-    if m == 1:
-        nodes = np.array([a[0]])
-        weights = np.array([mu0])
-    else:
-        try:
-            if weight == "jacobi":
-                nodes, vecs = eigh_tridiagonal(a, b)
-                weights = mu0 * vecs[0] ** 2
-            else:
-                # eigenvector first components underflow for the unbounded
-                # weights (orthonormal values grow like exp(x/2) at the far
-                # nodes); Christoffel sums of the exponentially normalized
-                # functions give every weight to full relative accuracy
-                nodes = eigh_tridiagonal(a, b, eigvals_only=True)
-                weights = _christoffel_weights(weight, params, m, nodes)
-        except np.linalg.LinAlgError as err:  # pragma: no cover
-            raise RuntimeError("tridiagonal eigensolver failed") from err
+    if alpha is None or beta is None:
+        raise ValueError("jacobi rule needs alpha and beta")
+    a, b, mu0 = _jacobi_coeffs(m, alpha, beta)
+    try:
+        nodes, vecs = eigh_tridiagonal(a, b)
+    except np.linalg.LinAlgError as err:  # pragma: no cover
+        raise RuntimeError("tridiagonal eigensolver failed") from err
     order = np.argsort(nodes)
-    nodes = nodes[order]
-    weights = weights[order]
-    if weight == "laguerre":
-        np.clip(nodes, 0.0, None, out=nodes)
-    elif weight == "jacobi":
-        np.clip(nodes, -1.0, 1.0, out=nodes)
-    return QuadratureRule(weight, params, nodes, weights, 2 * m - 1)
+    nodes = np.clip(nodes[order], -1.0, 1.0)
+    return QuadratureRule(weight, (float(alpha), float(beta)), nodes, mu0 * vecs[0, order] ** 2, 2 * m - 1)
 
 
-def _christoffel_weights(weight, params, m, nodes):
+def _christoffel_pass(weight, m, alpha=0.0):
+    """(nodes, sums, mu0) of the m-point Hermite or Laguerre rule: the sorted
+    nodes, clipped to the weight's support, the Christoffel sums
+    sum_k f_k(x)^2 of the normalized functions f_0..f_{m-1} there, and the
+    zeroth moment.  The sums are taken row by row over one table."""
+    if m < 1:
+        raise ValueError("node count m must be >= 1")
+    a, b, mu0 = _hermite_coeffs(m) if weight == "hermite" else _laguerre_coeffs(m, alpha)
+    try:
+        nodes = np.sort(eigh_tridiagonal(a, b, eigvals_only=True))
+    except np.linalg.LinAlgError as err:  # pragma: no cover
+        raise RuntimeError("tridiagonal eigensolver failed") from err
     if weight == "hermite":
-        fn = orthopoly._hermite_fn_values(m - 1, nodes)
-        log_w = -nodes**2 - np.log(np.sum(fn**2, axis=0))
+        table = orthopoly._hermite_fn_values(m - 1, nodes)
     else:
-        fn = orthopoly._laguerre_core(params[0], m - 1, nodes)
-        log_w = -nodes - np.log(np.sum(fn**2, axis=0))
-    with np.errstate(under="ignore"):
-        return np.exp(log_w)
+        nodes = np.clip(nodes, 0.0, None)
+        table = orthopoly._laguerre_core(alpha, m - 1, nodes)
+    sums = np.zeros(m)
+    for row in table:
+        sums += row * row
+    return nodes, sums, mu0
 
 
 def _jacobi_moments(degree, alpha, beta):
@@ -231,10 +222,8 @@ def hermite_function_rule(m):
     reciprocal Christoffel sums of the normalized Hermite functions so that
     no intermediate quantity underflows.
     """
-    base = gauss_rule("hermite", m)
-    tables = orthopoly.hermite_fn_all(m - 1, base.nodes)
-    weights = 1.0 / np.sum(tables.values**2, axis=0)
-    return QuadratureRule("hermite_fn", (), base.nodes, weights, 2 * m - 1)
+    nodes, sums, _ = _christoffel_pass("hermite", m)
+    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * m - 1)
 
 
 def laguerre_function_rule(alpha, m):
@@ -247,10 +236,8 @@ def laguerre_function_rule(alpha, m):
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    base = gauss_rule("laguerre", m, alpha=alpha)
-    ell = orthopoly._laguerre_core(alpha, m - 1, base.nodes)
-    weights = 1.0 / (2.0 * np.sum(ell**2, axis=0))
-    return QuadratureRule("laguerre_fn", (float(alpha),), np.sqrt(base.nodes), weights, 2 * m - 1)
+    nodes, sums, _ = _christoffel_pass("laguerre", m, alpha)
+    return QuadratureRule("laguerre_fn", (float(alpha),), np.sqrt(nodes), 1.0 / (2.0 * sums), 2 * m - 1)
 
 
 def rule_to_json(rule):

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from orthoframes import needlets
 from orthoframes.cli import run
 
 FAST = ["--m-max", "512", "--grid", "4096"]
@@ -88,14 +90,24 @@ def test_needlet_subcommands(tmp_path):
 
 
 @pytest.mark.parametrize("action", ["parseval", "roundtrip"])
-def test_needlet_nonfinite_defect_fails(tmp_path, capsys, action):
-    # Hermite J=5 levels carry non-finite quadrature weights, so the trial
-    # defects are NaN; the verdict must report nan and fail
+def test_needlet_nonfinite_defect_fails(tmp_path, capsys, monkeypatch, action):
+    # a trial whose defect is NaN must be reported as nan and fail the verdict
+    monkeypatch.setattr(needlets, "parseval_check", lambda system, coeffs: math.nan)
+    monkeypatch.setattr(needlets, "synthesize", lambda system, frame, x: np.full(len(x), math.nan))
     out = str(tmp_path / "o")
-    args = ["--family", "hermite", "--jmax", "5", "--trials", "2"] + FAST + ["--out", out]
-    with np.errstate(all="ignore"):
-        assert run(["needlet", action] + args) == 1
+    args = ["--family", "jacobi", "--jmax", "3", "--trials", "2"] + FAST + ["--out", out]
+    assert run(["needlet", action] + args) == 1
     assert "worst defect nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+@pytest.mark.parametrize("action", ["parseval", "roundtrip"])
+def test_needlet_line_families_pass_at_jmax_5(tmp_path, capsys, family, action):
+    # 1,024-node levels, whose far nodes once gave infinite weights
+    out = str(tmp_path / "o")
+    args = ["--family", family, "--jmax", "5", "--trials", "2"] + FAST + ["--out", out]
+    assert run(["needlet", action] + args) == 0
+    assert "worst defect nan" not in capsys.readouterr().out
 
 
 def test_decay_envelope_and_fit(tmp_path):

@@ -788,6 +788,23 @@ def test_kernel_instance_names_missing_parameter(cutoff_c, family, params, missi
         ke.KernelInstance(family, cutoff_c, 8, params)
 
 
+def test_weight_factor_names_missing_parameter():
+    with pytest.raises(ValueError, match="alpha"):
+        ke.weight_factor("jacobi", 4, 0.3)
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("hermite", {"d": 4}, "supports d in"),
+        ("laguerre", {"alpha": 1.0, "d": 2}, "one component per axis"),
+    ],
+)
+def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):
+    with pytest.raises(ValueError, match=message):
+        ke.KernelInstance(family, cutoff_c, 8, params)
+
+
 def test_kernel_instance_dispatch(cutoff_c, rng):
     cases = [
         ("chebyshev", {}, 0.2, -0.4),

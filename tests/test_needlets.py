@@ -263,3 +263,54 @@ def test_coefficients_csv(tmp_path, jacobi_system, rng):
     lines = path.read_text().splitlines()
     assert lines[0] == "level,node_index,node,coeff"
     assert len(lines) == 1 + sum(len(l.nodes) for l in jacobi_system.levels)
+
+
+# the front end's pinned tolerances and round-trip intervals
+_PARSEVAL_TOL, _ROUNDTRIP_TOL = 1e-8, 1e-7
+_ROUNDTRIP_POINTS = {"hermite": (-3.0, 3.0), "laguerre": (0.05, 3.0)}
+
+
+@pytest.fixture(
+    scope="session",
+    params=[("hermite", 5), ("hermite", 6), ("laguerre", 5), ("laguerre", 6)],
+    ids=lambda p: f"{p[0]}-J{p[1]}",
+)
+def line_frame(request, cutoff_c):
+    family, j_max = request.param
+    params = {"alpha": 0.0} if family == "laguerre" else {}
+    return ne.build_needlet_system(family, params, cutoff_c, j_max)
+
+
+def test_line_frames_stay_tight_past_1024_nodes(line_frame):
+    # levels of 1,024 and 4,096 nodes reach far enough into the tails that
+    # plain Christoffel sums of their rules underflow
+    for lvl in line_frame.levels:
+        assert np.all(np.isfinite(lvl.rule.weights)) and np.all(lvl.rule.weights > 0)
+        assert np.all(np.isfinite(lvl.needlet_matrix))
+    rng = np.random.default_rng(5)
+    lo, hi = _ROUNDTRIP_POINTS[line_frame.family]
+    for _ in range(2):
+        coeffs = rng.standard_normal(line_frame.capacity + 1)
+        assert ne.parseval_check(line_frame, coeffs) < _PARSEVAL_TOL
+        pts = rng.uniform(lo, hi, 50)
+        rec = ne.synthesize(line_frame, ne.analyze(line_frame, coeffs), pts)
+        ref = np.tensordot(coeffs, line_frame.basis_values(np.arange(len(coeffs)), pts), axes=(0, 0))
+        assert np.abs(rec - ref).max() < _ROUNDTRIP_TOL * np.abs(ref).max()
+
+
+def test_needlet_matrices_match_the_copying_reference(hermite_system, laguerre_system):
+    for system in (hermite_system, laguerre_system):
+        for lvl in system.levels:
+            basis = system.basis_values(np.arange(lvl.band_hi), lvl.nodes)
+            ref = np.sqrt(lvl.rule.weights)[:, None] * (
+                lvl.band[None, :] * basis[np.arange(lvl.band_lo, lvl.band_hi)].T
+            )
+            assert np.array_equal(lvl.needlet_matrix, ref)
+
+
+def test_basis_values_slices_consecutive_degrees(laguerre_system):
+    x = np.array([0.3, 1.1, 2.5])
+    run = laguerre_system.basis_values(np.arange(3, 9), x)
+    assert run.base is not None  # a view of the table
+    picked = laguerre_system.basis_values([8, 3, 5], x)
+    assert np.array_equal(picked, run[[5, 0, 2]])

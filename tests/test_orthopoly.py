@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -202,3 +203,63 @@ def test_laguerre_bound_preconditions():
         op.check_laguerre_bound(-0.6, 10)
     with pytest.raises(ValueError):
         op.check_laguerre_bound(5.0, 3)
+
+
+def _decimal_rows(seed, lift, step, n_max):
+    """Rows 0..n_max of a three-term recurrence in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rows = [seed(), seed() * lift()]
+        for n in range(1, n_max):
+            rows.append(step(Decimal(n), rows[-1], rows[-2]))
+        return np.array([float(v) for v in rows])
+
+
+def _assert_rows_match(values, reference):
+    # rows whose true value lies below double range are 0
+    err = np.abs(values - reference)
+    assert np.all(err <= 1e-11 * np.abs(reference) + 1e-300)
+    assert np.all(values[reference == 0.0] == 0.0)
+
+
+def test_hermite_functions_keep_far_tail_points():
+    # seeds below 2^-1000 recur with a power-of-two exponent; the others recur
+    # exactly as when no such point is present
+    t = np.array([-85.0, 0.5, 40.0, -3.0, 60.0, 7.25, 45.0])
+    n_max = 3000
+    vals = op._hermite_fn_values(n_max, t)
+    near = np.abs(t) < 30
+    assert np.array_equal(vals[:, near], op._hermite_fn_values(n_max, t[near]))
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+    two = Decimal(2)
+    for i in np.flatnonzero(~near):
+        x = Decimal(float(t[i]))
+        ref = _decimal_rows(
+            lambda: (-x * x / two).exp() / pi.sqrt().sqrt(),
+            lambda: two.sqrt() * x,
+            lambda n, cur, prev: x * (two / (n + 1)).sqrt() * cur - (n / (n + 1)).sqrt() * prev,
+            n_max,
+        )
+        assert ref[-1] != 0.0 and ref[0] == 0.0
+        _assert_rows_match(vals[:, i], ref)
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_laguerre_core_keeps_far_tail_points(alpha):
+    s = np.array([1.0, 30.0, 2500.0, 8000.0, 16000.0])
+    n_max = 4095
+    vals = op._laguerre_core(float(alpha), n_max, s)
+    near = s < 1000
+    assert np.array_equal(vals[:, near], op._laguerre_core(float(alpha), n_max, s[near]))
+    a = Decimal(alpha)
+    for i in np.flatnonzero(~near):
+        x = Decimal(float(s[i]))
+        ref = _decimal_rows(
+            lambda: (-x / 2).exp() / Decimal(math.factorial(alpha)).sqrt(),
+            lambda: (a + 1 - x) / (a + 1).sqrt(),
+            lambda n, cur, prev: (2 * n + a + 1 - x) / ((n + 1) * (n + a + 1)).sqrt() * cur
+            - (n * (n + a) / ((n + 1) * (n + a + 1))).sqrt() * prev,
+            n_max,
+        )
+        assert ref[-1] != 0.0 and ref[0] == 0.0
+        _assert_rows_match(vals[:, i], ref)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orthoframes import orthopoly as op
 from orthoframes import quadrature as qd
 
 
@@ -130,6 +133,73 @@ def test_large_function_rules_stay_finite():
     lr = qd.laguerre_function_rule(0.0, 256)
     for rule in (hr, lr):
         assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0)
+
+
+_LINE_RULES = st.sampled_from([("hermite", None), ("laguerre", 0.0), ("laguerre", 0.5), ("laguerre", 2.0)])
+
+
+@settings(max_examples=6, deadline=None)
+@given(m=st.integers(1, 2048), rule=_LINE_RULES)
+@example(m=1, rule=("laguerre", 0.5))
+@example(m=2048, rule=("hermite", None))
+@example(m=2048, rule=("laguerre", 0.0))
+def test_plain_line_rules_have_finite_weights_summing_to_mu0(m, rule):
+    # the far nodes' weights lie below double range: 0, never inf
+    weight, alpha = rule
+    w = qd.gauss_rule(weight, m, alpha=alpha).weights
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    mu0 = math.sqrt(math.pi) if weight == "hermite" else math.gamma(alpha + 1.0)
+    assert abs(w.sum() - mu0) <= 1e-12 * mu0
+
+
+@settings(max_examples=6, deadline=None)
+@given(m=st.integers(1, 2048), rule=_LINE_RULES, seed=st.integers(0, 2**32 - 1))
+@example(m=1, rule=("hermite", None), seed=0)
+@example(m=2048, rule=("hermite", None), seed=1)
+@example(m=2048, rule=("laguerre", 0.0), seed=2)
+def test_function_rules_keep_the_normalized_functions_orthonormal(m, rule, seed):
+    # products f_a f_b with a + b <= 2m - 1 are integrated exactly
+    weight, alpha = rule
+    if weight == "hermite":
+        fr = qd.hermite_function_rule(m)
+        table = op.hermite_fn_all(2 * m - 1, fr.nodes).values
+    else:
+        fr = qd.laguerre_function_rule(alpha, m)
+        table = op.laguerre_fn_all(alpha, 2 * m - 1, fr.nodes, "F").values
+    assert np.all(np.isfinite(fr.weights)) and np.all(fr.weights > 0)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2 * m, 8)
+    pairs = [(i, int(rng.integers(0, 2 * m - i))) for i in a]
+    pairs += [(0, 0), (m - 1, m - 1), (m - 1, m), (2 * m - 1, 0)]
+    for i, j in pairs:
+        gram = float(np.dot(fr.weights, table[i] * table[j]))
+        assert abs(gram - (i == j)) < 1e-10, (i, j)
+
+
+def test_function_rules_share_the_plain_rules_nodes():
+    # one Christoffel pass gives both rules: w_fn = w exp(x^p) wherever the
+    # plain weight is representable; far out, plain weights truly underflow
+    for m in (40, 1024):
+        plain, fn = qd.gauss_rule("hermite", m), qd.hermite_function_rule(m)
+        assert np.array_equal(plain.nodes, fn.nodes)
+        keep = plain.weights > 1e-280
+        assert np.allclose(plain.weights[keep] * np.exp(fn.nodes[keep] ** 2), fn.weights[keep], rtol=1e-12)
+        plain, fn = qd.gauss_rule("laguerre", m, alpha=1.5), qd.laguerre_function_rule(1.5, m)
+        assert np.array_equal(np.sqrt(plain.nodes), fn.nodes)
+        keep = plain.weights > 1e-280
+        assert np.allclose(plain.weights[keep] * np.exp(plain.nodes[keep]) / 2, fn.weights[keep], rtol=1e-12)
+    assert not np.all(qd.gauss_rule("laguerre", 1024).weights > 0)
+
+
+@pytest.mark.parametrize("weight, table", [
+    ("hermite", lambda m, x: op._hermite_fn_values(m - 1, x)),
+    ("laguerre", lambda m, x: op._laguerre_core(0.5, m - 1, x)),
+])
+def test_christoffel_sums_match_squared_table_sums(weight, table):
+    # summing squares row by row takes the additions in numpy's axis-0 order
+    for m in (1, 2, 17, 300):
+        nodes, sums, _ = qd._christoffel_pass(weight, m, *(() if weight == "hermite" else (0.5,)))
+        assert np.array_equal(sums, np.sum(table(m, nodes) ** 2, axis=0))
 
 
 def test_rule_serialization(tmp_path):
