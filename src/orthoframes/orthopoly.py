@@ -163,10 +163,10 @@ def gegenbauer_all(lam, n_max, t):
     return OrthoValueTable("gegenbauer", (float(lam),), n_max, t, vals)
 
 
-# A seed below _TINY would underflow the rows grown from it, so a call with
-# such points recurs on mantissas carrying a power-of-two exponent per point
-# (0 for the others, whose values stay exactly as without them); every row is
-# ldexp(mantissa, exponent), 0 only where its true value lies below double
+# A seed below _TINY would underflow the rows grown from it, so the recurrence
+# runs on mantissas carrying a power-of-two exponent per point: 0 for the
+# others, whose values stay exactly as without it (ldexp(v, 0) == v); every row
+# is ldexp(mantissa, exponent), 0 only where its true value lies below double
 # range.  Mantissas past _HUGE are renormalized every _RENORM rows: one step
 # grows them by less than 2^31 wherever a mantissa is not 0 from the start.
 _TINY = 2.0**-1000
@@ -179,12 +179,8 @@ def _recur(out, x, step, log_seed, lift):
     ``row[n + 1] = step(n, x, row[n], row[n - 1])``; points whose seed lies
     below _TINY restart from the log ``log_seed(x)`` of their seed and the
     ratio ``lift(x)`` of row 1 to row 0."""
-    far = out[0] < _TINY
-    if not far.any():
-        for n in range(1, len(out) - 1):
-            out[n + 1] = step(n, x, out[n], out[n - 1])
-        return out
-    rows, x, far = out.reshape(len(out), -1), x.reshape(-1), far.reshape(-1)
+    rows, x = out.reshape(len(out), -1), x.reshape(-1)
+    far = rows[0] < _TINY
     log2 = log_seed(x[far]) / np.log(2.0)
     exp = np.zeros(x.shape, dtype=np.int32)
     exp[far] = np.maximum(np.floor(log2), -(2.0**30))
@@ -195,7 +191,7 @@ def _recur(out, x, step, log_seed, lift):
     np.ldexp(cur, exp, out=rows[1])
     for n in range(1, len(rows) - 1):
         prev, cur = cur, step(n, x, cur, prev)
-        if n % _RENORM == 0 and np.abs(cur).max() > _HUGE:
+        if n % _RENORM == 0 and np.any(np.abs(cur) > _HUGE):
             big = np.abs(cur) > _HUGE
             shift = np.frexp(cur[big])[1]
             cur[big] = np.ldexp(cur[big], -shift)
