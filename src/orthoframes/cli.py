@@ -86,6 +86,12 @@ def _kernel_from_args(args, cut):
     return kernels.KernelInstance(args.family, cut, args.n, params)
 
 
+def _positive_int(text):
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_point(text):
     return np.array([float(v) for v in text.split(",")])
 
@@ -339,7 +345,7 @@ def build_parser():
     _add_family_opts(p, n=32)
     p.add_argument("--x", default="0.5")
     p.add_argument("--y", default="0.25")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_positive_int, default=200)
     _add_cutoff_opts(p)
     common(p)
     p.set_defaults(func=cmd_kernel)
@@ -360,7 +366,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--jmax", type=int, default=5)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     _add_cutoff_opts(p)
     common(p)
     p.set_defaults(func=cmd_needlet)

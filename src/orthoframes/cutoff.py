@@ -126,7 +126,6 @@ class CutoffFunction:
     t: np.ndarray
     values: np.ndarray
     flat_edge: float = 1.0  # largest t where a kind-"a" profile equals 1 exactly
-    derivative_norm_cache: object = field(default=None, repr=False, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -377,19 +376,12 @@ def estimate_derivative_norms(f, k_max=6):
     truncation of the Fourier coefficients) is the primary estimator; central
     finite differences at the spectral argmax provide the cross check.
     ``k_max`` is capped at 10: beyond that no double-precision grid retains
-    meaningful derivative information.  The estimates are cached on ``f``;
-    a later call for no more orders slices the cached ones.
+    meaningful derivative information.
     """
     if k_max > 10:
         raise ValueError("k_max is capped at 10 on double-precision grids")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    cached = f.derivative_norm_cache
-    if cached is not None and cached.k_max >= k_max:
-        sl = slice(0, k_max + 1)
-        return DerivativeNorms(
-            k_max, cached.values[sl], cached.finite_difference[sl], cached.reliable[sl]
-        )
     vals, step = _even_extension_lattice(f)
     m = len(vals)
     spec = np.fft.rfft(vals)
@@ -410,8 +402,7 @@ def estimate_derivative_norms(f, k_max=6):
         fd[k] = _central_fd(f, x[i_star], k, step)
         denom = max(estimates[k], 1e-300)
         reliable[k] = abs(fd[k] - estimates[k]) <= 0.05 * denom
-    f.derivative_norm_cache = DerivativeNorms(k_max, estimates, fd, reliable)
-    return f.derivative_norm_cache
+    return DerivativeNorms(k_max, estimates, fd, reliable)
 
 
 def _central_fd(f, x0, k, grid_step):

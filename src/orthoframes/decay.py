@@ -9,12 +9,13 @@ Hermite/Laguerre families):
 * polynomial:        c * p_n * (1 + u)^(-sigma)
 * sub-exponential:   c * p_n * exp(-rate * u / PL(u)),  PL a log product
 
-For the sub-exponential shape the rate is selected by grid search as the
-largest value whose implied leading constant stays within a fixed factor of
-the diagonal constant ("a finite c"); the fit reports that constant and a
-zero violation count, or declares the shape unsatisfied at every rate on the
-grid.  Pairs come from each family's sampler in ``kernels.FAMILIES``, so
-envelopes are deterministic for a fixed plan seed.
+For the sub-exponential shape the rate is the largest value whose implied
+leading constant stays within a fixed factor of the diagonal constant ("a
+finite c"), in closed form: that constant never decreases as the rate grows.
+The fit reports the constant and a zero violation count, or declares the
+shape unsatisfied at the smallest rate of its range.  Pairs come from each
+family's sampler in ``kernels.FAMILIES``, so envelopes are deterministic for
+a fixed plan seed.
 """
 
 import json
@@ -51,7 +52,6 @@ class SamplingPlan:
     seed: int = 42
     n_bins: int = 48
     pairs_per_bin: int = 256
-    rho_max: float = None
     weighted: bool = False
 
     def validate(self):
@@ -115,7 +115,7 @@ def measure_envelope(kernel, plan=None):
     spec = kernels.FAMILIES[kernel.family]
     if plan.weighted and spec.weight is None:
         raise ValueError(f"{kernel.family} kernels carry no bound weight; measure them unweighted")
-    diameter = plan.rho_max if plan.rho_max is not None else spec.diameter(kernel.n, kernel.params)
+    diameter = spec.diameter(kernel.n, kernel.params)
     scale, prefactor = spec.scale(kernel.n, kernel.params)
     # geometric bin edges pin the scaled-distance grid u = scale * rho to the
     # same locations for every n, which keeps fitted constants comparable
@@ -173,15 +173,20 @@ def _exp_tower(level):
     return v
 
 
-def fit_bound(env, form, rate_grid=None):
+# the range of sub-exponential rates a fit reports
+_RATE_MIN = 1e-3
+_RATE_MAX = 20.0
+
+
+def fit_bound(env, form):
     """Fit a bound shape to an envelope.
 
     Polynomial fits always succeed: the leading constant is the smallest c
     making the bound hold at every bin (its growth across n is what callers
-    examine).  Sub-exponential fits pick the largest rate on the grid whose
-    implied constant stays within 10 times the diagonal constant;
-    failing that the form is declared unsatisfied at the smallest rate and
-    the violating bins are counted.
+    examine).  Sub-exponential fits take the largest rate, up to 20, whose
+    implied constant stays within 10 times the diagonal constant; when that
+    rate lies below 1e-3 the form is declared unsatisfied at 1e-3 and the
+    violating bins are counted.
     """
     u = env.scale * np.asarray(env.rho, dtype=float)
     vals = np.asarray(env.values, dtype=float)
@@ -196,32 +201,19 @@ def fit_bound(env, form, rate_grid=None):
         raise ValueError("form must be Polynomial or SubExponential")
     phi = u / _log_product(u, form.epsilon, form.log_depth)
     if not np.any(np.isfinite(logm)):
-        return BoundFit(form, 0.0, float(rate_grid[-1]) if rate_grid is not None else 20.0, 0, True)
-    log_diag = np.max(logm) - logp
-    log_cap = log_diag + math.log(10.0)
-    if rate_grid is None:
-        rate_grid = np.geomspace(1e-3, 20.0, 120)
-    rates = np.sort(np.asarray(rate_grid, dtype=float))
-
-    def log_c_at(rate):
-        return float(np.max(logm + rate * phi) - logp)
-
-    if log_c_at(rates[0]) > log_cap:
-        rate = float(rates[0])
-        violations = int(np.sum(logm - logp + rate * phi > log_cap))
-        return BoundFit(form, float(np.exp(log_cap)), rate, violations, False)
-    if log_c_at(rates[-1]) <= log_cap:
-        rate = float(rates[-1])
-        return BoundFit(form, float(np.exp(log_c_at(rate))), rate, 0, True)
-    lo = float(max(r for r in rates if log_c_at(r) <= log_cap))
-    hi = float(min(r for r in rates if log_c_at(r) > log_cap))
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if log_c_at(mid) <= log_cap:
-            lo = mid
-        else:
-            hi = mid
-    return BoundFit(form, float(np.exp(log_c_at(lo))), lo, 0, True)
+        return BoundFit(form, 0.0, _RATE_MAX, 0, True)
+    log_cap = np.max(logm) - logp + math.log(10.0)
+    # log c(rate) = max_i(logm_i + rate * phi_i) - logp never decreases in the
+    # rate (phi >= 0), so the rates within the cap form [0, r*], r* the least
+    # of the per-bin limits; a bin at phi = 0 or an empty one (logm = -inf)
+    # has limit +inf
+    with np.errstate(divide="ignore"):
+        limits = (log_cap + logp - logm) / phi
+    rate = min(float(np.min(limits)), _RATE_MAX)
+    if rate < _RATE_MIN:
+        violations = int(np.sum(logm - logp + _RATE_MIN * phi > log_cap))
+        return BoundFit(form, float(np.exp(log_cap)), _RATE_MIN, violations, False)
+    return BoundFit(form, float(np.exp(np.max(logm + rate * phi) - logp)), rate, 0, True)
 
 
 def compare_cutoffs(family, n, cutoffs, epsilon=1.0, plan=None, params=None):
@@ -254,7 +246,11 @@ class Wavelet:
     envelope: DecayEnvelope
 
 
-def build_wavelet(epsilon, grid=cutoff_mod.DEFAULT_GRID, n_bins=64):
+# bins of a wavelet's decay envelope
+_WAVELET_BINS = 64
+
+
+def build_wavelet(epsilon):
     """Band-limited orthonormal wavelet from a kind-"c" cutoff.
 
     The transform equals the cutoff profile stretched to [2 pi/3, 8 pi/3]
@@ -262,7 +258,7 @@ def build_wavelet(epsilon, grid=cutoff_mod.DEFAULT_GRID, n_bins=64):
     inverse transform of the profile.  The sample grid is widened until the
     boundary values drop below 1e-12 of the peak.
     """
-    spec = cutoff_mod.CutoffSpec("c", epsilon=epsilon, grid_points=grid)
+    spec = cutoff_mod.CutoffSpec("c", epsilon=epsilon)
     prof = cutoff_mod.assemble_cutoff(spec)
     stretch = 4.0 * np.pi / 3.0
     half_width = 50.0
@@ -284,9 +280,9 @@ def build_wavelet(epsilon, grid=cutoff_mod.DEFAULT_GRID, n_bins=64):
     plancherel_defect = abs(norm_x - norm_xi) / norm_xi
     mean_abs = abs(float(np.sum(psi) * step))
     rho = np.abs(x_grid)
-    edges = np.linspace(0.0, rho.max(), n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, n_bins - 1)
-    maxima = np.zeros(n_bins)
+    edges = np.linspace(0.0, rho.max(), _WAVELET_BINS + 1)
+    idx = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, _WAVELET_BINS - 1)
+    maxima = np.zeros(_WAVELET_BINS)
     np.maximum.at(maxima, idx, np.abs(psi))
     env = DecayEnvelope(
         family="wavelet",
@@ -296,7 +292,7 @@ def build_wavelet(epsilon, grid=cutoff_mod.DEFAULT_GRID, n_bins=64):
         weighted=False,
         scale=1.0,
         prefactor=1.0,
-        counts=np.bincount(idx, minlength=n_bins),
+        counts=np.bincount(idx, minlength=_WAVELET_BINS),
     )
     return Wavelet(epsilon, x_grid, psi, plancherel_defect, mean_abs, env)
 
@@ -405,7 +401,7 @@ def envelope_to_csv(env, path):
 
 
 def fit_to_json(fit):
-    """JSON report {form, epsilon, sigma, c, c_rate, violations}."""
+    """JSON report {form, epsilon, sigma, c, c_rate, violations, satisfied}."""
     if isinstance(fit.form, Polynomial):
         form, eps, sigma = "polynomial", None, fit.form.sigma
     else:

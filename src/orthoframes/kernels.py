@@ -200,15 +200,8 @@ def sphere_kernel(cutoff, n, d, cosine):
 
 
 def _gegenbauer_sum(band, lam, arg):
-    """sum_j band_j ((j + lam)/lam) C_j^lam(arg) with the lam -> 0 Chebyshev
-    limit handled explicitly."""
+    """sum_j band_j ((j + lam)/lam) C_j^lam(arg), lam > 0."""
     j = np.arange(len(band), dtype=float)
-    if lam < 1e-13:
-        theta = _safe_arccos(arg)
-        out = band[0] * np.ones_like(np.asarray(arg, dtype=float))
-        jj = j[1:]
-        out = out + 2.0 * np.tensordot(band[1:], np.cos(np.multiply.outer(jj, theta)), axes=(0, 0))
-        return out
     table = orthopoly.gegenbauer_all(lam, len(band) - 1, arg).values
     return np.tensordot(band * (j + lam) / lam, table, axes=(0, 0))
 
@@ -866,6 +859,8 @@ FAMILIES = {
             (np.maximum(_barycentric(x), 0.0) + n**-2.0) ** np.asarray(p["kappa"], dtype=float), axis=-1
         ),
         scale=_power_scale(lambda p: len(np.atleast_1d(p["kappa"])) - 1),
+        # every term of the metric's cosine is >= 0: vertex to vertex is pi/2
+        diameter=lambda n, p: np.pi / 2.0,
         params=("kappa",),
     ),
     "hermite": Family(

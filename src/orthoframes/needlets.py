@@ -235,13 +235,19 @@ def parseval_check(system, f, f_degree=None):
     return abs(frame.norm_squared() - norm2) / norm2
 
 
-def needlet_decay_profile(system, j, xi_index, n_bins=48, rho_max=None):
+# bins of a needlet decay profile, and offsets sampled per bin on each side
+_PROFILE_BINS = 48
+_PROFILE_OFFSETS = 64
+
+
+def needlet_decay_profile(system, j, xi_index):
     """Envelope of |psi_xi| against the family distance from its node.
 
     Returns a decay envelope ready for bound fitting; the effective level
     parameter is n_j (Jacobi) or sqrt(n_j)-scaled (Hermite/Laguerre), matching
-    how the kernels localize.  Each bin samples 64 offsets on either side of
-    the node.
+    how the kernels localize.  Each of the 48 bins samples 64 offsets on
+    either side of the node and keeps those whose distance falls in the bin;
+    every bin's samples are evaluated in one call.
     """
     from . import decay
 
@@ -254,31 +260,23 @@ def needlet_decay_profile(system, j, xi_index, n_bins=48, rho_max=None):
         diameter = 2.0 * (math.sqrt(8.0 * lvl.n_j + 2.0) + 2.0)
         lo_clip = 0.0 if system.family == "laguerre" else -np.inf
         sample = lambda r: np.clip(xi + r, lo_clip, np.inf)
-    if rho_max is not None:
-        diameter = rho_max
     scale, prefactor = kernels.FAMILIES[system.family].scale(lvl.n_j, system.params)
-    edges = np.linspace(0.0, diameter, n_bins + 1)
-    rho_c = 0.5 * (edges[:-1] + edges[1:])
-    maxima = np.zeros(n_bins)
-    counts = np.zeros(n_bins, dtype=int)
-    for b in range(n_bins):
-        offsets = np.linspace(edges[b], edges[b + 1], 64)
-        pts = np.concatenate([sample(s * offsets) for s in (1.0, -1.0)])
-        vals = np.abs(system.psi(j, xi_index, pts))
-        rr = kernels.distance(system.family, pts[:, None], xi)
-        keep = (rr >= edges[b] - 1e-12) & (rr <= edges[b + 1] + 1e-12)
-        counts[b] = np.count_nonzero(keep)
-        if keep.any():
-            maxima[b] = vals[keep].max()
+    edges = np.linspace(0.0, diameter, _PROFILE_BINS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    offsets = np.linspace(lo, hi, _PROFILE_OFFSETS, axis=1)
+    pts = np.concatenate([sample(offsets), sample(-offsets)], axis=1)  # (bins, samples)
+    vals = np.abs(system.psi(j, xi_index, pts.ravel())).reshape(pts.shape)
+    rr = kernels.distance(system.family, pts.reshape(-1, 1), xi).reshape(pts.shape)
+    keep = (rr >= lo[:, None] - 1e-12) & (rr <= hi[:, None] + 1e-12)
     return decay.DecayEnvelope(
         family=system.family,
         n=max(int(lvl.n_j), 1),
-        rho=rho_c,
-        values=maxima,
+        rho=0.5 * (lo + hi),
+        values=np.max(vals, axis=1, initial=0.0, where=keep),
         weighted=False,
         scale=scale,
         prefactor=prefactor,
-        counts=counts,
+        counts=np.count_nonzero(keep, axis=1),
     )
 
 

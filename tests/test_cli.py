@@ -110,6 +110,20 @@ def test_needlet_line_families_pass_at_jmax_5(tmp_path, capsys, family, action):
     assert "worst defect nan" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["needlet", "parseval"], "--trials"), (["needlet", "roundtrip"], "--trials"),
+     (["kernel", "grid"], "--count")],
+)
+def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, command, flag, count):
+    # a run of no trials or no pairs verifies nothing, so it must not pass
+    out = str(tmp_path / "o")
+    assert run(command + [f"{flag}={count}"] + FAST + ["--out", out]) == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_decay_envelope_and_fit(tmp_path):
     out = str(tmp_path / "o")
     args = ["--family", "chebyshev", "--n", "32"] + FAST + ["--out", out]

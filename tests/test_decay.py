@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoframes import cutoff as co
 from orthoframes import decay as de
@@ -85,12 +87,54 @@ def test_fit_zero_envelope():
 
 
 def test_fit_declares_unsatisfied_rates():
-    # a flat envelope cannot admit any positive decay rate on the grid
+    # a flat envelope at scale 1e6 admits rates up to about 1.7e-4 only,
+    # below the smallest rate a fit reports
     rho = np.linspace(0, 3, 40)
-    env = de.DecayEnvelope("chebyshev", 64, rho, np.full(40, 64.0), False, 64.0, 64.0)
-    fit = de.fit_bound(env, de.SubExponential(1.0), rate_grid=[2.0, 4.0])
+    env = de.DecayEnvelope("chebyshev", 64, rho, np.full(40, 64.0), False, 1e6, 64.0)
+    fit = de.fit_bound(env, de.SubExponential(1.0))
     assert not fit.satisfied
     assert fit.violations > 0
+
+
+def _log_c(env, form, rate):
+    u = env.scale * env.rho
+    phi = u / de._log_product(u, form.epsilon, form.log_depth)
+    with np.errstate(divide="ignore"):
+        logm = np.log(env.values)
+    return float(np.max(logm + rate * phi) - math.log(env.prefactor))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    logs=st.lists(st.floats(-40.0, 10.0), min_size=2, max_size=48),
+    empty=st.lists(st.booleans(), min_size=48, max_size=48),
+    scale=st.floats(1e-2, 1e7),
+    prefactor=st.floats(1e-3, 1e3),
+    epsilon=st.sampled_from([0.5, 1.0, 2.0]),
+    log_depth=st.sampled_from([1, 2]),
+)
+def test_subexponential_rate_is_the_largest_within_the_cap(
+    logs, empty, scale, prefactor, epsilon, log_depth
+):
+    # random envelopes, some bins empty: log c at the returned rate stays
+    # within 10 times the diagonal constant, and a rate 1e-9 larger breaks it
+    k = len(logs)
+    values = np.where(empty[:k], 0.0, np.exp(logs))
+    values[0] = max(values[0], 1e-3)
+    rho = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, k - 1)])
+    env = de.DecayEnvelope("chebyshev", 8, rho, values, False, scale, prefactor)
+    form = de.SubExponential(epsilon, log_depth)
+    fit = de.fit_bound(env, form)
+    log_cap = math.log(values.max()) - math.log(prefactor) + math.log(10.0)
+    if not fit.satisfied:
+        assert fit.c_rate == 1e-3 and fit.violations > 0
+        assert _log_c(env, form, 1e-3) > log_cap
+        return
+    assert 1e-3 <= fit.c_rate <= 20.0 and fit.violations == 0
+    assert _log_c(env, form, fit.c_rate) <= log_cap + 1e-12 * max(1.0, abs(log_cap))
+    assert math.log(fit.c) == pytest.approx(_log_c(env, form, fit.c_rate), abs=1e-12)
+    if fit.c_rate < 20.0:
+        assert _log_c(env, form, fit.c_rate * (1.0 + 1e-9)) > log_cap
 
 
 def test_polynomial_fit_stability(cutoff_a):
@@ -165,9 +209,11 @@ def test_ball_envelope_generic_path():
 def test_simplex_envelope_generic_path(cutoff_c):
     kernel = ke.KernelInstance("simplex", cutoff_c, 4, {"kappa": (0.5, 0.5)})
     env = de.measure_envelope(kernel, de.SamplingPlan(seed=42, n_bins=40, pairs_per_bin=200))
-    # the bins beyond the largest sampled distance see no pair at all
+    # the bins reach the vertex-to-vertex distance pi/2; only the last one,
+    # next to it, sees no pair at all
+    assert env.rho[-1] < np.pi / 2
     assert np.array_equal(env.counts == 0, env.values == 0)
-    assert np.count_nonzero(env.counts == 0) == 10
+    assert np.array_equal(np.flatnonzero(env.counts == 0), [39])
     assert env.counts.max() == 200
     fit = de.fit_bound(env, de.SubExponential(1.0))
     assert fit.satisfied and fit.violations == 0 and fit.c_rate > 0

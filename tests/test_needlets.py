@@ -246,6 +246,43 @@ def test_needlet_profile_subexponential_fit(hermite_system):
     assert fit.satisfied and fit.c_rate > 0
 
 
+def _profile_per_bin(system, j, xi_index):
+    # the per-bin loop the one-pass profile must reproduce: 48 bins, 64
+    # offsets on each side of the node, each bin keeping its own samples
+    xi = float(system.levels[j].nodes[xi_index])
+    if system.family == "jacobi":
+        diameter = np.pi
+        sample = lambda r: np.cos(np.clip(np.arccos(xi) + r, 0.0, np.pi))
+    else:
+        diameter = 2.0 * (math.sqrt(8.0 * system.levels[j].n_j + 2.0) + 2.0)
+        sample = lambda r: np.clip(xi + r, 0.0 if system.family == "laguerre" else -np.inf, np.inf)
+    edges = np.linspace(0.0, diameter, 49)
+    maxima, counts = np.zeros(48), np.zeros(48, dtype=int)
+    for b in range(48):
+        offsets = np.linspace(edges[b], edges[b + 1], 64)
+        pts = np.concatenate([sample(offsets), sample(-offsets)])
+        vals = np.abs(system.psi(j, xi_index, pts))
+        rr = ke.distance(system.family, pts[:, None], xi)
+        keep = (rr >= edges[b] - 1e-12) & (rr <= edges[b + 1] + 1e-12)
+        counts[b] = np.count_nonzero(keep)
+        maxima[b] = vals[keep].max() if keep.any() else 0.0
+    return maxima, counts
+
+
+@pytest.mark.parametrize(
+    "name, j, i", [("jacobi_system", 4, 7), ("hermite_system", 3, 32), ("laguerre_system", 3, 10)]
+)
+def test_needlet_profile_evaluates_every_bin_in_one_call(request, monkeypatch, name, j, i):
+    system = request.getfixturevalue(name)
+    maxima, counts = _profile_per_bin(system, j, i)
+    calls = []
+    psi = system.psi
+    monkeypatch.setattr(system, "psi", lambda *args: calls.append(args) or psi(*args))
+    prof = ne.needlet_decay_profile(system, j, i)
+    assert len(calls) == 1
+    assert np.array_equal(prof.values, maxima) and np.array_equal(prof.counts, counts)
+
+
 def test_frame_json_dump(jacobi_system):
     raw = json.loads(ne.frame_to_json(jacobi_system))
     assert raw["family"] == "jacobi"
