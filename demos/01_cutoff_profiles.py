@@ -9,9 +9,14 @@ that machinery is the slow growth of the derivative sup-norms, which is what
 buys sub-exponential kernel localization later.
 """
 
+import sys
+
 import numpy as np
 
 from orthoframes import cutoff as co
+
+PARTITION_TOL = 1e-8  # the command-line front end's pinned tolerance
+failed = []
 
 for eps in (1.0, 0.5):
     print(f"=== epsilon = {eps} ===")
@@ -19,14 +24,19 @@ for eps in (1.0, 0.5):
     banded = co.assemble_cutoff(co.CutoffSpec("c", epsilon=eps))
 
     t = np.linspace(0, 1, 2001)
-    print(f"kind a: max |ahat - 1| on [0,1]   = {np.abs(flat(t) - 1).max():.3e}")
+    flat_dev = np.abs(flat(t) - 1).max()
+    print(f"kind a: max |ahat - 1| on [0,1]   = {flat_dev:.3e}")
     print(f"kind a: ahat(2.05)                = {flat(2.05):.3e}")
+    if not max(flat_dev, abs(flat(2.05))) < PARTITION_TOL:
+        failed.append(f"kind a flat/support deviation at eps={eps}")
 
     tt = np.linspace(1, 2, 2001)
     quad = np.abs(banded(tt) ** 2 + banded(tt / 2) ** 2 - 1).max()
     print(f"kind c: quadratic identity defect = {quad:.3e}")
     part = co.check_partition_of_unity(banded, 1.0, 1.0e4)
     print(f"kind c: partition defect [1,1e4]  = {part:.3e}")
+    if not max(quad, part) < PARTITION_TOL:
+        failed.append(f"kind c partition at eps={eps}")
 
     est = co.estimate_derivative_norms(banded, 6)
     print("kind c: derivative sup-norms k=1..6:")
@@ -38,3 +48,5 @@ for eps in (1.0, 0.5):
 banded = co.assemble_cutoff(co.CutoffSpec("c", epsilon=1.0))
 co.save_samples_csv(banded, "cutoff_c_samples.csv")
 print("wrote cutoff_c_samples.csv")
+if failed:
+    sys.exit("failed checks: " + "; ".join(failed))

@@ -7,6 +7,8 @@ smooth profile against a rough control built from constant convolution
 widths: the fitted sub-exponential rate is visibly larger for the smooth one.
 """
 
+import sys
+
 import numpy as np
 
 from orthoframes import cutoff as co
@@ -16,6 +18,7 @@ from orthoframes import kernels as ke
 flat = co.assemble_cutoff(co.CutoffSpec("a", epsilon=1.0))
 banded = co.assemble_cutoff(co.CutoffSpec("c", epsilon=1.0))
 rough = co.build_control_cutoff(1.0)
+failed = []
 
 print("polynomial form, sigma = 4, flat-top profile:")
 for family, params, weighted in [
@@ -42,12 +45,18 @@ for family, params, weighted in [
     fit = de.fit_bound(env, de.SubExponential(1.0))
     print(f"  {family:9s}: rate {fit.c_rate:.3f}  leading constant {fit.c:.3g}"
           f"  violations {fit.violations}")
+    if not (fit.satisfied and fit.violations == 0):
+        failed.append(f"{family} sub-exponential fit")
 
 smooth_fit, rough_fit = de.compare_cutoffs("chebyshev", 256, [banded, rough])
 print("cutoff comparison on the Chebyshev kernel at n = 256:")
 print(f"  smooth profile rate {smooth_fit.c_rate:.3f}  >  control rate {rough_fit.c_rate:.3f}")
+if not smooth_fit.c_rate > rough_fit.c_rate:
+    failed.append("smooth rate above control rate")
 
 kernel = ke.KernelInstance("chebyshev", banded, 128)
 env = de.measure_envelope(kernel, de.SamplingPlan())
 de.envelope_to_csv(env, "envelope_chebyshev_128.csv")
 print("wrote envelope_chebyshev_128.csv")
+if failed:
+    sys.exit("failed checks: " + "; ".join(failed))

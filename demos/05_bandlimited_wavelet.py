@@ -6,9 +6,14 @@ checks the Plancherel identity between the sample side and the transform
 side, the vanishing mean, and fits the spatial decay envelope.
 """
 
+import sys
+
 import numpy as np
 
 from orthoframes import decay as de
+
+PLANCHEREL_TOL = 1e-8  # the command-line front end's pinned tolerance
+failed = []
 
 for eps in (1.0, 0.5):
     w = de.build_wavelet(eps)
@@ -20,3 +25,9 @@ for eps in (1.0, 0.5):
     print(f"  norm {norm:.12f}, Plancherel defect {w.plancherel_defect:.2e}")
     print(f"  |mean| {w.mean_abs:.2e}")
     print(f"  decay fit: rate {fit.c_rate:.3f}, constant {fit.c:.3f}, violations {fit.violations}")
+    if not (w.plancherel_defect < PLANCHEREL_TOL and w.mean_abs < PLANCHEREL_TOL):
+        failed.append(f"Plancherel or mean at eps={eps}")
+    if not (fit.satisfied and fit.violations == 0 and fit.c_rate > 0):
+        failed.append(f"decay fit at eps={eps}")
+if failed:
+    sys.exit("failed checks: " + "; ".join(failed))

@@ -383,16 +383,6 @@ def _product_kernel(band, fns, x, y):
     return _each_pair(one, x, y)
 
 
-def _hermite_basis(p, top, x):
-    return orthopoly._hermite_fn_values(top, np.asarray(x, dtype=float))
-
-
-def _laguerre_basis(p, top, x):
-    out = orthopoly._laguerre_core(p["alpha"], top, np.asarray(x, dtype=float) ** 2)
-    out *= np.sqrt(2.0)
-    return out
-
-
 def _hermite_check(p):
     if p.get("d", 1) not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
@@ -403,7 +393,7 @@ def hermite_kernel(cutoff, n, x, y, d=1):
     (..., d) arrays of pairs."""
     _hermite_check({"d": d})
     band = cutoff_band(cutoff, n)
-    return _product_kernel(band, [lambda t: _hermite_basis({}, len(band) - 1, t)] * d, x, y)
+    return _product_kernel(band, [lambda t: orthopoly._hermite_fn_values(len(band) - 1, t)] * d, x, y)
 
 
 def hermite_block(j, x, y, d):
@@ -439,7 +429,7 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
         raise ValueError("points must be nonnegative")
     band = cutoff_band(cutoff, n)
-    fns = [lambda t, a=a: _laguerre_basis({"alpha": a}, len(band) - 1, t) for a in alpha_vec[:d]]
+    fns = [lambda t, a=a: orthopoly._laguerre_fn_values(a, len(band) - 1, t) for a in alpha_vec[:d]]
     return _product_kernel(band, fns, x, y)
 
 
@@ -744,13 +734,6 @@ def _tensor_pairs(k, lo, hi, count, seed):
 # the family table
 
 
-def _jacobi_basis(p, top, x):
-    jp = JacobiParams(p["alpha"], p["beta"])
-    vals = orthopoly._jacobi_values(jp.alpha, jp.beta, top, x)
-    h = orthopoly.jacobi_norms(jp, top)
-    return vals / np.sqrt(h).reshape((-1,) + (1,) * x.ndim)
-
-
 def _power_scale(dim):
     """Bounds in the distance scaled by n, with prefactor n^dim(p)."""
     return lambda n, p: (float(n), float(n) ** dim(p))
@@ -778,9 +761,10 @@ class Family:
     rest take level ``n`` and parameters ``p``: the metric ``distance(x, y)``,
     ``scalar`` points, the bound ``weight`` per point (None: none), the
     bounds' (scale, prefactor), the envelope ``diameter``, and for the frame
-    families the Gauss ``rule(p, m)`` and orthonormal ``basis(p, top, x)``.
-    ``params`` names the parameters read, all required unless ``check(p)``
-    is given: then they default, and ``check`` rejects values that do not fit.
+    families the Gauss ``rule(p, m)`` and orthonormal ``basis(p, top, x)``,
+    the rule's table being ``basis(p, m - 1, nodes)``.  ``params`` names the
+    parameters read, all required unless ``check(p)`` is given: then they
+    default, and ``check`` rejects values that do not fit.
     """
 
     distance: object
@@ -828,7 +812,7 @@ FAMILIES = {
         ),
         params=("alpha", "beta"),
         rule=lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
-        basis=_jacobi_basis,
+        basis=lambda p, top, x: orthopoly._jacobi_fn_values(p["alpha"], p["beta"], top, x),
     ),
     "sphere": Family(
         lambda x, y: _safe_arccos(_inner(x, y)),
@@ -871,7 +855,7 @@ FAMILIES = {
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), check=_hermite_check,
         rule=lambda p, m: quadrature.hermite_function_rule(m),
-        basis=_hermite_basis,
+        basis=lambda p, top, x: orthopoly._hermite_fn_values(top, x),
     ),
     "laguerre": Family(
         lambda x, y: np.max(np.abs(x - y), axis=-1),
@@ -886,7 +870,7 @@ FAMILIES = {
         ),
         params=("alpha", "d"), check=_laguerre_check,
         rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
-        basis=_laguerre_basis,
+        basis=lambda p, top, x: orthopoly._laguerre_fn_values(p["alpha"], top, x),
     ),
     **{variant: _TENSOR for variant in TENSOR_VARIANTS},
     # metrics only

@@ -22,7 +22,7 @@ fallback rule.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,18 +113,18 @@ class FrameCoefficients:
 
 
 def _level(family, cutoff, j):
-    """(n_j, band_lo, band_hi, nodes, band) of level j.  Jacobi bands are
-    dyadic in nu; Hermite and Laguerre bands are 4-adic in nu, dyadic in
-    the natural frequency sqrt(nu)."""
+    """(n_j, band_lo, band_hi, band) of level j.  Jacobi bands are dyadic in
+    nu; Hermite and Laguerre bands are 4-adic in nu, dyadic in the natural
+    frequency sqrt(nu).  The level's rule has band_hi nodes (2^j or 4^j)."""
     if j == 0:
-        return 1.0, 0, 1, 1, np.ones(1)
+        return 1.0, 0, 1, np.ones(1)
     base = 2.0 if family == "jacobi" else 4.0
     n_j = base ** (j - 1)
     lo = int(math.floor(n_j / base)) + 1
     hi = int(math.ceil(base * n_j))
     t = np.arange(lo, hi, dtype=float) / n_j
     band = cutoff(t if base == 2.0 else np.sqrt(t))
-    return n_j, lo, hi, int(base) ** j, np.asarray(band, dtype=float)
+    return n_j, lo, hi, np.asarray(band, dtype=float)
 
 
 def build_needlet_system(family, params, cutoff, j_max):
@@ -143,18 +143,18 @@ def build_needlet_system(family, params, cutoff, j_max):
     if cutoff.spec.kind != "c":
         raise ValueError("needlet construction requires a TypeC cutoff")
     params = dict(params or {})
-    system = NeedletSystem(family, params, cutoff, j_max, [], 0)
     levels = []
     for j in range(j_max + 1):
-        n_j, lo, hi, m, band = _level(family, cutoff, j)
-        rule = kernels.FAMILIES[family].rule(params, m)
-        degs = np.arange(lo, hi)
-        psi = band * system.basis_values(degs, rule.nodes).T  # (nodes, band)
-        psi *= np.sqrt(rule.weights)[:, None]
-        levels.append(NeedletLevel(j, n_j, lo, hi, band, rule, psi))
-    system.levels = levels
-    system.capacity = int(levels[-1].n_j) if j_max >= 1 else 0
-    return system
+        n_j, lo, hi, band = _level(family, cutoff, j)
+        rule = kernels.FAMILIES[family].rule(params, hi)
+        # the rule's table holds phi_0..phi_{hi-1} at its nodes; its band
+        # rows, scaled in place, are the level's matrix as a (nodes, band) view
+        psi = rule.table[lo:]
+        psi *= band[:, None]
+        psi *= np.sqrt(rule.weights)
+        levels.append(NeedletLevel(j, n_j, lo, hi, band, replace(rule, table=None), psi.T))
+    capacity = int(levels[-1].n_j) if j_max >= 1 else 0
+    return NeedletSystem(family, params, cutoff, j_max, levels, capacity)
 
 
 def _check_band_limit(system, coeffs, op):
@@ -195,9 +195,8 @@ def _project_callable(system, f, degree, meta):
     top = system.levels[-1].band_hi
     rule = kernels.FAMILIES[system.family].rule(system.params, max(top, degree) + 2)
     vals = np.asarray(f(rule.nodes), dtype=float)
-    basis = system.basis_values(np.arange(top), rule.nodes)
     meta["fallback_rule"] = {"weight": rule.weight, "m": rule.m}
-    return basis @ (rule.weights * vals)
+    return rule.table[:top] @ (rule.weights * vals)
 
 
 def synthesize(system, coefficients, x):

@@ -89,35 +89,28 @@ def jacobi_all(p, n_max, x):
 def jacobi_norm(p, n):
     """Squared weighted-L2 norm h_n of the degree-n Jacobi polynomial.
 
-    The closed form degenerates at n = 0 when alpha + beta + 1 = 0 (Gamma
-    pole against a vanishing prefactor); that case falls back to the Beta
-    integral of the weight itself and is flagged with a warning.
+    At n = 0 with alpha + beta + 1 = 0 the closed form degenerates and the
+    value is the Beta integral of the weight itself (see jacobi_norms); that
+    case is flagged with a warning.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a, b = p.alpha, p.beta
-    s = a + b
-    if n == 0 and abs(s + 1.0) < 1e-12:
+    if n == 0 and abs(p.alpha + p.beta + 1.0) < 1e-12:
         warnings.warn(
             "norm formula is degenerate at n=0 for alpha+beta=-1; "
             "using direct integration of the weight",
             RuntimeWarning,
         )
-        return float(np.exp((s + 1) * np.log(2.0) + gammaln(a + 1) + gammaln(b + 1) - gammaln(s + 2)))
-    logval = (
-        (s + 1.0) * np.log(2.0)
-        - np.log(2.0 * n + s + 1.0)
-        + gammaln(n + a + 1.0)
-        + gammaln(n + b + 1.0)
-        - gammaln(n + 1.0)
-        - gammaln(n + s + 1.0)
-    )
-    return float(np.exp(logval))
+    return float(jacobi_norms(p, n)[n])
 
 
 def jacobi_norms(p, n_max):
-    """Vector of h_0..h_{n_max}; same degenerate-case handling as
-    jacobi_norm."""
+    """Vector of h_0..h_{n_max}.
+
+    At n = 0 the closed form needs log(alpha + beta + 1): it degenerates when
+    alpha + beta + 1 = 0 (Gamma pole against a vanishing prefactor) and is
+    undefined below, so h_0 is then the Beta integral of the weight itself.
+    """
     a, b = p.alpha, p.beta
     s = a + b
     n = np.arange(n_max + 1, dtype=float)
@@ -131,8 +124,16 @@ def jacobi_norms(p, n_max):
             - gammaln(n + s + 1.0)
         )
     out = np.exp(logval)
-    if abs(s + 1.0) < 1e-12:
-        out[0] = jacobi_norm(p, 0)
+    if s + 1.0 < 1e-12:
+        out[0] = np.exp((s + 1) * np.log(2.0) + gammaln(a + 1) + gammaln(b + 1) - gammaln(s + 2))
+    return out
+
+
+def _jacobi_fn_values(alpha, beta, n_max, x):
+    """Orthonormal Jacobi polynomials P_n / sqrt(h_n), n = 0..n_max, at x."""
+    x = np.asarray(x, dtype=float)
+    out = _jacobi_values(alpha, beta, n_max, x)
+    out /= np.sqrt(jacobi_norms(JacobiParams(alpha, beta), n_max)).reshape((-1,) + (1,) * x.ndim)
     return out
 
 
@@ -252,6 +253,14 @@ def _laguerre_core(alpha, n_max, s):
     )
 
 
+def _laguerre_fn_values(alpha, n_max, t):
+    """The F-type functions sqrt(2) ell_n(t^2), orthonormal in
+    L2(R_+, t^(2a+1) dt)."""
+    out = _laguerre_core(alpha, n_max, np.asarray(t, dtype=float) ** 2)
+    out *= np.sqrt(2.0)
+    return out
+
+
 def laguerre_fn_all(alpha, n_max, t, which="F"):
     """Normalized Laguerre function families at t >= 0.
 
@@ -271,7 +280,7 @@ def laguerre_fn_all(alpha, n_max, t, which="F"):
     if np.any(t < 0):
         raise ValueError("evaluation points must be nonnegative")
     if which == "F":
-        vals = np.sqrt(2.0) * _laguerre_core(alpha, n_max, t**2)
+        vals = _laguerre_fn_values(alpha, n_max, t)
     elif which == "L":
         core = _laguerre_core(alpha, n_max, t)
         with np.errstate(divide="ignore"):

@@ -1,23 +1,25 @@
 """Gaussian quadrature rules for the Jacobi, Hermite and Laguerre weights.
 
 Nodes are the eigenvalues of the symmetric tridiagonal matrix of recurrence
-coefficients; weights come from the first components of the normalized
-eigenvectors scaled by the zeroth moment.  An m-point rule integrates all
+coefficients.  Weights are the Christoffel numbers 1 / sum_k f_k(x)^2 over
+one table of the family's normalized functions f_0..f_{m-1} at the nodes:
+orthonormal Jacobi polynomials, or Hermite and Laguerre functions that carry
+the root of their weight, so no weight underflows before its true value
+does.  The rule keeps that table.  An m-point rule integrates all
 polynomials of degree <= 2m-1 exactly against its weight.
 
 Two derived rules serve band-limited function spaces directly: they
 integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
-``t^(2a+1)`` over the half line, with weights computed through Christoffel
-sums of the exponentially normalized orthogonal functions (plain
-Golub-Welsch weights underflow once the nodes are far out in the tail).
+``t^(2a+1)`` over the half line, with weights the reciprocal Christoffel
+sums of the normalized functions themselves.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln
 
 from . import orthopoly
 
@@ -36,13 +38,16 @@ _FAMILIES = ("jacobi", "hermite", "laguerre")
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights with declared polynomial exactness against a weight."""
+    """Nodes/weights with declared polynomial exactness against a weight,
+    and the ``table`` of normalized functions f_0..f_{m-1} (rows) at the
+    nodes whose Christoffel sums gave the weights."""
 
     weight: str
     params: tuple
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
+    table: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -57,19 +62,12 @@ def _jacobi_coeffs(m, alpha, beta):
     with np.errstate(invalid="ignore", divide="ignore"):
         a = (beta**2 - alpha**2) / ((2 * k + s) * (2 * k + s + 2))
     a[0] = (beta - alpha) / (s + 2.0)
-    b2 = np.zeros(m - 1) if m > 1 else np.zeros(0)
+    b2 = np.zeros(max(m - 1, 0))
     if m > 1:
-        b2[0] = 4.0 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
-    if m > 2:
         kk = k[2:]
-        b2[1:] = (
-            4.0
-            * kk
-            * (kk + alpha)
-            * (kk + beta)
-            * (kk + s)
-            / ((2 * kk + s) ** 2 * (2 * kk + s + 1) * (2 * kk + s - 1))
-        )
+        b2[0] = 4.0 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
+        b2[1:] = (4.0 * kk * (kk + alpha) * (kk + beta) * (kk + s)
+                  / ((2 * kk + s) ** 2 * (2 * kk + s + 1) * (2 * kk + s - 1)))
     mu0 = np.exp((s + 1) * np.log(2.0) + betaln(alpha + 1, beta + 1))
     return a, np.sqrt(b2), mu0
 
@@ -98,50 +96,55 @@ def gauss_rule(weight, m, alpha=None, beta=None):
     """
     if weight not in _FAMILIES:
         raise ValueError(f"unknown weight {weight!r}; expected one of {_FAMILIES}")
-    if weight != "jacobi":
-        params = () if weight == "hermite" else (0.0 if alpha is None else float(alpha),)
-        nodes, sums, mu0 = _christoffel_pass(weight, m, *params)
-        # eigenvector first components underflow for the unbounded weights;
-        # Christoffel sums of the exponentially normalized functions give
-        # every weight to full relative accuracy, and 0 below double range
-        with np.errstate(under="ignore"):
-            weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
-        return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1)
-    if m < 1:
-        raise ValueError("node count m must be >= 1")
-    if alpha is None or beta is None:
+    if weight == "jacobi" and (alpha is None or beta is None):
         raise ValueError("jacobi rule needs alpha and beta")
-    a, b, mu0 = _jacobi_coeffs(m, alpha, beta)
-    try:
-        nodes, vecs = eigh_tridiagonal(a, b)
-    except np.linalg.LinAlgError as err:  # pragma: no cover
-        raise RuntimeError("tridiagonal eigensolver failed") from err
-    order = np.argsort(nodes)
-    nodes = np.clip(nodes[order], -1.0, 1.0)
-    return QuadratureRule(weight, (float(alpha), float(beta)), nodes, mu0 * vecs[0, order] ** 2, 2 * m - 1)
+    params = {"jacobi": (alpha, beta), "hermite": (), "laguerre": (alpha or 0.0,)}[weight]
+    params = tuple(float(v) for v in params)
+    nodes, table, sums, mu0 = _christoffel_pass(weight, m, *params)
+    # Christoffel numbers 1/sums; the Hermite and Laguerre functions carry the
+    # root of their weight, which the line weights put back without leaving
+    # range: full relative accuracy, and 0 only below double range
+    with np.errstate(under="ignore"):
+        if weight == "jacobi":
+            weights = 1.0 / sums
+        else:
+            weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
+    return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1, table)
 
 
-def _christoffel_pass(weight, m, alpha=0.0):
-    """(nodes, sums, mu0) of the m-point Hermite or Laguerre rule: the sorted
-    nodes, clipped to the weight's support, the Christoffel sums
-    sum_k f_k(x)^2 of the normalized functions f_0..f_{m-1} there, and the
-    zeroth moment.  The sums are taken row by row over one table."""
+# Per pass: the weight's recurrence coefficients (a, b, mu0) from (m, *params),
+# the map of the sorted eigenvalues onto the nodes, and the table f_0..f_top at
+# the nodes, looked up in orthopoly at call time so a replaced attribute reaches it
+_PASSES = {
+    "jacobi": (_jacobi_coeffs, lambda x: np.clip(x, -1.0, 1.0),
+               lambda p, top, x: orthopoly._jacobi_fn_values(*p, top, x)),
+    "hermite": (_hermite_coeffs, lambda x: x, lambda p, top, x: orthopoly._hermite_fn_values(top, x)),
+    "laguerre": (_laguerre_coeffs, lambda x: np.clip(x, 0.0, None),
+                 lambda p, top, x: orthopoly._laguerre_core(*p, top, x)),
+    # the Laguerre weight in t = sqrt(s), tabulating the F-type functions of t
+    "laguerre_fn": (_laguerre_coeffs, lambda x: np.sqrt(np.clip(x, 0.0, None)),
+                    lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x)),
+}
+
+
+def _christoffel_pass(weight, m, *params):
+    """(nodes, table, sums, mu0) of the m-point rule of a ``_PASSES`` entry:
+    the nodes from the eigenvalues of the Jacobi matrix, the table of the
+    normalized functions f_0..f_{m-1} at them, the Christoffel sums
+    sum_k f_k(x)^2, taken row by row, and the zeroth moment."""
     if m < 1:
         raise ValueError("node count m must be >= 1")
-    a, b, mu0 = _hermite_coeffs(m) if weight == "hermite" else _laguerre_coeffs(m, alpha)
+    coeffs, support, functions = _PASSES[weight]
+    a, b, mu0 = coeffs(m, *params)
     try:
-        nodes = np.sort(eigh_tridiagonal(a, b, eigvals_only=True))
+        nodes = support(np.sort(eigh_tridiagonal(a, b, eigvals_only=True)))
     except np.linalg.LinAlgError as err:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from err
-    if weight == "hermite":
-        table = orthopoly._hermite_fn_values(m - 1, nodes)
-    else:
-        nodes = np.clip(nodes, 0.0, None)
-        table = orthopoly._laguerre_core(alpha, m - 1, nodes)
+    table = functions(params, m - 1, nodes)
     sums = np.zeros(m)
     for row in table:
         sums += row * row
-    return nodes, sums, mu0
+    return nodes, table, sums, mu0
 
 
 def _jacobi_moments(degree, alpha, beta):
@@ -155,13 +158,26 @@ def _jacobi_moments(degree, alpha, beta):
     return mu
 
 
+def _log_sum(logs, signs):
+    """(log |q|, sign q) of q = sum signs * exp(logs), with no exponential
+    leaving double range; NaN in, NaN out."""
+    top = np.max(logs)
+    if top == -np.inf:
+        return top, 0.0
+    q = np.dot(signs, np.exp(logs - top))
+    with np.errstate(divide="ignore"):
+        return top + np.log(abs(q)), np.sign(q)
+
+
 def verify_exactness(rule, degree):
     """Max relative error of the rule's monomial moments up to ``degree``.
 
     Exact moments come from Beta/Gamma closed forms (a stable two-term
-    recurrence for the Jacobi weight).  Sums for the half-line and line
-    weights are taken in log space; odd Hermite moments vanish by symmetry
-    and are checked against the neighboring even scale.
+    recurrence for the Jacobi weight).  Hermite and Laguerre moments are
+    compared in log space, where neither they nor any positive weight, however
+    small, leave double range; odd Hermite moments vanish by symmetry and are
+    checked against the neighboring even scale.  A non-finite error is
+    returned, never dropped.
     """
     if degree > rule.exactness:
         raise ValueError(
@@ -170,7 +186,7 @@ def verify_exactness(rule, degree):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     x, w = rule.nodes, rule.weights
-    worst = 0.0
+    errors = np.empty(degree + 1)
     if rule.weight == "jacobi":
         mu = _jacobi_moments(degree, *rule.params)
         for k in range(degree + 1):
@@ -178,41 +194,20 @@ def verify_exactness(rule, degree):
             # vanishing odd moments are judged against the absolute-mass
             # scale at the same degree instead of their zero value
             scale = max(abs(mu[k]), float(np.dot(w, np.abs(x) ** k)))
-            if scale > 0:
-                worst = max(worst, abs(q - mu[k]) / scale)
-        return worst
+            errors[k] = abs(q - mu[k]) / scale if scale > 0 else abs(q - mu[k])
+        return float(np.max(errors))
     with np.errstate(divide="ignore"):
-        logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
-    if rule.weight == "laguerre":
-        alpha = rule.params[0]
-        safe = x > 0
-        logx = np.full_like(x, -np.inf)
-        logx[safe] = np.log(x[safe])
-        for k in range(degree + 1):
-            logq = logsumexp(logw + k * logx)
-            logmu = gammaln(alpha + k + 1)
-            worst = max(worst, abs(np.expm1(logq - logmu)))
-        return worst
-    # hermite
-    absx = np.abs(x)
-    pos = absx > 0
-    logax = np.full_like(x, -np.inf)
-    logax[pos] = np.log(absx[pos])
+        logw, logx = np.log(w), np.log(np.abs(x))
+    sign = np.sign(x)
     for k in range(degree + 1):
-        sgn = np.sign(x) ** k
-        sgn[x == 0] = 1.0 if k == 0 else 0.0
-        keep = sgn != 0.0
-        if not keep.any():
-            continue
-        logterm = logw[keep] + (k * logax[keep] if k else 0.0)
-        logq, qsign = logsumexp(logterm, b=sgn[keep], return_sign=True)
-        if k % 2 == 0:
-            logmu = gammaln((k + 1) / 2.0)
-            worst = max(worst, abs(qsign * np.exp(logq) - np.exp(logmu)) / np.exp(logmu))
+        logq, qsign = _log_sum(logw + k * logx if k else logw, sign**k)
+        if rule.weight == "laguerre":
+            errors[k] = abs(np.expm1(logq - gammaln(rule.params[0] + k + 1)))
+        elif k % 2 == 0:
+            errors[k] = abs(qsign * np.exp(logq - gammaln((k + 1) / 2.0)) - 1.0)
         else:
-            ref = np.exp(gammaln((k + 2) / 2.0))
-            worst = max(worst, np.exp(logq) / ref)
-    return worst
+            errors[k] = np.exp(logq - gammaln((k + 2) / 2.0))
+    return float(np.max(errors))
 
 
 def hermite_function_rule(m):
@@ -222,8 +217,8 @@ def hermite_function_rule(m):
     reciprocal Christoffel sums of the normalized Hermite functions so that
     no intermediate quantity underflows.
     """
-    nodes, sums, _ = _christoffel_pass("hermite", m)
-    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * m - 1)
+    nodes, table, sums, _ = _christoffel_pass("hermite", m)
+    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * m - 1, table)
 
 
 def laguerre_function_rule(alpha, m):
@@ -232,12 +227,12 @@ def laguerre_function_rule(alpha, m):
 
     Built from the generalized Gauss-Laguerre rule in the substituted
     variable s = t^2; the exponential factor is absorbed through Christoffel
-    sums of the normalized functions.
+    sums of the normalized F-type functions at the nodes t.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    nodes, sums, _ = _christoffel_pass("laguerre", m, alpha)
-    return QuadratureRule("laguerre_fn", (float(alpha),), np.sqrt(nodes), 1.0 / (2.0 * sums), 2 * m - 1)
+    nodes, table, sums, _ = _christoffel_pass("laguerre_fn", m, alpha)
+    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, 2 * m - 1, table)
 
 
 def rule_to_json(rule):

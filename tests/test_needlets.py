@@ -335,14 +335,35 @@ def test_line_frames_stay_tight_past_1024_nodes(line_frame):
         assert np.abs(rec - ref).max() < _ROUNDTRIP_TOL * np.abs(ref).max()
 
 
-def test_needlet_matrices_match_the_copying_reference(hermite_system, laguerre_system):
-    for system in (hermite_system, laguerre_system):
+def test_needlet_matrices_match_the_copying_reference(jacobi_system, hermite_system, laguerre_system):
+    for system in (jacobi_system, hermite_system, laguerre_system):
         for lvl in system.levels:
             basis = system.basis_values(np.arange(lvl.band_hi), lvl.nodes)
             ref = np.sqrt(lvl.rule.weights)[:, None] * (
                 lvl.band[None, :] * basis[np.arange(lvl.band_lo, lvl.band_hi)].T
             )
             assert np.array_equal(lvl.needlet_matrix, ref)
+
+
+@pytest.mark.parametrize("family, params, table", [
+    ("jacobi", {"alpha": 2.0, "beta": 0.5}, "_jacobi_values"),
+    ("hermite", {}, "_hermite_fn_values"),
+    ("laguerre", {"alpha": 0.0}, "_laguerre_core"),
+])
+def test_needlet_build_evaluates_one_basis_table_per_level(monkeypatch, cutoff_c, family, params, table):
+    # each level's rule hands its table of phi_0..phi_{m-1} at the m nodes on
+    # to the level matrix, so a build evaluates one m x m table per level
+    shapes = []
+    evaluate = getattr(op, table)
+
+    def counted(*args):
+        out = evaluate(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(op, table, counted)
+    system = ne.build_needlet_system(family, params, cutoff_c, 4)
+    assert shapes == [(len(lvl.nodes), len(lvl.nodes)) for lvl in system.levels]
 
 
 def test_basis_values_slices_consecutive_degrees(laguerre_system):

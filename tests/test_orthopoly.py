@@ -74,6 +74,19 @@ def test_jacobi_norm_beta_integral_at_zero():
     assert op.jacobi_norm(op.JacobiParams(a, b), 0) == pytest.approx(expect, rel=1e-13)
 
 
+def test_vector_norms_take_the_beta_integral_without_warning():
+    # every Chebyshev-weight Gauss rule and ball rule at mu = 1/2 takes this
+    # path; below alpha + beta = -1 the closed form would need log of a negative
+    for a, b in [(-0.5, -0.5), (-0.7, -0.7), (-0.9, 0.2)]:
+        expect = 2.0 ** (a + b + 1) * math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = op.jacobi_norms(op.JacobiParams(a, b), 4)
+            qd.gauss_rule("jacobi", 8, alpha=a, beta=b)
+        assert h[0] == pytest.approx(expect, rel=1e-13)
+        assert np.all(np.isfinite(h))
+
+
 def test_gegenbauer_normalization_and_recurrence():
     lam = 1.0
     vals = op.gegenbauer_all(lam, 6, 1.0).values

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -198,8 +200,58 @@ def test_function_rules_share_the_plain_rules_nodes():
 def test_christoffel_sums_match_squared_table_sums(weight, table):
     # summing squares row by row takes the additions in numpy's axis-0 order
     for m in (1, 2, 17, 300):
-        nodes, sums, _ = qd._christoffel_pass(weight, m, *(() if weight == "hermite" else (0.5,)))
+        nodes, _, sums, _ = qd._christoffel_pass(weight, m, *(() if weight == "hermite" else (0.5,)))
         assert np.array_equal(sums, np.sum(table(m, nodes) ** 2, axis=0))
+
+
+def _jacobi_weight_reference(x, m, a, b):
+    """1 / sum_k p_k(x)^2 over the orthonormal Jacobi polynomials p_0..p_{m-1}
+    for integer a, b, by their three-term recurrence in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, x = Decimal(a), Decimal(b), Decimal(x)
+        s = a + b
+        mu0 = 2 ** (s + 1) * math.factorial(int(a)) * math.factorial(int(b)) / Decimal(math.factorial(int(s + 1)))
+        prev, cur, b_k = Decimal(0), 1 / mu0.sqrt(), Decimal(0)
+        total = cur * cur
+        for k in range(1, m):
+            a_k = (b * b - a * a) / ((2 * k + s - 2) * (2 * k + s))
+            b_next = (
+                4 * k * (k + a) * (k + b) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+            ).sqrt()
+            prev, cur, b_k = cur, ((x - a_k) * cur - b_k * prev) / b_next, b_next
+            total += cur * cur
+        return 1 / total
+
+
+def test_jacobi_weights_at_the_end_nodes_are_christoffel_numbers():
+    # eigenvector components lose relative accuracy at the end nodes, where
+    # the weights are smallest (7e-8 at m = 512); Christoffel sums do not
+    m = 512
+    rule = qd.gauss_rule("jacobi", m, alpha=5.0, beta=5.0)
+    for i in (0, 1, 2, m - 3, m - 2, m - 1):
+        ref = _jacobi_weight_reference(rule.nodes[i], m, 5, 5)
+        assert abs(Decimal(rule.weights[i]) / ref - 1) < Decimal("1e-12"), i
+
+
+def test_line_moments_are_compared_in_log_space():
+    # Hermite moments past degree 341 overflow a double; the far nodes'
+    # weights lie below double range (0), so the top moments are all missed
+    assert qd.verify_exactness(qd.gauss_rule("hermite", 1024), 2047) == pytest.approx(1.0, abs=1e-6)
+    assert qd.verify_exactness(qd.gauss_rule("hermite", 300), 599) < 1e-10
+    # subnormal Laguerre weights keep their own logs, not a clamped 1e-300
+    assert 0.9 < qd.verify_exactness(qd.gauss_rule("laguerre", 400), 799) < 1.0
+    assert qd.verify_exactness(qd.gauss_rule("laguerre", 200, alpha=0.5), 399) < 1e-10
+
+
+@pytest.mark.parametrize("weight, kwargs", [
+    ("jacobi", {"alpha": 1.0, "beta": 0.5}), ("hermite", {}), ("laguerre", {"alpha": 0.5}),
+])
+def test_a_nonfinite_moment_error_is_returned(weight, kwargs):
+    rule = qd.gauss_rule(weight, 8, **kwargs)
+    weights = rule.weights.copy()
+    weights[3] = np.nan
+    assert math.isnan(qd.verify_exactness(dataclasses.replace(rule, weights=weights), 15))
 
 
 def test_rule_serialization(tmp_path):
