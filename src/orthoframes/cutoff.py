@@ -16,11 +16,13 @@ satisfies ``g(t) + g(-t) = pi/2``.  Three cutoff profiles are assembled from
 The infinite convolution is truncated at ``m_max`` factors; the product of
 indicator transforms (sinc factors) is formed on the Fourier side and
 inverted by FFT, which is both faster and numerically cleaner than iterated
-time-domain convolution.
+time-domain convolution.  sinc is even, so the product is taken over the
+non-negative frequencies only and mirrored, bit-identical to the full grid.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +75,29 @@ class CutoffSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.log_depth < 1:
+        _check_epsilon(self.epsilon)
+        if not isinstance(self.log_depth, numbers.Integral) or self.log_depth < 1:
             raise ValueError("log_depth must be a positive integer")
         if self.log_depth > 2:
             raise ValueError(
                 "log_depth > 2 needs astronomically many convolution factors "
                 "before the iterated logarithms exceed 1"
             )
+        if not isinstance(self.m_max, numbers.Integral):
+            raise ValueError(f"m_max must be an integer, got {self.m_max!r}")
         if self.m_max < 8:
             raise ValueError("m_max must be at least 8 for cutoff assembly")
-        if self.grid_points < 4096 or self.grid_points % 2:
-            raise ValueError("grid_points must be an even integer >= 4096")
+        _check_grid(self.grid_points)
+
+
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+
+
+def _check_grid(grid_points):
+    if grid_points < 4096 or grid_points % 2:
+        raise ValueError("grid_points must be an even integer >= 4096")
 
 
 @dataclass
@@ -156,8 +168,7 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
     non-unit entries start at the first index where every iterated-log factor
     exceeds 1 (earlier entries stay equal to 1).
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     if log_depth < 1:
         raise ValueError("log_depth must be a positive integer")
     if m_max < 2:
@@ -181,9 +192,10 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
     prod = np.ones_like(j)
     for f in factors[:-1]:
         prod = prod * f
-    tail = factors[-1] ** (1.0 + epsilon)
+    # entries outside ``valid`` (a negative iterated log to a fractional
+    # power among them) are replaced by 1 below
     with np.errstate(invalid="ignore"):
-        vals = 1.0 / (j * prod * tail)
+        vals = 1.0 / (j * prod * factors[-1] ** (1.0 + epsilon))
     delta[2:] = np.where(valid, vals, 1.0)
     return delta
 
@@ -197,9 +209,7 @@ def _bump_from_delta(delta, epsilon, log_depth, grid_points):
     dt = 2.0 * half_width / n
     t = -half_width + dt * np.arange(n)
     omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-    transform = np.ones(n)
-    for d in delta:
-        transform *= np.sinc(d * omega / np.pi)
+    transform = _sinc_product(delta, n, dt)
     h = np.fft.ifft(transform * np.exp(-1j * omega * half_width)).real / dt
     # the grid is symmetric about t = 0 (index n//2); enforce evenness exactly
     h = 0.5 * (h + np.roll(h[::-1], 1))
@@ -233,6 +243,31 @@ def _bump_from_delta(delta, epsilon, log_depth, grid_points):
     )
 
 
+def _sinc_product(delta, n, dt):
+    """prod_d sinc(d * omega / pi) on the ``np.fft.fftfreq(n, dt)`` frequencies.
+
+    sinc is even and fftfreq mirrors omega exactly, so the product is formed
+    over the non-negative frequencies only, with np.sinc's own arithmetic
+    (y = pi * ((d * omega) / pi), then sin(y) / y), and mirrored: the result
+    is bit-identical to the full-grid product.  The omega = 0 entry stays 1.
+    """
+    half = n // 2 + 1
+    omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=dt)[1:]
+    y = np.empty_like(omega)
+    s = np.empty_like(omega)
+    transform = np.ones(n)
+    prod = transform[1:half]
+    for d in delta:
+        np.multiply(d, omega, out=y)
+        y /= np.pi
+        y *= np.pi
+        np.sin(y, out=s)
+        s /= y
+        prod *= s
+    transform[half:] = transform[n - half : 0 : -1]
+    return transform
+
+
 def _spectral_cdf(h, dt):
     # antiderivative of the periodic interpolant; exact for band-limited data
     n = len(h)
@@ -251,8 +286,7 @@ def build_bump(spec):
     Accepts any ``m_max >= 2`` (the full cutoff assembly requires more
     factors, but the bump alone is well defined from two).
     """
-    if spec.grid_points < 4096 or spec.grid_points % 2:
-        raise ValueError("grid_points must be an even integer >= 4096")
+    _check_grid(spec.grid_points)
     delta = build_delta_sequence(spec.epsilon, spec.log_depth, spec.m_max)
     if spec.log_depth == 1 and delta.sum() > 4.0 / spec.epsilon:
         raise ValueError(
@@ -328,8 +362,10 @@ def build_control_cutoff(epsilon=1.0, m_max=4, grid_points=DEFAULT_GRID):
     Its kernels decay polynomially rather than sub-exponentially, which makes
     it a control case when fitting decay rates.
     """
+    _check_epsilon(epsilon)
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
+    _check_grid(grid_points)
     delta = np.full(m_max + 1, (4.0 / epsilon) / (m_max + 1))
     bump = _bump_from_delta(delta, epsilon, 1, grid_points)
     spec = CutoffSpec(
@@ -446,6 +482,13 @@ def inverse_transform(f, s):
     far below double precision there).
     """
     s = np.asarray(s, dtype=float)
+    out = _transform_spline(f)(np.abs(s))
+    return out if out.ndim else float(out)
+
+
+def _transform_spline(f):
+    """Cubic spline of ``a(s)`` for s >= 0 (see ``inverse_transform``); fit
+    once and evaluate it at ``np.abs(s)`` to sample several grids."""
     g = f.spec.grid_points
     step = 2.0 / g
     pad_half_width = 48.0
@@ -455,9 +498,7 @@ def inverse_transform(f, s):
     spec = np.fft.rfft(c)
     a_grid = (step / np.pi) * (spec.real - 0.5 * f.values[0])
     s_grid = 2.0 * np.pi * np.fft.rfftfreq(m, d=step)
-    interp = InterpolatedUnivariateSpline(s_grid, a_grid, k=3, ext="zeros")
-    out = interp(np.abs(s))
-    return out if out.ndim else float(out)
+    return InterpolatedUnivariateSpline(s_grid, a_grid, k=3, ext="zeros")
 
 
 def integrate_profile(f, moment=0):

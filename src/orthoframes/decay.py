@@ -255,18 +255,18 @@ def build_wavelet(epsilon):
 
     The transform equals the cutoff profile stretched to [2 pi/3, 8 pi/3]
     with a half-sample phase shift, so the wavelet itself is a rescaled
-    inverse transform of the profile.  The sample grid is widened until the
-    boundary values drop below 1e-12 of the peak.
+    inverse transform of the profile, whose spline is fit once.  The sample
+    grid is widened until the boundary values drop below 1e-12 of the peak.
     """
-    spec = cutoff_mod.CutoffSpec("c", epsilon=epsilon)
-    prof = cutoff_mod.assemble_cutoff(spec)
+    prof = cutoff_mod.assemble_cutoff(cutoff_mod.CutoffSpec("c", epsilon=epsilon))
     stretch = 4.0 * np.pi / 3.0
     half_width = 50.0
     step = 3.0 / 16.0
+    transform = cutoff_mod._transform_spline(prof)
     psi = x_grid = None
     for _ in range(7):
         x_grid = np.arange(-half_width, half_width + step, step)
-        psi = stretch * cutoff_mod.inverse_transform(prof, stretch * (x_grid - 0.5))
+        psi = stretch * transform(np.abs(stretch * (x_grid - 0.5)))
         peak = np.abs(psi).max()
         edge = max(abs(psi[0]), abs(psi[-1]))
         if edge < 1e-12 * peak:
@@ -275,8 +275,7 @@ def build_wavelet(epsilon):
     else:
         raise ValueError("grid too narrow: wavelet tail has not decayed")
     norm_x = float(np.dot(psi, psi) * step)
-    prof_sq = cutoff_mod.CutoffFunction(spec, prof.t, prof.values**2)
-    norm_xi = (4.0 / 3.0) * cutoff_mod.integrate_profile(prof_sq)
+    norm_xi = (4.0 / 3.0) * float(cutoff_mod._simpson_uniform(prof.values**2, prof.grid_step))
     plancherel_defect = abs(norm_x - norm_xi) / norm_xi
     mean_abs = abs(float(np.sum(psi) * step))
     rho = np.abs(x_grid)

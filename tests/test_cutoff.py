@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from orthoframes import cutoff as co
@@ -81,6 +84,79 @@ def test_bump_center_matches_convolution_oracle():
     spec = co.CutoffSpec("a", epsilon=1.0, m_max=4, grid_points=8192)
     h0 = co.build_bump(spec)(0.0)
     assert abs(h0 - oracle) < 1e-8
+
+
+def _full_grid_sinc_product(delta, n, dt):
+    # the sinc product over every fftfreq frequency, one np.sinc per factor
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    transform = np.ones(n)
+    for d in delta:
+        transform *= np.sinc(d * omega / np.pi)
+    return transform
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        co.CutoffSpec("c", epsilon=1.0),
+        co.CutoffSpec("a", epsilon=0.5),
+        co.CutoffSpec("c", epsilon=0.25),
+        co.CutoffSpec("c", epsilon=1.0, log_depth=2),
+        co.CutoffSpec("a", epsilon=1.0, m_max=512, grid_points=4096),
+    ],
+)
+def test_half_spectrum_bump_is_bit_identical_to_the_full_grid(spec, monkeypatch):
+    bump = co.build_bump(spec)
+    monkeypatch.setattr(co, "_sinc_product", _full_grid_sinc_product)
+    ref = co.build_bump(spec)
+    assert np.array_equal(bump.values, ref.values)
+    assert np.array_equal(bump.cdf, ref.cdf)
+
+
+def test_half_spectrum_control_cutoff_is_bit_identical_to_the_full_grid(
+    control_cutoff, monkeypatch
+):
+    monkeypatch.setattr(co, "_sinc_product", _full_grid_sinc_product)
+    ref = co.build_control_cutoff(1.0)
+    assert np.array_equal(control_cutoff.values, ref.values)
+
+
+def _bump_or_error(delta, grid_points):
+    try:
+        return co._bump_from_delta(delta, 1.0, 1, grid_points)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    delta=st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=64),
+    grid_points=st.integers(2048, 8192).map(lambda k: 2 * k),
+)
+def test_half_spectrum_product_matches_the_full_grid(delta, grid_points):
+    # random widths and even grids: the same transform bits, and the same
+    # bump and CDF wherever the bump accepts the widths
+    support = sum(delta)
+    dt = 2.0 * (support + max(1.0, 0.25 * support)) / grid_points
+    half = co._sinc_product(delta, grid_points, dt)
+    assert np.array_equal(half, _full_grid_sinc_product(delta, grid_points, dt))
+    bump = _bump_or_error(delta, grid_points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(co, "_sinc_product", _full_grid_sinc_product)
+        ref = _bump_or_error(delta, grid_points)
+    if isinstance(ref, str):
+        assert bump == ref
+    else:
+        assert np.array_equal(bump.values, ref.values)
+        assert np.array_equal(bump.cdf, ref.cdf)
+
+
+def test_multilog_delta_sequence_takes_no_fractional_power_of_a_negative_log():
+    # log log j < 0 for j < e^e; those entries are 1 and raise no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = co.build_delta_sequence(0.5, 2, 64)
+    assert np.all(d[:16] == 1.0) and np.all(np.isfinite(d))
 
 
 def test_bump_grid_too_coarse_is_detected():
@@ -250,6 +326,32 @@ def test_spec_validation():
         co.CutoffSpec("a", grid_points=1000).validate()
     with pytest.raises(ValueError):
         co.CutoffSpec("a", log_depth=3).validate()
+
+
+def test_spec_rejects_fractional_log_depth():
+    with pytest.raises(ValueError, match="log_depth must be a positive integer"):
+        co.CutoffSpec("a", log_depth=1.5).validate()
+
+
+def test_spec_rejects_fractional_m_max():
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        co.CutoffSpec("a", m_max=4096.5).validate()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epsilon": 0.0}, "epsilon must lie in"),
+        ({"epsilon": -1.0}, "epsilon must lie in"),
+        ({"epsilon": 2.0}, "epsilon must lie in"),
+        ({"grid_points": 4097}, "grid_points must be an even integer"),
+        ({"grid_points": 1000}, "grid_points must be an even integer"),
+        ({"m_max": 1}, "m_max must be at least 2"),
+    ],
+)
+def test_control_cutoff_validates_like_the_spec(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        co.build_control_cutoff(**kwargs)
 
 
 def test_spec_json_round_trip():

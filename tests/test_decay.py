@@ -336,6 +336,40 @@ def test_wavelet_epsilon_half():
     assert fit.satisfied and fit.c_rate > 0
 
 
+def _wavelet_refitting_every_pass(epsilon):
+    # one inverse_transform call, and so one spline fit, per widening pass;
+    # the Plancherel norm through a CutoffFunction of the squared profile
+    spec = co.CutoffSpec("c", epsilon=epsilon)
+    prof = co.assemble_cutoff(spec)
+    stretch = 4.0 * np.pi / 3.0
+    half_width, step = 50.0, 3.0 / 16.0
+    while True:
+        x = np.arange(-half_width, half_width + step, step)
+        psi = stretch * co.inverse_transform(prof, stretch * (x - 0.5))
+        if max(abs(psi[0]), abs(psi[-1])) < 1e-12 * np.abs(psi).max():
+            break
+        half_width *= 2.0
+    norm_xi = (4.0 / 3.0) * co.integrate_profile(co.CutoffFunction(spec, prof.t, prof.values**2))
+    defect = abs(float(np.dot(psi, psi) * step) - norm_xi) / norm_xi
+    edges = np.linspace(0.0, np.abs(x).max(), 65)
+    idx = np.clip(np.searchsorted(edges, np.abs(x), side="right") - 1, 0, 63)
+    maxima = np.zeros(64)
+    np.maximum.at(maxima, idx, np.abs(psi))
+    counts = np.bincount(idx, minlength=64)
+    return x, psi, defect, abs(float(np.sum(psi) * step)), edges, maxima, counts
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+def test_wavelet_fits_one_transform_spline_with_the_same_bits(epsilon):
+    w = de.build_wavelet(epsilon)
+    x, psi, defect, mean_abs, edges, maxima, counts = _wavelet_refitting_every_pass(epsilon)
+    assert np.array_equal(w.x, x) and np.array_equal(w.values, psi)
+    assert w.plancherel_defect == defect and w.mean_abs == mean_abs
+    assert np.array_equal(w.envelope.rho, 0.5 * (edges[:-1] + edges[1:]))
+    assert np.array_equal(w.envelope.values, maxima)
+    assert np.array_equal(w.envelope.counts, counts)
+
+
 def test_counterexample_flat_profile(cutoff_a):
     n_list = [32, 64, 128, 256]
     rep = de.counterexample_suite(cutoff_a, n_list)
