@@ -76,15 +76,13 @@ class CutoffSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_epsilon(self.epsilon)
-        if not isinstance(self.log_depth, numbers.Integral) or self.log_depth < 1:
-            raise ValueError("log_depth must be a positive integer")
+        _check_log_depth(self.log_depth)
         if self.log_depth > 2:
             raise ValueError(
                 "log_depth > 2 needs astronomically many convolution factors "
                 "before the iterated logarithms exceed 1"
             )
-        if not isinstance(self.m_max, numbers.Integral):
-            raise ValueError(f"m_max must be an integer, got {self.m_max!r}")
+        _check_m_max(self.m_max)
         if self.m_max < 8:
             raise ValueError("m_max must be at least 8 for cutoff assembly")
         _check_grid(self.grid_points)
@@ -93,6 +91,16 @@ class CutoffSpec:
 def _check_epsilon(epsilon):
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+
+
+def _check_log_depth(log_depth):
+    if not isinstance(log_depth, numbers.Integral) or log_depth < 1:
+        raise ValueError("log_depth must be a positive integer")
+
+
+def _check_m_max(m_max):
+    if not isinstance(m_max, numbers.Integral):
+        raise ValueError(f"m_max must be an integer, got {m_max!r}")
 
 
 def _check_grid(grid_points):
@@ -169,8 +177,8 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
     exceeds 1 (earlier entries stay equal to 1).
     """
     _check_epsilon(epsilon)
-    if log_depth < 1:
-        raise ValueError("log_depth must be a positive integer")
+    _check_log_depth(log_depth)
+    _check_m_max(m_max)
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     delta = np.ones(m_max + 1)
@@ -363,6 +371,7 @@ def build_control_cutoff(epsilon=1.0, m_max=4, grid_points=DEFAULT_GRID):
     it a control case when fitting decay rates.
     """
     _check_epsilon(epsilon)
+    _check_m_max(m_max)
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     _check_grid(grid_points)

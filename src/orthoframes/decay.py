@@ -107,8 +107,9 @@ def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
     Deterministic for a fixed plan seed: each bin's pairs come from the
-    family's sampler in ``kernels.FAMILIES``.  Weighted plans need a family
-    with a bound weight.
+    family's sampler in ``kernels.FAMILIES``, and one ``pair_values`` call
+    (and, weighted, one ``weight`` call) evaluates the pairs of every bin.
+    Weighted plans need a family with a bound weight.
     """
     plan = plan or SamplingPlan()
     plan.validate()
@@ -122,10 +123,16 @@ def measure_envelope(kernel, plan=None):
     # across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
-    bins = [
-        _generic_bin_values(kernel, a, b, plan.pairs_per_bin, plan)
+    # every bin draws its own pairs; one evaluation covers them all
+    pairs = [
+        spec.sample(kernel, a, b, plan.pairs_per_bin, plan.seed)
         for a, b in zip(edges[:-1], edges[1:])
     ]
+    counts = np.array([len(xs) for xs, _ in pairs])
+    vals = _pair_magnitudes(
+        kernel, *(np.concatenate(side) for side in zip(*pairs)), plan.weighted
+    )
+    bins = np.split(vals, np.cumsum(counts)[:-1])
     return DecayEnvelope(
         family=kernel.family,
         n=kernel.n,
@@ -134,18 +141,22 @@ def measure_envelope(kernel, plan=None):
         weighted=plan.weighted,
         scale=scale,
         prefactor=prefactor,
-        counts=np.array([len(v) for v in bins]),
+        counts=counts,
     )
 
 
-def _generic_bin_values(kernel, lo, hi, count, plan):
-    # |kernel| over the family sampler's pairs at distances in [lo, hi],
-    # times sqrt(w(x) w(y)) when the plan is weighted
-    xs, ys = kernels.FAMILIES[kernel.family].sample(kernel, lo, hi, count, plan.seed)
+def _pair_magnitudes(kernel, xs, ys, weighted):
+    # |kernel| over the pairs, times sqrt(w(x) w(y)) when weighted
     vals = np.abs(kernel.pair_values(xs, ys))
-    if plan.weighted:
+    if weighted:
         vals = vals * np.sqrt(kernel.weight(xs) * kernel.weight(ys))
     return vals
+
+
+def _generic_bin_values(kernel, lo, hi, count, plan):
+    # the envelope values of the family sampler's pairs at distances in [lo, hi]
+    xs, ys = kernels.FAMILIES[kernel.family].sample(kernel, lo, hi, count, plan.seed)
+    return _pair_magnitudes(kernel, xs, ys, plan.weighted)
 
 
 def _log_product(u, epsilon, log_depth):

@@ -3,9 +3,12 @@
 Every kernel has the form ``sum_j ahat(j/n) P_j(x, y)`` where ``P_j`` is the
 projector kernel of the degree-j eigenspace of one of the supported
 families.  The cutoff support truncates each sum at ``j < 2n``, so no tail
-estimation is ever needed.  Multivariate projector blocks (tensor Hermite,
-Laguerre, and the 2-d product bases) are composition sums over diagonal
-degree, computed as discrete convolutions of per-axis sequences.
+estimation is ever needed.  The one-dimensional and zonal sums stream: one
+recurrence runs over all the points and each row is reduced as it arrives
+(``_series``), so memory grows with the pairs, not with n.  Multivariate
+projector blocks (tensor Hermite, Laguerre, and the 2-d product bases) are
+composition sums over diagonal degree, computed as discrete convolutions of
+per-axis sequences.
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -13,6 +16,7 @@ Kernel evaluation is pure; instances are safe to evaluate concurrently.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -55,12 +59,54 @@ def cutoff_band(cutoff, n):
     return np.asarray(cutoff(j / n), dtype=float)
 
 
-def _safe_arccos(v):
+def _clamped(v):
+    """v clipped to [-1, 1]; an argument outside by more than 1e-12 raises."""
     v = np.asarray(v, dtype=float)
     over = np.abs(v) - 1.0
     if np.any(over > 1e-12):
         raise ValueError(f"arccos argument outside [-1, 1] by {over.max():.3e}")
-    return np.arccos(np.clip(v, -1.0, 1.0))
+    return np.clip(v, -1.0, 1.0)
+
+
+def _safe_arccos(v):
+    return np.arccos(_clamped(v))
+
+
+def _series(rows, coeff, x, y=None):
+    """sum_nu coeff_nu f_nu(x) f_nu(y) over pairs of points, or
+    sum_nu coeff_nu f_nu(x) without ``y``, in O(points) memory.
+
+    ``rows(top, t, consume)`` is an ``orthopoly`` row source of the functions
+    f_nu.  Its one recurrence runs over the points [x, y], and each row is
+    reduced as it arrives; rows past the last nonzero coefficient are not
+    formed and the others with a zero coefficient are skipped.  The result has
+    the points' broadcast shape (a float for scalars).
+    """
+    x = np.asarray(x, dtype=float)
+    if y is not None:
+        x, y = np.broadcast_arrays(x, np.asarray(y, dtype=float))
+    size = x.size
+    acc = np.zeros(size)
+    live = np.flatnonzero(coeff)
+    if len(live):
+        pts = x.reshape(-1) if y is None else np.concatenate([x.reshape(-1), y.reshape(-1)])
+        term = np.empty(size)
+        row = np.empty(pts.shape)
+
+        def consume(nu, mant, exp):
+            if coeff[nu] == 0.0:
+                return
+            vals = mant if exp is None else np.ldexp(mant, exp, out=row)
+            if y is None:
+                np.multiply(vals, coeff[nu], out=term)
+            else:
+                np.multiply(vals[:size], vals[size:], out=term)
+                np.multiply(term, coeff[nu], out=term)
+            np.add(acc, term, out=acc)
+
+        rows(int(live[-1]), pts, consume)
+    out = acc.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -69,26 +115,17 @@ def _safe_arccos(v):
 
 def trig_kernel(cutoff, n, theta):
     """Even 2*pi-periodic polynomial F_n(theta) with half-weight constant term."""
-    theta = np.asarray(theta, dtype=float)
-    w = cutoff_band(cutoff, n)
-    w = w.copy()
+    w = cutoff_band(cutoff, n).copy()
     w[0] *= 0.5
-    j = np.arange(len(w), dtype=float)
-    out = np.tensordot(w, np.cos(np.multiply.outer(j, theta)), axes=(0, 0))
-    return out if out.ndim else float(out)
+    return _series(orthopoly._chebyshev_rows, w, np.cos(np.asarray(theta, dtype=float)))
 
 
 def chebyshev_kernel(cutoff, n, x, y):
     """Sum of ahat(j/n) * T~_j(x) T~_j(y) with weighted-L2-normalized
     Chebyshev polynomials (T~_0 = 1/sqrt(pi))."""
-    theta = _safe_arccos(x)
-    phi = _safe_arccos(y)
-    w = cutoff_band(cutoff, n)
-    j = np.arange(1, len(w), dtype=float)
-    ct = np.cos(np.multiply.outer(j, theta))
-    cp = np.cos(np.multiply.outer(j, phi))
-    out = w[0] / np.pi + (2.0 / np.pi) * np.tensordot(w[1:], ct * cp, axes=(0, 0))
-    return out if out.ndim else float(out)
+    coeff = (2.0 / np.pi) * cutoff_band(cutoff, n)
+    coeff[0] *= 0.5
+    return _series(orthopoly._chebyshev_rows, coeff, _clamped(x), _clamped(y))
 
 
 def jacobi_kernel(cutoff, n, alpha, beta, x, y):
@@ -98,13 +135,8 @@ def jacobi_kernel(cutoff, n, alpha, beta, x, y):
     if np.any(np.abs(x) > 1) or np.any(np.abs(y) > 1):
         raise ValueError("points must lie in [-1, 1]")
     w = cutoff_band(cutoff, n)
-    p = JacobiParams(alpha, beta)
-    h = orthopoly.jacobi_norms(p, len(w) - 1)
-    px = orthopoly._jacobi_values(alpha, beta, len(w) - 1, x)
-    py = orthopoly._jacobi_values(alpha, beta, len(w) - 1, y)
-    coeff = (w / h).reshape((-1,) + (1,) * x.ndim)
-    out = np.sum(coeff * px * py, axis=0)
-    return out if out.ndim else float(out)
+    h = orthopoly.jacobi_norms(JacobiParams(alpha, beta), len(w) - 1)
+    return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
 
 
 def _q_coefficients(cutoff, n, alpha, beta):
@@ -128,9 +160,7 @@ def jacobi_Q(cutoff, n, alpha, beta, x):
     if np.any(np.abs(x) > 1):
         raise ValueError("points must lie in [-1, 1]")
     coeff = _q_coefficients(cutoff, n, alpha, beta)
-    pv = orthopoly._jacobi_values(alpha, beta, len(coeff) - 1, x)
-    out = np.tensordot(coeff, pv, axes=(0, 0))
-    return out if out.ndim else float(out)
+    return _series(partial(orthopoly._jacobi_rows, alpha, beta), coeff, x)
 
 
 @dataclass
@@ -170,9 +200,8 @@ def verify_summation_by_parts(cutoff, n, alpha, beta, k, x):
     a = state.values
     j = np.arange(len(a), dtype=float)
     gam = np.exp(gammaln(j + alpha + k + beta + 1.0) - gammaln(j + beta + 1.0))
-    pv = orthopoly._jacobi_values(alpha + k, beta, len(a) - 1, np.asarray(x, dtype=float))
     cstar = np.exp(-(alpha + beta + 1.0) * np.log(2.0) - gammaln(alpha + 1.0))
-    ladder = cstar * np.tensordot(a * gam, pv, axes=(0, 0))
+    ladder = cstar * _series(partial(orthopoly._jacobi_rows, alpha + k, beta), a * gam, x)
     direct = jacobi_Q(cutoff, n, alpha, beta, x)
     return float(np.max(np.abs(ladder - direct) / np.maximum(1.0, np.abs(direct))))
 
@@ -185,46 +214,50 @@ def _surface_area(d):
     return 2.0 * np.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
+def _gegenbauer_series(coeff, lam, arg):
+    """sum_j coeff_j C_j^lam(arg), lam > 0, through the Jacobi rows
+    P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j."""
+    arg = np.asarray(arg, dtype=float)
+    if np.any(np.abs(arg) > 1.0):
+        raise ValueError("evaluation points must lie in [-1, 1]")
+    coeff = coeff * orthopoly._gegenbauer_ratio(lam, len(coeff) - 1)
+    return _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
+
+
 def sphere_kernel(cutoff, n, d, cosine):
     """Zonal kernel on the d-sphere evaluated at cos of the geodesic angle."""
     if d < 2:
         raise ValueError("sphere dimension d must be >= 2")
     lam = (d - 1) / 2.0
     w = cutoff_band(cutoff, n)
-    cosine = np.asarray(cosine, dtype=float)
-    table = orthopoly.gegenbauer_all(lam, len(w) - 1, cosine).values
     j = np.arange(len(w), dtype=float)
-    coeff = w * (j + lam) / (lam * _surface_area(d))
-    out = np.tensordot(coeff, table, axes=(0, 0))
-    return out if out.ndim else float(out)
+    return _gegenbauer_series(w * (j + lam) / (lam * _surface_area(d)), lam, cosine)
 
 
 def _gegenbauer_sum(band, lam, arg):
     """sum_j band_j ((j + lam)/lam) C_j^lam(arg), lam > 0."""
     j = np.arange(len(band), dtype=float)
-    table = orthopoly.gegenbauer_all(lam, len(band) - 1, arg).values
-    return np.tensordot(band * (j + lam) / lam, table, axes=(0, 0))
+    return _gegenbauer_series(band * (j + lam) / lam, lam, arg)
 
 
-# Largest Gegenbauer table (entries) that one chunk of a ball or simplex
-# evaluation builds; pairs beyond it are evaluated chunk by chunk, which keeps
-# peak memory bounded at any n, d and pair count.
-_TABLE_ENTRIES = 2**21
+# Largest number of (pair, node) arguments that one chunk of a ball or simplex
+# evaluation sums its series at; pairs beyond it are evaluated chunk by chunk,
+# which keeps peak memory bounded at any n, d and pair count.
+_TABLE_ENTRIES = 2**16
 
 
-def _auxiliary_integral(series, rows, base, coef, nodes, weights):
+def _auxiliary_integral(series, base, coef, nodes, weights):
     """sum_k weights_k series(base + coef . nodes_k) for every pair.
 
     ``base`` has the pairs' shape, ``coef`` adds one axis of length
-    ``nodes.shape[1]``, and ``series`` maps an argument array to the sum of a
-    ``rows``-deep Gegenbauer table.  Pairs are taken in chunks whose table
-    stays within ``_TABLE_ENTRIES``.
+    ``nodes.shape[1]``, and ``series`` maps an argument array to its sum.
+    Pairs are taken in chunks of at most ``_TABLE_ENTRIES`` arguments.
     """
     shape = base.shape
     base = base.reshape(-1)
     coef = coef.reshape(len(base), nodes.shape[1])
     out = np.empty(len(base))
-    step = max(1, _TABLE_ENTRIES // (rows * len(weights)))
+    step = max(1, _TABLE_ENTRIES // len(weights))
     for s in range(0, len(base), step):
         arg = base[s : s + step, None]
         for i in range(nodes.shape[1]):
@@ -252,8 +285,8 @@ def ball_kernel(cutoff, n, mu, d, x, y):
     of shape (..., d); the result has the pairs' shape (a float for one
     pair).  The kernel is one auxiliary Gauss-Jacobi integral of a Gegenbauer
     sum, a polynomial of degree 2n - 1 in the auxiliary variable, so the
-    ceil(len(band) / 2)-node rule built once per call is exact; one
-    Gegenbauer table covers every (pair, node).
+    ceil(len(band) / 2)-node rule built once per call is exact; one streamed
+    Gegenbauer sum covers every (pair, node) of a chunk.
     """
     if mu <= 0:
         raise ValueError("ball kernel requires mu > 0")
@@ -271,7 +304,6 @@ def ball_kernel(cutoff, n, mu, d, x, y):
     rxy = _hemisphere_height(x) * _hemisphere_height(y)
     return _auxiliary_integral(
         lambda arg: _gegenbauer_sum(band, lam, arg),
-        len(band),
         np.sum(x * y, axis=-1),
         rxy[..., None],
         rule.nodes[:, None],
@@ -295,7 +327,7 @@ def simplex_kernel(cutoff, n, kappa, x, y):
     pair).  Supported for d in {1, 2}: the auxiliary integral is a (d+1)-fold
     tensor Gauss-Jacobi rule whose integrand has degree 2(2n - 1) on each
     axis, so len(band) nodes per axis are exact.  The rule is built once per
-    call and the pairs are evaluated in chunks of bounded table size.  Zero
+    call and the pairs are evaluated in chunks of bounded size.  Zero
     kappa components collapse their axis to the two-point average.
     """
     kappa = np.asarray(kappa, dtype=float)
@@ -318,7 +350,6 @@ def simplex_kernel(cutoff, n, kappa, x, y):
     root = np.sqrt(np.clip(xb, 0.0, None) * np.clip(yb, 0.0, None))
     return _auxiliary_integral(
         lambda arg: _gegenbauer_sum_even(band, lam, arg),
-        2 * len(band) - 1,
         np.zeros(root.shape[:-1]),
         root,
         nodes.reshape(-1, d + 1),
@@ -327,19 +358,16 @@ def simplex_kernel(cutoff, n, kappa, x, y):
 
 
 def _gegenbauer_sum_even(band, lam, arg):
-    """sum_j band_j ((2j + lam)/lam) C_{2j}^lam(arg), with the lam -> 0 limit."""
-    j = np.arange(len(band), dtype=float)
+    """sum_j band_j ((2j + lam)/lam) C_{2j}^lam(arg), with the lam -> 0 limit
+    sum_j band_j (2 - [j = 0]) T_{2j}(arg); the odd rows are skipped."""
+    coeff = np.zeros(2 * len(band) - 1)
     if lam < 1e-13:
-        theta = _safe_arccos(arg)
-        out = band[0] * np.ones_like(np.asarray(arg, dtype=float))
-        jj = j[1:]
-        out = out + 2.0 * np.tensordot(
-            band[1:], np.cos(np.multiply.outer(2.0 * jj, theta)), axes=(0, 0)
-        )
-        return out
-    table = orthopoly.gegenbauer_all(lam, 2 * (len(band) - 1), arg).values
-    coeff = band * (2.0 * j + lam) / lam
-    return np.tensordot(coeff, table[::2], axes=(0, 0))
+        coeff[::2] = 2.0 * band
+        coeff[0] = band[0]
+        return _series(orthopoly._chebyshev_rows, coeff, _clamped(arg))
+    j = np.arange(len(band), dtype=float)
+    coeff[::2] = band * (2.0 * j + lam) / lam
+    return _gegenbauer_series(coeff, lam, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +396,9 @@ def _each_pair(one, x, y):
 
 
 def _product_kernel(band, fns, x, y):
-    """sum_m band_m sum_{|nu| = m} prod_i f_{nu_i}(x_i) f_{nu_i}(y_i), where
-    fns[i](t) tabulates the orthonormal functions of axis i at t.  One axis
-    takes point arrays; more axes take (..., d) arrays of pairs."""
-    if len(fns) == 1:
-        out = np.tensordot(band, fns[0](x) * fns[0](y), axes=(0, 0))
-        return out if out.ndim else float(out)
+    """sum_m band_m sum_{|nu| = m} prod_i f_{nu_i}(x_i) f_{nu_i}(y_i) over
+    (..., d) arrays of pairs, pair by pair, where fns[i](t) tabulates the
+    orthonormal functions of axis i at t."""
 
     def one(a, b):
         if np.size(a) != len(fns) or np.size(b) != len(fns):
@@ -393,6 +418,8 @@ def hermite_kernel(cutoff, n, x, y, d=1):
     (..., d) arrays of pairs."""
     _hermite_check({"d": d})
     band = cutoff_band(cutoff, n)
+    if d == 1:
+        return _series(orthopoly._hermite_rows, band, x, y)
     return _product_kernel(band, [lambda t: orthopoly._hermite_fn_values(len(band) - 1, t)] * d, x, y)
 
 
@@ -429,6 +456,10 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
         raise ValueError("points must be nonnegative")
     band = cutoff_band(cutoff, n)
+    if d == 1:
+        # the F-type functions are sqrt(2) ell_n(t^2)
+        t2 = [np.square(np.asarray(t, dtype=float)) for t in (x, y)]
+        return _series(partial(orthopoly._laguerre_rows, alpha_vec[0]), 2.0 * band, *t2)
     fns = [lambda t, a=a: orthopoly._laguerre_fn_values(a, len(band) - 1, t) for a in alpha_vec[:d]]
     return _product_kernel(band, fns, x, y)
 
@@ -938,17 +969,18 @@ class KernelInstance:
 
 
 def export_grid(kernel, xs, ys, path):
-    """CSV of kernel values over point pairs: x coords, y coords, rho, value."""
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    dim = len(xs[0])
+    """CSV of kernel values over point pairs: x coords, y coords, rho, value.
+    The pairs are evaluated in one ``pair_values`` call."""
+    xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in xs])
+    ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for y in ys])
+    dim = xs.shape[1]
+    px, py = (xs[:, 0], ys[:, 0]) if FAMILIES[kernel.family].scalar(kernel.params) else (xs, ys)
+    rho = kernel.distance(px, py)
+    vals = kernel.pair_values(px, py)
     header = (
         [f"x{i}" for i in range(dim)] + [f"y{i}" for i in range(dim)] + ["rho", "value"]
     )
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for x, y in zip(xs, ys):
-            rho = kernel.distance(x if dim > 1 else float(x[0]), y if dim > 1 else float(y[0]))
-            val = kernel(x if dim > 1 else float(x[0]), y if dim > 1 else float(y[0]))
-            row = list(x) + list(y) + [rho, val]
+        for row in np.column_stack([xs, ys, rho, vals]):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -5,7 +5,9 @@ Hermite and Laguerre function families the recurrences are normalized and
 carry the exponential factors inside the recursion state, so no raw
 polynomial value or factorial is ever formed; values stay O(1) wherever the
 functions are O(1).  Every Gamma-function ratio goes through log-Gamma
-differences to dodge overflow past n ~ 170.
+differences to dodge overflow past n ~ 170.  Each recurrence hands its rows,
+one at a time, to a consumer: the table builders store them, and the kernels
+reduce them as they arrive.
 
 Operations are pure functions of their arguments and safe for concurrent
 use.
@@ -57,21 +59,64 @@ class OrthoValueTable:
     values: np.ndarray
 
 
-def _jacobi_values(alpha, beta, n_max, x):
+def _table(rows, top, x, *args):
+    """The (top + 1,) + shape(x) table of a row source, each row written into
+    its slot in place."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
+    out = np.empty((top + 1,) + x.shape)
+    flat = out.reshape(len(out), -1)
+
+    def store(n, mant, exp):
+        if exp is None:
+            flat[n] = mant
+        else:
+            np.ldexp(mant, exp, out=flat[n])
+
+    rows(*args, top, x.reshape(-1) if x.ndim else x, store)
+    return out
+
+
+# Row sources ``rows(*params, top, x, consume)`` run a family's recurrence over
+# a scalar or flat array of points x and hand ``consume(n, mantissa, exponent)``
+# rows n = 0..top in order: row n is the mantissa when the exponent is None,
+# else ldexp(mantissa, exponent) with an int32 exponent per point.  Both may
+# change once the call returns.
+
+
+def _chebyshev_rows(top, x, consume):
+    """T_n(x) = cos(n arccos x) by T_{n+1} = 2x T_n - T_{n-1}."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones(x.shape), x
+    consume(0, prev, None)
+    if top > 0:
+        consume(1, cur, None)
+    two_x = 2.0 * x
+    for n in range(2, top + 1):
+        prev, cur = cur, two_x * cur - prev
+        consume(n, cur, None)
+
+
+def _jacobi_rows(alpha, beta, top, x, consume):
+    """Jacobi polynomials P_n^(alpha, beta)(x), P_n(1) = binom(n + alpha, n)."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones(x.shape)
+    consume(0, prev, None)
+    if top == 0:
+        return
     s = alpha + beta
-    out[1] = 0.5 * (alpha - beta + (s + 2.0) * x)
-    for n in range(2, n_max + 1):
+    cur = 0.5 * (alpha - beta + (s + 2.0) * x)
+    consume(1, cur, None)
+    for n in range(2, top + 1):
         c0 = 2.0 * n * (n + s) * (2 * n + s - 2)
         c1 = (2 * n + s - 1) * (2 * n + s) * (2 * n + s - 2)
         c2 = (2 * n + s - 1) * (alpha**2 - beta**2)
         c3 = 2.0 * (n + alpha - 1) * (n + beta - 1) * (2 * n + s)
-        out[n] = ((c1 * x + c2) * out[n - 1] - c3 * out[n - 2]) / c0
-    return out
+        prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
+        consume(n, cur, None)
+
+
+def _jacobi_values(alpha, beta, n_max, x):
+    return _table(_jacobi_rows, n_max, x, alpha, beta)
 
 
 def jacobi_all(p, n_max, x):
@@ -152,6 +197,12 @@ def gegenbauer_all(lam, n_max, t):
     if np.any(np.abs(t) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     base = _jacobi_values(lam - 0.5, lam - 0.5, n_max, t)
+    vals = base * _gegenbauer_ratio(lam, n_max).reshape((-1,) + (1,) * t.ndim)
+    return OrthoValueTable("gegenbauer", (float(lam),), n_max, t, vals)
+
+
+def _gegenbauer_ratio(lam, n_max):
+    """C_n^lam / P_n^(lam - 1/2, lam - 1/2), n = 0..n_max."""
     n = np.arange(n_max + 1, dtype=float)
     logratio = (
         gammaln(lam + 0.5)
@@ -159,9 +210,7 @@ def gegenbauer_all(lam, n_max, t):
         + gammaln(n + 2.0 * lam)
         - gammaln(n + lam + 0.5)
     )
-    ratio = np.exp(logratio)
-    vals = base * ratio.reshape((-1,) + (1,) * t.ndim)
-    return OrthoValueTable("gegenbauer", (float(lam),), n_max, t, vals)
+    return np.exp(logratio)
 
 
 # A seed below _TINY would underflow the rows grown from it, so the recurrence
@@ -175,22 +224,26 @@ _HUGE = 2.0**400
 _RENORM = 16
 
 
-def _recur(out, x, step, log_seed, lift):
-    """Rows 2.. of ``out`` from its seeded rows 0 and 1 by
-    ``row[n + 1] = step(n, x, row[n], row[n - 1])``; points whose seed lies
-    below _TINY restart from the log ``log_seed(x)`` of their seed and the
-    ratio ``lift(x)`` of row 1 to row 0."""
-    rows, x = out.reshape(len(out), -1), x.reshape(-1)
-    far = rows[0] < _TINY
+def _recur(seed0, seed1, x, top, step, log_seed, lift, consume):
+    """Rows 0..top at the flat points x from the seed rows 0 and 1 by
+    ``row[n + 1] = step(n, x, row[n], row[n - 1])``, handed to ``consume`` as
+    by a row source; points whose seed lies below _TINY restart from the log
+    ``log_seed(x)`` of their seed and the ratio ``lift(x)`` of row 1 to row 0.
+    The seeds are overwritten."""
+    prev, cur = seed0, seed1
+    if top == 0:
+        consume(0, prev, None)
+        return
+    far = prev < _TINY
     log2 = log_seed(x[far]) / np.log(2.0)
     exp = np.zeros(x.shape, dtype=np.int32)
     exp[far] = np.maximum(np.floor(log2), -(2.0**30))
-    prev, cur = rows[0].copy(), rows[1].copy()
     prev[far] = np.exp2(log2 - exp[far])
     cur[far] = lift(x[far]) * prev[far]
-    np.ldexp(prev, exp, out=rows[0])
-    np.ldexp(cur, exp, out=rows[1])
-    for n in range(1, len(rows) - 1):
+    scaled = exp if far.any() else None
+    consume(0, prev, scaled)
+    consume(1, cur, scaled)
+    for n in range(1, top):
         prev, cur = cur, step(n, x, cur, prev)
         if n % _RENORM == 0 and np.any(np.abs(cur) > _HUGE):
             big = np.abs(cur) > _HUGE
@@ -198,25 +251,26 @@ def _recur(out, x, step, log_seed, lift):
             cur[big] = np.ldexp(cur[big], -shift)
             prev[big] = np.ldexp(prev[big], -shift)
             exp[big] += shift
-        np.ldexp(cur, exp, out=rows[n + 1])
-    return out
+            scaled = exp
+        consume(n + 1, cur, scaled)
 
 
 def _hermite_step(n, t, cur, prev):
     return t * np.sqrt(2.0 / (n + 1)) * cur - np.sqrt(n / (n + 1.0)) * prev
 
 
-def _hermite_fn_values(n_max, t):
-    t = np.asarray(t, dtype=float)
-    out = np.empty((n_max + 1,) + t.shape)
-    out[0] = np.pi**-0.25 * np.exp(-0.5 * t**2)
-    if n_max == 0:
-        return out
-    out[1] = np.sqrt(2.0) * t * out[0]
-    return _recur(
-        out, t, _hermite_step,
-        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t,
+def _hermite_rows(top, t, consume):
+    """L2-normalized Hermite functions h_n(t)."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    seed0 = np.pi**-0.25 * np.exp(-0.5 * t**2)
+    _recur(
+        seed0, np.sqrt(2.0) * t * seed0, t, top, _hermite_step,
+        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t, consume,
     )
+
+
+def _hermite_fn_values(n_max, t):
+    return _table(_hermite_rows, n_max, t)
 
 
 def hermite_fn_all(n_max, t):
@@ -231,26 +285,28 @@ def hermite_fn_all(n_max, t):
     return OrthoValueTable("hermite_fn", (), n_max, t, _hermite_fn_values(n_max, t))
 
 
-def _laguerre_core(alpha, n_max, s):
+def _laguerre_rows(alpha, top, s, consume):
     """Normalized Laguerre values ell_n(s) = sqrt(n!/Gamma(n+a+1)) *
     L_n^a(s) * exp(-s/2), the common core of all three function types."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty((n_max + 1,) + s.shape)
-    out[0] = np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0))
-    if n_max == 0:
-        return out
-    out[1] = (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0))
+    s = np.asarray(s, dtype=float).reshape(-1)
 
     def step(n, s, cur, prev):
         c1 = (2.0 * n + alpha + 1.0 - s) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
         c2 = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
         return c1 * cur - c2 * prev
 
-    return _recur(
-        out, s, step,
+    _recur(
+        np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
+        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0)),
+        s, top, step,
         lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
         lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
+        consume,
     )
+
+
+def _laguerre_core(alpha, n_max, s):
+    return _table(_laguerre_rows, n_max, s, alpha)
 
 
 def _laguerre_fn_values(alpha, n_max, t):

@@ -354,6 +354,21 @@ def test_control_cutoff_validates_like_the_spec(kwargs, message):
         co.build_control_cutoff(**kwargs)
 
 
+def test_bump_rejects_fractional_m_max():
+    # build_bump does not call validate; the width sequence checks m_max
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        co.build_bump(co.CutoffSpec("a", grid_points=4096, m_max=100.5))
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        co.build_control_cutoff(m_max=4.5)
+
+
+def test_delta_sequence_rejects_fractional_log_depth():
+    with pytest.raises(ValueError, match="log_depth must be a positive integer"):
+        co.build_delta_sequence(1.0, 1.5, 64)
+    with pytest.raises(ValueError, match="log_depth must be a positive integer"):
+        co.build_bump(co.CutoffSpec("a", grid_points=4096, log_depth=1.5, m_max=64))
+
+
 def test_spec_json_round_trip():
     spec = co.CutoffSpec("c", epsilon=0.5, log_depth=2, m_max=256, grid_points=4096)
     text = co.spec_to_json(spec)

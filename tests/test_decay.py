@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,66 @@ def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     )
     assert wtd[0] == pytest.approx(raw[0] * factor, rel=1e-15)
     assert not np.array_equal(raw, wtd)
+
+
+def _per_bin_envelope(kernel, plan):
+    """rho, values and counts of an envelope evaluated bin by bin, one
+    ``pair_values`` call per bin, on measure_envelope's bin edges."""
+    spec = ke.FAMILIES[kernel.family]
+    diameter = spec.diameter(kernel.n, kernel.params)
+    scale, _ = spec.scale(kernel.n, kernel.params)
+    edges = np.concatenate([[0.0], np.geomspace(diameter / (4.0 * scale), diameter, plan.n_bins)])
+    bins = [
+        de._generic_bin_values(kernel, a, b, plan.pairs_per_bin, plan)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    values = np.array([np.max(v) if len(v) else 0.0 for v in bins])
+    return 0.5 * (edges[:-1] + edges[1:]), values, np.array([len(v) for v in bins])
+
+
+@pytest.mark.parametrize(
+    "family, n, params, weighted",
+    [
+        ("chebyshev", 64, {}, False),
+        ("trig", 32, {}, True),
+        ("jacobi", 48, {"alpha": 2.0, "beta": 0.5}, True),
+        ("hermite", 32, {"d": 1}, False),
+        ("laguerre", 32, {"alpha": 1.0, "d": 1}, True),
+        ("sphere", 32, {"d": 2}, False),
+        ("chebcheb", 8, {}, False),
+        ("ball", 4, {"mu": 1.0, "d": 2}, True),
+        ("simplex", 4, {"kappa": (0.5, 0.5)}, False),
+    ],
+)
+def test_envelope_evaluates_every_bin_in_one_call(cutoff_c, monkeypatch, family, n, params, weighted):
+    kernel = ke.KernelInstance(family, cutoff_c, n, params)
+    plan = de.SamplingPlan(seed=5, n_bins=40, pairs_per_bin=200, weighted=weighted)
+    rho, values, counts = _per_bin_envelope(kernel, plan)
+    calls = []
+    pair_values = kernel.pair_values
+    monkeypatch.setattr(kernel, "pair_values", lambda xs, ys: calls.append(len(xs)) or pair_values(xs, ys))
+    env = de.measure_envelope(kernel, plan)
+    assert calls == [counts.sum()]
+    assert np.array_equal(env.rho, rho) and np.array_equal(env.counts, counts)
+    if family in ("ball", "simplex"):
+        # chunked auxiliary integrals sum in another grouping
+        assert np.all(np.abs(env.values - values) <= 1e-15 * np.abs(values))
+    else:
+        assert np.array_equal(env.values, values)
+
+
+def test_envelope_memory_does_not_grow_with_the_degree(cutoff_c):
+    # the contraction streams its rows: no table grows with n
+    peaks = []
+    for n in (64, 512):
+        kernel = ke.KernelInstance("chebyshev", cutoff_c, n)
+        tracemalloc.start()
+        try:
+            de.measure_envelope(kernel, de.SamplingPlan())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import reproducing_defect
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from orthoframes import cutoff as co
@@ -846,3 +848,145 @@ def test_export_grid(tmp_path, cutoff_c):
     assert len(lines) == 4
     first = [float(v) for v in lines[1].split(",")]
     assert first[2] == pytest.approx(ke.distance("interval", 0.1, 0.2))
+    # one pair_values call for all rows gives each pair's own value; a
+    # one-coordinate simplex point stays a point, not an array of them
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == [k(x, y) for x, y in zip(xs, ys)]
+    for family, params, xs, ys in (
+        ("ball", {"mu": 1.0, "d": 2}, [[0.1, 0.2], [-0.5, 0.3]], [[0.0, 0.4], [0.2, 0.2]]),
+        ("simplex", {"kappa": (0.5, 0.5)}, [[0.3], [0.8]], [[0.6], [0.1]]),
+    ):
+        k = ke.KernelInstance(family, cutoff_c, 4, params)
+        ke.export_grid(k, xs, ys, path)
+        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        for row, x, y in zip(rows, xs, ys):
+            assert row[-2] == k.distance(np.array(x), np.array(y))
+            assert row[-1] == pytest.approx(k(np.array(x), np.array(y)), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# streamed contraction against the full degree x pair tables
+
+
+def _table_pair_values(k, x, y):
+    """Kernel values over pairs by one (degree, pair) table per point set and
+    one tensordot, the formulas the streamed contraction replaces."""
+    band = ke.cutoff_band(k.cutoff, k.n)
+    top, j, p = len(band) - 1, np.arange(len(band), dtype=float), k.params
+    if k.family == "chebyshev":
+        ct, cp = (np.cos(np.multiply.outer(j[1:], np.arccos(t))) for t in (x, y))
+        return band[0] / np.pi + (2.0 / np.pi) * np.tensordot(band[1:], ct * cp, axes=(0, 0))
+    if k.family == "jacobi":
+        a, b = p["alpha"], p["beta"]
+        h = op.jacobi_norms(op.JacobiParams(a, b), top)
+        table = op._jacobi_values(a, b, top, x) * op._jacobi_values(a, b, top, y)
+        return np.tensordot(band / h, table, axes=(0, 0))
+    if k.family == "hermite":
+        table = op._hermite_fn_values(top, x) * op._hermite_fn_values(top, y)
+        return np.tensordot(band, table, axes=(0, 0))
+    if k.family == "laguerre":
+        a = p["alpha"]
+        table = op._laguerre_fn_values(a, top, x) * op._laguerre_fn_values(a, top, y)
+        return np.tensordot(band, table, axes=(0, 0))
+    if k.family == "sphere":
+        lam = (p["d"] - 1) / 2.0
+        area = 2.0 * np.pi ** ((p["d"] + 1) / 2.0) / math.gamma((p["d"] + 1) / 2.0)
+        table = op.gegenbauer_all(lam, top, np.clip(ke._inner(x, y), -1, 1)).values
+        return np.tensordot(band * (j + lam) / (lam * area), table, axes=(0, 0))
+    # ball: the auxiliary Gauss-Jacobi integral over one Gegenbauer table
+    mu, lam = p["mu"], p["mu"] + (p["d"] - 1) / 2.0
+    rule = qd.gauss_rule("jacobi", -(-len(band) // 2), alpha=mu - 1.0, beta=mu - 1.0)
+    rxy = ke._hemisphere_height(x) * ke._hemisphere_height(y)
+    arg = np.clip(np.sum(x * y, axis=-1)[:, None] + rxy[:, None] * rule.nodes, -1.0, 1.0)
+    table = op.gegenbauer_all(lam, top, arg).values
+    return np.tensordot(band * (j + lam) / lam, table, axes=(0, 0)) @ (rule.weights / rule.weights.sum())
+
+
+def _property_pairs(family, d, u):
+    """Pairs of the family's points from draws u in [0, 1]^2, with the
+    boundary pairs and a diagonal pair (the kernel's scale) appended."""
+    u = np.array(u, dtype=float).reshape(-1, 2)
+    if family in ("chebyshev", "jacobi"):
+        pts = np.vstack([2.0 * u - 1.0, [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [0.0, 0.0]]])
+        return pts[:, 0], pts[:, 1]
+    if family == "hermite":
+        # |t| > 37.3 puts the seed exp(-t^2/2) below 2^-1000: the exponent path
+        pts = np.vstack([120.0 * u - 60.0, [[40.0, 40.5], [-45.0, -45.0], [0.0, 0.0]]])
+        return pts[:, 0], pts[:, 1]
+    if family == "laguerre":
+        pts = np.vstack([60.0 * u, [[40.0, 40.5], [0.0, 0.0], [1.0, 1.0]]])
+        return pts[:, 0], pts[:, 1]
+    if family == "sphere":
+        # the pole against points at angle pi u0, both ends included
+        phi = np.pi * np.append(u[:, 0], [0.0, 1.0])
+        xs = np.zeros((len(phi), d + 1))
+        xs[:, 0] = 1.0
+        ys = np.zeros_like(xs)
+        ys[:, 0], ys[:, 1] = np.cos(phi), np.sin(phi)
+        return xs, ys
+    # ball: radius and angle from the draws, the boundary and the center appended
+    def disk(r, t):
+        out = np.zeros((len(r), d))
+        out[:, 0], out[:, 1] = r * np.cos(2 * np.pi * t), r * np.sin(2 * np.pi * t)
+        return out
+
+    xs = np.vstack([disk(u[:, 0], u[:, 1]), disk(np.ones(2), np.array([0.0, 0.5])), np.zeros((1, d))])
+    ys = np.vstack([disk(u[:, 1], u[:, 0]), disk(np.ones(2), np.zeros(2)), np.zeros((1, d))])
+    return xs, ys
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "jacobi", "hermite", "laguerre", "sphere", "ball"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(n=256, a=3.5, b=-0.9, d=3, u=[0.999, 0.001, 0.5, 0.25])
+@given(
+    n=st.integers(1, 256),
+    a=st.floats(-0.99, 4.0),
+    b=st.floats(-0.99, 4.0),
+    d=st.sampled_from([2, 3]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12).filter(lambda v: len(v) % 2 == 0),
+)
+def test_streamed_pair_values_match_the_table_formulas(cutoff_c, family, n, a, b, d, u):
+    params = {
+        "chebyshev": {},
+        "jacobi": {"alpha": a, "beta": b},
+        "hermite": {"d": 1},
+        "laguerre": {"alpha": abs(a), "d": 1},
+        "sphere": {"d": d},
+        "ball": {"mu": a + 1.0, "d": d},
+    }[family]
+    k = ke.KernelInstance(family, cutoff_c, n, params)
+    xs, ys = _property_pairs(family, d, u)
+    vals = k.pair_values(xs, ys)
+    ref = _table_pair_values(k, xs, ys)
+    assert vals.shape == ref.shape == (len(xs),)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+    one = k(xs[0], ys[0])
+    assert isinstance(one, float) and abs(one - vals[0]) <= 1e-12 * np.abs(ref).max()
+
+
+def test_streamed_series_sums_match_the_table_formulas(cutoff_a):
+    # the one-argument sums: the trigonometric kernel, the simplex's even
+    # Gegenbauer sum and its lam -> 0 limit; a type-a band weights degree 0
+    theta = np.linspace(-7.0, 7.0, 41)
+    band = ke.cutoff_band(cutoff_a, 64)
+    j = np.arange(len(band), dtype=float)
+    w = band.copy()
+    w[0] *= 0.5
+    ref = np.tensordot(w, np.cos(np.multiply.outer(j, theta)), axes=(0, 0))
+    assert np.all(np.abs(ke.trig_kernel(cutoff_a, 64, theta) - ref) <= 1e-12 * np.abs(ref).max())
+    arg = np.linspace(-1.0, 1.0, 33)
+    for lam in (0.0, 0.75, 2.5):
+        if lam:
+            table = op.gegenbauer_all(lam, 2 * (len(band) - 1), arg).values[::2]
+            ref = np.tensordot(band * (2.0 * j + lam) / lam, table, axes=(0, 0))
+        else:
+            cos = np.cos(np.multiply.outer(2.0 * j[1:], np.arccos(arg)))
+            ref = band[0] + 2.0 * np.tensordot(band[1:], cos, axes=(0, 0))
+        vals = ke._gegenbauer_sum_even(band, lam, arg)
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+    # arguments past the ends: the lam -> 0 limit clamps round-off as arccos
+    # did, the Gegenbauer sums refuse them as the tables did
+    at_end = ke._gegenbauer_sum_even(band, 0.0, np.array([1.0, 1.0 + 5e-13]))
+    assert at_end[0] == at_end[1]
+    for lam in (0.75, 2.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            ke._gegenbauer_sum_even(band, lam, np.array([1.0 + 5e-13]))
