@@ -13,9 +13,11 @@ For the sub-exponential shape the rate is the largest value whose implied
 leading constant stays within a fixed factor of the diagonal constant ("a
 finite c"), in closed form: that constant never decreases as the rate grows.
 The fit reports the constant and a zero violation count, or declares the
-shape unsatisfied at the smallest rate of its range.  Pairs come from each
-family's sampler in ``kernels.FAMILIES``, so envelopes are deterministic for
-a fixed plan seed.
+shape unsatisfied at the smallest rate of its range.  Pairs come from one
+call of each family's sampler in ``kernels.FAMILIES``, so envelopes are
+deterministic for a fixed plan seed.  The ball and simplex samplers place
+each bin's ``pairs_per_bin`` pairs at their planned distances on the lifted
+sphere, so none of their bins comes up short.
 """
 
 import json
@@ -106,9 +108,9 @@ class BoundFit:
 def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
-    Deterministic for a fixed plan seed: each bin's pairs come from the
-    family's sampler in ``kernels.FAMILIES``, and one ``pair_values`` call
-    (and, weighted, one ``weight`` call) evaluates the pairs of every bin.
+    Deterministic for a fixed plan seed: one call of the family's sampler in
+    ``kernels.FAMILIES`` draws the pairs of every bin, and one
+    ``pair_values`` call (and, weighted, one ``weight`` call) evaluates them.
     Weighted plans need a family with a bound weight.
     """
     plan = plan or SamplingPlan()
@@ -123,15 +125,8 @@ def measure_envelope(kernel, plan=None):
     # across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
-    # every bin draws its own pairs; one evaluation covers them all
-    pairs = [
-        spec.sample(kernel, a, b, plan.pairs_per_bin, plan.seed)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    counts = np.array([len(xs) for xs, _ in pairs])
-    vals = _pair_magnitudes(
-        kernel, *(np.concatenate(side) for side in zip(*pairs)), plan.weighted
-    )
+    xs, ys, counts = spec.sample(kernel, edges, plan.pairs_per_bin, plan.seed)
+    vals = _pair_magnitudes(kernel, xs, ys, plan.weighted)
     bins = np.split(vals, np.cumsum(counts)[:-1])
     return DecayEnvelope(
         family=kernel.family,
@@ -154,8 +149,8 @@ def _pair_magnitudes(kernel, xs, ys, weighted):
 
 
 def _generic_bin_values(kernel, lo, hi, count, plan):
-    # the envelope values of the family sampler's pairs at distances in [lo, hi]
-    xs, ys = kernels.FAMILIES[kernel.family].sample(kernel, lo, hi, count, plan.seed)
+    # the envelope values of the family sampler's pairs of the one bin [lo, hi]
+    xs, ys, _ = kernels.FAMILIES[kernel.family].sample(kernel, np.array([lo, hi]), count, plan.seed)
     return _pair_magnitudes(kernel, xs, ys, plan.weighted)
 
 

@@ -8,7 +8,8 @@ recurrence runs over all the points and each row is reduced as it arrives
 (``_series``), so memory grows with the pairs, not with n.  Multivariate
 projector blocks (tensor Hermite, Laguerre, and the 2-d product bases) are
 composition sums over diagonal degree, computed as discrete convolutions of
-per-axis sequences.
+per-axis sequences: pair by pair for Hermite and Laguerre, and over whole
+arrays of pairs for the 2-d product bases.
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammaln, ndtr
 
 from . import orthopoly, quadrature
 from .orthopoly import JacobiParams
@@ -495,48 +497,73 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
 # 2-d tensor-product kernels (the counterexample bases)
 
 
-def _cheb_diag_seq(u, v, top):
-    theta = _safe_arccos(u)
-    phi = _safe_arccos(v)
-    j = np.arange(top, dtype=float)
-    out = (2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
-    out[0] = 1.0 / np.pi
-    return out
-
-
-def _leg_diag_seq(u, v, top):
-    pu = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.asarray(u, dtype=float))
-    pv = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.asarray(v, dtype=float))
-    j = np.arange(top, dtype=float)
-    return (j + 0.5) * pu * pv
-
-
-def _tensor_sequences(variant, x, y, top):
+def _flat_pairs(variant, x, y):
+    """(pairs, 2) arrays of the (..., 2) pairs x, y, and the pairs' shape."""
     if variant not in TENSOR_VARIANTS:
         raise ValueError(f"variant must be one of {TENSOR_VARIANTS}")
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != 2 or len(y) != 2:
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if x.ndim == 0 or x.shape[-1] != 2:
         raise ValueError("tensor kernels live on [-1, 1]^2")
-    if variant == "legleg":
-        return _leg_diag_seq(x[0], y[0], top), _leg_diag_seq(x[1], y[1], top)
-    if variant == "chebcheb":
-        return _cheb_diag_seq(x[0], y[0], top), _cheb_diag_seq(x[1], y[1], top)
-    return _cheb_diag_seq(x[0], y[0], top), _leg_diag_seq(x[1], y[1], top)
+    return x.reshape(-1, 2), y.reshape(-1, 2), x.shape[:-1]
+
+
+def _diag_tables(variant, x, y, top):
+    """The (pairs, top) tables w_j f_j(x_i) f_j(y_i) of both axes i of a 2-d
+    product basis: T_j with w_j = 2/pi (1/pi at j = 0) on a Chebyshev axis,
+    P_j with w_j = j + 1/2 on a Legendre axis.  One Legendre recurrence runs
+    over the coordinates of every Legendre axis."""
+    leg = [i for i, on in enumerate((variant.startswith("leg"), variant.endswith("leg"))) if on]
+    j = np.arange(top, dtype=float)
+    if leg:
+        p = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.stack([x[:, leg], y[:, leg]]))
+    tables = []
+    for i in range(2):
+        if i in leg:
+            k = leg.index(i)
+            tables.append(((j[:, None] + 0.5) * p[:, 0, :, k] * p[:, 1, :, k]).T)
+            continue
+        theta, phi = _safe_arccos(x[:, i, None]), _safe_arccos(y[:, i, None])
+        out = (2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
+        out[:, 0] = 1.0 / np.pi
+        tables.append(out)
+    return tables
+
+
+def _block_sums(u, v):
+    """(pairs, top) diagonal-degree sums c_m = sum_{a+b=m} u_a v_b of two
+    (pairs, top) tables: the anti-diagonal sums of each pair's outer
+    product, in one contraction over sliding windows of the zero-padded v."""
+    top = u.shape[1]
+    pad = np.concatenate([np.zeros((len(v), top - 1)), v], axis=1)
+    # windows[p, m, j] = v[p, m + j - top + 1], which meets u[p, top - 1 - j]
+    windows = sliding_window_view(pad, top, axis=1)
+    return np.einsum("pmj,pj->pm", windows, u[:, ::-1])
 
 
 def tensor_block(variant, m, x, y):
     """Diagonal-degree projector block P~_m(x, y) of a 2-d product basis."""
-    u, v = _tensor_sequences(variant, x, y, m + 1)
-    return float(np.convolve(u, v)[m])
+    u, v = _diag_tables(variant, *_flat_pairs(variant, x, y)[:2], m + 1)
+    return float(_block_sums(u, v)[0, m])
 
 
 def tensor2d_kernel(cutoff, n, variant, x, y):
-    """Cutoff-weighted kernel over diagonal-degree blocks of a product basis."""
+    """Cutoff-weighted kernel over diagonal-degree blocks of a product basis.
+
+    ``x`` and ``y`` are points of shape (2,) or broadcastable (..., 2) arrays
+    of pairs; the result has the pairs' shape (a float for one pair).  Each
+    chunk of at most ``_TABLE_ENTRIES`` table entries takes one table per
+    axis, one contraction into blocks and one weighting by the band.
+    """
+    x, y, shape = _flat_pairs(variant, x, y)
     band = cutoff_band(cutoff, n)
-    u, v = _tensor_sequences(variant, x, y, len(band))
-    conv = np.convolve(u, v)[: len(band)]
-    return float(np.dot(band, conv))
+    out = np.empty(len(x))
+    step = max(1, _TABLE_ENTRIES // len(band))
+    for s in range(0, len(x), step):
+        u, v = _diag_tables(variant, x[s : s + step], y[s : s + step], len(band))
+        # a row-wise reduction, so a pair's value does not depend on its chunk
+        out[s : s + step] = np.sum(_block_sums(u, v) * band, axis=1)
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
 
 
 def tensor_slice_cheb_coeffs(cutoff, n, variant):
@@ -646,10 +673,18 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
 
 
 # ---------------------------------------------------------------------------
-# envelope pair samplers, each drawing the pairs (xs, ys) of one bin [lo, hi]:
-# nested van der Corput sequences rotated by the seed, so doubling the pair
-# budget only refines the sampled set, or (ball, simplex) the first ``count``
-# seeded random pairs that land in the bin
+# envelope pair samplers: ``sample(k, edges, count, seed)`` draws the pairs of
+# every bin [edges[i], edges[i + 1]] in one call and returns (xs, ys, counts),
+# the pairs bin after bin and the number in each bin.  A bin's pairs depend
+# only on the seed and its own edges, and the first ``count`` of them stay the
+# same when the budget grows, so doubling it only refines the sampled set.
+# Separations come from a nested van der Corput stream rotated by the seed.
+# The ball and simplex lift to the sphere (the upper hemisphere through
+# x -> (x, sqrt(1 - |x|^2)), the positive orthant through the square roots of
+# the barycentric coordinates), where the family distance is the geodesic
+# one.  Each pair sits on a chord of the lifted set, a geodesic arc whose ends
+# lie on its boundary, at exactly its planned separation, so every draw lands
+# in its bin.
 
 
 def _vdc(count, base, shift=0.0):
@@ -666,21 +701,26 @@ def _shift(seed):
     return (seed * 0.6180339887498949) % 1.0
 
 
-def _bin_offsets(lo, hi, count, seed):
-    """Pair separations spread over the bin; the first bin starts at the diagonal."""
+def _bin_offsets(edges, count, seed):
+    """(bins, count) pair separations spread over each bin; a bin that starts
+    at the diagonal starts at separation 0."""
+    lo, hi = edges[:-1, None], edges[1:, None]
     deltas = lo + _vdc(count, 2, _shift(seed)) * (hi - lo)
-    if lo == 0.0:
-        deltas[0] = 0.0
+    deltas[edges[:-1] == 0.0, 0] = 0.0
     return deltas
 
 
-def _interval_pairs(lo, hi, bin_lo, bin_hi, count, seed, core=None, pin_center=False):
-    # pairs of [lo, hi] at separations spread over the bin: extremal pairs
+def _per_bin(edges, count):
+    return np.full(len(edges) - 1, count)
+
+
+def _interval_pairs(lo, hi, edges, count, seed, core=None, pin_center=False):
+    # pairs of [lo, hi] at separations spread over each bin: extremal pairs
     # ride distinguished slices (the domain ends and, for the symmetric
     # families, pairs mirrored about the center) at the full separation
     # density; interior pairs cover the (optionally restricted) oscillatory
     # core with nested low-discrepancy streams
-    delta, shift = _bin_offsets(bin_lo, bin_hi, count, seed), _shift(seed)
+    delta, shift = _bin_offsets(edges, count, seed), _shift(seed)
     span = np.maximum(hi - lo - delta, 0.0)
     c_lo, c_hi = (lo, hi) if core is None else core
     c_lo = np.maximum(lo, c_lo)
@@ -692,27 +732,31 @@ def _interval_pairs(lo, hi, bin_lo, bin_hi, count, seed, core=None, pin_center=F
     if pin_center:
         groups.append(0.5 * (lo + hi) - 0.5 * delta)
     groups.extend(c_lo + s * c_span for s in streams)
-    x = np.concatenate(groups)
-    d3 = np.concatenate([delta] * len(groups))
-    return x, x + d3
+    x = np.stack(groups, axis=1)
+    return x.ravel(), (x + delta[:, None]).ravel(), _per_bin(edges, len(groups) * count)
 
 
-def _angle_pairs(k, lo, hi, count, seed):
-    th, ph = _interval_pairs(0.0, np.pi, lo, hi, count, seed)
-    return np.cos(th), np.cos(ph)
+def _angle_pairs(k, edges, count, seed):
+    th, ph, counts = _interval_pairs(0.0, np.pi, edges, count, seed)
+    return np.cos(th), np.cos(ph), counts
 
 
-def _sphere_pairs(k, lo, hi, count, seed):
+def _trig_pairs(k, edges, count, seed):
+    deltas = _bin_offsets(edges, count, seed).ravel()
+    return deltas, np.zeros(len(deltas)), _per_bin(edges, count)
+
+
+def _sphere_pairs(k, edges, count, seed):
     # the pole and the point at angle delta from it on one great circle
-    deltas = _bin_offsets(lo, hi, count, seed)
-    xs = np.zeros((count, k.params["d"] + 1))
+    deltas = _bin_offsets(edges, count, seed).ravel()
+    xs = np.zeros((len(deltas), k.params["d"] + 1))
     ys = np.zeros_like(xs)
     xs[:, 0] = 1.0
     ys[:, 0], ys[:, 1] = np.cos(deltas), np.sin(deltas)
-    return xs, ys
+    return xs, ys, _per_bin(edges, count)
 
 
-def _line_pairs(k, lo, hi, count, seed, half_line):
+def _line_pairs(k, edges, count, seed, half_line):
     d = k.params.get("d", 1)
     if d != 1:
         raise ValueError(f"{k.family} envelopes sample d = 1 only, got d = {d}")
@@ -721,35 +765,76 @@ def _line_pairs(k, lo, hi, count, seed, half_line):
     # eigenfunctions (and hence the extremal pairs) live
     tp = math.sqrt(2.0 * 2.0 * k.n + 2.0) + 4.0
     return _interval_pairs(
-        0.0 if half_line else -r, r, lo, hi, count, seed, core=(-tp, tp), pin_center=not half_line
+        0.0 if half_line else -r, r, edges, count, seed, core=(-tp, tp), pin_center=not half_line
     )
 
 
-def _in_bin(k, pts, lo, hi, count):
-    """The first ``count`` candidate pairs pts[:, 0], pts[:, 1] in the bin."""
-    r = k.distance(pts[:, 0], pts[:, 1])
-    keep = np.flatnonzero((lo <= r) & (r <= hi))[:count]
-    return pts[keep, 0], pts[keep, 1]
+def _normals(edges, count, seed, width):
+    """(bins, count, width) standard normals, each bin's from a generator
+    seeded by the seed and the bin's lower edge, drawn row by row."""
+    return np.stack([
+        np.random.default_rng(seed + int(1e6 * lo)).standard_normal((count, width))
+        for lo in edges[:-1]
+    ])
 
 
-def _ball_pairs(k, lo, hi, count, seed):
-    # rejection sampling: 50 * count pairs of the cube, drawn at once in the
-    # order a per-attempt loop draws them, kept where both lie in the ball
-    rng = np.random.default_rng(seed + int(1e6 * lo))
-    pts = rng.uniform(-1, 1, (50 * count, 2, k.params["d"]))
-    return _in_bin(k, pts[np.all(np.sum(pts * pts, axis=-1) <= 1, axis=-1)], lo, hi, count)
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _simplex_pairs(k, lo, hi, count, seed):
-    rng = np.random.default_rng(seed + int(1e6 * lo))
+def _chord_pairs(p, w, length, delta, frac):
+    """Lifted pairs at geodesic distance ``delta`` on the chords
+    cos(t) p + sin(t) w, 0 <= t <= length, starting at t = frac * (length - delta)."""
+    t = frac * np.maximum(length - delta, 0.0)
+    x = np.cos(t)[..., None] * p + np.sin(t)[..., None] * w
+    y = np.cos(t + delta)[..., None] * p + np.sin(t + delta)[..., None] * w
+    return x, y
+
+
+def _ball_pairs(k, edges, count, seed):
+    # chords of the upper hemisphere: half great circles from a point p of
+    # the boundary sphere to -p, leaving p along a unit tangent w that points
+    # up, so every point of the chord has height >= 0
+    d = k.params["d"]
+    g = _normals(edges, count, seed, 2 * d + 2)
+    p = np.concatenate([_unit(g[..., :d]), np.zeros(g.shape[:-1] + (1,))], axis=-1)
+    w = g[..., d : 2 * d + 1]
+    w = w - np.sum(w * p, axis=-1, keepdims=True) * p
+    w[..., d] = np.abs(w[..., d])
+    x, y = _chord_pairs(p, _unit(w), np.pi, _bin_offsets(edges, count, seed), ndtr(g[..., -1]))
+    return x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count)
+
+
+def _simplex_pairs(k, edges, count, seed):
+    # chords of the positive orthant from a point p on one face to a point q
+    # on another; the 1-simplex is the one chord from (0, 1) to (1, 0), and
+    # for d = 2 the faces z_i = 0 and z_j = 0 meet at the vertex e_k, with
+    # p = cos(a) e_k + sin(a) e_j and q = cos(b) e_k + sin(b) e_i at distance
+    # arccos(cos(a) cos(b)), which reaches delta once b >= b_min
     d = len(np.atleast_1d(k.params["kappa"])) - 1
-    pts = rng.dirichlet(np.ones(d + 1), (50 * count, 2))[..., :d]
-    return _in_bin(k, pts, lo, hi, count)
+    delta = _bin_offsets(edges, count, seed)
+    u = ndtr(_normals(edges, count, seed, 4))
+    if d == 1:
+        p = np.broadcast_to([0.0, 1.0], delta.shape + (2,))
+        q = np.broadcast_to([1.0, 0.0], delta.shape + (2,))
+    else:
+        corner = (3 * u[..., 0]).astype(int) % 3
+        e_k, e_i, e_j = (np.eye(3)[(corner + s) % 3] for s in range(3))
+        a = 0.5 * np.pi * u[..., 1]
+        b_min = np.arccos(np.minimum(np.cos(delta) / np.cos(a), 1.0))
+        b = b_min + u[..., 2] * (0.5 * np.pi - b_min)
+        p = np.cos(a)[..., None] * e_k + np.sin(a)[..., None] * e_j
+        q = np.cos(b)[..., None] * e_k + np.sin(b)[..., None] * e_i
+    pq = np.sum(p * q, axis=-1)
+    w = q - pq[..., None] * p
+    length = np.arctan2(np.linalg.norm(w, axis=-1), pq)
+    x, y = _chord_pairs(p, _unit(w), length, delta, u[..., 3])
+    return (x * x)[..., :d].reshape(-1, d), (y * y)[..., :d].reshape(-1, d), _per_bin(edges, count)
 
 
-def _tensor_pairs(k, lo, hi, count, seed):
+def _tensor_pairs(k, edges, count, seed):
     # pairs pinned to the boundary lines (where tensor kernels fail to
-    # localize) plus Halton interior pairs, filtered to the bin
+    # localize) plus Halton interior pairs, each kept in every bin it falls in
     shift = _shift(seed)
     m = max(count // 2, 8)
     t1, h2, h5 = _vdc(m, 2, shift), _vdc(m, 3, shift), _vdc(m, 5, shift)
@@ -758,7 +843,10 @@ def _tensor_pairs(k, lo, hi, count, seed):
     xs = np.concatenate([edge.reshape(-1, 2), np.stack([u, np.cos(np.pi * h2)], axis=-1)])
     inner = np.stack([np.cos(np.pi * h5), np.cos(np.pi * ((t1 + h5) % 1.0))], axis=-1)
     ys = np.concatenate([np.ones((3 * m, 2)), inner])
-    return _in_bin(k, np.stack([xs, ys], axis=1), lo, hi, len(xs))
+    r = k.distance(xs, ys)
+    hit = (edges[:-1, None] <= r) & (r <= edges[1:, None])
+    keep = np.nonzero(hit)[1]
+    return xs[keep], ys[keep], hit.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +876,15 @@ class Family:
     """What the package knows about one family, in one place.
 
     ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs and
-    ``sample(k, lo, hi, count, seed)`` draws one envelope bin's pairs; the
-    rest take level ``n`` and parameters ``p``: the metric ``distance(x, y)``,
-    ``scalar`` points, the bound ``weight`` per point (None: none), the
-    bounds' (scale, prefactor), the envelope ``diameter``, and for the frame
-    families the Gauss ``rule(p, m)`` and orthonormal ``basis(p, top, x)``,
-    the rule's table being ``basis(p, m - 1, nodes)``.  ``params`` names the
-    parameters read, all required unless ``check(p)`` is given: then they
-    default, and ``check`` rejects values that do not fit.
+    ``sample(k, edges, count, seed)`` draws the pairs of every envelope bin
+    [edges[i], edges[i + 1]], returning (xs, ys, counts) with the pairs bin
+    after bin; the rest take level ``n`` and parameters ``p``: the metric
+    ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
+    (None: none), the bounds' (scale, prefactor), the envelope ``diameter``,
+    and for the frame families the Gauss ``rule(p, m)`` and orthonormal
+    ``basis(p, top, x)``, the rule's table being ``basis(p, m - 1, nodes)``.
+    ``params`` names the parameters read, all required unless ``check(p)`` is
+    given: then they default, and ``check`` rejects values that do not fit.
     """
 
     distance: object
@@ -815,16 +904,14 @@ class Family:
 # time, so replacing a module attribute (to trace it, say) reaches every family.
 _TENSOR = Family(
     _angle_distance, sample=_tensor_pairs,
-    values=lambda k, x, y: _each_pair(
-        lambda a, b: tensor2d_kernel(k.cutoff, k.n, k.family, a, b), x, y
-    ),
+    values=lambda k, x, y: tensor2d_kernel(k.cutoff, k.n, k.family, x, y),
 )
 
 FAMILIES = {
     "trig": Family(
         _periodic_distance,
         values=lambda k, x, y: trig_kernel(k.cutoff, k.n, np.asarray(x) - np.asarray(y)),
-        sample=lambda k, lo, hi, count, seed: (_bin_offsets(lo, hi, count, seed), np.zeros(count)),
+        sample=_trig_pairs,
         scalar=lambda p: True, weight=_unit_weight,
     ),
     "chebyshev": Family(
@@ -881,7 +968,7 @@ FAMILIES = {
     "hermite": Family(
         lambda x, y: np.max(np.abs(x - y), axis=-1),
         values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params.get("d", 1)),
-        sample=lambda k, lo, hi, count, seed: _line_pairs(k, lo, hi, count, seed, False),
+        sample=partial(_line_pairs, half_line=False),
         scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), check=_hermite_check,
@@ -893,7 +980,7 @@ FAMILIES = {
         values=lambda k, x, y: laguerre_kernel(
             k.cutoff, k.n, k.params.get("alpha", 0.0), x, y, d=k.params.get("d", 1)
         ),
-        sample=lambda k, lo, hi, count, seed: _line_pairs(k, lo, hi, count, seed, True),
+        sample=partial(_line_pairs, half_line=True),
         scalar=_one_dimensional, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p.get("alpha", 0.0))) + 3.0),
         weight=lambda n, x, p: np.prod(
@@ -941,7 +1028,7 @@ class KernelInstance:
     def pair_values(self, xs, ys):
         """Kernel values over arrays of pairs (scalar points for the
         one-dimensional families, (..., d) arrays otherwise), in one array pass
-        but for the multivariate Hermite, Laguerre and tensor-product kernels."""
+        but for the multivariate Hermite and Laguerre kernels."""
         return np.asarray(FAMILIES[self.family].values(self, xs, ys), dtype=float)
 
     def distance(self, x, y):

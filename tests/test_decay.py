@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthoframes import cutoff as co
@@ -194,14 +194,13 @@ def test_compare_cutoffs_row_count(cutoff_c, cutoff_a, control_cutoff):
 
 
 def test_ball_envelope_generic_path():
-    # the multivariate families go through stratified rejection sampling
+    # the multivariate families draw their pairs at the planned distances
     cut = co.assemble_cutoff(co.CutoffSpec("c", epsilon=1.0, m_max=512, grid_points=4096))
     kernel = ke.KernelInstance("ball", cut, 8, {"mu": 1.5, "d": 2})
     env = de.measure_envelope(kernel, de.SamplingPlan(n_bins=40, pairs_per_bin=200))
     assert (env.values > 0).sum() >= 35
-    # every bin sees a pair, but the narrow bins near the diagonal exhaust
-    # their 50 * 200 attempts before 200 pairs land in them
-    assert env.counts.min() >= 1 and env.counts.max() == 200
+    # every bin evaluates its 200 pairs, the narrow ones at the diagonal too
+    assert np.all(env.counts == 200)
     assert env.prefactor == 64.0
     fit = de.fit_bound(env, de.SubExponential(1.0))
     assert fit.satisfied and fit.c_rate > 0
@@ -210,58 +209,64 @@ def test_ball_envelope_generic_path():
 def test_simplex_envelope_generic_path(cutoff_c):
     kernel = ke.KernelInstance("simplex", cutoff_c, 4, {"kappa": (0.5, 0.5)})
     env = de.measure_envelope(kernel, de.SamplingPlan(seed=42, n_bins=40, pairs_per_bin=200))
-    # the bins reach the vertex-to-vertex distance pi/2; only the last one,
-    # next to it, sees no pair at all
+    # the bins reach the vertex-to-vertex distance pi/2, and every bin, the
+    # last one next to it too, sees pairs
     assert env.rho[-1] < np.pi / 2
     assert np.array_equal(env.counts == 0, env.values == 0)
-    assert np.array_equal(np.flatnonzero(env.counts == 0), [39])
+    assert not np.any(env.counts == 0)
     assert env.counts.max() == 200
     fit = de.fit_bound(env, de.SubExponential(1.0))
     assert fit.satisfied and fit.violations == 0 and fit.c_rate > 0
 
 
-def _per_attempt_pairs(kernel, lo, hi, count, seed):
-    # the per-attempt rejection loop the batched sampler must reproduce
-    rng = np.random.default_rng(seed + int(1e6 * lo))
-    xs, ys = [], []
-    attempts = 0
-    while len(xs) < count and attempts < 50 * count:
-        attempts += 1
-        if kernel.family == "ball":
-            d = kernel.params["d"]
-            x = rng.uniform(-1, 1, d)
-            y = rng.uniform(-1, 1, d)
-            if np.dot(x, x) > 1 or np.dot(y, y) > 1:
-                continue
-        else:
-            d = len(kernel.params["kappa"]) - 1
-            x = rng.dirichlet(np.ones(d + 1))[:d]
-            y = rng.dirichlet(np.ones(d + 1))[:d]
-        if lo <= kernel.distance(x, y) <= hi:
-            xs.append(x)
-            ys.append(y)
-    return np.array(xs).reshape(-1, d), np.array(ys).reshape(-1, d)
+_LIFTED_CASES = [
+    ("ball", {"mu": 1.0, "d": 2}),
+    ("ball", {"mu": 1.0, "d": 3}),
+    ("simplex", {"kappa": (0.5, 0.5)}),
+    ("simplex", {"kappa": (0.5, 0.5, 0.5)}),
+]
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [("ball", {"mu": 1.0, "d": 2}), ("simplex", {"kappa": (0.5, 0.5)}), ("simplex", {"kappa": (0.5, 0.5, 0.5)})],
+def _in_closed_domain(family, pts):
+    # within the round-off the kernels' own domain checks allow
+    if family == "ball":
+        return np.all(np.sum(pts * pts, axis=-1) <= 1.0 + 1e-12)
+    return np.all(pts >= 0.0) and np.all(np.sum(pts, axis=-1) <= 1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(_LIFTED_CASES),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10, unique=True),
+    count=st.integers(1, 64),
+    seed=st.integers(0, 2**31 - 1),
 )
-def test_batched_sampler_keeps_per_attempt_pairs(cutoff_c, family, params, monkeypatch):
-    kernel = ke.KernelInstance(family, cutoff_c, 4, params)
-    seen = []
-    monkeypatch.setattr(
-        kernel, "pair_values", lambda xs, ys: seen.append((xs, ys)) or np.ones(len(xs))
-    )
-    plan = de.SamplingPlan(seed=42)
-    # a narrow bin at the diagonal (1 and 9 hits for the ball and the
-    # 2-simplex), a wide one, and one past the largest distance drawn (none)
-    for lo, hi in ((0.0, 0.05), (0.5, 1.5), (3.0, 3.1)):
-        seen.clear()
-        vals = de._generic_bin_values(kernel, lo, hi, 40, plan)
-        ref_x, ref_y = _per_attempt_pairs(kernel, lo, hi, 40, plan.seed)
-        assert len(vals) == len(ref_x)
-        assert np.array_equal(seen[0][0], ref_x) and np.array_equal(seen[0][1], ref_y)
+def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, count, seed):
+    family, params = case
+    kernel = ke.KernelInstance(family, None, 4, params)
+    sample = ke.FAMILIES[family].sample
+    edges = ke.FAMILIES[family].diameter(4, params) * np.sort(fracs)
+    assume(np.min(np.diff(edges)) >= 1e-6)
+    xs, ys, counts = sample(kernel, edges, count, seed)
+    bins = len(edges) - 1
+    assert np.array_equal(counts, np.full(bins, count))
+    dim = params["d"] if family == "ball" else len(params["kappa"]) - 1
+    assert xs.shape == ys.shape == (bins * count, dim)
+    assert _in_closed_domain(family, xs) and _in_closed_domain(family, ys)
+    rho = kernel.distance(xs, ys).reshape(bins, count)
+    assert np.all(rho >= edges[:-1, None] - 1e-9) and np.all(rho <= edges[1:, None] + 1e-9)
+    # deterministic per seed, and a bin's pairs come from its own edges only
+    again = sample(kernel, edges, count, seed)
+    assert np.array_equal(again[0], xs) and np.array_equal(again[1], ys)
+    i = len(fracs) // 2 - 1
+    alone = sample(kernel, edges[i : i + 2], count, seed)
+    assert np.array_equal(alone[0], xs[i * count : (i + 1) * count])
+    assert np.array_equal(alone[1], ys[i * count : (i + 1) * count])
+    # doubling the budget keeps each bin's pairs as its first half, so the
+    # envelope's bin maxima can only rise
+    fine_x, fine_y, _ = sample(kernel, edges, 2 * count, seed)
+    assert np.array_equal(fine_x.reshape(bins, 2 * count, -1)[:, :count], xs.reshape(bins, count, -1))
+    assert np.array_equal(fine_y.reshape(bins, 2 * count, -1)[:, :count], ys.reshape(bins, count, -1))
 
 
 @pytest.mark.parametrize(
@@ -272,7 +277,7 @@ def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     lo, hi = 0.5, 1.0
     raw = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3))
     wtd = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3, weighted=True))
-    x, y = _per_attempt_pairs(kernel, lo, hi, 1, 3)
+    x, y, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
     factor = math.sqrt(
         ke.weight_factor(family, 4, x[0], mu=params.get("mu"), kappa=params.get("kappa"))
         * ke.weight_factor(family, 4, y[0], mu=params.get("mu"), kappa=params.get("kappa"))

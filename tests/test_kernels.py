@@ -651,6 +651,24 @@ def test_tensor_slice_series_matches_kernel(cutoff_c):
             assert series == pytest.approx(direct, abs=1e-11)
 
 
+@pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
+def test_tensor_pair_arrays_match_the_per_pair_convolution(cutoff_c, variant):
+    # one table per axis and one block contraction over an envelope's pairs
+    # give the per-pair sequence convolution within 1e-13 of the largest value
+    n = 32
+    k = ke.KernelInstance(variant, cutoff_c, n)
+    edges = np.concatenate([[0.0], np.geomspace(np.pi / (4 * n), np.pi, 40)])
+    xs, ys, _ = ke.FAMILIES[variant].sample(k, edges, 200, 42)
+    band = ke.cutoff_band(cutoff_c, n)
+    ref = []
+    for x, y in zip(xs, ys):
+        u, v = ke._diag_tables(variant, x[None], y[None], len(band))
+        ref.append(np.dot(band, np.convolve(u[0], v[0])[: len(band)]))
+    vals = k.pair_values(xs, ys)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref).max())
+    assert vals[0] == ke.tensor2d_kernel(cutoff_c, n, variant, xs[0], ys[0])
+
+
 # ---------------------------------------------------------------------------
 # distances and weights
 
@@ -757,7 +775,7 @@ def test_table_cases_cover_every_kernel_family():
 def test_family_array_paths_match_scalar_loops(cutoff_c, family):
     # pairs from the family's own envelope sampler, one bin away from the diagonal
     k = ke.KernelInstance(family, cutoff_c, 6, _TABLE_CASES[family])
-    xs, ys = ke.FAMILIES[family].sample(k, 0.2, 0.6, 12, 42)
+    xs, ys, _ = ke.FAMILIES[family].sample(k, np.array([0.2, 0.6]), 12, 42)
     assert 0 < len(xs) == len(ys)
     vals = k.pair_values(xs, ys)
     loop = np.array([k(x, y) for x, y in zip(xs, ys)])
