@@ -92,6 +92,17 @@ def _positive_int(text):
     return int(text)
 
 
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = text
+    try:
+        return decay.check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_point(text):
     return np.array([float(v) for v in text.split(",")])
 
@@ -331,7 +342,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default="orthoframes-out")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_seed, default=42)
         p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("cutoff", help="build or check cutoff profiles")

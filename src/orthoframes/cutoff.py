@@ -17,7 +17,10 @@ The infinite convolution is truncated at ``m_max`` factors; the product of
 indicator transforms (sinc factors) is formed on the Fourier side and
 inverted by FFT, which is both faster and numerically cleaner than iterated
 time-domain convolution.  sinc is even, so the product is taken over the
-non-negative frequencies only and mirrored, bit-identical to the full grid.
+non-negative frequencies only and mirrored.  The product decays
+sub-exponentially, and it is formed only up to the last frequency where the
+bound |sinc y| <= min(1, 1/|y|) lets it reach 1e-40; the rest is an exact 0.
+Bumps and profiles stay bit-identical to the full-grid product.
 """
 
 import json
@@ -114,7 +117,8 @@ class BumpFunction:
 
     ``values`` holds samples of the truncated convolution on the uniform grid
     ``t``; the function vanishes identically outside [-support_radius,
-    support_radius].
+    support_radius].  ``sinc_frequencies`` counts the positive frequencies
+    (of ``len(t) // 2``) at which the Fourier-side sinc product was formed.
     """
 
     epsilon: float
@@ -124,6 +128,7 @@ class BumpFunction:
     values: np.ndarray
     cdf: np.ndarray
     total_mass: float
+    sinc_frequencies: int
 
     @property
     def support_radius(self):
@@ -248,7 +253,36 @@ def _bump_from_delta(delta, epsilon, log_depth, grid_points):
         values=h,
         cdf=cdf,
         total_mass=mass,
+        sinc_frequencies=_formed_frequencies(delta, np.abs(omega[1 : n // 2 + 1])),
     )
+
+
+# Frequencies whose product bound stays below this floor are set to 0 rather
+# than formed: together they move each bump sample by less than floor / dt,
+# some 1e-37, twenty orders below the FFT's own rounding.  The cut holds for the bump
+# alone; a caller that multiplies the product by (i omega)^k must scale the
+# floor by omega^k or form the full grid.
+_SINC_FLOOR = 1e-40
+
+
+def _formed_frequencies(delta, omega):
+    """How many leading entries of the positive frequencies ``omega`` the
+    sinc product must be formed at.
+
+    |sinc y| <= min(1, 1/|y|) bounds the product by B(omega) with log B =
+    -sum over d * omega > 1 of log(d * omega): one suffix sum over the sorted
+    log-widths and one search per frequency, no sine.  The count runs to the
+    last frequency whose bound reaches ``_SINC_FLOOR``, so no monotonicity is
+    assumed; the 1e-6 slack in the log covers the rounding of these sums and
+    of the product itself.
+    """
+    logs = np.sort(np.log(delta))
+    tail = np.append(np.cumsum(logs[::-1])[::-1], 0.0)  # tail[i] = sum(logs[i:])
+    log_omega = np.log(omega)
+    wide = np.searchsorted(logs, -log_omega, side="right")  # first d * omega > 1
+    log_bound = -(tail[wide] + (len(logs) - wide) * log_omega)
+    kept = np.flatnonzero(log_bound >= math.log(_SINC_FLOOR) - 1e-6)
+    return int(kept[-1]) + 1 if kept.size else 0
 
 
 def _sinc_product(delta, n, dt):
@@ -256,15 +290,20 @@ def _sinc_product(delta, n, dt):
 
     sinc is even and fftfreq mirrors omega exactly, so the product is formed
     over the non-negative frequencies only, with np.sinc's own arithmetic
-    (y = pi * ((d * omega) / pi), then sin(y) / y), and mirrored: the result
-    is bit-identical to the full-grid product.  The omega = 0 entry stays 1.
+    (y = pi * ((d * omega) / pi), then sin(y) / y), and mirrored.  Past the
+    ``_formed_frequencies`` cut the product is below ``_SINC_FLOOR`` and is
+    set to an exact 0; every formed entry is bit-identical to the full-grid
+    product.  The omega = 0 entry stays 1.
     """
     half = n // 2 + 1
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=dt)[1:]
+    formed = _formed_frequencies(delta, omega)
+    omega = omega[:formed]
     y = np.empty_like(omega)
     s = np.empty_like(omega)
-    transform = np.ones(n)
-    prod = transform[1:half]
+    transform = np.zeros(n)
+    transform[: formed + 1] = 1.0
+    prod = transform[1 : formed + 1]
     for d in delta:
         np.multiply(d, omega, out=y)
         y /= np.pi
@@ -463,7 +502,8 @@ def check_partition_of_unity(f, t_lo=1.0, t_hi=1.0e4, samples=200_000):
     """Maximum deviation of ``sum_nu ahat(t/2^nu)^2`` from 1 on [t_lo, t_hi].
 
     Only kind-"c" cutoffs satisfy the identity; the sum truncates on its own
-    because the profile vanishes outside [1/2, 2].
+    because the profile vanishes outside (1/2, 2).  The samples are sorted and
+    t / 2^nu is exact, so each scale's window is one slice of them.
     """
     if f.spec.kind != "c":
         raise ValueError("partition check requires TypeC")
@@ -473,12 +513,11 @@ def check_partition_of_unity(f, t_lo=1.0, t_hi=1.0e4, samples=200_000):
         raise ValueError("t_hi must exceed t_lo")
     t = np.geomspace(t_lo, t_hi, samples)
     total = np.zeros_like(t)
-    n_scales = int(np.ceil(np.log2(t_hi))) + 2
-    for nu in range(n_scales):
-        arg = t / 2.0**nu
-        keep = (arg > 0.4) & (arg < 2.1)
-        if keep.any():
-            total[keep] += f(arg[keep]) ** 2
+    scales = 2.0 ** np.arange(int(np.ceil(np.log2(t_hi))) + 2)
+    starts = np.searchsorted(t, 0.5 * scales, side="right")
+    stops = np.searchsorted(t, 2.0 * scales, side="left")
+    for scale, lo, hi in zip(scales, starts, stops):
+        total[lo:hi] += f(t[lo:hi] / scale) ** 2
     return float(np.abs(total - 1.0).max())
 
 

@@ -22,6 +22,7 @@ sphere, so none of their bins comes up short.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import cutoff as cutoff_mod
 from . import kernels
 
 __all__ = [
+    "check_seed",
     "SamplingPlan",
     "DecayEnvelope",
     "Polynomial",
@@ -47,6 +49,15 @@ __all__ = [
 ]
 
 
+def check_seed(seed):
+    """Return ``seed`` if it is a non-negative integer, else raise the one
+    ``ValueError`` that the API and the command line share (numpy's
+    generators, which seed the ball and simplex bins, take no negative seed)."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic pair-sampling plan for envelope measurement."""
@@ -57,6 +68,7 @@ class SamplingPlan:
     weighted: bool = False
 
     def validate(self):
+        check_seed(self.seed)
         if self.n_bins < 40:
             raise ValueError("plans need at least 40 bins")
         if self.pairs_per_bin < 200:

@@ -183,10 +183,9 @@ def analyze(system, f, f_degree=None):
     _check_band_limit(system, coeffs, "analyze")
     out = []
     for lvl in system.levels:
-        seg = coeffs[lvl.band_lo : min(lvl.band_hi, len(coeffs))]
-        if len(seg) < lvl.band_hi - lvl.band_lo:
-            seg = np.pad(seg, (0, lvl.band_hi - lvl.band_lo - len(seg)))
-        out.append(lvl.needlet_matrix @ seg)
+        # degrees past the input are zero: read only the columns it reaches
+        seg = coeffs[lvl.band_lo : lvl.band_hi]
+        out.append(lvl.needlet_matrix[:, : len(seg)] @ seg)
     return FrameCoefficients(system.token(), out, meta)
 
 
@@ -246,15 +245,18 @@ def needlet_decay_profile(system, j, xi_index):
     parameter is n_j (Jacobi) or sqrt(n_j)-scaled (Hermite/Laguerre), matching
     how the kernels localize.  Each of the 48 bins samples 64 offsets on
     either side of the node and keeps those whose distance falls in the bin;
-    every bin's samples are evaluated in one call.
+    every bin's samples are evaluated in one call.  Jacobi bins end at the
+    farthest point from the node, max(theta, pi - theta) with theta =
+    arccos(xi), so no bin lies beyond the interval.
     """
     from . import decay
 
     lvl = system.levels[j]
     xi = float(lvl.nodes[xi_index])
     if system.family == "jacobi":
-        diameter = np.pi
-        sample = lambda r: np.cos(np.clip(np.arccos(xi) + r, 0.0, np.pi))
+        theta = np.arccos(xi)
+        diameter = max(theta, np.pi - theta)
+        sample = lambda r: np.cos(np.clip(theta + r, 0.0, np.pi))
     else:
         diameter = 2.0 * (math.sqrt(8.0 * lvl.n_j + 2.0) + 2.0)
         lo_clip = 0.0 if system.family == "laguerre" else -np.inf

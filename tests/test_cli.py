@@ -110,6 +110,20 @@ def test_needlet_line_families_pass_at_jmax_5(tmp_path, capsys, family, action):
     assert "worst defect nan" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["-3", "1.5"])
+@pytest.mark.parametrize(
+    "command",
+    [["cutoff", "check"], ["decay", "fit", "--family", "chebyshev", "--n", "32"],
+     ["decay", "fit", "--family", "ball", "--dim", "2", "--mu", "1", "--n", "4"]],
+)
+def test_negative_seeds_are_usage_errors(tmp_path, capsys, command, seed):
+    # one rule for every family: a seed is a non-negative integer
+    out = str(tmp_path / "o")
+    assert run(command + [f"--seed={seed}"] + FAST + ["--out", out]) == 2
+    assert "argument --seed: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize(
     "command, flag",

@@ -121,6 +121,35 @@ def test_half_spectrum_control_cutoff_is_bit_identical_to_the_full_grid(
     assert np.array_equal(control_cutoff.values, ref.values)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        co.CutoffSpec("c"),
+        co.CutoffSpec("c", epsilon=0.25),
+        co.CutoffSpec("c", log_depth=2),
+    ],
+)
+def test_bump_forms_under_a_third_of_its_frequencies(spec):
+    # the cut at the specs' own widths: formed entries keep the full grid's
+    # bits, and the full grid holds at most the floor past them
+    bump = co.build_bump(spec)
+    n, formed = spec.grid_points, bump.sinc_frequencies
+    assert 0 < formed < (n // 2) / 3
+    dt = 2.0 * -bump.t[0] / n  # the bump's own grid step, bit for bit
+    full = _full_grid_sinc_product(bump.delta, n, dt)
+    half = co._sinc_product(bump.delta, n, dt)
+    cut = slice(formed + 1, n - formed)
+    assert np.array_equal(half[: formed + 1], full[: formed + 1])
+    assert np.array_equal(half[n - formed :], full[n - formed :])
+    assert not half[cut].any() and np.abs(full[cut]).max() <= co._SINC_FLOOR
+
+
+def test_control_bump_forms_every_frequency():
+    # five equal widths: the transform decays only polynomially
+    bump = co._bump_from_delta(np.full(5, 0.8), 1.0, 1, co.DEFAULT_GRID)
+    assert bump.sinc_frequencies == co.DEFAULT_GRID // 2
+
+
 def _bump_or_error(delta, grid_points):
     try:
         return co._bump_from_delta(delta, 1.0, 1, grid_points)
@@ -134,12 +163,16 @@ def _bump_or_error(delta, grid_points):
     grid_points=st.integers(2048, 8192).map(lambda k: 2 * k),
 )
 def test_half_spectrum_product_matches_the_full_grid(delta, grid_points):
-    # random widths and even grids: the same transform bits, and the same
-    # bump and CDF wherever the bump accepts the widths
+    # random widths and even grids: the formed entries carry the full grid's
+    # bits and every zeroed one is at most the floor there; the same bump and
+    # CDF wherever the bump accepts the widths
     support = sum(delta)
     dt = 2.0 * (support + max(1.0, 0.25 * support)) / grid_points
     half = co._sinc_product(delta, grid_points, dt)
-    assert np.array_equal(half, _full_grid_sinc_product(delta, grid_points, dt))
+    full = _full_grid_sinc_product(delta, grid_points, dt)
+    zeroed = half == 0.0
+    assert np.array_equal(half[~zeroed], full[~zeroed])
+    assert np.all(np.abs(full[zeroed]) <= co._SINC_FLOOR)
     bump = _bump_or_error(delta, grid_points)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(co, "_sinc_product", _full_grid_sinc_product)
@@ -220,6 +253,33 @@ def test_phase_symmetry(cutoff_c):
 def test_partition_of_unity(cutoff_c):
     dev = co.check_partition_of_unity(cutoff_c, 1.0, 1.0e4)
     assert dev < 1e-8
+
+
+def _partition_by_masks(f, t_lo, t_hi, samples):
+    # one boolean window (0.4, 2.1) per scale over the whole sample set
+    t = np.geomspace(t_lo, t_hi, samples)
+    total = np.zeros_like(t)
+    for nu in range(int(np.ceil(np.log2(t_hi))) + 2):
+        arg = t / 2.0**nu
+        keep = (arg > 0.4) & (arg < 2.1)
+        if keep.any():
+            total[keep] += f(arg[keep]) ** 2
+    return float(np.abs(total - 1.0).max())
+
+
+@pytest.mark.parametrize(
+    "name, t_lo, t_hi, samples",
+    [
+        ("cutoff_c", 1.0, 1.0e4, 200_000),
+        ("cutoff_c", 1.3, 37.0, 9_999),
+        ("cutoff_c_half", 1.0, 1.0e4, 200_000),
+        ("control_cutoff", 2.0, 512.0, 4_097),
+    ],
+)
+def test_partition_slices_match_the_mask_windows(request, name, t_lo, t_hi, samples):
+    f = request.getfixturevalue(name)
+    dev = co.check_partition_of_unity(f, t_lo, t_hi, samples)
+    assert dev == _partition_by_masks(f, t_lo, t_hi, samples)
 
 
 def test_partition_two_terms_at_dyadic_points(cutoff_c):

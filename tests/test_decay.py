@@ -23,6 +23,15 @@ def test_plan_preconditions():
         de.SamplingPlan(n_bins=10).validate()
     with pytest.raises(ValueError):
         de.SamplingPlan(pairs_per_bin=50).validate()
+    de.SamplingPlan(seed=np.int64(0)).validate()
+
+
+@pytest.mark.parametrize("family, params", [("chebyshev", {}), ("ball", {"d": 2, "mu": 1.0})])
+@pytest.mark.parametrize("seed", [-3, 1.5])
+def test_plan_rejects_seeds_that_are_not_nonnegative_integers(cutoff_a, family, params, seed):
+    kernel = ke.KernelInstance(family, cutoff_a, 4, params)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        de.measure_envelope(kernel, de.SamplingPlan(seed=seed))
 
 
 def test_envelope_nonnegative_and_shapes(cheb_env_128):
