@@ -174,7 +174,10 @@ def cmd_kernel(args):
     if args.family in ("chebyshev", "jacobi"):
         xs, ys = np.cos(rng.uniform(0, r, (2, args.count)))
     elif args.family in ("hermite", "laguerre"):
-        xs, ys = rng.uniform(0 if args.family == "laguerre" else -r, r, (2, args.count))
+        # d > 1 points fill the same box; d = 1 keeps its draws
+        d = kernel.params["d"]
+        shape = (2, args.count) if d == 1 else (2, args.count, d)
+        xs, ys = rng.uniform(0 if args.family == "laguerre" else -r, r, shape)
     else:
         print(f"kernel grid: family {args.family} not supported", file=sys.stderr)
         return 2

@@ -132,9 +132,11 @@ def measure_envelope(kernel, plan=None):
         raise ValueError(f"{kernel.family} kernels carry no bound weight; measure them unweighted")
     diameter = spec.diameter(kernel.n, kernel.params)
     scale, prefactor = spec.scale(kernel.n, kernel.params)
-    # geometric bin edges pin the scaled-distance grid u = scale * rho to the
-    # same locations for every n, which keeps fitted constants comparable
-    # across levels; the first bin starts at the diagonal
+    # geometric bin edges from diameter / (4 scale) to the diameter; where the
+    # diameter is fixed (every family but Hermite and Laguerre, whose
+    # diameters grow like sqrt(n)) they pin the scaled-distance grid
+    # u = scale * rho to the same locations for every n, which keeps fitted
+    # constants comparable across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
     xs, ys, counts = spec.sample(kernel, edges, plan.pairs_per_bin, plan.seed)

@@ -5,11 +5,10 @@ projector kernel of the degree-j eigenspace of one of the supported
 families.  The cutoff support truncates each sum at ``j < 2n``, so no tail
 estimation is ever needed.  The one-dimensional and zonal sums stream: one
 recurrence runs over all the points and each row is reduced as it arrives
-(``_series``), so memory grows with the pairs, not with n.  Multivariate
-projector blocks (tensor Hermite, Laguerre, and the 2-d product bases) are
-composition sums over diagonal degree, computed as discrete convolutions of
-per-axis sequences: pair by pair for Hermite and Laguerre, and over whole
-arrays of pairs for the 2-d product bases.
+(``_series``), so memory grows with the pairs, not with n.  The product
+bases (Hermite on R^d, Laguerre on R^d_+, the 2-d tensor bases) sum blocks
+of equal total degree: one contraction (``_contract``) folds one table per
+axis into those blocks over whole arrays of pairs.
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -17,7 +16,7 @@ Kernel evaluation is pure; instances are safe to evaluate concurrently.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -242,9 +241,9 @@ def _gegenbauer_sum(band, lam, arg):
     return _gegenbauer_series(band * (j + lam) / lam, lam, arg)
 
 
-# Largest number of (pair, node) arguments that one chunk of a ball or simplex
-# evaluation sums its series at; pairs beyond it are evaluated chunk by chunk,
-# which keeps peak memory bounded at any n, d and pair count.
+# Largest number of (pair, node) arguments in one chunk of a ball or simplex
+# series, or of (pair, degree) entries in one product-basis axis table; more
+# pairs go chunk by chunk, which bounds peak memory at any n, d and pair count.
 _TABLE_ENTRIES = 2**16
 
 
@@ -373,46 +372,93 @@ def _gegenbauer_sum_even(band, lam, arg):
 
 
 # ---------------------------------------------------------------------------
-# Hermite / Laguerre kernels
+# product bases: one contraction over diagonal-degree blocks
+#
+# An axis builder ``axis(x_i, y_i, top)`` maps one coordinate of (pairs,)
+# points to the (pairs, top) table w_j f_j(x_i) f_j(y_i) of that axis's
+# basis.  Block m of the product basis is c_m = sum_{|nu| = m} prod_i
+# w_{nu_i} f_{nu_i}(x_i) f_{nu_i}(y_i), the tables folded by ``_block_sums``.
 
 
-def _composition_value(band, tables_x, tables_y):
-    """sum_m band_m sum_{|nu| = m} prod_i f_{nu_i}(x_i) f_{nu_i}(y_i) via
-    repeated sequence convolution of the per-axis diagonal products."""
-    diag = [tx * ty for tx, ty in zip(tables_x, tables_y)]
-    conv = diag[0]
-    for seq in diag[1:]:
-        conv = np.convolve(conv, seq)
-    return float(np.dot(band, conv[: len(band)]))
+def _function_axis(values, x, y, top):
+    """f_j(x) f_j(y) of the orthonormal functions tabulated by
+    ``values(top - 1, t)``, in one recurrence over [x, y]."""
+    f = values(top - 1, np.stack([x, y]))
+    return (f[:, 0] * f[:, 1]).T
 
 
-def _each_pair(one, x, y):
-    """one(x, y) over (..., d) arrays of pairs, pair by pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim <= 1 and y.ndim <= 1:
-        return one(x, y)
+def _chebyshev_axis(x, y, top):
+    """T_j(x) T_j(y) with w_j = 2/pi (1/pi at j = 0)."""
+    j = np.arange(top, dtype=float)
+    theta, phi = _safe_arccos(x[:, None]), _safe_arccos(y[:, None])
+    out = (2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
+    out[:, 0] = 1.0 / np.pi
+    return out
+
+
+def _legendre_axis(x, y, top):
+    """P_j(x) P_j(y) with w_j = j + 1/2, in one recurrence over [x, y]."""
+    j = np.arange(top, dtype=float)
+    p = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.stack([x, y]))
+    return ((j[:, None] + 0.5) * p[:, 0] * p[:, 1]).T
+
+
+def _block_sums(u, v):
+    """(pairs, top) diagonal-degree sums c_m = sum_{a+b=m} u_a v_b of two
+    (pairs, top) tables: the anti-diagonal sums of each pair's outer
+    product, in one contraction over sliding windows of the zero-padded v."""
+    top = u.shape[1]
+    pad = np.concatenate([np.zeros((len(v), top - 1)), v], axis=1)
+    # windows[p, m, j] = v[p, m + j - top + 1], which meets u[p, top - 1 - j]
+    windows = sliding_window_view(pad, top, axis=1)
+    return np.einsum("pmj,pj->pm", windows, u[:, ::-1])
+
+
+def _flat_pairs(d, x, y, message=None):
+    """(pairs, d) arrays of the broadcast (..., d) pairs x, y, and the pairs'
+    shape; points of another dimension raise ``message``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == 0 or y.ndim == 0 or x.shape[-1] != d or y.shape[-1] != d:
+        raise ValueError(message or f"points must have dimension {d}")
     x, y = np.broadcast_arrays(x, y)
-    flat = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
-    return np.array([one(a, b) for a, b in flat]).reshape(x.shape[:-1])
+    return x.reshape(-1, d), y.reshape(-1, d), x.shape[:-1]
 
 
-def _product_kernel(band, fns, x, y):
-    """sum_m band_m sum_{|nu| = m} prod_i f_{nu_i}(x_i) f_{nu_i}(y_i) over
-    (..., d) arrays of pairs, pair by pair, where fns[i](t) tabulates the
-    orthonormal functions of axis i at t."""
+def _contract(axes, band, x, y, message=None):
+    """sum_m band_m c_m over the (..., d) pairs x, y of the product basis with
+    one builder per axis, d = len(axes).
 
-    def one(a, b):
-        if np.size(a) != len(fns) or np.size(b) != len(fns):
-            raise ValueError(f"points must have dimension {len(fns)}")
-        return _composition_value(band, *([f(t) for f, t in zip(fns, p)] for p in (a, b)))
+    The result has the pairs' shape (a float for one pair).  Each chunk of at
+    most ``_TABLE_ENTRIES`` table entries takes one table per axis, d - 1
+    block contractions and one weighting by the band.
+    """
+    x, y, shape = _flat_pairs(len(axes), x, y, message)
+    out = np.empty(len(x))
+    step = max(1, _TABLE_ENTRIES // len(band))
+    for s in range(0, len(x), step):
+        tables = [axis(x[s : s + step, i], y[s : s + step, i], len(band)) for i, axis in enumerate(axes)]
+        # a row-wise reduction, so a pair's value does not depend on its chunk
+        out[s : s + step] = np.sum(reduce(_block_sums, tables) * band, axis=1)
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
 
-    return _each_pair(one, x, y)
+
+def _block(axes, m, x, y, message=None):
+    """Block c_m over the pairs: the band e_m reads column m of the blocks."""
+    return _contract(axes, np.eye(m + 1)[m], x, y, message)
+
+
+# ---------------------------------------------------------------------------
+# Hermite / Laguerre kernels
 
 
 def _hermite_check(p):
     if p.get("d", 1) not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
+
+
+def _hermite_axes(d):
+    return [partial(_function_axis, orthopoly._hermite_fn_values)] * d
 
 
 def hermite_kernel(cutoff, n, x, y, d=1):
@@ -422,20 +468,13 @@ def hermite_kernel(cutoff, n, x, y, d=1):
     band = cutoff_band(cutoff, n)
     if d == 1:
         return _series(orthopoly._hermite_rows, band, x, y)
-    return _product_kernel(band, [lambda t: orthopoly._hermite_fn_values(len(band) - 1, t)] * d, x, y)
+    return _contract(_hermite_axes(d), band, x, y)
 
 
 def hermite_block(j, x, y, d):
-    """Projector block H_j(x, y) of the degree-j Hermite eigenspace."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    tx = [orthopoly._hermite_fn_values(j, xi) for xi in x]
-    ty = [orthopoly._hermite_fn_values(j, yi) for yi in y]
-    diag = [a * b for a, b in zip(tx, ty)]
-    conv = diag[0]
-    for seq in diag[1:]:
-        conv = np.convolve(conv, seq)
-    return float(conv[j])
+    """Projector block H_j(x, y) of the degree-j Hermite eigenspace over
+    points of shape (d,) or (..., d) arrays of pairs."""
+    return _block(_hermite_axes(d), j, x, y)
 
 
 def _laguerre_check(p):
@@ -462,8 +501,8 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
         # the F-type functions are sqrt(2) ell_n(t^2)
         t2 = [np.square(np.asarray(t, dtype=float)) for t in (x, y)]
         return _series(partial(orthopoly._laguerre_rows, alpha_vec[0]), 2.0 * band, *t2)
-    fns = [lambda t, a=a: orthopoly._laguerre_fn_values(a, len(band) - 1, t) for a in alpha_vec[:d]]
-    return _product_kernel(band, fns, x, y)
+    axes = [partial(_function_axis, partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
+    return _contract(axes, band, x, y)
 
 
 def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
@@ -474,96 +513,39 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    lift = float(alpha_vec.sum()) + k + d
+    lift = float(np.sum(alpha, dtype=float)) + k + d
     top = int(math.ceil(2.0 * n))
-    samples = np.asarray(cutoff(np.arange(top + k + 2) / n), dtype=float)
-    diffs = samples
-    for _ in range(k + 1):
-        diffs = np.diff(diffs)
-    diffs = diffs[:top]
-    u_prev = np.exp(-0.5 * t) * np.ones_like(t)
-    out = diffs[0] * u_prev
-    if top > 1:
-        u = (lift + 1.0 - t) * np.exp(-0.5 * t)
-        out = out + diffs[1] * u
-        for m in range(1, top - 1):
-            u_prev, u = u, ((2 * m + lift + 1 - t) * u - (m + lift) * u_prev) / (m + 1.0)
-            out = out + diffs[m + 1] * u
-    return out if out.ndim else float(out)
+    diffs = np.diff(np.asarray(cutoff(np.arange(top + k + 2) / n), dtype=float), k + 1)[:top]
+    return _series(partial(orthopoly._raw_laguerre_rows, lift), diffs, t)
 
 
 # ---------------------------------------------------------------------------
 # 2-d tensor-product kernels (the counterexample bases)
 
 
-def _flat_pairs(variant, x, y):
-    """(pairs, 2) arrays of the (..., 2) pairs x, y, and the pairs' shape."""
+def _tensor_axes(variant):
     if variant not in TENSOR_VARIANTS:
         raise ValueError(f"variant must be one of {TENSOR_VARIANTS}")
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if x.ndim == 0 or x.shape[-1] != 2:
-        raise ValueError("tensor kernels live on [-1, 1]^2")
-    return x.reshape(-1, 2), y.reshape(-1, 2), x.shape[:-1]
+    legendre = (variant.startswith("leg"), variant.endswith("leg"))
+    return [_legendre_axis if leg else _chebyshev_axis for leg in legendre]
 
 
-def _diag_tables(variant, x, y, top):
-    """The (pairs, top) tables w_j f_j(x_i) f_j(y_i) of both axes i of a 2-d
-    product basis: T_j with w_j = 2/pi (1/pi at j = 0) on a Chebyshev axis,
-    P_j with w_j = j + 1/2 on a Legendre axis.  One Legendre recurrence runs
-    over the coordinates of every Legendre axis."""
-    leg = [i for i, on in enumerate((variant.startswith("leg"), variant.endswith("leg"))) if on]
-    j = np.arange(top, dtype=float)
-    if leg:
-        p = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.stack([x[:, leg], y[:, leg]]))
-    tables = []
-    for i in range(2):
-        if i in leg:
-            k = leg.index(i)
-            tables.append(((j[:, None] + 0.5) * p[:, 0, :, k] * p[:, 1, :, k]).T)
-            continue
-        theta, phi = _safe_arccos(x[:, i, None]), _safe_arccos(y[:, i, None])
-        out = (2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
-        out[:, 0] = 1.0 / np.pi
-        tables.append(out)
-    return tables
-
-
-def _block_sums(u, v):
-    """(pairs, top) diagonal-degree sums c_m = sum_{a+b=m} u_a v_b of two
-    (pairs, top) tables: the anti-diagonal sums of each pair's outer
-    product, in one contraction over sliding windows of the zero-padded v."""
-    top = u.shape[1]
-    pad = np.concatenate([np.zeros((len(v), top - 1)), v], axis=1)
-    # windows[p, m, j] = v[p, m + j - top + 1], which meets u[p, top - 1 - j]
-    windows = sliding_window_view(pad, top, axis=1)
-    return np.einsum("pmj,pj->pm", windows, u[:, ::-1])
+_TENSOR_DOMAIN = "tensor kernels live on [-1, 1]^2"
 
 
 def tensor_block(variant, m, x, y):
     """Diagonal-degree projector block P~_m(x, y) of a 2-d product basis."""
-    u, v = _diag_tables(variant, *_flat_pairs(variant, x, y)[:2], m + 1)
-    return float(_block_sums(u, v)[0, m])
+    return _block(_tensor_axes(variant), m, x, y, _TENSOR_DOMAIN)
 
 
 def tensor2d_kernel(cutoff, n, variant, x, y):
     """Cutoff-weighted kernel over diagonal-degree blocks of a product basis.
 
     ``x`` and ``y`` are points of shape (2,) or broadcastable (..., 2) arrays
-    of pairs; the result has the pairs' shape (a float for one pair).  Each
-    chunk of at most ``_TABLE_ENTRIES`` table entries takes one table per
-    axis, one contraction into blocks and one weighting by the band.
+    of pairs; the result has the pairs' shape (a float for one pair).
     """
-    x, y, shape = _flat_pairs(variant, x, y)
-    band = cutoff_band(cutoff, n)
-    out = np.empty(len(x))
-    step = max(1, _TABLE_ENTRIES // len(band))
-    for s in range(0, len(x), step):
-        u, v = _diag_tables(variant, x[s : s + step], y[s : s + step], len(band))
-        # a row-wise reduction, so a pair's value does not depend on its chunk
-        out[s : s + step] = np.sum(_block_sums(u, v) * band, axis=1)
-    out = out.reshape(shape)
-    return out if out.ndim else float(out)
+    axes = _tensor_axes(variant)
+    return _contract(axes, cutoff_band(cutoff, n), x, y, _TENSOR_DOMAIN)
 
 
 def tensor_slice_cheb_coeffs(cutoff, n, variant):
@@ -1027,8 +1009,8 @@ class KernelInstance:
 
     def pair_values(self, xs, ys):
         """Kernel values over arrays of pairs (scalar points for the
-        one-dimensional families, (..., d) arrays otherwise), in one array pass
-        but for the multivariate Hermite and Laguerre kernels."""
+        one-dimensional families, (..., d) arrays otherwise), in one array
+        pass."""
         return np.asarray(FAMILIES[self.family].values(self, xs, ys), dtype=float)
 
     def distance(self, x, y):

@@ -305,6 +305,21 @@ def _laguerre_rows(alpha, top, s, consume):
     )
 
 
+def _raw_laguerre_rows(alpha, top, t, consume):
+    """Raw L_n^alpha(t) exp(-t/2) by the standard recurrence, the exponential
+    carried in the seed rows."""
+    t = np.asarray(t, dtype=float)
+    prev = np.exp(-0.5 * t)
+    consume(0, prev, None)
+    if top == 0:
+        return
+    cur = (alpha + 1.0 - t) * prev
+    consume(1, cur, None)
+    for n in range(1, top):
+        prev, cur = cur, ((2 * n + alpha + 1 - t) * cur - (n + alpha) * prev) / (n + 1.0)
+        consume(n + 1, cur, None)
+
+
 def _laguerre_core(alpha, n_max, s):
     return _table(_laguerre_rows, n_max, s, alpha)
 
@@ -380,18 +395,15 @@ def check_laguerre_bound(alpha, n_max, t_points=600):
     if n_max < n_lo:
         raise ValueError("n_max too small for this alpha")
     t = np.geomspace(1e-3, 3.0 * (4.0 * n_max + 2.0 * alpha + 2.0), t_points)
-    # raw L_n^alpha(t) e^{-t/2} by the standard recurrence with the
-    # exponential carried in the seed values
-    u_prev = np.exp(-0.5 * t)
-    u = (alpha + 1.0 - t) * np.exp(-0.5 * t)
     degrees = np.arange(n_lo, n_max + 1)
     constants = np.empty(len(degrees))
     envelope = (2.0**alpha) * np.where(t > 0, 1.0, np.inf)
-    for n in range(1, n_max + 1):
+
+    def scan(n, row, exp):
         if n >= n_lo:
-            ratio = np.abs(u) / (envelope * (n / t) ** (alpha / 2.0))
-            constants[n - n_lo] = ratio.max()
-        u_prev, u = u, ((2 * n + alpha + 1 - t) * u - (n + alpha) * u_prev) / (n + 1.0)
+            constants[n - n_lo] = (np.abs(row) / (envelope * (n / t) ** (alpha / 2.0))).max()
+
+    _raw_laguerre_rows(alpha, n_max, t, scan)
     half = max(1, len(degrees) // 2)
     growth = constants[half:].max() > 2.0 * constants[:half].min() if len(degrees) > 1 else False
     return LaguerreBoundReport(float(alpha), degrees, constants, bool(growth))

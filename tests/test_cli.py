@@ -65,6 +65,18 @@ def test_kernel_eval_and_grid(tmp_path, capsys):
     assert len(lines) == 21
 
 
+def test_kernel_grid_draws_points_of_the_kernels_dimension(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    args = ["kernel", "grid", "--n", "8", "--count", "30"] + FAST + ["--out", out]
+    assert run(args + ["--family", "hermite", "--dim", "3"]) == 0
+    lines = (tmp_path / "o" / "kernel_grid_hermite.csv").read_text().splitlines()
+    assert lines[0] == "x0,x1,x2,y0,y1,y2,rho,value" and len(lines) == 31
+    # --alpha is one number, and a 2-d Laguerre kernel needs one per axis
+    assert run(args + ["--family", "laguerre", "--dim", "2"]) == 2
+    assert "alpha must have one component per axis (d = 2)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "kernel_grid_laguerre.csv").exists()
+
+
 def test_quad_build_and_verify(tmp_path):
     out = str(tmp_path / "o")
     assert run(["quad", "build", "--weight", "jacobi", "--m", "8", "--out", out]) == 0

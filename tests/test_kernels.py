@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import reproducing_defect
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import eval_genlaguerre
 
 from orthoframes import cutoff as co
 from orthoframes import kernels as ke
@@ -599,6 +601,18 @@ def test_laguerre_difference_kernel_hand_check(cutoff_c):
     assert val == pytest.approx(acc, rel=1e-11)
 
 
+@pytest.mark.parametrize("n, k, d, alpha", [(1, 0, 1, [0.0]), (8, 1, 2, [0.5, 1.5]), (16, 3, 1, [2.0])])
+def test_laguerre_difference_kernel_matches_the_explicit_sum(cutoff_c, n, k, d, alpha):
+    # sum_m diffs_m L_m^lift(t) e^(-t/2) with scipy's Laguerre polynomials
+    t = np.linspace(0.0, 20.0, 81)
+    lift = sum(alpha) + k + d
+    diffs = np.diff(cutoff_c(np.arange(2 * n + k + 2) / n), k + 1)[: 2 * n]
+    ref = sum(c * eval_genlaguerre(m, lift, t) for m, c in enumerate(diffs)) * np.exp(-t / 2)
+    vals = ke.laguerre_K_kernel(cutoff_c, n, alpha, d, k, t)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+    assert ke.laguerre_K_kernel(cutoff_c, n, alpha, d, k, t[7]) == vals[7]
+
+
 def test_laguerre_difference_kernel_growth(cutoff_c):
     # |K_n(t)| <= c n^(|alpha| + d) over the bounded range, c stable in n
     cs = []
@@ -651,22 +665,90 @@ def test_tensor_slice_series_matches_kernel(cutoff_c):
             assert series == pytest.approx(direct, abs=1e-11)
 
 
-@pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
-def test_tensor_pair_arrays_match_the_per_pair_convolution(cutoff_c, variant):
-    # one table per axis and one block contraction over an envelope's pairs
-    # give the per-pair sequence convolution within 1e-13 of the largest value
-    n = 32
-    k = ke.KernelInstance(variant, cutoff_c, n)
-    edges = np.concatenate([[0.0], np.geomspace(np.pi / (4 * n), np.pi, 40)])
-    xs, ys, _ = ke.FAMILIES[variant].sample(k, edges, 200, 42)
+def _per_pair_convolution(band, diags):
+    """sum_m band_m c_m pair by pair, the blocks c_m by repeated sequence
+    convolution of the pair's rows of the per-axis (pairs, top) tables
+    w_j f_j(x_i) f_j(y_i)."""
+    return np.array([np.dot(band, reduce(np.convolve, rows)[: len(band)]) for rows in zip(*diags)])
+
+
+def _function_diags(values, x, y, top):
+    """Per-axis tables of the orthonormal functions ``values[i](top - 1, t)``."""
+    return [(f(top - 1, x[:, i]) * f(top - 1, y[:, i])).T for i, f in enumerate(values)]
+
+
+_HERMITE = op._hermite_fn_values
+
+
+@pytest.mark.parametrize(
+    "family, params, values",
+    [pytest.param(variant, {}, None, id=variant) for variant in ke.TENSOR_VARIANTS]
+    + [
+        pytest.param("hermite", {"d": 2}, [_HERMITE] * 2, id="hermite-d2"),
+        pytest.param("hermite", {"d": 3}, [_HERMITE] * 3, id="hermite-d3"),
+        pytest.param(
+            "laguerre", {"alpha": (0.0, 2.0), "d": 2},
+            [partial(op._laguerre_fn_values, a) for a in (0.0, 2.0)], id="laguerre-d2",
+        ),
+    ],
+)
+def test_tensor_pair_arrays_match_the_per_pair_convolution(cutoff_c, family, params, values):
+    # one table per axis and one block contraction over arrays of pairs give
+    # the per-pair sequence convolution within 1e-13 of the largest value:
+    # a tensor kernel over an envelope's pairs, the Hermite and Laguerre
+    # kernels over 2,000 pairs of their box (four chunks at n = 64), a tenth
+    # of them on the diagonal
+    if values is None:
+        n = 32
+        k = ke.KernelInstance(family, cutoff_c, n)
+        edges = np.concatenate([[0.0], np.geomspace(np.pi / (4 * n), np.pi, 40)])
+        xs, ys, _ = ke.FAMILIES[family].sample(k, edges, 200, 42)
+    else:
+        n = 64
+        k = ke.KernelInstance(family, cutoff_c, n, params)
+        r = ke.FAMILIES[family].diameter(n, params)
+        lo = 0.0 if family == "laguerre" else -r
+        xs, ys = np.random.default_rng(3).uniform(lo, r, (2, 2000, len(values)))
+        ys[::10] = xs[::10]
     band = ke.cutoff_band(cutoff_c, n)
-    ref = []
-    for x, y in zip(xs, ys):
-        u, v = ke._diag_tables(variant, x[None], y[None], len(band))
-        ref.append(np.dot(band, np.convolve(u[0], v[0])[: len(band)]))
+
+    def reference(x, y):
+        if values is None:
+            axes = ke._tensor_axes(family)
+            return _per_pair_convolution(band, [ax(x[:, i], y[:, i], len(band)) for i, ax in enumerate(axes)])
+        return _per_pair_convolution(band, _function_diags(values, x, y, len(band)))
+
+    ref = reference(xs, ys)
+    scale = np.abs(ref).max()
     vals = k.pair_values(xs, ys)
-    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref).max())
-    assert vals[0] == ke.tensor2d_kernel(cutoff_c, n, variant, xs[0], ys[0])
+    assert vals.shape == ref.shape
+    assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
+    # one point against many, and a single pair as a float
+    ref = reference(np.broadcast_to(xs[0], ys[:50].shape), ys[:50])
+    many = k.pair_values(xs[0], ys[:50])
+    assert many.shape == (50,) and np.all(np.abs(many - ref) <= 1e-13 * scale)
+    one = k(xs[0], ys[0])
+    assert isinstance(one, float) and one == vals[0] == many[0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hermite_blocks_match_the_per_pair_convolution(d):
+    xs, ys = np.random.default_rng(d).uniform(-6.0, 6.0, (2, 40, d))
+    ys[:4] = xs[:4]
+    for j in (0, 1, 7, 30, 60):
+        ref = _per_pair_convolution(np.eye(j + 1)[j], _function_diags([_HERMITE] * d, xs, ys, j + 1))
+        vals = ke.hermite_block(j, xs, ys, d)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref).max())
+        assert ke.hermite_block(j, xs[5], ys[5], d) == vals[5]
+
+
+def test_hermite_points_must_have_dimension_d(cutoff_c):
+    # a block once read its dimension off the points and ignored d
+    p = (0.1, 0.2, 0.3)
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        ke.hermite_block(3, p, p, 2)
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        ke.hermite_kernel(cutoff_c, 4, p, p, d=2)
 
 
 # ---------------------------------------------------------------------------
