@@ -188,9 +188,20 @@ def cmd_kernel(args):
 
 
 def cmd_quad(args):
-    rule = quadrature.gauss_rule(
-        args.weight, args.m, alpha=args.alpha, beta=args.beta
-    )
+    # past a few hundred nodes the Hermite and Laguerre moments, and the
+    # smallest Gauss weights, leave double range; the function rule on the same
+    # nodes does not, so it is checked by orthonormality of its rows (the
+    # Laguerre function rule needs alpha >= 0; below, the moments remain)
+    line_rule = args.weight == "hermite" or args.weight == "laguerre" and args.alpha >= 0
+    if args.action == "verify" and line_rule:
+        if args.weight == "hermite":
+            rule = quadrature.hermite_function_rule(args.m)
+        else:
+            rule = quadrature.laguerre_function_rule(args.alpha, args.m)
+        check, verify = "orthonormality", quadrature.verify_orthonormality
+    else:
+        rule = quadrature.gauss_rule(args.weight, args.m, alpha=args.alpha, beta=args.beta)
+        check, verify = "moment", quadrature.verify_exactness
     out = _outdir(args)
     if args.action == "build":
         path = os.path.join(out, f"quad_{args.weight}_{args.m}.csv")
@@ -200,9 +211,9 @@ def cmd_quad(args):
         print(f"quad build: {args.weight} m={args.m} -> {path}")
         return 0
     degree = args.degree if args.degree is not None else rule.exactness
-    err = quadrature.verify_exactness(rule, degree)
+    err = verify(rule, degree)
     tol = args.tolerance if args.tolerance is not None else _DEF_TOL["exactness"]
-    print(f"quad verify: {args.weight} m={args.m} degree={degree} moment error {err:.3e}")
+    print(f"quad verify: {args.weight} m={args.m} degree={degree} {check} error {err:.3e}")
     return 0 if err < tol else 1
 
 

@@ -21,6 +21,11 @@ non-negative frequencies only and mirrored.  The product decays
 sub-exponentially, and it is formed only up to the last frequency where the
 bound |sinc y| <= min(1, 1/|y|) lets it reach 1e-40; the rest is an exact 0.
 Bumps and profiles stay bit-identical to the full-grid product.
+
+The phase, the profile and its inverse transform are only ever known as
+samples on uniform grids; each is interpolated by a B-spline (quintic phase,
+cubic profile and transform), fit and evaluated in numpy with mirror ends,
+so importing this module and assembling a cutoff load no scipy module.
 """
 
 import json
@@ -29,7 +34,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 __all__ = [
     "CutoffSpec",
@@ -140,7 +144,7 @@ class BumpFunction:
 
 @dataclass
 class CutoffFunction:
-    """Sampled admissible cutoff profile on [0, 2] with spline evaluation.
+    """Sampled admissible cutoff profile on [0, 2] with cubic spline evaluation.
 
     Calling the object evaluates the even extension ``ahat(|t|)``; the profile
     is identically zero outside its support.  Treat instances as immutable:
@@ -154,7 +158,7 @@ class CutoffFunction:
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._spline = InterpolatedUnivariateSpline(self.t, self.values, k=3, ext="zeros")
+        self._spline = _Spline(self.t, self.values, 3)
 
     @property
     def grid_step(self):
@@ -165,11 +169,106 @@ class CutoffFunction:
         out = self._spline(x)
         np.clip(out, 0.0, 1.0, out=out)
         if self.spec.kind == "a":
-            out = np.where(x <= self.flat_edge, 1.0, out)
-        out = np.where(x >= 2.0, 0.0, out)
+            out[x <= self.flat_edge] = 1.0
+        out[x >= 2.0] = 0.0
         if self.spec.kind in ("b", "c"):
-            out = np.where(x <= 0.5, 0.0, out)
+            out[x <= 0.5] = 0.0
         return out if out.ndim else float(out)
+
+
+# Interpolating splines of odd degree k on a uniform grid x_i = x_0 + i h:
+# s(x) = sum_j c_j beta_k((x - x_0) / h - j) with the centered B-spline beta_k
+# of degree k.  The coefficients are the samples run through the exact
+# inverse of the sampled B-spline b_k(z) = sum_n beta_k(n) z^n (Unser,
+# Aldroubi and Eden, "B-spline signal processing", IEEE Trans. Signal
+# Process. 41, 1993).  Each pole z_p in (-1, 0) of the inverse (two for
+# k = 5) contributes the symmetric factor (1 - z_p) / (1 + z_p) z_p^|n|; the
+# taps are the convolution of these factors, cut where the largest |z_p|^n
+# drops below the double epsilon.  The samples are extended by whole-sample
+# mirroring, so the spline is even about both ends.
+_POLES = {
+    3: (math.sqrt(3.0) - 2.0,),
+    5: (
+        0.5 * (math.sqrt(270.0 - math.sqrt(70980.0)) + math.sqrt(105.0) - 13.0),
+        0.5 * (math.sqrt(270.0 + math.sqrt(70980.0)) - math.sqrt(105.0) - 13.0),
+    ),
+}
+
+
+def _prefilter_taps(k):
+    """Taps n = -half..half of the inverse of b_k (55 for k = 3, 85 for 5)."""
+    poles = _POLES[k]
+    half = math.ceil(math.log(np.finfo(float).eps) / math.log(abs(poles[0]))) - 1
+    n = np.abs(np.arange(-half, half + 1))
+    taps = np.ones(1)
+    for z in poles:
+        taps = np.convolve(taps, (1.0 - z) / (1.0 + z) * z**n)
+    mid = len(taps) // 2
+    return taps[mid - half : mid + half + 1]
+
+
+def _piece_matrix(k):
+    """M[m, r]: the coefficient of u^m in the weight beta_k(u + (k - 1)/2 - r)
+    of c_{i - (k - 1)/2 + r} on x = x_i + u h, 0 <= u <= 1, from
+    k! beta_k(x) = sum_l (-1)^l binom(k + 1, l) (x + (k + 1)/2 - l)_+^k."""
+    rows = [
+        [
+            sum((-1) ** l * math.comb(k + 1, l) * math.comb(k, m) * (k - r - l) ** (k - m)
+                for l in range(k - r + 1))
+            for r in range(k + 1)
+        ]
+        for m in range(k + 1)
+    ]
+    return np.array(rows, dtype=float) / math.factorial(k)
+
+
+_TAPS = {k: _prefilter_taps(k) for k in _POLES}
+_PIECES = {k: _piece_matrix(k) for k in _POLES}
+
+
+class _Spline:
+    """Interpolating spline of odd degree k (3 or 5) through the samples y on
+    the uniform grid x, 0 outside [x[0], x[-1]].
+
+    It is held as one polynomial in u = (x - x_i) / h per interval, its
+    coefficients of u^0..u^k in the rows of ``pieces``, and evaluated by
+    Horner's rule over 1-D takes.  The constant terms are the samples
+    themselves, so the spline meets every sample exactly.
+    """
+
+    def __init__(self, x, y, k):
+        y = np.asarray(y, dtype=float)
+        self.lo, self.hi = float(x[0]), float(x[-1])
+        self.step = (self.hi - self.lo) / (len(y) - 1)
+        taps = _TAPS[k]
+        # coefficients c_j for j = -(k - 1)/2 .. len(y) - 1 + (k - 1)/2
+        pad = len(taps) // 2 + (k - 1) // 2
+        c = np.convolve(np.pad(y, pad, mode="reflect"), taps, mode="valid")
+        width = len(y) - 1
+        self.pieces = np.zeros((k + 1, width))
+        self.pieces[0] = y[:-1]
+        for m in range(1, k + 1):
+            for r, weight in enumerate(_PIECES[k][m]):
+                if weight:
+                    self.pieces[m] += weight * c[r : r + width]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        # a point outside the grid (inf among them) is clamped onto it and
+        # set to 0 at the end; NaN passes through
+        u = np.clip(flat, self.lo, self.hi)
+        u -= self.lo
+        u /= self.step
+        i = np.fmin(u, self.pieces.shape[1] - 1).astype(np.intp)
+        u -= i
+        out = self.pieces[-1].take(i)
+        term = np.empty_like(out)
+        for row in self.pieces[-2::-1]:
+            out *= u
+            out += row.take(i, out=term)
+        out[(flat < self.lo) | (flat > self.hi)] = 0.0
+        return out.reshape(x.shape)
 
 
 def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
@@ -347,7 +446,7 @@ def _phase_spline(bump, scale):
     """Spline of g(u) = (pi/2) * cdf(scale * u) with exact clamps outside."""
     u = bump.t / scale
     g = 0.5 * np.pi * bump.cdf
-    spline = InterpolatedUnivariateSpline(u, g, k=5)
+    spline = _Spline(u, g, 5)
     edge = bump.support_radius / scale
 
     def g_eval(uq):
@@ -525,7 +624,8 @@ def inverse_transform(f, s):
     """Inverse Fourier transform ``a(s)`` of the even extension of a cutoff.
 
     Computes ``a(s) = (1/pi) * integral_0^2 ahat(xi) cos(s xi) dxi`` by a
-    zero-padded FFT of the raw samples followed by cubic interpolation.
+    zero-padded FFT of the raw samples followed by cubic spline interpolation,
+    even about s = 0 as a(s) is.
     Arguments beyond the resolved range return 0 (the transform has decayed
     far below double precision there).
     """
@@ -546,7 +646,7 @@ def _transform_spline(f):
     spec = np.fft.rfft(c)
     a_grid = (step / np.pi) * (spec.real - 0.5 * f.values[0])
     s_grid = 2.0 * np.pi * np.fft.rfftfreq(m, d=step)
-    return InterpolatedUnivariateSpline(s_grid, a_grid, k=3, ext="zeros")
+    return _Spline(s_grid, a_grid, 3)
 
 
 def integrate_profile(f, moment=0):

@@ -20,7 +20,6 @@ from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, ndtr
 
 from . import orthopoly, quadrature
 from .orthopoly import JacobiParams
@@ -141,6 +140,8 @@ def jacobi_kernel(cutoff, n, alpha, beta, x, y):
 
 
 def _q_coefficients(cutoff, n, alpha, beta):
+    from scipy.special import gammaln
+
     w = cutoff_band(cutoff, n)
     j = np.arange(len(w), dtype=float)
     s = alpha + beta
@@ -197,6 +198,8 @@ def summation_by_parts_coefficients(cutoff, n, alpha, beta, k):
 
 def verify_summation_by_parts(cutoff, n, alpha, beta, k, x):
     """Relative discrepancy between Q_n and its k-fold summation-by-parts form."""
+    from scipy.special import gammaln
+
     state = summation_by_parts_coefficients(cutoff, n, alpha, beta, k)
     a = state.values
     j = np.arange(len(a), dtype=float)
@@ -259,11 +262,18 @@ def _auxiliary_integral(series, base, coef, nodes, weights):
     coef = coef.reshape(len(base), nodes.shape[1])
     out = np.empty(len(base))
     step = max(1, _TABLE_ENTRIES // len(weights))
+    # one argument and one term buffer for every chunk, filled in place
+    arg_buf = np.empty((min(step, len(base)), len(weights)))
+    term_buf = np.empty_like(arg_buf)
     for s in range(0, len(base), step):
-        arg = base[s : s + step, None]
+        rows = slice(s, s + step)
+        arg, term = arg_buf[: len(base) - s], term_buf[: len(base) - s]
+        arg[...] = base[rows, None]
         for i in range(nodes.shape[1]):
-            arg = arg + coef[s : s + step, i, None] * nodes[:, i]
-        out[s : s + step] = series(np.clip(arg, -1.0, 1.0)) @ weights
+            np.multiply(coef[rows, i, None], nodes[:, i], out=term)
+            arg += term
+        np.clip(arg, -1.0, 1.0, out=arg)
+        out[rows] = series(arg) @ weights
     out = out.reshape(shape)
     return out if out.ndim else float(out)
 
@@ -777,6 +787,8 @@ def _ball_pairs(k, edges, count, seed):
     # chords of the upper hemisphere: half great circles from a point p of
     # the boundary sphere to -p, leaving p along a unit tangent w that points
     # up, so every point of the chord has height >= 0
+    from scipy.special import ndtr
+
     d = k.params["d"]
     g = _normals(edges, count, seed, 2 * d + 2)
     p = np.concatenate([_unit(g[..., :d]), np.zeros(g.shape[:-1] + (1,))], axis=-1)
@@ -793,6 +805,8 @@ def _simplex_pairs(k, edges, count, seed):
     # for d = 2 the faces z_i = 0 and z_j = 0 meet at the vertex e_k, with
     # p = cos(a) e_k + sin(a) e_j and q = cos(b) e_k + sin(b) e_i at distance
     # arccos(cos(a) cos(b)), which reaches delta once b >= b_min
+    from scipy.special import ndtr
+
     d = len(np.atleast_1d(k.params["kappa"])) - 1
     delta = _bin_offsets(edges, count, seed)
     u = ndtr(_normals(edges, count, seed, 4))

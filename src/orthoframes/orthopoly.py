@@ -13,11 +13,11 @@ Operations are pure functions of their arguments and safe for concurrent
 use.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "JacobiParams",
@@ -72,33 +72,37 @@ def _table(rows, top, x, *args):
         else:
             np.ldexp(mant, exp, out=flat[n])
 
-    rows(*args, top, x.reshape(-1) if x.ndim else x, store)
+    rows(*args, top, x.reshape(-1), store)
     return out
 
 
 # Row sources ``rows(*params, top, x, consume)`` run a family's recurrence over
-# a scalar or flat array of points x and hand ``consume(n, mantissa, exponent)``
-# rows n = 0..top in order: row n is the mantissa when the exponent is None,
-# else ldexp(mantissa, exponent) with an int32 exponent per point.  Both may
-# change once the call returns.
+# the points x, flattened, and hand ``consume(n, mantissa, exponent)`` rows
+# n = 0..top in order: row n is the mantissa when the exponent is None, else
+# ldexp(mantissa, exponent) with an int32 exponent per point.  Both may change
+# once the call returns: each step writes its row into one of three rotating
+# buffers with in-place ufuncs, in the order of the recurrence as written, so
+# a row allocates nothing and keeps its bits.
 
 
 def _chebyshev_rows(top, x, consume):
     """T_n(x) = cos(n arccos x) by T_{n+1} = 2x T_n - T_{n-1}."""
-    x = np.asarray(x, dtype=float)
-    prev, cur = np.ones(x.shape), x
+    x = np.asarray(x, dtype=float).reshape(-1)
+    prev, cur, nxt = np.ones(x.shape), x.copy(), np.empty(x.shape)
     consume(0, prev, None)
     if top > 0:
         consume(1, cur, None)
     two_x = 2.0 * x
     for n in range(2, top + 1):
-        prev, cur = cur, two_x * cur - prev
+        np.multiply(two_x, cur, out=nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
         consume(n, cur, None)
 
 
 def _jacobi_rows(alpha, beta, top, x, consume):
     """Jacobi polynomials P_n^(alpha, beta)(x), P_n(1) = binom(n + alpha, n)."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(-1)
     prev = np.ones(x.shape)
     consume(0, prev, None)
     if top == 0:
@@ -106,12 +110,20 @@ def _jacobi_rows(alpha, beta, top, x, consume):
     s = alpha + beta
     cur = 0.5 * (alpha - beta + (s + 2.0) * x)
     consume(1, cur, None)
+    nxt = np.empty(x.shape)
     for n in range(2, top + 1):
         c0 = 2.0 * n * (n + s) * (2 * n + s - 2)
         c1 = (2 * n + s - 1) * (2 * n + s) * (2 * n + s - 2)
         c2 = (2 * n + s - 1) * (alpha**2 - beta**2)
         c3 = 2.0 * (n + alpha - 1) * (n + beta - 1) * (2 * n + s)
-        prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
+        # ((c1 x + c2) cur - c3 prev) / c0
+        np.multiply(c1, x, out=nxt)
+        nxt += c2
+        nxt *= cur
+        prev *= c3
+        nxt -= prev
+        nxt /= c0
+        prev, cur, nxt = cur, nxt, prev
         consume(n, cur, None)
 
 
@@ -156,6 +168,8 @@ def jacobi_norms(p, n_max):
     alpha + beta + 1 = 0 (Gamma pole against a vanishing prefactor) and is
     undefined below, so h_0 is then the Beta integral of the weight itself.
     """
+    from scipy.special import gammaln
+
     a, b = p.alpha, p.beta
     s = a + b
     n = np.arange(n_max + 1, dtype=float)
@@ -203,6 +217,8 @@ def gegenbauer_all(lam, n_max, t):
 
 def _gegenbauer_ratio(lam, n_max):
     """C_n^lam / P_n^(lam - 1/2, lam - 1/2), n = 0..n_max."""
+    from scipy.special import gammaln
+
     n = np.arange(n_max + 1, dtype=float)
     logratio = (
         gammaln(lam + 0.5)
@@ -226,11 +242,12 @@ _RENORM = 16
 
 def _recur(seed0, seed1, x, top, step, log_seed, lift, consume):
     """Rows 0..top at the flat points x from the seed rows 0 and 1 by
-    ``row[n + 1] = step(n, x, row[n], row[n - 1])``, handed to ``consume`` as
-    by a row source; points whose seed lies below _TINY restart from the log
+    ``step(n, x, row[n], row[n - 1], out)``, which writes row n + 1 into
+    ``out`` and may overwrite row n - 1, handed to ``consume`` as by a row
+    source; points whose seed lies below _TINY restart from the log
     ``log_seed(x)`` of their seed and the ratio ``lift(x)`` of row 1 to row 0.
     The seeds are overwritten."""
-    prev, cur = seed0, seed1
+    prev, cur, nxt = seed0, seed1, np.empty(x.shape)
     if top == 0:
         consume(0, prev, None)
         return
@@ -244,7 +261,8 @@ def _recur(seed0, seed1, x, top, step, log_seed, lift, consume):
     consume(0, prev, scaled)
     consume(1, cur, scaled)
     for n in range(1, top):
-        prev, cur = cur, step(n, x, cur, prev)
+        step(n, x, cur, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
         if n % _RENORM == 0 and np.any(np.abs(cur) > _HUGE):
             big = np.abs(cur) > _HUGE
             shift = np.frexp(cur[big])[1]
@@ -255,8 +273,13 @@ def _recur(seed0, seed1, x, top, step, log_seed, lift, consume):
         consume(n + 1, cur, scaled)
 
 
-def _hermite_step(n, t, cur, prev):
-    return t * np.sqrt(2.0 / (n + 1)) * cur - np.sqrt(n / (n + 1.0)) * prev
+def _hermite_step(n, t, cur, prev, out):
+    # t sqrt(2 / (n + 1)) cur - sqrt(n / (n + 1)) prev; math.sqrt rounds as
+    # np.sqrt does, at a fraction of its cost on one number
+    np.multiply(t, math.sqrt(2.0 / (n + 1)), out=out)
+    out *= cur
+    prev *= math.sqrt(n / (n + 1.0))
+    out -= prev
 
 
 def _hermite_rows(top, t, consume):
@@ -288,12 +311,18 @@ def hermite_fn_all(n_max, t):
 def _laguerre_rows(alpha, top, s, consume):
     """Normalized Laguerre values ell_n(s) = sqrt(n!/Gamma(n+a+1)) *
     L_n^a(s) * exp(-s/2), the common core of all three function types."""
+    from scipy.special import gammaln
+
     s = np.asarray(s, dtype=float).reshape(-1)
 
-    def step(n, s, cur, prev):
-        c1 = (2.0 * n + alpha + 1.0 - s) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
-        c2 = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
-        return c1 * cur - c2 * prev
+    def step(n, s, cur, prev, out):
+        # (2n + alpha + 1 - s) / sqrt((n + 1)(n + alpha + 1)) cur
+        #   - sqrt(n (n + alpha) / ((n + 1)(n + alpha + 1))) prev
+        np.subtract(2.0 * n + alpha + 1.0, s, out=out)
+        out /= math.sqrt((n + 1.0) * (n + alpha + 1.0))
+        out *= cur
+        prev *= math.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
+        out -= prev
 
     _recur(
         np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
@@ -308,15 +337,22 @@ def _laguerre_rows(alpha, top, s, consume):
 def _raw_laguerre_rows(alpha, top, t, consume):
     """Raw L_n^alpha(t) exp(-t/2) by the standard recurrence, the exponential
     carried in the seed rows."""
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float).reshape(-1)
     prev = np.exp(-0.5 * t)
     consume(0, prev, None)
     if top == 0:
         return
     cur = (alpha + 1.0 - t) * prev
     consume(1, cur, None)
+    nxt = np.empty(t.shape)
     for n in range(1, top):
-        prev, cur = cur, ((2 * n + alpha + 1 - t) * cur - (n + alpha) * prev) / (n + 1.0)
+        # ((2n + alpha + 1 - t) cur - (n + alpha) prev) / (n + 1)
+        np.subtract(2 * n + alpha + 1, t, out=nxt)
+        nxt *= cur
+        prev *= n + alpha
+        nxt -= prev
+        nxt /= n + 1.0
+        prev, cur, nxt = cur, nxt, prev
         consume(n + 1, cur, None)
 
 

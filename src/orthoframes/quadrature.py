@@ -15,11 +15,10 @@ sums of the normalized functions themselves.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln
 
 from . import orthopoly
 
@@ -27,6 +26,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_rule",
     "verify_exactness",
+    "verify_orthonormality",
     "hermite_function_rule",
     "laguerre_function_rule",
     "rule_to_json",
@@ -55,6 +55,8 @@ class QuadratureRule:
 
 
 def _jacobi_coeffs(m, alpha, beta):
+    from scipy.special import betaln
+
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError("jacobi weight needs alpha, beta > -1")
     k = np.arange(m, dtype=float)
@@ -78,6 +80,8 @@ def _hermite_coeffs(m):
 
 
 def _laguerre_coeffs(m, alpha):
+    from scipy.special import gammaln
+
     if alpha <= -1.0:
         raise ValueError("laguerre weight needs alpha > -1")
     k = np.arange(m, dtype=float)
@@ -132,6 +136,8 @@ def _christoffel_pass(weight, m, *params):
     the nodes from the eigenvalues of the Jacobi matrix, the table of the
     normalized functions f_0..f_{m-1} at them, the Christoffel sums
     sum_k f_k(x)^2, taken row by row, and the zeroth moment."""
+    from scipy.linalg import eigh_tridiagonal
+
     if m < 1:
         raise ValueError("node count m must be >= 1")
     coeffs, support, functions = _PASSES[weight]
@@ -148,6 +154,8 @@ def _christoffel_pass(weight, m, *params):
 
 
 def _jacobi_moments(degree, alpha, beta):
+    from scipy.special import betaln
+
     # mu_{k+1} = ((beta-alpha) mu_k + k mu_{k-1}) / (alpha+beta+2+k)
     mu = np.empty(degree + 1)
     mu[0] = np.exp((alpha + beta + 1) * np.log(2.0) + betaln(alpha + 1, beta + 1))
@@ -179,6 +187,8 @@ def verify_exactness(rule, degree):
     checked against the neighboring even scale.  A non-finite error is
     returned, never dropped.
     """
+    from scipy.special import gammaln
+
     if degree > rule.exactness:
         raise ValueError(
             f"degree {degree} exceeds declared exactness {rule.exactness}"
@@ -208,6 +218,33 @@ def verify_exactness(rule, degree):
         else:
             errors[k] = np.exp(logq - gammaln((k + 2) / 2.0))
     return float(np.max(errors))
+
+
+def verify_orthonormality(rule, degree=None):
+    """Largest |sum_i w_i f_j(x_i) f_k(x_i) - delta_jk| over j, k < m with
+    j + k <= ``degree`` (default: the rule's exactness) for a function rule of
+    ``hermite_function_rule`` or ``laguerre_function_rule``, whose weights
+    integrate products of the normalized functions f_j.
+
+    The functions are tabulated afresh at the rule's nodes.  Unlike the
+    monomial moments and the Gauss weights, neither these sums nor the
+    function rule's weights leave double range at any m.  A non-finite
+    entry is returned as nan, never dropped.
+    """
+    if rule.weight == "hermite_fn":
+        rows = orthopoly._hermite_fn_values(rule.m - 1, rule.nodes)
+    elif rule.weight == "laguerre_fn":
+        rows = orthopoly._laguerre_fn_values(*rule.params, rule.m - 1, rule.nodes)
+    else:
+        raise ValueError(f"orthonormality is checked on function rules, not {rule.weight!r}")
+    degree = rule.exactness if degree is None else degree
+    if not 0 <= degree <= rule.exactness:
+        raise ValueError(f"degree must lie in 0..{rule.exactness}")
+    gram = (rows * rule.weights) @ rows.T
+    j = np.arange(rule.m)
+    gram[np.diag_indices(rule.m)] -= 1.0
+    err = np.abs(gram[j[:, None] + j <= degree]).max()
+    return float(err) if np.isfinite(err) else math.nan
 
 
 def hermite_function_rule(m):

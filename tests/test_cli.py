@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from orthoframes import needlets
+from orthoframes import needlets, quadrature
 from orthoframes.cli import run
 
 FAST = ["--m-max", "512", "--grid", "4096"]
@@ -89,6 +90,33 @@ def test_quad_build_and_verify(tmp_path):
     assert (
         run(["quad", "verify", "--weight", "hermite", "--m", "16", "--out", out]) == 0
     )
+    # no Laguerre function rule below alpha = 0: the moments are checked there
+    args = ["quad", "verify", "--weight", "laguerre", "--alpha", "-0.5", "--m", "16"]
+    assert run(args + ["--out", out]) == 0
+
+
+@pytest.mark.parametrize("weight, m", [("hermite", 1024), ("laguerre", 400)])
+def test_quad_verify_passes_large_line_rules_by_orthonormality(tmp_path, capsys, weight, m):
+    # the monomial moments of these rules leave double range (they read
+    # 1.000 and 0.962 against the 1e-10 tolerance); the function rule's rows
+    # stay orthonormal to rounding
+    assert run(["quad", "verify", "--weight", weight, "--m", str(m), "--out", str(tmp_path)]) == 0
+    assert "orthonormality error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("weight", ["hermite", "laguerre"])
+def test_quad_verify_fails_a_rule_with_one_weight_off_by_a_millionth(tmp_path, monkeypatch, weight):
+    name = f"{weight}_function_rule"
+    build = getattr(quadrature, name)
+
+    def wrong(*args):
+        rule = build(*args)
+        weights = rule.weights.copy()
+        weights[len(weights) // 3] *= 1.0 + 1e-6
+        return dataclasses.replace(rule, weights=weights)
+
+    monkeypatch.setattr(quadrature, name, wrong)
+    assert run(["quad", "verify", "--weight", weight, "--m", "64", "--out", str(tmp_path)]) == 1
 
 
 def test_needlet_subcommands(tmp_path):

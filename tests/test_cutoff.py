@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -457,3 +460,115 @@ def test_inverse_transform_mass(cutoff_c):
 def test_integrate_profile_closed_form(cutoff_a):
     # flat part contributes 1, the symmetric roll-off contributes 1/2
     assert co.integrate_profile(cutoff_a) == pytest.approx(1.5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# numpy B-splines against FITPACK's interpolating splines
+
+_SPLINE_SPECS = [
+    co.CutoffSpec(kind, epsilon=eps) for kind in ("a", "c") for eps in (1.0, 0.5, 0.25)
+] + [co.CutoffSpec(kind, log_depth=2) for kind in ("a", "c")]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-eps{spec.epsilon:g}-depth{spec.log_depth}"
+
+
+@pytest.fixture(scope="module", params=_SPLINE_SPECS, ids=_spec_id)
+def spline_case(request):
+    spec = request.param
+    return co.build_bump(spec), co.assemble_cutoff(spec)
+
+
+def _transform_samples(f):
+    # the trapezoid sums a(s_k) on the FFT grid, as the transform spline forms them
+    g = f.spec.grid_points
+    step = 2.0 / g
+    m = int(round(96.0 / step))
+    c = np.zeros(m)
+    c[: g + 1] = f.values
+    a_grid = (step / np.pi) * (np.fft.rfft(c).real - 0.5 * f.values[0])
+    return 2.0 * np.pi * np.fft.rfftfreq(m, d=step), a_grid
+
+
+def test_phase_and_profile_splines_match_fitpack(spline_case):
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
+    bump, f = spline_case
+    g = 0.5 * np.pi * bump.cdf
+    u = np.linspace(bump.t[0], bump.t[-1], 40_001)
+    ref = InterpolatedUnivariateSpline(bump.t, g, k=5)(u)
+    assert np.abs(co._Spline(bump.t, g, 5)(u) - ref).max() < 1e-14
+    t = np.linspace(0.0, 2.0, 40_001)
+    ref = InterpolatedUnivariateSpline(f.t, f.values, k=3, ext="zeros")(t)
+    assert np.abs(f._spline(t) - ref).max() < 1e-14
+
+
+def test_transform_spline_matches_fitpack_and_is_closer_at_the_origin(spline_case):
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
+    _, f = spline_case
+    s_grid, a_grid = _transform_samples(f)
+    fitpack = InterpolatedUnivariateSpline(s_grid, a_grid, k=3, ext="zeros")
+    ours = co._transform_spline(f)
+    peak = np.abs(a_grid).max()
+    s = np.linspace(2.0, s_grid[-1], 200_001)
+    assert np.abs(ours(s) - fitpack(s)).max() < 1e-14 * peak
+    # a(s) is even, which the mirror end keeps; next to s = 0 both splines
+    # are held to the trapezoid sum itself, taken off the grid
+    s = np.linspace(0.003, 0.5, 100)
+    step = f.grid_step
+    direct = (step / np.pi) * (np.cos(np.outer(s, f.t)) @ f.values - 0.5 * f.values[0])
+    ours_err = np.abs(ours(s) - direct).max()
+    assert ours_err < np.abs(fitpack(s) - direct).max()
+    assert ours_err < 1e-6 * peak
+
+
+@pytest.mark.parametrize("point", [0.9, 1.37, 1.999, 2.0, 2.5, 0.0, 0.3])
+def test_profile_and_transform_take_a_float_a_0d_and_a_1_element_point_alike(cutoff_a, cutoff_c, point):
+    for evaluate in (cutoff_a, cutoff_c, lambda s: co.inverse_transform(cutoff_c, 7.0 * s)):
+        got = [evaluate(p) for p in (point, np.array(point), np.array([point]))]
+        assert isinstance(got[0], float) and isinstance(got[1], float)
+        assert got[2].shape == (1,)
+        assert got[0] == got[1] == got[2][0]
+
+
+def test_splines_vanish_exactly_outside_their_grid(cutoff_c):
+    outside = np.array([-1e-9, -3.0, 2.0 + 1e-9, 7.0, np.inf, -np.inf])
+    assert np.array_equal(cutoff_c._spline(outside), np.zeros(len(outside)))
+    s_grid, _ = _transform_samples(cutoff_c)
+    far = np.array([s_grid[-1] * (1 + 1e-12), 2.0 * s_grid[-1], np.inf])
+    assert np.array_equal(co._transform_spline(cutoff_c)(far), np.zeros(3))
+    assert co.inverse_transform(cutoff_c, -2.0 * s_grid[-1]) == 0.0
+
+
+def test_spline_prefilter_taps_come_from_the_poles():
+    # 1 / b_k has unit gain at z = 1 and inverts the sampled B-spline, to the
+    # rounding of this check's own sums (the quintic taps reach 2.8)
+    for k, samples in ((3, [1.0, 4.0, 1.0]), (5, [1.0, 26.0, 66.0, 26.0, 1.0])):
+        taps = co._TAPS[k]
+        assert len(taps) == {3: 55, 5: 85}[k]
+        assert abs(taps.sum() - 1.0) < 1e-15
+        delta = np.convolve(taps, np.array(samples) / math.factorial(k))
+        mid = len(delta) // 2
+        assert abs(delta[mid] - 1.0) < 1e-14
+        assert np.abs(np.delete(delta, mid)).max() < 1e-14
+
+
+def test_importing_and_assembling_loads_no_scipy_until_a_rule():
+    code = (
+        "import sys, orthoframes\n"
+        "from orthoframes import cutoff, decay, kernels, quadrature\n"
+        "prof = cutoff.assemble_cutoff(cutoff.CutoffSpec('c'))\n"
+        "env = decay.measure_envelope(kernels.KernelInstance('chebyshev', prof, 32), decay.SamplingPlan())\n"
+        "loaded = [m for m in ('scipy.interpolate', 'scipy.special', 'scipy.linalg') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "rule = quadrature.gauss_rule('hermite', 16)\n"
+        "assert abs(rule.weights.sum() - 3.141592653589793 ** 0.5) < 1e-13\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    # a fresh interpreter, importing the package these tests import
+    src = os.path.dirname(os.path.dirname(co.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

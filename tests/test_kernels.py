@@ -448,6 +448,40 @@ def test_pair_values_match_scalar_calls(cutoff_c, family, params, monkeypatch):
     assert np.allclose(wts, [k.weight(x) for x in pts[:, 0]], rtol=1e-15, atol=0)
 
 
+def _allocating_auxiliary_integral(series, base, coef, nodes, weights):
+    # the chunk loop as it stood before it filled two buffers in place
+    shape = base.shape
+    base = base.reshape(-1)
+    coef = coef.reshape(len(base), nodes.shape[1])
+    out = np.empty(len(base))
+    step = max(1, ke._TABLE_ENTRIES // len(weights))
+    for s in range(0, len(base), step):
+        arg = base[s : s + step, None]
+        for i in range(nodes.shape[1]):
+            arg = arg + coef[s : s + step, i, None] * nodes[:, i]
+        out[s : s + step] = series(np.clip(arg, -1.0, 1.0)) @ weights
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("ball", {"mu": 1.0, "d": 2}), ("simplex", {"kappa": (0.5, 0.25, 1.0)})],
+)
+def test_auxiliary_integral_keeps_the_bits_of_the_allocating_chunks(cutoff_c, family, params, monkeypatch):
+    gen = np.random.default_rng(8)
+    if family == "ball":
+        pts = gen.uniform(-0.7, 0.7, (37, 2, 2))
+    else:
+        pts = gen.dirichlet(np.ones(3), (37, 2))[..., :2]
+    k = ke.KernelInstance(family, cutoff_c, 8, params)
+    # 300 entries make chunks of a few pairs and a short last chunk
+    monkeypatch.setattr(ke, "_TABLE_ENTRIES", 300)
+    vals = k.pair_values(pts[:, 0], pts[:, 1])
+    monkeypatch.setattr(ke, "_auxiliary_integral", _allocating_auxiliary_integral)
+    assert np.array_equal(vals, k.pair_values(pts[:, 0], pts[:, 1]))
+
+
 def test_simplex_rejects_bad_input(cutoff_c):
     with pytest.raises(ValueError):
         ke.simplex_kernel(cutoff_c, 4, [0.5, 0.5, 0.5, 0.5], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])

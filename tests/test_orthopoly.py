@@ -1,12 +1,14 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from orthoframes import kernels as ke
 from orthoframes import orthopoly as op
 from orthoframes import quadrature as qd
 
@@ -276,3 +278,152 @@ def test_laguerre_core_keeps_far_tail_points(alpha):
         )
         assert ref[-1] != 0.0 and ref[0] == 0.0
         _assert_rows_match(vals[:, i], ref)
+
+
+# ---------------------------------------------------------------------------
+# in-place row sources against the allocating recurrences they replace
+#
+# The references below are the recurrences as they stood before the row
+# sources wrote into rotating buffers: one new array per operation.
+
+
+def _ref_chebyshev_rows(top, x, consume):
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones(x.shape), x
+    consume(0, prev, None)
+    if top > 0:
+        consume(1, cur, None)
+    two_x = 2.0 * x
+    for n in range(2, top + 1):
+        prev, cur = cur, two_x * cur - prev
+        consume(n, cur, None)
+
+
+def _ref_jacobi_rows(alpha, beta, top, x, consume):
+    x = np.asarray(x, dtype=float)
+    prev = np.ones(x.shape)
+    consume(0, prev, None)
+    if top == 0:
+        return
+    s = alpha + beta
+    cur = 0.5 * (alpha - beta + (s + 2.0) * x)
+    consume(1, cur, None)
+    for n in range(2, top + 1):
+        c0 = 2.0 * n * (n + s) * (2 * n + s - 2)
+        c1 = (2 * n + s - 1) * (2 * n + s) * (2 * n + s - 2)
+        c2 = (2 * n + s - 1) * (alpha**2 - beta**2)
+        c3 = 2.0 * (n + alpha - 1) * (n + beta - 1) * (2 * n + s)
+        prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
+        consume(n, cur, None)
+
+
+def _ref_recur(seed0, seed1, x, top, step, log_seed, lift, consume):
+    prev, cur = seed0, seed1
+    if top == 0:
+        consume(0, prev, None)
+        return
+    far = prev < op._TINY
+    log2 = log_seed(x[far]) / np.log(2.0)
+    exp = np.zeros(x.shape, dtype=np.int32)
+    exp[far] = np.maximum(np.floor(log2), -(2.0**30))
+    prev[far] = np.exp2(log2 - exp[far])
+    cur[far] = lift(x[far]) * prev[far]
+    scaled = exp if far.any() else None
+    consume(0, prev, scaled)
+    consume(1, cur, scaled)
+    for n in range(1, top):
+        prev, cur = cur, step(n, x, cur, prev)
+        if n % op._RENORM == 0 and np.any(np.abs(cur) > op._HUGE):
+            big = np.abs(cur) > op._HUGE
+            shift = np.frexp(cur[big])[1]
+            cur[big] = np.ldexp(cur[big], -shift)
+            prev[big] = np.ldexp(prev[big], -shift)
+            exp[big] += shift
+            scaled = exp
+        consume(n + 1, cur, scaled)
+
+
+def _ref_hermite_rows(top, t, consume):
+    t = np.asarray(t, dtype=float).reshape(-1)
+    seed0 = np.pi**-0.25 * np.exp(-0.5 * t**2)
+    _ref_recur(
+        seed0, np.sqrt(2.0) * t * seed0, t, top,
+        lambda n, t, cur, prev: t * np.sqrt(2.0 / (n + 1)) * cur - np.sqrt(n / (n + 1.0)) * prev,
+        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t, consume,
+    )
+
+
+def _ref_laguerre_rows(alpha, top, s, consume):
+    s = np.asarray(s, dtype=float).reshape(-1)
+
+    def step(n, s, cur, prev):
+        c1 = (2.0 * n + alpha + 1.0 - s) / np.sqrt((n + 1.0) * (n + alpha + 1.0))
+        c2 = np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
+        return c1 * cur - c2 * prev
+
+    _ref_recur(
+        np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
+        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0)),
+        s, top, step,
+        lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
+        lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
+        consume,
+    )
+
+
+def _ref_raw_laguerre_rows(alpha, top, t, consume):
+    t = np.asarray(t, dtype=float)
+    prev = np.exp(-0.5 * t)
+    consume(0, prev, None)
+    if top == 0:
+        return
+    cur = (alpha + 1.0 - t) * prev
+    consume(1, cur, None)
+    for n in range(1, top):
+        prev, cur = cur, ((2 * n + alpha + 1 - t) * cur - (n + alpha) * prev) / (n + 1.0)
+        consume(n + 1, cur, None)
+
+
+# (row source, its reference, top, points); the Hermite and Laguerre points
+# past 30 and 1000 have seeds below 2^-1000 and recur on scaled mantissas
+_ROW_SOURCES = {
+    "chebyshev": (op._chebyshev_rows, _ref_chebyshev_rows, 700,
+                  np.cos(np.linspace(0.0, np.pi, 41))),
+    "jacobi": (partial(op._jacobi_rows, 1.5, -0.5), partial(_ref_jacobi_rows, 1.5, -0.5), 700,
+               np.linspace(-1.0, 1.0, 37)),
+    "jacobi-a": (partial(op._jacobi_rows, 2.0, 0.5), partial(_ref_jacobi_rows, 2.0, 0.5), 300,
+                 np.linspace(-1.0, 1.0, 29)),
+    "hermite": (op._hermite_rows, _ref_hermite_rows, 3000,
+                np.array([-85.0, 0.5, 40.0, -3.0, 60.0, 7.25, 45.0, 0.0])),
+    "laguerre": (partial(op._laguerre_rows, 2.0), partial(_ref_laguerre_rows, 2.0), 4095,
+                 np.array([1.0, 30.0, 2500.0, 8000.0, 16000.0, 0.0])),
+    "raw-laguerre": (partial(op._raw_laguerre_rows, 3.0), partial(_ref_raw_laguerre_rows, 3.0),
+                     400, np.linspace(0.0, 200.0, 23)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SOURCES))
+def test_row_sources_keep_the_bits_of_the_allocating_recurrence(name):
+    rows, ref, top, pts = _ROW_SOURCES[name]
+    assert np.array_equal(op._table(rows, top, pts), op._table(ref, top, pts))
+    coeff = np.random.default_rng(3).standard_normal(top + 1)
+    coeff[::7] = 0.0  # skipped rows
+    assert np.array_equal(ke._series(rows, coeff, pts, pts[::-1]), ke._series(ref, coeff, pts, pts[::-1]))
+    assert np.array_equal(ke._series(rows, coeff, pts), ke._series(ref, coeff, pts))
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SOURCES))
+@pytest.mark.parametrize("through", ["table", "series"])
+def test_row_sources_take_a_float_a_0d_and_a_1_element_point_alike(name, through):
+    rows, _, top, pts = _ROW_SOURCES[name]
+    top = min(top, 40)
+    coeff = np.linspace(1.0, 2.0, top + 1)
+    v = float(pts[len(pts) // 2])
+
+    def value(point):
+        if through == "table":
+            return op._table(rows, top, point).reshape(top + 1)
+        return np.reshape(ke._series(rows, coeff, point, point), 1)
+
+    got = [value(point) for point in (v, np.array(v), np.array([v]))]
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])

@@ -263,3 +263,23 @@ def test_rule_serialization(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "node,weight"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("build", [qd.hermite_function_rule, lambda m: qd.laguerre_function_rule(1.5, m)])
+def test_function_rules_are_orthonormal_and_a_perturbed_weight_is_not(build):
+    rule = build(96)
+    assert qd.verify_orthonormality(rule) < 1e-13
+    # a low degree reads only the leading rows
+    assert qd.verify_orthonormality(rule, 10) < 1e-14
+    weights = rule.weights.copy()
+    weights[40] *= 1.0 + 1e-6
+    assert qd.verify_orthonormality(dataclasses.replace(rule, weights=weights)) > 1e-9
+    weights[40] = np.nan
+    assert math.isnan(qd.verify_orthonormality(dataclasses.replace(rule, weights=weights)))
+    with pytest.raises(ValueError, match="degree"):
+        qd.verify_orthonormality(rule, rule.exactness + 1)
+
+
+def test_orthonormality_is_checked_on_function_rules_only():
+    with pytest.raises(ValueError, match="function rules"):
+        qd.verify_orthonormality(qd.gauss_rule("hermite", 8))
