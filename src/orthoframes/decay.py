@@ -172,8 +172,6 @@ def _log_product(u, epsilon, log_depth):
     """Denominator log product; depth 1 is log(e + u)^(1 + eps), depth 2 is
     log(e + u) * [loglog(e^e + u)]^(1 + eps), and so on."""
     u = np.asarray(u, dtype=float)
-    if log_depth == 1:
-        return np.log(np.e + u) ** (1.0 + epsilon)
     out = np.ones_like(u)
     for level in range(1, log_depth + 1):
         val = np.log(_exp_tower(level) + u)

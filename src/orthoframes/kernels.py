@@ -123,8 +123,8 @@ def trig_kernel(cutoff, n, theta):
 def chebyshev_kernel(cutoff, n, x, y):
     """Sum of ahat(j/n) * T~_j(x) T~_j(y) with weighted-L2-normalized
     Chebyshev polynomials (T~_0 = 1/sqrt(pi))."""
-    coeff = (2.0 / np.pi) * cutoff_band(cutoff, n)
-    coeff[0] *= 0.5
+    band = cutoff_band(cutoff, n)
+    coeff = _chebyshev_weight(np.arange(len(band))) * band
     return _series(orthopoly._chebyshev_rows, coeff, _clamped(x), _clamped(y))
 
 
@@ -303,10 +303,7 @@ def ball_kernel(cutoff, n, mu, d, x, y):
         raise ValueError("ball kernel requires mu > 0")
     if d < 2:
         raise ValueError("ball dimension d must be >= 2")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 0 or y.ndim == 0 or x.shape[-1] != d or y.shape[-1] != d:
-        raise ValueError(f"points must have dimension {d}")
+    x, y = _check_dimension(d, x, y)
     if np.any(np.sum(x * x, axis=-1) > 1 + 1e-12) or np.any(np.sum(y * y, axis=-1) > 1 + 1e-12):
         raise ValueError("points must lie in the closed unit ball")
     lam = mu + (d - 1) / 2.0
@@ -390,27 +387,26 @@ def _gegenbauer_sum_even(band, lam, arg):
 # w_{nu_i} f_{nu_i}(x_i) f_{nu_i}(y_i), the tables folded by ``_block_sums``.
 
 
-def _function_axis(values, x, y, top):
-    """f_j(x) f_j(y) of the orthonormal functions tabulated by
-    ``values(top - 1, t)``, in one recurrence over [x, y]."""
-    f = values(top - 1, np.stack([x, y]))
-    return (f[:, 0] * f[:, 1]).T
+def _function_axis(values, weight=None):
+    """The axis builder of the functions f_j tabulated by ``values(top - 1,
+    t)``, in one recurrence over [x, y], with the weights ``weight(j)`` (1
+    when None)."""
+
+    def axis(x, y, top):
+        f = values(top - 1, np.stack([x, y]))
+        if weight is not None:
+            f[:, 0] *= weight(np.arange(top, dtype=float))[:, None]
+        return (f[:, 0] * f[:, 1]).T
+
+    return axis
 
 
-def _chebyshev_axis(x, y, top):
-    """T_j(x) T_j(y) with w_j = 2/pi (1/pi at j = 0)."""
-    j = np.arange(top, dtype=float)
-    theta, phi = _safe_arccos(x[:, None]), _safe_arccos(y[:, None])
-    out = (2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
-    out[:, 0] = 1.0 / np.pi
-    return out
+def _chebyshev_weight(j):
+    return np.where(j == 0, 1.0 / np.pi, 2.0 / np.pi)
 
 
-def _legendre_axis(x, y, top):
-    """P_j(x) P_j(y) with w_j = j + 1/2, in one recurrence over [x, y]."""
-    j = np.arange(top, dtype=float)
-    p = orthopoly._jacobi_values(0.0, 0.0, top - 1, np.stack([x, y]))
-    return ((j[:, None] + 0.5) * p[:, 0] * p[:, 1]).T
+def _legendre_weight(j):
+    return j + 0.5
 
 
 def _block_sums(u, v):
@@ -424,13 +420,19 @@ def _block_sums(u, v):
     return np.einsum("pmj,pj->pm", windows, u[:, ::-1])
 
 
-def _flat_pairs(d, x, y, message=None):
-    """(pairs, d) arrays of the broadcast (..., d) pairs x, y, and the pairs'
-    shape; points of another dimension raise ``message``."""
+def _check_dimension(d, x, y, message=None):
+    """x and y as float arrays of points (..., d); points of another dimension
+    raise ``message``."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 0 or y.ndim == 0 or x.shape[-1] != d or y.shape[-1] != d:
         raise ValueError(message or f"points must have dimension {d}")
-    x, y = np.broadcast_arrays(x, y)
+    return x, y
+
+
+def _flat_pairs(d, x, y, message=None):
+    """(pairs, d) arrays of the broadcast (..., d) pairs x, y, and the pairs'
+    shape; points of another dimension raise ``message``."""
+    x, y = np.broadcast_arrays(*_check_dimension(d, x, y, message))
     return x.reshape(-1, d), y.reshape(-1, d), x.shape[:-1]
 
 
@@ -468,7 +470,7 @@ def _hermite_check(p):
 
 
 def _hermite_axes(d):
-    return [partial(_function_axis, orthopoly._hermite_fn_values)] * d
+    return [_function_axis(orthopoly._hermite_fn_values)] * d
 
 
 def hermite_kernel(cutoff, n, x, y, d=1):
@@ -511,7 +513,7 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
         # the F-type functions are sqrt(2) ell_n(t^2)
         t2 = [np.square(np.asarray(t, dtype=float)) for t in (x, y)]
         return _series(partial(orthopoly._laguerre_rows, alpha_vec[0]), 2.0 * band, *t2)
-    axes = [partial(_function_axis, partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
+    axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
     return _contract(axes, band, x, y)
 
 
@@ -536,8 +538,11 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
 def _tensor_axes(variant):
     if variant not in TENSOR_VARIANTS:
         raise ValueError(f"variant must be one of {TENSOR_VARIANTS}")
-    legendre = (variant.startswith("leg"), variant.endswith("leg"))
-    return [_legendre_axis if leg else _chebyshev_axis for leg in legendre]
+    chebyshev = _function_axis(
+        lambda top, t: orthopoly._table(orthopoly._chebyshev_rows, top, _clamped(t)), _chebyshev_weight
+    )
+    legendre = _function_axis(partial(orthopoly._jacobi_values, 0.0, 0.0), _legendre_weight)
+    return [legendre if leg else chebyshev for leg in (variant.startswith("leg"), variant.endswith("leg"))]
 
 
 _TENSOR_DOMAIN = "tensor kernels live on [-1, 1]^2"
@@ -569,13 +574,9 @@ def tensor_slice_cheb_coeffs(cutoff, n, variant):
     band = cutoff_band(cutoff, n)
     top = len(band)
     b = np.arange(top, dtype=float)
-    if variant == "chebcheb":
-        vseq = (2.0 / np.pi) * (-1.0) ** b
-        vseq[0] = 1.0 / np.pi
-    else:
-        vseq = (b + 0.5) * (-1.0) ** b
-    afac = (2.0 / np.pi) * np.ones(top)
-    afac[0] = 1.0 / np.pi
+    weight = _chebyshev_weight if variant == "chebcheb" else _legendre_weight
+    vseq = weight(b) * (-1.0) ** b
+    afac = _chebyshev_weight(b)
     coeffs = np.zeros(top)
     for a in range(top):
         bb = np.arange(top - a)
@@ -630,15 +631,13 @@ def distance(family, x, y):
 
 def _check_params(family, p, exempt=()):
     """Raise ValueError naming a required parameter missing from ``p`` (other
-    than those ``exempt``) or, for families whose parameters default, one
-    that does not fit."""
+    than those ``exempt``) or one that the family's ``check`` rejects."""
     spec = FAMILIES[family]
-    if spec.check is not None:
-        spec.check(p)
-        return
-    missing = [name for name in spec.params if name not in p and name not in exempt]
+    missing = [name for name in spec.params if name not in p and name not in exempt + spec.defaults]
     if missing:
         raise ValueError(f"{family} kernels need the parameter(s) {', '.join(missing)}")
+    if spec.check is not None:
+        spec.check(p)
 
 
 def _weight(family, n, x, p):
@@ -859,6 +858,18 @@ def _root_scale(n, p):
     return math.sqrt(n), float(n) ** (p.get("d", 1) / 2.0)
 
 
+def _sphere_check(p):
+    # a weight reads the dimension off its points, so d may be absent
+    if p.get("d", 2) < 2:
+        raise ValueError("sphere dimension d must be >= 2")
+
+
+def _sphere_cosine(d, x, y):
+    """x . y of points on S^d, clipped to [-1, 1]."""
+    x, y = _check_dimension(d + 1, x, y, f"points must have dimension d + 1 = {d + 1}")
+    return np.clip(_inner(x, y), -1, 1)
+
+
 def _unit_weight(n, x, p):
     return np.ones(x.shape[:-1])
 
@@ -879,8 +890,8 @@ class Family:
     (None: none), the bounds' (scale, prefactor), the envelope ``diameter``,
     and for the frame families the Gauss ``rule(p, m)`` and orthonormal
     ``basis(p, top, x)``, the rule's table being ``basis(p, m - 1, nodes)``.
-    ``params`` names the parameters read, all required unless ``check(p)`` is
-    given: then they default, and ``check`` rejects values that do not fit.
+    ``params`` names the parameters read, all required but the ``defaults``;
+    ``check(p)`` rejects the values given that do not fit.
     """
 
     distance: object
@@ -891,6 +902,7 @@ class Family:
     scale: object = _power_scale(lambda p: 1)
     diameter: object = lambda n, p: np.pi
     params: tuple = ()
+    defaults: tuple = ()
     check: object = None
     rule: object = None
     basis: object = None
@@ -930,12 +942,9 @@ FAMILIES = {
     ),
     "sphere": Family(
         lambda x, y: _safe_arccos(_inner(x, y)),
-        values=lambda k, x, y: sphere_kernel(
-            k.cutoff, k.n, k.params["d"],
-            np.clip(_inner(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), -1, 1),
-        ),
+        values=lambda k, x, y: sphere_kernel(k.cutoff, k.n, k.params["d"], _sphere_cosine(k.params["d"], x, y)),
         sample=_sphere_pairs, weight=_unit_weight, scale=_power_scale(lambda p: p["d"]),
-        params=("d",),
+        params=("d",), check=_sphere_check,
     ),
     "ball": Family(
         lambda x, y: _safe_arccos(
@@ -967,7 +976,7 @@ FAMILIES = {
         sample=partial(_line_pairs, half_line=False),
         scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
-        params=("d",), check=_hermite_check,
+        params=("d",), defaults=("d",), check=_hermite_check,
         rule=lambda p, m: quadrature.hermite_function_rule(m),
         basis=lambda p, top, x: orthopoly._hermite_fn_values(top, x),
     ),
@@ -982,7 +991,7 @@ FAMILIES = {
         weight=lambda n, x, p: np.prod(
             (x + n**-0.5) ** (2.0 * np.asarray(p.get("alpha", 0.0), dtype=float) + 1.0), axis=-1
         ),
-        params=("alpha", "d"), check=_laguerre_check,
+        params=("alpha", "d"), defaults=("alpha", "d"), check=_laguerre_check,
         rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
         basis=lambda p, top, x: orthopoly._laguerre_fn_values(p["alpha"], top, x),
     ),

@@ -80,51 +80,87 @@ def _table(rows, top, x, *args):
 # the points x, flattened, and hand ``consume(n, mantissa, exponent)`` rows
 # n = 0..top in order: row n is the mantissa when the exponent is None, else
 # ldexp(mantissa, exponent) with an int32 exponent per point.  Both may change
-# once the call returns: each step writes its row into one of three rotating
+# once the call returns.  Every row source is its two seed rows and one step
+# run by ``_recur``: each step writes its row into one of three rotating
 # buffers with in-place ufuncs, in the order of the recurrence as written, so
 # a row allocates nothing and keeps its bits.
+#
+# A seed below _TINY would underflow the rows grown from it, so those points
+# recur on mantissas carrying a power-of-two exponent: 0 for the others, whose
+# values stay exactly as without it (ldexp(v, 0) == v); every row is
+# ldexp(mantissa, exponent), 0 only where its true value lies below double
+# range.  Once a point carries an exponent, mantissas past _HUGE are
+# renormalized every _RENORM rows: one step grows them by less than 2^31
+# wherever a mantissa is not 0 from the start.
+_TINY = 2.0**-1000
+_HUGE = 2.0**400
+_RENORM = 16
+
+
+def _recur(seed0, seed1, x, top, step, consume, log_seed=None, lift=None):
+    """Rows 0..top at the flat points x from the seed rows 0 and 1 by
+    ``step(n, x, row[n], row[n - 1], out)``, which writes row n + 1 into
+    ``out`` and may overwrite row n - 1, handed to ``consume`` as by a row
+    source; points whose seed lies below _TINY restart from the log
+    ``log_seed(x)`` of their seed and the ratio ``lift(x)`` of row 1 to row 0.
+    The seeds are overwritten."""
+    prev, cur, nxt = seed0, seed1, np.empty(x.shape)
+    exp = None
+    far = prev < _TINY
+    if top > 0 and far.any():
+        log2 = log_seed(x[far]) / np.log(2.0)
+        exp = np.zeros(x.shape, dtype=np.int32)
+        exp[far] = np.maximum(np.floor(log2), -(2.0**30))
+        prev[far] = np.exp2(log2 - exp[far])
+        cur[far] = lift(x[far]) * prev[far]
+    consume(0, prev, exp)
+    if top == 0:
+        return
+    consume(1, cur, exp)
+    for n in range(1, top):
+        step(n, x, cur, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
+        if exp is not None and n % _RENORM == 0 and np.any(np.abs(cur) > _HUGE):
+            big = np.abs(cur) > _HUGE
+            shift = np.frexp(cur[big])[1]
+            cur[big] = np.ldexp(cur[big], -shift)
+            prev[big] = np.ldexp(prev[big], -shift)
+            exp[big] += shift
+        consume(n + 1, cur, exp)
 
 
 def _chebyshev_rows(top, x, consume):
     """T_n(x) = cos(n arccos x) by T_{n+1} = 2x T_n - T_{n-1}."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    prev, cur, nxt = np.ones(x.shape), x.copy(), np.empty(x.shape)
-    consume(0, prev, None)
-    if top > 0:
-        consume(1, cur, None)
     two_x = 2.0 * x
-    for n in range(2, top + 1):
-        np.multiply(two_x, cur, out=nxt)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        consume(n, cur, None)
+
+    def step(n, x, cur, prev, out):
+        np.multiply(two_x, cur, out=out)
+        out -= prev
+
+    _recur(np.ones(x.shape), x.copy(), x, top, step, consume)
 
 
 def _jacobi_rows(alpha, beta, top, x, consume):
     """Jacobi polynomials P_n^(alpha, beta)(x), P_n(1) = binom(n + alpha, n)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    prev = np.ones(x.shape)
-    consume(0, prev, None)
-    if top == 0:
-        return
     s = alpha + beta
-    cur = 0.5 * (alpha - beta + (s + 2.0) * x)
-    consume(1, cur, None)
-    nxt = np.empty(x.shape)
-    for n in range(2, top + 1):
+
+    def step(n, x, cur, prev, out):
+        n += 1
         c0 = 2.0 * n * (n + s) * (2 * n + s - 2)
         c1 = (2 * n + s - 1) * (2 * n + s) * (2 * n + s - 2)
         c2 = (2 * n + s - 1) * (alpha**2 - beta**2)
         c3 = 2.0 * (n + alpha - 1) * (n + beta - 1) * (2 * n + s)
-        # ((c1 x + c2) cur - c3 prev) / c0
-        np.multiply(c1, x, out=nxt)
-        nxt += c2
-        nxt *= cur
+        # P_n = ((c1 x + c2) P_{n-1} - c3 P_{n-2}) / c0
+        np.multiply(c1, x, out=out)
+        out += c2
+        out *= cur
         prev *= c3
-        nxt -= prev
-        nxt /= c0
-        prev, cur, nxt = cur, nxt, prev
-        consume(n, cur, None)
+        out -= prev
+        out /= c0
+
+    _recur(np.ones(x.shape), 0.5 * (alpha - beta + (s + 2.0) * x), x, top, step, consume)
 
 
 def _jacobi_values(alpha, beta, n_max, x):
@@ -229,50 +265,6 @@ def _gegenbauer_ratio(lam, n_max):
     return np.exp(logratio)
 
 
-# A seed below _TINY would underflow the rows grown from it, so the recurrence
-# runs on mantissas carrying a power-of-two exponent per point: 0 for the
-# others, whose values stay exactly as without it (ldexp(v, 0) == v); every row
-# is ldexp(mantissa, exponent), 0 only where its true value lies below double
-# range.  Mantissas past _HUGE are renormalized every _RENORM rows: one step
-# grows them by less than 2^31 wherever a mantissa is not 0 from the start.
-_TINY = 2.0**-1000
-_HUGE = 2.0**400
-_RENORM = 16
-
-
-def _recur(seed0, seed1, x, top, step, log_seed, lift, consume):
-    """Rows 0..top at the flat points x from the seed rows 0 and 1 by
-    ``step(n, x, row[n], row[n - 1], out)``, which writes row n + 1 into
-    ``out`` and may overwrite row n - 1, handed to ``consume`` as by a row
-    source; points whose seed lies below _TINY restart from the log
-    ``log_seed(x)`` of their seed and the ratio ``lift(x)`` of row 1 to row 0.
-    The seeds are overwritten."""
-    prev, cur, nxt = seed0, seed1, np.empty(x.shape)
-    if top == 0:
-        consume(0, prev, None)
-        return
-    far = prev < _TINY
-    log2 = log_seed(x[far]) / np.log(2.0)
-    exp = np.zeros(x.shape, dtype=np.int32)
-    exp[far] = np.maximum(np.floor(log2), -(2.0**30))
-    prev[far] = np.exp2(log2 - exp[far])
-    cur[far] = lift(x[far]) * prev[far]
-    scaled = exp if far.any() else None
-    consume(0, prev, scaled)
-    consume(1, cur, scaled)
-    for n in range(1, top):
-        step(n, x, cur, prev, nxt)
-        prev, cur, nxt = cur, nxt, prev
-        if n % _RENORM == 0 and np.any(np.abs(cur) > _HUGE):
-            big = np.abs(cur) > _HUGE
-            shift = np.frexp(cur[big])[1]
-            cur[big] = np.ldexp(cur[big], -shift)
-            prev[big] = np.ldexp(prev[big], -shift)
-            exp[big] += shift
-            scaled = exp
-        consume(n + 1, cur, scaled)
-
-
 def _hermite_step(n, t, cur, prev, out):
     # t sqrt(2 / (n + 1)) cur - sqrt(n / (n + 1)) prev; math.sqrt rounds as
     # np.sqrt does, at a fraction of its cost on one number
@@ -287,8 +279,8 @@ def _hermite_rows(top, t, consume):
     t = np.asarray(t, dtype=float).reshape(-1)
     seed0 = np.pi**-0.25 * np.exp(-0.5 * t**2)
     _recur(
-        seed0, np.sqrt(2.0) * t * seed0, t, top, _hermite_step,
-        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t, consume,
+        seed0, np.sqrt(2.0) * t * seed0, t, top, _hermite_step, consume,
+        lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t,
     )
 
 
@@ -327,10 +319,9 @@ def _laguerre_rows(alpha, top, s, consume):
     _recur(
         np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
         (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0)),
-        s, top, step,
+        s, top, step, consume,
         lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
         lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
-        consume,
     )
 
 
@@ -338,22 +329,20 @@ def _raw_laguerre_rows(alpha, top, t, consume):
     """Raw L_n^alpha(t) exp(-t/2) by the standard recurrence, the exponential
     carried in the seed rows."""
     t = np.asarray(t, dtype=float).reshape(-1)
-    prev = np.exp(-0.5 * t)
-    consume(0, prev, None)
-    if top == 0:
-        return
-    cur = (alpha + 1.0 - t) * prev
-    consume(1, cur, None)
-    nxt = np.empty(t.shape)
-    for n in range(1, top):
+
+    def step(n, t, cur, prev, out):
         # ((2n + alpha + 1 - t) cur - (n + alpha) prev) / (n + 1)
-        np.subtract(2 * n + alpha + 1, t, out=nxt)
-        nxt *= cur
+        np.subtract(2 * n + alpha + 1, t, out=out)
+        out *= cur
         prev *= n + alpha
-        nxt -= prev
-        nxt /= n + 1.0
-        prev, cur, nxt = cur, nxt, prev
-        consume(n + 1, cur, None)
+        out -= prev
+        out /= n + 1.0
+
+    seed0 = np.exp(-0.5 * t)
+    _recur(
+        seed0, (alpha + 1.0 - t) * seed0, t, top, step, consume,
+        lambda t: -0.5 * t, lambda t: alpha + 1.0 - t,
+    )
 
 
 def _laguerre_core(alpha, n_max, s):
@@ -435,8 +424,9 @@ def check_laguerre_bound(alpha, n_max, t_points=600):
     constants = np.empty(len(degrees))
     envelope = (2.0**alpha) * np.where(t > 0, 1.0, np.inf)
 
-    def scan(n, row, exp):
+    def scan(n, mant, exp):
         if n >= n_lo:
+            row = mant if exp is None else np.ldexp(mant, exp)
             constants[n - n_lo] = (np.abs(row) / (envelope * (n / t) ** (alpha / 2.0))).max()
 
     _raw_laguerre_rows(alpha, n_max, t, scan)

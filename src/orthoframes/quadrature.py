@@ -130,6 +130,9 @@ _PASSES = {
                     lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x)),
 }
 
+# the pass of each function rule
+_FUNCTION_PASSES = {"hermite_fn": "hermite", "laguerre_fn": "laguerre_fn"}
+
 
 def _christoffel_pass(weight, m, *params):
     """(nodes, table, sums, mu0) of the m-point rule of a ``_PASSES`` entry:
@@ -231,12 +234,9 @@ def verify_orthonormality(rule, degree=None):
     function rule's weights leave double range at any m.  A non-finite
     entry is returned as nan, never dropped.
     """
-    if rule.weight == "hermite_fn":
-        rows = orthopoly._hermite_fn_values(rule.m - 1, rule.nodes)
-    elif rule.weight == "laguerre_fn":
-        rows = orthopoly._laguerre_fn_values(*rule.params, rule.m - 1, rule.nodes)
-    else:
+    if rule.weight not in _FUNCTION_PASSES:
         raise ValueError(f"orthonormality is checked on function rules, not {rule.weight!r}")
+    rows = _PASSES[_FUNCTION_PASSES[rule.weight]][2](rule.params, rule.m - 1, rule.nodes)
     degree = rule.exactness if degree is None else degree
     if not 0 <= degree <= rule.exactness:
         raise ValueError(f"degree must lie in 0..{rule.exactness}")

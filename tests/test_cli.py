@@ -78,6 +78,24 @@ def test_kernel_grid_draws_points_of_the_kernels_dimension(tmp_path, capsys):
     assert not (tmp_path / "o" / "kernel_grid_laguerre.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--x", "0.5", "--y", "0.2"], "sphere dimension d must be >= 2"),
+        (["--dim", "2", "--x", "0.5", "--y", "0.2"], "points must have dimension d + 1 = 3"),
+        (["--dim", "2", "--x", "1,0,0", "--y", "0,1"], "points must have dimension d + 1 = 3"),
+    ],
+)
+def test_sphere_points_of_the_wrong_dimension_are_usage_errors(tmp_path, capsys, args, message):
+    # exit 1 is kept for failed checks
+    out = str(tmp_path / "o")
+    assert run(["kernel", "eval", "--family", "sphere"] + args + FAST + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "kernel_eval.json").exists()
+    args = ["--dim", "2", "--x", "1,0,0", "--y", "0,1,0"]
+    assert run(["kernel", "eval", "--family", "sphere"] + args + FAST + ["--out", out]) == 0
+
+
 def test_quad_build_and_verify(tmp_path):
     out = str(tmp_path / "o")
     assert run(["quad", "build", "--weight", "jacobi", "--m", "8", "--out", out]) == 0

@@ -106,6 +106,17 @@ def test_fit_declares_unsatisfied_rates():
     assert fit.violations > 0
 
 
+def test_log_product_at_depth_one_is_the_closed_form():
+    # the general loop at depth 1 gives log(e + u)^(1 + eps) bit for bit,
+    # at the ends of the range too
+    u = np.concatenate([[0.0, 1e-300, 1e300, np.inf], np.geomspace(1e-12, 1e12, 100_000),
+                        np.linspace(0.0, 1000.0, 1000)])
+    for eps in (1.0, 0.5, 0.25, 0.1, 0.01, 2.0):
+        closed = np.log(np.e + u) ** (1.0 + eps)
+        assert np.array_equal(de._log_product(u, eps, 1), closed)
+        assert de._log_product(u[5], eps, 1) == closed[5]
+
+
 def _log_c(env, form, rate):
     u = env.scale * env.rho
     phi = u / de._log_product(u, form.epsilon, form.log_depth)

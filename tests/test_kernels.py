@@ -699,6 +699,23 @@ def test_tensor_slice_series_matches_kernel(cutoff_c):
             assert series == pytest.approx(direct, abs=1e-11)
 
 
+@pytest.mark.parametrize("variant", ["chebcheb", "chebleg"])
+@pytest.mark.parametrize("top", [1, 2, 65, 128])
+def test_tensor_chebyshev_axes_match_the_closed_form(variant, top):
+    # the Chebyshev axis tables come from the T recurrence; the closed form
+    # w_j cos(j theta) cos(j phi) is an independent reference for them
+    x, y = np.cos(np.random.default_rng(top).uniform(0.0, np.pi, (2, 400)))
+    x[:3], y[:3] = [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]
+    j = np.arange(top)
+    theta, phi = np.arccos(x)[:, None], np.arccos(y)[:, None]
+    ref = np.where(j == 0, 1.0 / np.pi, 2.0 / np.pi) * np.cos(j * theta) * np.cos(j * phi)
+    axes = ke._tensor_axes(variant)
+    for axis in axes if variant == "chebcheb" else axes[:1]:
+        table = axis(x, y, top)
+        assert table.shape == (400, top)
+        assert np.abs(table - ref).max() <= 1e-13
+
+
 def _per_pair_convolution(band, diags):
     """sum_m band_m c_m pair by pair, the blocks c_m by repeated sequence
     convolution of the pair's rows of the per-axis (pairs, top) tables
@@ -924,6 +941,18 @@ def test_kernel_instance_names_missing_parameter(cutoff_c, family, params, missi
         ke.KernelInstance(family, cutoff_c, 8, params)
 
 
+def test_sphere_points_must_have_dimension_d_plus_1(cutoff_c):
+    k = ke.KernelInstance("sphere", cutoff_c, 8, {"d": 2})
+    for x, y in [(0.5, 0.2), ([1.0, 0.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, 1.0]),
+                 (np.zeros((4, 3)), np.zeros((4, 2)))]:
+        with pytest.raises(ValueError, match=r"points must have dimension d \+ 1 = 3"):
+            k(x, y)
+        with pytest.raises(ValueError, match=r"points must have dimension d \+ 1 = 3"):
+            k.pair_values(x, y)
+    # a weight reads the dimension off its points
+    assert ke.weight_factor("sphere", 8, np.array([0.0, 0.0, 1.0])) == 1.0
+
+
 def test_weight_factor_names_missing_parameter():
     with pytest.raises(ValueError, match="alpha"):
         ke.weight_factor("jacobi", 4, 0.3)
@@ -934,6 +963,7 @@ def test_weight_factor_names_missing_parameter():
     [
         ("hermite", {"d": 4}, "supports d in"),
         ("laguerre", {"alpha": 1.0, "d": 2}, "one component per axis"),
+        ("sphere", {"d": 1}, "sphere dimension d must be >= 2"),
     ],
 )
 def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):

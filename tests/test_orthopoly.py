@@ -427,3 +427,50 @@ def test_row_sources_take_a_float_a_0d_and_a_1_element_point_alike(name, through
 
     got = [value(point) for point in (v, np.array(v), np.array([v]))]
     assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+# L_n^(1/2)(t) exp(-t/2) from a 60-digit mpmath evaluation (20 digits kept);
+# the seed exp(-t/2) lies below double range at both points
+_RAW_LAGUERRE_FAR = [
+    (2000, 0, "5.0759588975494567653e-435"),
+    (2000, 1, "-1.0144303856752589345e-431"),
+    (2000, 100, "3.445400362503224802e-265"),
+    (2000, 300, "8.2589454819008860092e-83"),
+    (2000, 500, "0.027843107648812290288"),
+    (2000, 700, "0.017226282434553022683"),
+    (2000, 1000, "0.01254128020668495728"),
+    (2000, 1500, "0.0079131998014112822758"),
+    (2000, 2000, "0.0094503963726415876516"),
+    (2000, 2500, "0.0091550136704161741203"),
+    (2000, 2999, "0.0057331029490499117767"),
+    (2000, 3000, "-0.005043009282901307149"),
+    (3000, 0, "3.6164057003069365778e-652"),
+    (3000, 1, "-1.0843792492370349328e-648"),
+    (3000, 100, "6.226726012498515941e-464"),
+    (3000, 300, "3.7757963740103661028e-238"),
+    (3000, 500, "1.201425260578529136e-92"),
+    (3000, 700, "3.9045243514060122744e-10"),
+    (3000, 1000, "0.0073686534485783693338"),
+    (3000, 1500, "-0.0059075013420293669647"),
+    (3000, 2000, "-0.0050029947792569883778"),
+    (3000, 2500, "0.0048462950581584845978"),
+    (3000, 2999, "0.0030876814032056788277"),
+    (3000, 3000, "-0.0076609460558478244147"),
+]
+
+
+def test_raw_laguerre_rows_keep_far_points_whose_exponential_underflows():
+    # e^(-t/2) underflows past t ~ 1,489; the rows grown from it do not, and
+    # a row is 0 only where its true value lies below double range
+    t = np.array([2000.0, 3000.0])
+    rows = op._table(partial(op._raw_laguerre_rows, 0.5), 3000, t)
+    for point, n, ref in _RAW_LAGUERRE_FAR:
+        got, ref = rows[n, [2000, 3000].index(point)], float(ref)
+        if ref == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - ref) <= 1e-10 * abs(ref), (point, n, got, ref)
+    # the same rows through a streamed sum
+    coeff = np.zeros(3001)
+    coeff[500] = 1.0
+    assert ke._series(partial(op._raw_laguerre_rows, 0.5), coeff, t[:1])[0] == rows[500, 0]
