@@ -91,16 +91,14 @@ def _series(rows, coeff, x, y=None):
     if len(live):
         pts = x.reshape(-1) if y is None else np.concatenate([x.reshape(-1), y.reshape(-1)])
         term = np.empty(size)
-        row = np.empty(pts.shape)
 
-        def consume(nu, mant, exp):
+        def consume(nu, row):
             if coeff[nu] == 0.0:
                 return
-            vals = mant if exp is None else np.ldexp(mant, exp, out=row)
             if y is None:
-                np.multiply(vals, coeff[nu], out=term)
+                np.multiply(row, coeff[nu], out=term)
             else:
-                np.multiply(vals[:size], vals[size:], out=term)
+                np.multiply(row[:size], row[size:], out=term)
                 np.multiply(term, coeff[nu], out=term)
             np.add(acc, term, out=acc)
 
@@ -134,9 +132,15 @@ def jacobi_kernel(cutoff, n, alpha, beta, x, y):
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) > 1) or np.any(np.abs(y) > 1):
         raise ValueError("points must lie in [-1, 1]")
+    _jacobi_check({"alpha": alpha, "beta": beta})
     w = cutoff_band(cutoff, n)
     h = orthopoly.jacobi_norms(JacobiParams(alpha, beta), len(w) - 1)
     return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
+
+
+def _jacobi_check(p, *points):
+    JacobiParams(p["alpha"], p["beta"])
+    return points
 
 
 def _q_coefficients(cutoff, n, alpha, beta):
@@ -230,8 +234,7 @@ def _gegenbauer_series(coeff, lam, arg):
 
 def sphere_kernel(cutoff, n, d, cosine):
     """Zonal kernel on the d-sphere evaluated at cos of the geodesic angle."""
-    if d < 2:
-        raise ValueError("sphere dimension d must be >= 2")
+    _sphere_check({"d": d})
     lam = (d - 1) / 2.0
     w = cutoff_band(cutoff, n)
     j = np.arange(len(w), dtype=float)
@@ -299,11 +302,7 @@ def ball_kernel(cutoff, n, mu, d, x, y):
     ceil(len(band) / 2)-node rule built once per call is exact; one streamed
     Gegenbauer sum covers every (pair, node) of a chunk.
     """
-    if mu <= 0:
-        raise ValueError("ball kernel requires mu > 0")
-    if d < 2:
-        raise ValueError("ball dimension d must be >= 2")
-    x, y = _check_dimension(d, x, y)
+    x, y = _ball_check({"mu": mu, "d": d}, x, y)
     if np.any(np.sum(x * x, axis=-1) > 1 + 1e-12) or np.any(np.sum(y * y, axis=-1) > 1 + 1e-12):
         raise ValueError("points must lie in the closed unit ball")
     lam = mu + (d - 1) / 2.0
@@ -317,6 +316,15 @@ def ball_kernel(cutoff, n, mu, d, x, y):
         rule.nodes[:, None],
         rule.weights / rule.weights.sum(),
     )
+
+
+def _ball_check(p, *points):
+    if p["mu"] <= 0:
+        raise ValueError("ball kernel requires mu > 0")
+    # a weight reads the dimension off its points, so d may be absent
+    if p.get("d", 2) < 2:
+        raise ValueError("ball dimension d must be >= 2")
+    return _check_dimension(p["d"], *points) if "d" in p else points
 
 
 def _axis_rule(kappa_i, m):
@@ -338,14 +346,9 @@ def simplex_kernel(cutoff, n, kappa, x, y):
     call and the pairs are evaluated in chunks of bounded size.  Zero
     kappa components collapse their axis to the two-point average.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    xb = _barycentric(x)
-    yb = _barycentric(y)
-    d = xb.shape[-1] - 1
-    if d not in (1, 2) or yb.shape[-1] != d + 1:
-        raise ValueError("simplex kernel supports d in {1, 2}, the same for x and y")
-    if len(kappa) != d + 1 or np.any(kappa < 0):
-        raise ValueError("kappa must be a nonnegative vector of length d + 1")
+    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    xb, yb = map(_barycentric, _simplex_check({"kappa": kappa}, x, y))
+    d = len(kappa) - 1
     if np.any(xb[..., :d] < -1e-12) or np.any(yb[..., :d] < -1e-12):
         raise ValueError("points must have nonnegative coordinates")
     if np.any(xb[..., d] < -1e-12) or np.any(yb[..., d] < -1e-12):
@@ -363,6 +366,16 @@ def simplex_kernel(cutoff, n, kappa, x, y):
         nodes.reshape(-1, d + 1),
         wgt.ravel(),
     )
+
+
+def _simplex_check(p, *points):
+    kappa = np.atleast_1d(np.asarray(p["kappa"], dtype=float))
+    if len(kappa) not in (2, 3):
+        raise ValueError("simplex kernel supports d in {1, 2}, the same for x and y")
+    if np.any(kappa < 0):
+        raise ValueError("kappa must be a nonnegative vector of length d + 1")
+    # a point of the 1-simplex may be a scalar
+    return _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
 
 
 def _gegenbauer_sum_even(band, lam, arg):
@@ -420,23 +433,23 @@ def _block_sums(u, v):
     return np.einsum("pmj,pj->pm", windows, u[:, ::-1])
 
 
-def _check_dimension(d, x, y, message=None):
-    """x and y as float arrays of points (..., d); points of another dimension
-    raise ``message``."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim == 0 or y.ndim == 0 or x.shape[-1] != d or y.shape[-1] != d:
+def _check_dimension(d, *points, message=None):
+    """The points as float arrays (..., d); points of another dimension raise
+    ``message``."""
+    points = [np.asarray(v, dtype=float) for v in points]
+    if any(v.ndim == 0 or v.shape[-1] != d for v in points):
         raise ValueError(message or f"points must have dimension {d}")
-    return x, y
+    return points
 
 
-def _flat_pairs(d, x, y, message=None):
+def _flat_pairs(d, x, y):
     """(pairs, d) arrays of the broadcast (..., d) pairs x, y, and the pairs'
-    shape; points of another dimension raise ``message``."""
-    x, y = np.broadcast_arrays(*_check_dimension(d, x, y, message))
+    shape."""
+    x, y = np.broadcast_arrays(*_check_dimension(d, x, y))
     return x.reshape(-1, d), y.reshape(-1, d), x.shape[:-1]
 
 
-def _contract(axes, band, x, y, message=None):
+def _contract(axes, band, x, y):
     """sum_m band_m c_m over the (..., d) pairs x, y of the product basis with
     one builder per axis, d = len(axes).
 
@@ -444,7 +457,7 @@ def _contract(axes, band, x, y, message=None):
     most ``_TABLE_ENTRIES`` table entries takes one table per axis, d - 1
     block contractions and one weighting by the band.
     """
-    x, y, shape = _flat_pairs(len(axes), x, y, message)
+    x, y, shape = _flat_pairs(len(axes), x, y)
     out = np.empty(len(x))
     step = max(1, _TABLE_ENTRIES // len(band))
     for s in range(0, len(x), step):
@@ -455,18 +468,20 @@ def _contract(axes, band, x, y, message=None):
     return out if out.ndim else float(out)
 
 
-def _block(axes, m, x, y, message=None):
+def _block(axes, m, x, y):
     """Block c_m over the pairs: the band e_m reads column m of the blocks."""
-    return _contract(axes, np.eye(m + 1)[m], x, y, message)
+    return _contract(axes, np.eye(m + 1)[m], x, y)
 
 
 # ---------------------------------------------------------------------------
 # Hermite / Laguerre kernels
 
 
-def _hermite_check(p):
-    if p.get("d", 1) not in (1, 2, 3):
+def _hermite_check(p, *points):
+    d = p.get("d", 1)
+    if d not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
+    return _check_dimension(d, *points) if d > 1 else points
 
 
 def _hermite_axes(d):
@@ -489,7 +504,7 @@ def hermite_block(j, x, y, d):
     return _block(_hermite_axes(d), j, x, y)
 
 
-def _laguerre_check(p):
+def _laguerre_check(p, *points):
     d = p.get("d", 1)
     if d not in (1, 2):
         raise ValueError("laguerre kernel supports d in {1, 2}")
@@ -498,6 +513,7 @@ def _laguerre_check(p):
         raise ValueError("alpha components must be >= 0")
     if d > 1 and len(alpha) != d:
         raise ValueError(f"alpha must have one component per axis (d = {d})")
+    return _check_dimension(d, *points) if d > 1 else points
 
 
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
@@ -538,9 +554,7 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
 def _tensor_axes(variant):
     if variant not in TENSOR_VARIANTS:
         raise ValueError(f"variant must be one of {TENSOR_VARIANTS}")
-    chebyshev = _function_axis(
-        lambda top, t: orthopoly._table(orthopoly._chebyshev_rows, top, _clamped(t)), _chebyshev_weight
-    )
+    chebyshev = _function_axis(partial(orthopoly._table, orthopoly._chebyshev_rows), _chebyshev_weight)
     legendre = _function_axis(partial(orthopoly._jacobi_values, 0.0, 0.0), _legendre_weight)
     return [legendre if leg else chebyshev for leg in (variant.startswith("leg"), variant.endswith("leg"))]
 
@@ -548,9 +562,19 @@ def _tensor_axes(variant):
 _TENSOR_DOMAIN = "tensor kernels live on [-1, 1]^2"
 
 
+def _tensor_points(x, y):
+    """x and y as float arrays of points (..., 2) of [-1, 1]^2, clipped to the
+    square; a point of another dimension or outside it by more than 1e-12
+    raises."""
+    x, y = _check_dimension(2, x, y, message=_TENSOR_DOMAIN)
+    if np.any(np.abs(x) - 1.0 > 1e-12) or np.any(np.abs(y) - 1.0 > 1e-12):
+        raise ValueError(_TENSOR_DOMAIN)
+    return np.clip(x, -1.0, 1.0), np.clip(y, -1.0, 1.0)
+
+
 def tensor_block(variant, m, x, y):
     """Diagonal-degree projector block P~_m(x, y) of a 2-d product basis."""
-    return _block(_tensor_axes(variant), m, x, y, _TENSOR_DOMAIN)
+    return _block(_tensor_axes(variant), m, *_tensor_points(x, y))
 
 
 def tensor2d_kernel(cutoff, n, variant, x, y):
@@ -560,7 +584,7 @@ def tensor2d_kernel(cutoff, n, variant, x, y):
     of pairs; the result has the pairs' shape (a float for one pair).
     """
     axes = _tensor_axes(variant)
-    return _contract(axes, cutoff_band(cutoff, n), x, y, _TENSOR_DOMAIN)
+    return _contract(axes, cutoff_band(cutoff, n), *_tensor_points(x, y))
 
 
 def tensor_slice_cheb_coeffs(cutoff, n, variant):
@@ -629,15 +653,16 @@ def distance(family, x, y):
     return out if out.ndim else float(out)
 
 
-def _check_params(family, p, exempt=()):
+def _check_params(family, p, *points, exempt=()):
     """Raise ValueError naming a required parameter missing from ``p`` (other
-    than those ``exempt``) or one that the family's ``check`` rejects."""
+    than those ``exempt``), or parameters or ``points`` (..., dim) that the
+    family's ``check`` rejects."""
     spec = FAMILIES[family]
     missing = [name for name in spec.params if name not in p and name not in exempt + spec.defaults]
     if missing:
         raise ValueError(f"{family} kernels need the parameter(s) {', '.join(missing)}")
     if spec.check is not None:
-        spec.check(p)
+        spec.check(p, *points)
 
 
 def _weight(family, n, x, p):
@@ -646,9 +671,10 @@ def _weight(family, n, x, p):
     spec = _family(family)
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
+    x = _as_points(spec, p, x)
     # a weight reads the dimension off its points
-    _check_params(family, p, exempt=("d",))
-    out = spec.weight(n, _as_points(spec, p, x), p)
+    _check_params(family, p, x, exempt=("d",))
+    out = spec.weight(n, x, p)
     return out if out.ndim else float(out)
 
 
@@ -858,15 +884,19 @@ def _root_scale(n, p):
     return math.sqrt(n), float(n) ** (p.get("d", 1) / 2.0)
 
 
-def _sphere_check(p):
+def _sphere_check(p, *points):
     # a weight reads the dimension off its points, so d may be absent
     if p.get("d", 2) < 2:
         raise ValueError("sphere dimension d must be >= 2")
+    if "d" not in p:
+        return points
+    d = p["d"]
+    return _check_dimension(d + 1, *points, message=f"points must have dimension d + 1 = {d + 1}")
 
 
 def _sphere_cosine(d, x, y):
     """x . y of points on S^d, clipped to [-1, 1]."""
-    x, y = _check_dimension(d + 1, x, y, f"points must have dimension d + 1 = {d + 1}")
+    x, y = _sphere_check({"d": d}, x, y)
     return np.clip(_inner(x, y), -1, 1)
 
 
@@ -888,10 +918,12 @@ class Family:
     after bin; the rest take level ``n`` and parameters ``p``: the metric
     ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
     (None: none), the bounds' (scale, prefactor), the envelope ``diameter``,
-    and for the frame families the Gauss ``rule(p, m)`` and orthonormal
-    ``basis(p, top, x)``, the rule's table being ``basis(p, m - 1, nodes)``.
+    and for the frame families the Gauss ``rule(p, m)``, whose normalized
+    functions are the frame's orthonormal basis.
     ``params`` names the parameters read, all required but the ``defaults``;
-    ``check(p)`` rejects the values given that do not fit.
+    ``check(p, *points)``, the check the family's kernel runs, rejects the
+    values given that do not fit and points (..., dim) of a dimension the
+    kernel refuses, and returns the points.
     """
 
     distance: object
@@ -905,7 +937,6 @@ class Family:
     defaults: tuple = ()
     check: object = None
     rule: object = None
-    basis: object = None
 
 
 # Entries call kernel, quadrature and orthopoly functions by module name at call
@@ -936,9 +967,8 @@ FAMILIES = {
             (1.0 - x + n**-2.0) ** (p["alpha"] + 0.5) * (1.0 + x + n**-2.0) ** (p["beta"] + 0.5),
             axis=-1,
         ),
-        params=("alpha", "beta"),
+        params=("alpha", "beta"), check=_jacobi_check,
         rule=lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
-        basis=lambda p, top, x: orthopoly._jacobi_fn_values(p["alpha"], p["beta"], top, x),
     ),
     "sphere": Family(
         lambda x, y: _safe_arccos(_inner(x, y)),
@@ -954,7 +984,7 @@ FAMILIES = {
         sample=_ball_pairs,
         weight=lambda n, x, p: (_hemisphere_height(x) + 1.0 / n) ** (2.0 * p["mu"]),
         scale=_power_scale(lambda p: p["d"]),
-        params=("mu", "d"),
+        params=("mu", "d"), check=_ball_check,
     ),
     "simplex": Family(
         lambda x, y: _safe_arccos(
@@ -968,7 +998,7 @@ FAMILIES = {
         scale=_power_scale(lambda p: len(np.atleast_1d(p["kappa"])) - 1),
         # every term of the metric's cosine is >= 0: vertex to vertex is pi/2
         diameter=lambda n, p: np.pi / 2.0,
-        params=("kappa",),
+        params=("kappa",), check=_simplex_check,
     ),
     "hermite": Family(
         lambda x, y: np.max(np.abs(x - y), axis=-1),
@@ -978,7 +1008,6 @@ FAMILIES = {
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), defaults=("d",), check=_hermite_check,
         rule=lambda p, m: quadrature.hermite_function_rule(m),
-        basis=lambda p, top, x: orthopoly._hermite_fn_values(top, x),
     ),
     "laguerre": Family(
         lambda x, y: np.max(np.abs(x - y), axis=-1),
@@ -993,7 +1022,6 @@ FAMILIES = {
         ),
         params=("alpha", "d"), defaults=("alpha", "d"), check=_laguerre_check,
         rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
-        basis=lambda p, top, x: orthopoly._laguerre_fn_values(p["alpha"], top, x),
     ),
     **{variant: _TENSOR for variant in TENSOR_VARIANTS},
     # metrics only
@@ -1038,7 +1066,9 @@ class KernelInstance:
 
     def distance(self, x, y):
         spec = FAMILIES[self.family]
-        return distance(self.family, _as_points(spec, self.params, x), _as_points(spec, self.params, y))
+        x, y = (_as_points(spec, self.params, v) for v in (x, y))
+        _check_params(self.family, self.params, x, y)
+        return distance(self.family, x, y)
 
     def weight(self, x):
         return _weight(self.family, self.n, x, self.params)

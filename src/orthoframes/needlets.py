@@ -41,7 +41,7 @@ __all__ = [
     "coefficients_to_csv",
 ]
 
-_FAMILIES = tuple(name for name, spec in kernels.FAMILIES.items() if spec.basis)
+_FAMILIES = tuple(name for name, spec in kernels.FAMILIES.items() if spec.rule)
 
 
 @dataclass
@@ -78,11 +78,12 @@ class NeedletSystem:
     capacity: int
 
     def basis_values(self, degrees, x):
-        """Orthonormal family values phi_nu(x) for nu in ``degrees``; a run
-        of consecutive degrees is a view of the table's rows."""
+        """Orthonormal family values phi_nu(x) for nu in ``degrees``, the
+        functions of the levels' rules; a run of consecutive degrees is a view
+        of the table's rows."""
         degrees = np.asarray(degrees, dtype=int)
-        basis = kernels.FAMILIES[self.family].basis
-        vals = basis(self.params, int(degrees.max()), np.asarray(x, dtype=float))
+        rule = self.levels[0].rule
+        vals = quadrature._rule_functions(rule, int(degrees.max()), np.asarray(x, dtype=float))
         run = np.array_equal(degrees, np.arange(degrees[0], degrees[-1] + 1))
         return vals[degrees[0] :] if run else vals[degrees]
 

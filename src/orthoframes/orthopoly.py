@@ -5,9 +5,9 @@ Hermite and Laguerre function families the recurrences are normalized and
 carry the exponential factors inside the recursion state, so no raw
 polynomial value or factorial is ever formed; values stay O(1) wherever the
 functions are O(1).  Every Gamma-function ratio goes through log-Gamma
-differences to dodge overflow past n ~ 170.  Each recurrence hands its rows,
-one at a time, to a consumer: the table builders store them, and the kernels
-reduce them as they arrive.
+differences to dodge overflow past n ~ 170.  Each recurrence hands its
+finished rows, one at a time, to a consumer: the table builders store them,
+and the kernels reduce them as they arrive.
 
 Operations are pure functions of their arguments and safe for concurrent
 use.
@@ -64,31 +64,24 @@ def _table(rows, top, x, *args):
     its slot in place."""
     x = np.asarray(x, dtype=float)
     out = np.empty((top + 1,) + x.shape)
-    flat = out.reshape(len(out), -1)
-
-    def store(n, mant, exp):
-        if exp is None:
-            flat[n] = mant
-        else:
-            np.ldexp(mant, exp, out=flat[n])
-
-    rows(*args, top, x.reshape(-1), store)
+    rows(*args, top, x.reshape(-1), out.reshape(len(out), -1).__setitem__)
     return out
 
 
 # Row sources ``rows(*params, top, x, consume)`` run a family's recurrence over
-# the points x, flattened, and hand ``consume(n, mantissa, exponent)`` rows
-# n = 0..top in order: row n is the mantissa when the exponent is None, else
-# ldexp(mantissa, exponent) with an int32 exponent per point.  Both may change
-# once the call returns.  Every row source is its two seed rows and one step
-# run by ``_recur``: each step writes its row into one of three rotating
-# buffers with in-place ufuncs, in the order of the recurrence as written, so
-# a row allocates nothing and keeps its bits.
+# the points x, flattened, and hand ``consume(n, row)`` the finished rows
+# n = 0..top in order; a row may change once the call returns.  Every row
+# source is its two seed rows and one step run by ``_recur``: each step writes
+# its row into one of three rotating buffers with in-place ufuncs, in the
+# order of the recurrence as written, so a row allocates nothing and keeps its
+# bits.
 #
 # A seed below _TINY would underflow the rows grown from it, so those points
 # recur on mantissas carrying a power-of-two exponent: 0 for the others, whose
-# values stay exactly as without it (ldexp(v, 0) == v); every row is
-# ldexp(mantissa, exponent), 0 only where its true value lies below double
+# values stay exactly as without it (ldexp(v, 0) == v).  Only ``_recur`` reads
+# the exponent: it hands on ldexp(mantissa, exponent), written into one more
+# buffer, and that only while some point carries one, so the polynomial rows
+# go out as they are; a row is 0 only where its true value lies below double
 # range.  Once a point carries an exponent, mantissas past _HUGE are
 # renormalized every _RENORM rows: one step grows them by less than 2^31
 # wherever a mantissa is not 0 from the start.
@@ -100,12 +93,12 @@ _RENORM = 16
 def _recur(seed0, seed1, x, top, step, consume, log_seed=None, lift=None):
     """Rows 0..top at the flat points x from the seed rows 0 and 1 by
     ``step(n, x, row[n], row[n - 1], out)``, which writes row n + 1 into
-    ``out`` and may overwrite row n - 1, handed to ``consume`` as by a row
-    source; points whose seed lies below _TINY restart from the log
+    ``out`` and may overwrite row n - 1, handed finished to ``consume`` as by
+    a row source; points whose seed lies below _TINY restart from the log
     ``log_seed(x)`` of their seed and the ratio ``lift(x)`` of row 1 to row 0.
     The seeds are overwritten."""
     prev, cur, nxt = seed0, seed1, np.empty(x.shape)
-    exp = None
+    exp = row = None
     far = prev < _TINY
     if top > 0 and far.any():
         log2 = log_seed(x[far]) / np.log(2.0)
@@ -113,10 +106,9 @@ def _recur(seed0, seed1, x, top, step, consume, log_seed=None, lift=None):
         exp[far] = np.maximum(np.floor(log2), -(2.0**30))
         prev[far] = np.exp2(log2 - exp[far])
         cur[far] = lift(x[far]) * prev[far]
-    consume(0, prev, exp)
-    if top == 0:
-        return
-    consume(1, cur, exp)
+        row = np.empty(x.shape)
+    for n, mant in enumerate((prev, cur)[: top + 1]):
+        consume(n, mant if exp is None else np.ldexp(mant, exp, out=row))
     for n in range(1, top):
         step(n, x, cur, prev, nxt)
         prev, cur, nxt = cur, nxt, prev
@@ -126,7 +118,7 @@ def _recur(seed0, seed1, x, top, step, consume, log_seed=None, lift=None):
             cur[big] = np.ldexp(cur[big], -shift)
             prev[big] = np.ldexp(prev[big], -shift)
             exp[big] += shift
-        consume(n + 1, cur, exp)
+        consume(n + 1, cur if exp is None else np.ldexp(cur, exp, out=row))
 
 
 def _chebyshev_rows(top, x, consume):
@@ -424,9 +416,8 @@ def check_laguerre_bound(alpha, n_max, t_points=600):
     constants = np.empty(len(degrees))
     envelope = (2.0**alpha) * np.where(t > 0, 1.0, np.inf)
 
-    def scan(n, mant, exp):
+    def scan(n, row):
         if n >= n_lo:
-            row = mant if exp is None else np.ldexp(mant, exp)
             constants[n - n_lo] = (np.abs(row) / (envelope * (n / t) ** (alpha / 2.0))).max()
 
     _raw_laguerre_rows(alpha, n_max, t, scan)

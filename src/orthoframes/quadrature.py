@@ -116,9 +116,11 @@ def gauss_rule(weight, m, alpha=None, beta=None):
     return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1, table)
 
 
-# Per pass: the weight's recurrence coefficients (a, b, mu0) from (m, *params),
-# the map of the sorted eigenvalues onto the nodes, and the table f_0..f_top at
-# the nodes, looked up in orthopoly at call time so a replaced attribute reaches it
+# Per rule weight: its recurrence coefficients (a, b, mu0) from (m, *params),
+# the map of the sorted eigenvalues onto the nodes, and its normalized functions
+# f_0..f_top at points x from (params, top, x), looked up in orthopoly at call
+# time so a replaced attribute reaches them.  The weights of the function rules
+# are the passes that ``gauss_rule`` does not build.
 _PASSES = {
     "jacobi": (_jacobi_coeffs, lambda x: np.clip(x, -1.0, 1.0),
                lambda p, top, x: orthopoly._jacobi_fn_values(*p, top, x)),
@@ -129,9 +131,13 @@ _PASSES = {
     "laguerre_fn": (_laguerre_coeffs, lambda x: np.sqrt(np.clip(x, 0.0, None)),
                     lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x)),
 }
+_PASSES["hermite_fn"] = _PASSES["hermite"]
 
-# the pass of each function rule
-_FUNCTION_PASSES = {"hermite_fn": "hermite", "laguerre_fn": "laguerre_fn"}
+
+def _rule_functions(rule, top, x):
+    """The normalized functions f_0..f_top of ``rule`` at x, rows by degree:
+    the functions whose Christoffel sums at the nodes gave its weights."""
+    return _PASSES[rule.weight][2](rule.params, top, x)
 
 
 def _christoffel_pass(weight, m, *params):
@@ -234,9 +240,9 @@ def verify_orthonormality(rule, degree=None):
     function rule's weights leave double range at any m.  A non-finite
     entry is returned as nan, never dropped.
     """
-    if rule.weight not in _FUNCTION_PASSES:
+    if rule.weight not in _PASSES or rule.weight in _FAMILIES:
         raise ValueError(f"orthonormality is checked on function rules, not {rule.weight!r}")
-    rows = _PASSES[_FUNCTION_PASSES[rule.weight]][2](rule.params, rule.m - 1, rule.nodes)
+    rows = _rule_functions(rule, rule.m - 1, rule.nodes)
     degree = rule.exactness if degree is None else degree
     if not 0 <= degree <= rule.exactness:
         raise ValueError(f"degree must lie in 0..{rule.exactness}")
@@ -254,7 +260,7 @@ def hermite_function_rule(m):
     reciprocal Christoffel sums of the normalized Hermite functions so that
     no intermediate quantity underflows.
     """
-    nodes, table, sums, _ = _christoffel_pass("hermite", m)
+    nodes, table, sums, _ = _christoffel_pass("hermite_fn", m)
     return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * m - 1, table)
 
 

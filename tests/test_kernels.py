@@ -716,6 +716,28 @@ def test_tensor_chebyshev_axes_match_the_closed_form(variant, top):
         assert np.abs(table - ref).max() <= 1e-13
 
 
+@pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
+@pytest.mark.parametrize("point", [(1.5, 0.0), (0.0, 1.5)])
+def test_tensor_points_outside_the_square_raise_on_every_axis(cutoff_c, variant, point):
+    # the Legendre axes once took any point: legleg at (1.5, 0) read 6,755
+    k = ke.KernelInstance(variant, cutoff_c, 8)
+    for evaluate in (
+        lambda: ke.tensor2d_kernel(cutoff_c, 8, variant, point, (0.0, 0.0)),
+        lambda: ke.tensor_block(variant, 3, (0.0, 0.0), point),
+        lambda: k.pair_values(np.array([point, (0.2, 0.1)]), np.zeros((2, 2))),
+    ):
+        with pytest.raises(ValueError, match=r"tensor kernels live on \[-1, 1\]\^2"):
+            evaluate()
+
+
+@pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
+def test_tensor_points_within_round_off_of_the_square_take_the_boundary_value(cutoff_c, variant):
+    over, edge = (1.0 + 1e-13, -1.0 - 1e-13), (1.0, -1.0)
+    y = (0.3, 1.0)
+    assert ke.tensor2d_kernel(cutoff_c, 8, variant, over, y) == ke.tensor2d_kernel(cutoff_c, 8, variant, edge, y)
+    assert ke.tensor_block(variant, 5, y, over) == ke.tensor_block(variant, 5, y, edge)
+
+
 def _per_pair_convolution(band, diags):
     """sum_m band_m c_m pair by pair, the blocks c_m by repeated sequence
     convolution of the pair's rows of the per-axis (pairs, top) tables
@@ -953,6 +975,38 @@ def test_sphere_points_must_have_dimension_d_plus_1(cutoff_c):
     assert ke.weight_factor("sphere", 8, np.array([0.0, 0.0, 1.0])) == 1.0
 
 
+def test_sphere_instance_distance_refuses_points_of_the_wrong_dimension(cutoff_c):
+    k = ke.KernelInstance("sphere", cutoff_c, 8, {"d": 2})
+    with pytest.raises(ValueError, match=r"points must have dimension d \+ 1 = 3"):
+        k.distance(0.5, 0.2)
+    assert k.distance([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == pytest.approx(np.pi / 2, rel=1e-15)
+
+
+def test_multivariate_hermite_instance_distance_refuses_scalar_points(cutoff_c):
+    k = ke.KernelInstance("hermite", cutoff_c, 8, {"d": 2})
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        k.distance(0.5, 0.2)
+    assert k.distance([0.5, 0.0], [0.2, 0.1]) == pytest.approx(0.3, rel=1e-15)
+
+
+def test_ball_instance_weight_refuses_points_of_the_wrong_dimension(cutoff_c):
+    k = ke.KernelInstance("ball", cutoff_c, 8, {"mu": 1.0, "d": 2})
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        k.weight([0.1, 0.2, 0.3])
+    assert k.weight([0.1, 0.2]) == ke.weight_factor("ball", 8, [0.1, 0.2], mu=1.0)
+
+
+def test_simplex_instance_refuses_points_of_another_dimension_than_kappa_gives(cutoff_c):
+    # three scalars once passed as one point of the 3-simplex
+    k = ke.KernelInstance("simplex", cutoff_c, 4, {"kappa": (0.5, 0.5)})
+    x, y = np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.4, 0.5])
+    for evaluate in (lambda: k.distance(x, y), lambda: k.weight(x), lambda: k.pair_values(x, y)):
+        with pytest.raises(ValueError, match="points must have dimension 1"):
+            evaluate()
+    assert k.distance(0.1, 0.3) == k.distance([0.1], [0.3])
+    assert k(0.1, 0.3) == k.pair_values(x[:1, None], y[:1, None])[0]
+
+
 def test_weight_factor_names_missing_parameter():
     with pytest.raises(ValueError, match="alpha"):
         ke.weight_factor("jacobi", 4, 0.3)
@@ -964,6 +1018,11 @@ def test_weight_factor_names_missing_parameter():
         ("hermite", {"d": 4}, "supports d in"),
         ("laguerre", {"alpha": 1.0, "d": 2}, "one component per axis"),
         ("sphere", {"d": 1}, "sphere dimension d must be >= 2"),
+        ("ball", {"mu": 1.0, "d": 1}, "ball dimension d must be >= 2"),
+        ("ball", {"mu": -1.0, "d": 2}, "ball kernel requires mu > 0"),
+        ("simplex", {"kappa": (0.5, -1.0)}, "kappa must be a nonnegative vector"),
+        ("simplex", {"kappa": (0.5, 0.5, 0.5, 0.5)}, r"simplex kernel supports d in \{1, 2\}"),
+        ("jacobi", {"alpha": -2.0, "beta": 0.0}, "alpha, beta > -1"),
     ],
 )
 def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):

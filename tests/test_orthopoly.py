@@ -290,37 +290,37 @@ def test_laguerre_core_keeps_far_tail_points(alpha):
 def _ref_chebyshev_rows(top, x, consume):
     x = np.asarray(x, dtype=float)
     prev, cur = np.ones(x.shape), x
-    consume(0, prev, None)
+    consume(0, prev)
     if top > 0:
-        consume(1, cur, None)
+        consume(1, cur)
     two_x = 2.0 * x
     for n in range(2, top + 1):
         prev, cur = cur, two_x * cur - prev
-        consume(n, cur, None)
+        consume(n, cur)
 
 
 def _ref_jacobi_rows(alpha, beta, top, x, consume):
     x = np.asarray(x, dtype=float)
     prev = np.ones(x.shape)
-    consume(0, prev, None)
+    consume(0, prev)
     if top == 0:
         return
     s = alpha + beta
     cur = 0.5 * (alpha - beta + (s + 2.0) * x)
-    consume(1, cur, None)
+    consume(1, cur)
     for n in range(2, top + 1):
         c0 = 2.0 * n * (n + s) * (2 * n + s - 2)
         c1 = (2 * n + s - 1) * (2 * n + s) * (2 * n + s - 2)
         c2 = (2 * n + s - 1) * (alpha**2 - beta**2)
         c3 = 2.0 * (n + alpha - 1) * (n + beta - 1) * (2 * n + s)
         prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
-        consume(n, cur, None)
+        consume(n, cur)
 
 
 def _ref_recur(seed0, seed1, x, top, step, log_seed, lift, consume):
     prev, cur = seed0, seed1
     if top == 0:
-        consume(0, prev, None)
+        consume(0, prev)
         return
     far = prev < op._TINY
     log2 = log_seed(x[far]) / np.log(2.0)
@@ -329,8 +329,8 @@ def _ref_recur(seed0, seed1, x, top, step, log_seed, lift, consume):
     prev[far] = np.exp2(log2 - exp[far])
     cur[far] = lift(x[far]) * prev[far]
     scaled = exp if far.any() else None
-    consume(0, prev, scaled)
-    consume(1, cur, scaled)
+    consume(0, prev if scaled is None else np.ldexp(prev, scaled))
+    consume(1, cur if scaled is None else np.ldexp(cur, scaled))
     for n in range(1, top):
         prev, cur = cur, step(n, x, cur, prev)
         if n % op._RENORM == 0 and np.any(np.abs(cur) > op._HUGE):
@@ -340,7 +340,7 @@ def _ref_recur(seed0, seed1, x, top, step, log_seed, lift, consume):
             prev[big] = np.ldexp(prev[big], -shift)
             exp[big] += shift
             scaled = exp
-        consume(n + 1, cur, scaled)
+        consume(n + 1, cur if scaled is None else np.ldexp(cur, scaled))
 
 
 def _ref_hermite_rows(top, t, consume):
@@ -374,14 +374,14 @@ def _ref_laguerre_rows(alpha, top, s, consume):
 def _ref_raw_laguerre_rows(alpha, top, t, consume):
     t = np.asarray(t, dtype=float)
     prev = np.exp(-0.5 * t)
-    consume(0, prev, None)
+    consume(0, prev)
     if top == 0:
         return
     cur = (alpha + 1.0 - t) * prev
-    consume(1, cur, None)
+    consume(1, cur)
     for n in range(1, top):
         prev, cur = cur, ((2 * n + alpha + 1 - t) * cur - (n + alpha) * prev) / (n + 1.0)
-        consume(n + 1, cur, None)
+        consume(n + 1, cur)
 
 
 # (row source, its reference, top, points); the Hermite and Laguerre points

@@ -283,3 +283,17 @@ def test_function_rules_are_orthonormal_and_a_perturbed_weight_is_not(build):
 def test_orthonormality_is_checked_on_function_rules_only():
     with pytest.raises(ValueError, match="function rules"):
         qd.verify_orthonormality(qd.gauss_rule("hermite", 8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qd.gauss_rule("jacobi", 32, alpha=2.0, beta=0.5),
+    lambda: qd.hermite_function_rule(512),
+    lambda: qd.laguerre_function_rule(1.0, 400),
+], ids=["jacobi", "hermite_fn", "laguerre_fn"])
+def test_the_rule_functions_are_those_whose_christoffel_sums_gave_the_weights(build):
+    rule = build()
+    rows = qd._rule_functions(rule, rule.m - 1, rule.nodes)
+    sums = np.zeros(rule.m)
+    for row in rows:
+        sums += row * row
+    assert np.array_equal(1.0 / sums, rule.weights)
