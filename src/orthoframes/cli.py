@@ -377,7 +377,7 @@ def build_parser():
 
     p = sub.add_parser("quad", help="build or verify Gaussian rules")
     p.add_argument("action", choices=("build", "verify"))
-    p.add_argument("--weight", default="jacobi", choices=("jacobi", "hermite", "laguerre"))
+    p.add_argument("--weight", default="jacobi", choices=quadrature._FAMILIES)
     p.add_argument("--m", type=int, default=16)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -387,7 +387,7 @@ def build_parser():
 
     p = sub.add_parser("needlet", help="build frames, verify tightness")
     p.add_argument("action", choices=("build", "parseval", "roundtrip"))
-    p.add_argument("--family", default="jacobi", choices=("jacobi", "hermite", "laguerre"))
+    p.add_argument("--family", default="jacobi", choices=needlets._FAMILIES)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--jmax", type=int, default=5)

@@ -59,13 +59,28 @@ def cutoff_band(cutoff, n):
     return np.asarray(cutoff(j / n), dtype=float)
 
 
-def _clamped(v):
-    """v clipped to [-1, 1]; an argument outside by more than 1e-12 raises."""
-    v = np.asarray(v, dtype=float)
-    over = np.abs(v) - 1.0
-    if np.any(over > 1e-12):
-        raise ValueError(f"arccos argument outside [-1, 1] by {over.max():.3e}")
+# One round-off rule for every family domain: a point within _ROUND_OFF of
+# the domain is accepted (interval points clipped onto [-1, 1]), a point
+# farther out raises the family's message.
+_ROUND_OFF = 1e-12
+
+
+def _domain(points, excess, message):
+    """The points, unless one lies farther than ``_ROUND_OFF`` outside the
+    domain by ``excess(v)`` (<= 0 inside) or is nan: that raises ``message``."""
+    if not all(np.all(excess(v) <= _ROUND_OFF) for v in points):
+        raise ValueError(message)
+    return points
+
+
+def _clamped(v, message="arccos argument outside [-1, 1]"):
+    """v as a float array of [-1, 1], round-off clipped onto it."""
+    (v,) = _domain([np.asarray(v, dtype=float)], lambda v: np.abs(v) - 1.0, message)
     return np.clip(v, -1.0, 1.0)
+
+
+def _interval_check(p, *points):
+    return [_clamped(v, "points must lie in [-1, 1]") for v in points]
 
 
 def _safe_arccos(v):
@@ -123,16 +138,12 @@ def chebyshev_kernel(cutoff, n, x, y):
     Chebyshev polynomials (T~_0 = 1/sqrt(pi))."""
     band = cutoff_band(cutoff, n)
     coeff = _chebyshev_weight(np.arange(len(band))) * band
-    return _series(orthopoly._chebyshev_rows, coeff, _clamped(x), _clamped(y))
+    return _series(orthopoly._chebyshev_rows, coeff, *_interval_check({}, x, y))
 
 
 def jacobi_kernel(cutoff, n, alpha, beta, x, y):
     """Weighted reproducing-type kernel of the Jacobi family."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(x) > 1) or np.any(np.abs(y) > 1):
-        raise ValueError("points must lie in [-1, 1]")
-    _jacobi_check({"alpha": alpha, "beta": beta})
+    x, y = _jacobi_check({"alpha": alpha, "beta": beta}, x, y)
     w = cutoff_band(cutoff, n)
     h = orthopoly.jacobi_norms(JacobiParams(alpha, beta), len(w) - 1)
     return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
@@ -140,7 +151,7 @@ def jacobi_kernel(cutoff, n, alpha, beta, x, y):
 
 def _jacobi_check(p, *points):
     JacobiParams(p["alpha"], p["beta"])
-    return points
+    return _interval_check(p, *points)
 
 
 def _q_coefficients(cutoff, n, alpha, beta):
@@ -162,9 +173,7 @@ def jacobi_Q(cutoff, n, alpha, beta, x):
     The degree-0 coefficient is written through Gamma(alpha+beta+2) so the
     Chebyshev-type corner (alpha + beta = -1) hits no pole.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1):
-        raise ValueError("points must lie in [-1, 1]")
+    (x,) = _jacobi_check({"alpha": alpha, "beta": beta}, x)
     coeff = _q_coefficients(cutoff, n, alpha, beta)
     return _series(partial(orthopoly._jacobi_rows, alpha, beta), coeff, x)
 
@@ -187,6 +196,7 @@ def summation_by_parts_coefficients(cutoff, n, alpha, beta, k):
     shifted linear factor and takes a first difference.  For cutoffs
     vanishing below 1/2 the support of A_k lies in [n/2 - k, 2n].
     """
+    _jacobi_check({"alpha": alpha, "beta": beta})
     if not 1 <= k <= n / 4:
         raise ValueError("ladder depth k must satisfy 1 <= k <= n/4")
     jtop = int(math.ceil(2.0 * n)) + k + 2
@@ -204,6 +214,7 @@ def verify_summation_by_parts(cutoff, n, alpha, beta, k, x):
     """Relative discrepancy between Q_n and its k-fold summation-by-parts form."""
     from scipy.special import gammaln
 
+    (x,) = _jacobi_check({"alpha": alpha, "beta": beta}, x)
     state = summation_by_parts_coefficients(cutoff, n, alpha, beta, k)
     a = state.values
     j = np.arange(len(a), dtype=float)
@@ -303,8 +314,6 @@ def ball_kernel(cutoff, n, mu, d, x, y):
     Gegenbauer sum covers every (pair, node) of a chunk.
     """
     x, y = _ball_check({"mu": mu, "d": d}, x, y)
-    if np.any(np.sum(x * x, axis=-1) > 1 + 1e-12) or np.any(np.sum(y * y, axis=-1) > 1 + 1e-12):
-        raise ValueError("points must lie in the closed unit ball")
     lam = mu + (d - 1) / 2.0
     band = cutoff_band(cutoff, n)
     rule = quadrature.gauss_rule("jacobi", -(-len(band) // 2), alpha=mu - 1.0, beta=mu - 1.0)
@@ -324,7 +333,9 @@ def _ball_check(p, *points):
     # a weight reads the dimension off its points, so d may be absent
     if p.get("d", 2) < 2:
         raise ValueError("ball dimension d must be >= 2")
-    return _check_dimension(p["d"], *points) if "d" in p else points
+    points = _check_dimension(p["d"], *points) if "d" in p else points
+    radius_excess = lambda v: np.linalg.norm(v, axis=-1) - 1.0
+    return _domain(points, radius_excess, "points must lie in the closed unit ball")
 
 
 def _axis_rule(kappa_i, m):
@@ -349,10 +360,6 @@ def simplex_kernel(cutoff, n, kappa, x, y):
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
     xb, yb = map(_barycentric, _simplex_check({"kappa": kappa}, x, y))
     d = len(kappa) - 1
-    if np.any(xb[..., :d] < -1e-12) or np.any(yb[..., :d] < -1e-12):
-        raise ValueError("points must have nonnegative coordinates")
-    if np.any(xb[..., d] < -1e-12) or np.any(yb[..., d] < -1e-12):
-        raise ValueError("points must lie in the simplex")
     lam = kappa.sum() + (d - 1) / 2.0
     band = cutoff_band(cutoff, n)
     axes = [_axis_rule(k, len(band)) for k in kappa]
@@ -375,7 +382,8 @@ def _simplex_check(p, *points):
     if np.any(kappa < 0):
         raise ValueError("kappa must be a nonnegative vector of length d + 1")
     # a point of the 1-simplex may be a scalar
-    return _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
+    points = _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
+    return _domain(points, lambda v: -_barycentric(v), "points must lie in the simplex")
 
 
 def _gegenbauer_sum_even(band, lam, arg):
@@ -513,22 +521,21 @@ def _laguerre_check(p, *points):
         raise ValueError("alpha components must be >= 0")
     if d > 1 and len(alpha) != d:
         raise ValueError(f"alpha must have one component per axis (d = {d})")
-    return _check_dimension(d, *points) if d > 1 else points
+    points = _check_dimension(d, *points) if d > 1 else points
+    return _domain(points, np.negative, "points must be nonnegative")
 
 
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     """Laguerre F-function kernel on the positive orthant; d = 1 accepts
     point arrays, d > 1 (..., d) arrays of pairs.  ``alpha`` is scalar for
     d = 1, else one entry per axis."""
-    _laguerre_check({"alpha": alpha, "d": d})
+    x, y = _laguerre_check({"alpha": alpha, "d": d}, x, y)
     alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
-        raise ValueError("points must be nonnegative")
     band = cutoff_band(cutoff, n)
     if d == 1:
         # the F-type functions are sqrt(2) ell_n(t^2)
-        t2 = [np.square(np.asarray(t, dtype=float)) for t in (x, y)]
-        return _series(partial(orthopoly._laguerre_rows, alpha_vec[0]), 2.0 * band, *t2)
+        rows = partial(orthopoly._laguerre_rows, alpha_vec[0])
+        return _series(rows, 2.0 * band, np.square(x), np.square(y))
     axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
     return _contract(axes, band, x, y)
 
@@ -562,19 +569,14 @@ def _tensor_axes(variant):
 _TENSOR_DOMAIN = "tensor kernels live on [-1, 1]^2"
 
 
-def _tensor_points(x, y):
-    """x and y as float arrays of points (..., 2) of [-1, 1]^2, clipped to the
-    square; a point of another dimension or outside it by more than 1e-12
-    raises."""
-    x, y = _check_dimension(2, x, y, message=_TENSOR_DOMAIN)
-    if np.any(np.abs(x) - 1.0 > 1e-12) or np.any(np.abs(y) - 1.0 > 1e-12):
-        raise ValueError(_TENSOR_DOMAIN)
-    return np.clip(x, -1.0, 1.0), np.clip(y, -1.0, 1.0)
+def _tensor_check(p, *points):
+    """Points (..., 2) of [-1, 1]^2 as float arrays, clipped onto the square."""
+    return [_clamped(v, _TENSOR_DOMAIN) for v in _check_dimension(2, *points, message=_TENSOR_DOMAIN)]
 
 
 def tensor_block(variant, m, x, y):
     """Diagonal-degree projector block P~_m(x, y) of a 2-d product basis."""
-    return _block(_tensor_axes(variant), m, *_tensor_points(x, y))
+    return _block(_tensor_axes(variant), m, *_tensor_check({}, x, y))
 
 
 def tensor2d_kernel(cutoff, n, variant, x, y):
@@ -584,7 +586,7 @@ def tensor2d_kernel(cutoff, n, variant, x, y):
     of pairs; the result has the pairs' shape (a float for one pair).
     """
     axes = _tensor_axes(variant)
-    return _contract(axes, cutoff_band(cutoff, n), *_tensor_points(x, y))
+    return _contract(axes, cutoff_band(cutoff, n), *_tensor_check({}, x, y))
 
 
 def tensor_slice_cheb_coeffs(cutoff, n, variant):
@@ -654,15 +656,15 @@ def distance(family, x, y):
 
 
 def _check_params(family, p, *points, exempt=()):
-    """Raise ValueError naming a required parameter missing from ``p`` (other
-    than those ``exempt``), or parameters or ``points`` (..., dim) that the
-    family's ``check`` rejects."""
+    """The ``points`` as (..., dim) arrays checked by the family's ``check``;
+    raise ValueError naming a required parameter missing from ``p`` (other
+    than those ``exempt``), or parameters or points that the check rejects."""
     spec = FAMILIES[family]
     missing = [name for name in spec.params if name not in p and name not in exempt + spec.defaults]
     if missing:
         raise ValueError(f"{family} kernels need the parameter(s) {', '.join(missing)}")
-    if spec.check is not None:
-        spec.check(p, *points)
+    points = [_as_points(spec, p, v) for v in points]
+    return points if spec.check is None else spec.check(p, *points)
 
 
 def _weight(family, n, x, p):
@@ -671,9 +673,8 @@ def _weight(family, n, x, p):
     spec = _family(family)
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
-    x = _as_points(spec, p, x)
     # a weight reads the dimension off its points
-    _check_params(family, p, x, exempt=("d",))
+    (x,) = _check_params(family, p, x, exempt=("d",))
     out = spec.weight(n, x, p)
     return out if out.ndim else float(out)
 
@@ -888,10 +889,11 @@ def _sphere_check(p, *points):
     # a weight reads the dimension off its points, so d may be absent
     if p.get("d", 2) < 2:
         raise ValueError("sphere dimension d must be >= 2")
-    if "d" not in p:
-        return points
-    d = p["d"]
-    return _check_dimension(d + 1, *points, message=f"points must have dimension d + 1 = {d + 1}")
+    if "d" in p:
+        d = p["d"]
+        points = _check_dimension(d + 1, *points, message=f"points must have dimension d + 1 = {d + 1}")
+    radius_gap = lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    return _domain(points, radius_gap, "points must lie on the unit sphere")
 
 
 def _sphere_cosine(d, x, y):
@@ -922,8 +924,8 @@ class Family:
     functions are the frame's orthonormal basis.
     ``params`` names the parameters read, all required but the ``defaults``;
     ``check(p, *points)``, the check the family's kernel runs, rejects the
-    values given that do not fit and points (..., dim) of a dimension the
-    kernel refuses, and returns the points.
+    values given that do not fit and points (..., dim) of another dimension
+    or farther than ``_ROUND_OFF`` outside the domain, and returns the points.
     """
 
     distance: object
@@ -942,7 +944,7 @@ class Family:
 # Entries call kernel, quadrature and orthopoly functions by module name at call
 # time, so replacing a module attribute (to trace it, say) reaches every family.
 _TENSOR = Family(
-    _angle_distance, sample=_tensor_pairs,
+    _angle_distance, sample=_tensor_pairs, check=_tensor_check,
     values=lambda k, x, y: tensor2d_kernel(k.cutoff, k.n, k.family, x, y),
 )
 
@@ -955,7 +957,7 @@ FAMILIES = {
     ),
     "chebyshev": Family(
         _angle_distance, values=lambda k, x, y: chebyshev_kernel(k.cutoff, k.n, x, y),
-        sample=_angle_pairs, scalar=lambda p: True, weight=_unit_weight,
+        sample=_angle_pairs, scalar=lambda p: True, weight=_unit_weight, check=_interval_check,
     ),
     "jacobi": Family(
         _angle_distance,
@@ -1065,10 +1067,7 @@ class KernelInstance:
         return np.asarray(FAMILIES[self.family].values(self, xs, ys), dtype=float)
 
     def distance(self, x, y):
-        spec = FAMILIES[self.family]
-        x, y = (_as_points(spec, self.params, v) for v in (x, y))
-        _check_params(self.family, self.params, x, y)
-        return distance(self.family, x, y)
+        return distance(self.family, *_check_params(self.family, self.params, x, y))
 
     def weight(self, x):
         return _weight(self.family, self.n, x, self.params)

@@ -84,6 +84,8 @@ def test_kernel_grid_draws_points_of_the_kernels_dimension(tmp_path, capsys):
         (["--x", "0.5", "--y", "0.2"], "sphere dimension d must be >= 2"),
         (["--dim", "2", "--x", "0.5", "--y", "0.2"], "points must have dimension d + 1 = 3"),
         (["--dim", "2", "--x", "1,0,0", "--y", "0,1"], "points must have dimension d + 1 = 3"),
+        # once read rho = 1.318 between two equal points off the sphere
+        (["--dim", "2", "--x", "0.5,0,0", "--y", "0.5,0,0"], "points must lie on the unit sphere"),
     ],
 )
 def test_sphere_points_of_the_wrong_dimension_are_usage_errors(tmp_path, capsys, args, message):
@@ -94,6 +96,15 @@ def test_sphere_points_of_the_wrong_dimension_are_usage_errors(tmp_path, capsys,
     assert not (tmp_path / "o" / "kernel_eval.json").exists()
     args = ["--dim", "2", "--x", "1,0,0", "--y", "0,1,0"]
     assert run(["kernel", "eval", "--family", "sphere"] + args + FAST + ["--out", out]) == 0
+
+
+def test_jacobi_points_within_round_off_of_the_interval_evaluate(tmp_path, capsys):
+    # the kernel once refused 1 + 1e-13 while the instance's distance took it
+    out = str(tmp_path / "o")
+    args = ["--alpha", "0.5", "--beta", "0.5", "--x", "1.0000000000001", "--y", "0.2"]
+    assert run(["kernel", "eval", "--family", "jacobi"] + args + FAST + ["--out", out]) == 0
+    record = json.loads((tmp_path / "o" / "kernel_eval.json").read_text())
+    assert math.isfinite(record["value"]) and math.isfinite(record["rho"])
 
 
 def test_quad_build_and_verify(tmp_path):

@@ -725,9 +725,17 @@ def test_tensor_points_outside_the_square_raise_on_every_axis(cutoff_c, variant,
         lambda: ke.tensor2d_kernel(cutoff_c, 8, variant, point, (0.0, 0.0)),
         lambda: ke.tensor_block(variant, 3, (0.0, 0.0), point),
         lambda: k.pair_values(np.array([point, (0.2, 0.1)]), np.zeros((2, 2))),
+        lambda: k.distance(np.array([point, (0.2, 0.1)]), np.zeros((2, 2))),
     ):
         with pytest.raises(ValueError, match=r"tensor kernels live on \[-1, 1\]\^2"):
             evaluate()
+
+
+def test_tensor_instance_distance_refuses_points_of_another_dimension(cutoff_c):
+    # the square's metric once read 0.3047 between two points of R^3
+    k = ke.KernelInstance("legleg", cutoff_c, 8)
+    with pytest.raises(ValueError, match=r"tensor kernels live on \[-1, 1\]\^2"):
+        k.distance((0.1, 0.2, 0.3), (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("variant", ke.TENSOR_VARIANTS)
@@ -1028,6 +1036,60 @@ def test_weight_factor_names_missing_parameter():
 def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):
     with pytest.raises(ValueError, match=message):
         ke.KernelInstance(family, cutoff_c, 8, params)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda cut: ke.jacobi_Q(cut, 8, -2.0, 0.0, 0.3), id="Q-alpha"),
+        pytest.param(lambda cut: ke.jacobi_Q(cut, 8, 0.0, -1.5, 0.3), id="Q-beta"),
+        pytest.param(lambda cut: ke.summation_by_parts_coefficients(cut, 8, -1.0, 0.0, 1), id="ladder"),
+        pytest.param(lambda cut: ke.verify_summation_by_parts(cut, 8, -1.0, 0.0, 1, 0.3), id="verify"),
+    ],
+)
+def test_jacobi_boundary_kernels_reject_parameters_that_do_not_fit(cutoff_c, evaluate):
+    # these read nan, or 2.43 for a weight that cannot be integrated
+    with pytest.raises(ValueError, match="alpha, beta > -1"):
+        evaluate(cutoff_c)
+
+
+# each family's parameters, a point inside its domain, a point on its
+# boundary, the direction leaving the domain there, and its message
+_DOMAINS = {
+    "chebyshev": ({}, 0.2, 1.0, 1.0, r"points must lie in \[-1, 1\]"),
+    "jacobi": ({"alpha": 0.5, "beta": 0.5}, 0.2, 1.0, 1.0, r"points must lie in \[-1, 1\]"),
+    "sphere": ({"d": 2}, (0.0, 0.6, 0.8), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), "points must lie on the unit sphere"),
+    "ball": ({"mu": 1.0, "d": 2}, (0.1, 0.2), (0.6, 0.8), (0.6, 0.8), "points must lie in the closed unit ball"),
+    "simplex": ({"kappa": (0.5, 0.5, 0.5)}, (0.1, 0.2), (0.0, 0.5), (-1.0, 0.0), "points must lie in the simplex"),
+    "laguerre": ({"alpha": 1.0}, 2.0, 0.0, -1.0, "points must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("family", list(_DOMAINS))
+def test_every_evaluation_of_a_family_accepts_and_refuses_the_same_points(cutoff_c, family):
+    # one round-off rule: 1e-13 outside the domain is accepted, 1e-3 and nan
+    # refused, by the kernel, the instance's distance and weight and
+    # weight_factor alike
+    params, inside, edge, out, message = _DOMAINS[family]
+    inside, edge, out = (np.asarray(v, dtype=float) for v in (inside, edge, out))
+    k = ke.KernelInstance(family, cutoff_c, 4, params)
+    given = {key: v for key, v in params.items() if key != "d"}
+    evaluations = [
+        lambda x: k(x, inside),
+        lambda x: k.pair_values(x[None], inside[None]),
+        lambda x: k.distance(x, inside),
+        k.weight,
+        lambda x: ke.weight_factor(family, 4, x, **given),
+    ]
+    for evaluate in evaluations:
+        for x in (inside, edge + 1e-13 * out):
+            assert np.all(np.isfinite(evaluate(x)))
+        for x in (edge + 1e-3 * out, np.full_like(edge, np.nan)):
+            with pytest.raises(ValueError, match=message):
+                evaluate(x)
+    if family in ("chebyshev", "jacobi"):
+        # round-off is clipped onto the interval: the value at the end
+        assert k(edge + 1e-13, inside) == k(edge, inside)
 
 
 def test_kernel_instance_dispatch(cutoff_c, rng):
