@@ -189,15 +189,12 @@ def cmd_kernel(args):
 
 def cmd_quad(args):
     # past a few hundred nodes the Hermite and Laguerre moments, and the
-    # smallest Gauss weights, leave double range; the function rule on the same
-    # nodes does not, so it is checked by orthonormality of its rows (the
-    # Laguerre function rule needs alpha >= 0; below, the moments remain)
+    # smallest Gauss weights, leave double range; the frame's function rule on
+    # the same nodes does not, so it is checked by orthonormality of its rows
+    # (the Laguerre function rule needs alpha >= 0; below, the moments remain)
     line_rule = args.weight == "hermite" or args.weight == "laguerre" and args.alpha >= 0
     if args.action == "verify" and line_rule:
-        if args.weight == "hermite":
-            rule = quadrature.hermite_function_rule(args.m)
-        else:
-            rule = quadrature.laguerre_function_rule(args.alpha, args.m)
+        rule = kernels.FAMILIES[args.weight].frame.rule({"alpha": args.alpha}, args.m)
         check, verify = "orthonormality", quadrature.verify_orthonormality
     else:
         rule = quadrature.gauss_rule(args.weight, args.m, alpha=args.alpha, beta=args.beta)
@@ -215,10 +212,6 @@ def cmd_quad(args):
     tol = args.tolerance if args.tolerance is not None else _DEF_TOL["exactness"]
     print(f"quad verify: {args.weight} m={args.m} degree={degree} {check} error {err:.3e}")
     return 0 if err < tol else 1
-
-
-# the interval on which ``needlet roundtrip`` compares reconstructions
-_ROUNDTRIP_POINTS = {"jacobi": (-1, 1), "hermite": (-3, 3), "laguerre": (0.05, 3)}
 
 
 def _system_from_args(args, cut):
@@ -246,7 +239,7 @@ def cmd_needlet(args):
             defects.append(needlets.parseval_check(system, coeffs))
         else:
             frame = needlets.analyze(system, coeffs)
-            pts = rng.uniform(*_ROUNDTRIP_POINTS[args.family], 50)
+            pts = rng.uniform(*kernels.FAMILIES[args.family].frame.roundtrip, 50)
             rec = needlets.synthesize(system, frame, pts)
             ref = np.tensordot(
                 coeffs, system.basis_values(np.arange(len(coeffs)), pts), axes=(0, 0)
@@ -368,8 +361,9 @@ def build_parser():
     p = sub.add_parser("kernel", help="evaluate kernels or export value grids")
     p.add_argument("action", choices=("eval", "grid"))
     _add_family_opts(p, n=32)
-    p.add_argument("--x", default="0.5")
-    p.add_argument("--y", default="0.25")
+    point = "a point: its coordinates, comma-separated (0.2,0.3 or -0.4,0.1)"
+    p.add_argument("--x", default="0.5", help=point)
+    p.add_argument("--y", default="0.25", help=point)
     p.add_argument("--count", type=_positive_int, default=200)
     _add_cutoff_opts(p)
     common(p)
@@ -413,6 +407,18 @@ def build_parser():
     return parser
 
 
+def _join_points(argv):
+    """argv with ``--x V`` and ``--y V`` written ``--x=V``: argparse would read
+    a point whose first coordinate is negative, such as -0.4,0.1, as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--x", "--y"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv):
     """Entry point returning the process exit code."""
     parser = build_parser()
@@ -420,7 +426,7 @@ def run(argv):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_points(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if not getattr(args, "command", None):

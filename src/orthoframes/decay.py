@@ -162,12 +162,6 @@ def _pair_magnitudes(kernel, xs, ys, weighted):
     return vals
 
 
-def _generic_bin_values(kernel, lo, hi, count, plan):
-    # the envelope values of the family sampler's pairs of the one bin [lo, hi]
-    xs, ys, _ = kernels.FAMILIES[kernel.family].sample(kernel, np.array([lo, hi]), count, plan.seed)
-    return _pair_magnitudes(kernel, xs, ys, plan.weighted)
-
-
 def _log_product(u, epsilon, log_depth):
     """Denominator log product; depth 1 is log(e + u)^(1 + eps), depth 2 is
     log(e + u) * [loglog(e^e + u)]^(1 + eps), and so on."""

@@ -61,16 +61,26 @@ def cutoff_band(cutoff, n):
 
 # One round-off rule for every family domain: a point within _ROUND_OFF of
 # the domain is accepted (interval points clipped onto [-1, 1]), a point
-# farther out raises the family's message.
+# farther out, or with a nan or infinite coordinate, raises the family's message.
 _ROUND_OFF = 1e-12
 
 
 def _domain(points, excess, message):
-    """The points, unless one lies farther than ``_ROUND_OFF`` outside the
-    domain by ``excess(v)`` (<= 0 inside) or is nan: that raises ``message``."""
-    if not all(np.all(excess(v) <= _ROUND_OFF) for v in points):
-        raise ValueError(message)
+    """The points, unless one has a non-finite coordinate or lies farther than
+    ``_ROUND_OFF`` outside the domain by ``excess(v)`` (<= 0 inside): that
+    raises ``message``."""
+    for v in points:
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{message} (got nan or inf)")
+        if not np.all(excess(v) <= _ROUND_OFF):
+            raise ValueError(message)
     return points
+
+
+def _finite_check(p, *points):
+    """The points of a domain without edge (the trig angles, Hermite's R^d):
+    any finite coordinates."""
+    return _domain(points, np.zeros_like, "points must be finite")
 
 
 def _clamped(v, message="arccos argument outside [-1, 1]"):
@@ -128,6 +138,7 @@ def _series(rows, coeff, x, y=None):
 
 def trig_kernel(cutoff, n, theta):
     """Even 2*pi-periodic polynomial F_n(theta) with half-weight constant term."""
+    (theta,) = _finite_check({}, theta)
     w = cutoff_band(cutoff, n).copy()
     w[0] *= 0.5
     return _series(orthopoly._chebyshev_rows, w, np.cos(np.asarray(theta, dtype=float)))
@@ -237,7 +248,7 @@ def _gegenbauer_series(coeff, lam, arg):
     """sum_j coeff_j C_j^lam(arg), lam > 0, through the Jacobi rows
     P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j."""
     arg = np.asarray(arg, dtype=float)
-    if np.any(np.abs(arg) > 1.0):
+    if not np.all(np.abs(arg) <= 1.0):  # nan included
         raise ValueError("evaluation points must lie in [-1, 1]")
     coeff = coeff * orthopoly._gegenbauer_ratio(lam, len(coeff) - 1)
     return _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
@@ -489,7 +500,7 @@ def _hermite_check(p, *points):
     d = p.get("d", 1)
     if d not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
-    return _check_dimension(d, *points) if d > 1 else points
+    return _finite_check(p, *(_check_dimension(d, *points) if d > 1 else points))
 
 
 def _hermite_axes(d):
@@ -499,7 +510,7 @@ def _hermite_axes(d):
 def hermite_kernel(cutoff, n, x, y, d=1):
     """Hermite-function kernel on R^d; d = 1 accepts point arrays, d > 1
     (..., d) arrays of pairs."""
-    _hermite_check({"d": d})
+    x, y = _hermite_check({"d": d}, x, y)
     band = cutoff_band(cutoff, n)
     if d == 1:
         return _series(orthopoly._hermite_rows, band, x, y)
@@ -509,7 +520,7 @@ def hermite_kernel(cutoff, n, x, y, d=1):
 def hermite_block(j, x, y, d):
     """Projector block H_j(x, y) of the degree-j Hermite eigenspace over
     points of shape (d,) or (..., d) arrays of pairs."""
-    return _block(_hermite_axes(d), j, x, y)
+    return _block(_hermite_axes(d), j, *_hermite_check({"d": d}, x, y))
 
 
 def _laguerre_check(p, *points):
@@ -545,9 +556,7 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
     band weights against raw Laguerre polynomials of lifted parameter."""
     if not 0 <= k <= n / 4:
         raise ValueError("difference order k must satisfy 0 <= k <= n/4")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    (t,) = _domain([np.asarray(t, dtype=float)], np.negative, "t must be nonnegative")
     lift = float(np.sum(alpha, dtype=float)) + k + d
     top = int(math.ceil(2.0 * n))
     diffs = np.diff(np.asarray(cutoff(np.arange(top + k + 2) / n), dtype=float), k + 1)[:top]
@@ -910,6 +919,27 @@ def _one_dimensional(p):
     return p.get("d", 1) == 1 and np.size(p.get("alpha", 0.0)) == 1
 
 
+# the profile geometries of a ``Frame``; angle offsets end at the farther end from xi
+def _angle_profile(xi, n_j):
+    theta = np.arccos(xi)
+    return max(theta, np.pi - theta), lambda r: np.cos(np.clip(theta + r, 0.0, np.pi))
+
+
+def _line_profile(lo_clip, xi, n_j):
+    return 2.0 * (math.sqrt(8.0 * n_j + 2.0) + 2.0), lambda r: np.clip(xi + r, lo_clip, np.inf)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """What a family's tight needlet frame (``needlets``) reads of it."""
+
+    rule: object  # rule(p, m): the Gauss rule whose normalized functions are the basis
+    base: float  # levels are base-adic in nu: n_j = base^(j - 1), base^j nodes
+    band_arg: object  # the cutoff's argument at t = nu / n_j
+    profile: object  # profile(xi, n_j): (diameter, offset sampler) of a decay profile about xi
+    roundtrip: tuple  # the interval on which round trips are compared
+
+
 @dataclass(frozen=True)
 class Family:
     """What the package knows about one family, in one place.
@@ -919,9 +949,8 @@ class Family:
     [edges[i], edges[i + 1]], returning (xs, ys, counts) with the pairs bin
     after bin; the rest take level ``n`` and parameters ``p``: the metric
     ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
-    (None: none), the bounds' (scale, prefactor), the envelope ``diameter``,
-    and for the frame families the Gauss ``rule(p, m)``, whose normalized
-    functions are the frame's orthonormal basis.
+    (None: none), the bounds' (scale, prefactor), the envelope ``diameter``
+    and the needlet ``frame`` (None: none).
     ``params`` names the parameters read, all required but the ``defaults``;
     ``check(p, *points)``, the check the family's kernel runs, rejects the
     values given that do not fit and points (..., dim) of another dimension
@@ -938,7 +967,7 @@ class Family:
     params: tuple = ()
     defaults: tuple = ()
     check: object = None
-    rule: object = None
+    frame: object = None
 
 
 # Entries call kernel, quadrature and orthopoly functions by module name at call
@@ -951,9 +980,9 @@ _TENSOR = Family(
 FAMILIES = {
     "trig": Family(
         _periodic_distance,
-        values=lambda k, x, y: trig_kernel(k.cutoff, k.n, np.asarray(x) - np.asarray(y)),
+        values=lambda k, x, y: trig_kernel(k.cutoff, k.n, np.subtract(*_finite_check({}, x, y))),
         sample=_trig_pairs,
-        scalar=lambda p: True, weight=_unit_weight,
+        scalar=lambda p: True, weight=_unit_weight, check=_finite_check,
     ),
     "chebyshev": Family(
         _angle_distance, values=lambda k, x, y: chebyshev_kernel(k.cutoff, k.n, x, y),
@@ -970,7 +999,10 @@ FAMILIES = {
             axis=-1,
         ),
         params=("alpha", "beta"), check=_jacobi_check,
-        rule=lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
+        frame=Frame(
+            lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
+            2.0, lambda t: t, _angle_profile, (-1, 1),
+        ),
     ),
     "sphere": Family(
         lambda x, y: _safe_arccos(_inner(x, y)),
@@ -1009,7 +1041,9 @@ FAMILIES = {
         scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), defaults=("d",), check=_hermite_check,
-        rule=lambda p, m: quadrature.hermite_function_rule(m),
+        frame=Frame(
+            lambda p, m: quadrature.hermite_function_rule(m), 4.0, np.sqrt, partial(_line_profile, -np.inf), (-3, 3)
+        ),
     ),
     "laguerre": Family(
         lambda x, y: np.max(np.abs(x - y), axis=-1),
@@ -1023,7 +1057,10 @@ FAMILIES = {
             (x + n**-0.5) ** (2.0 * np.asarray(p.get("alpha", 0.0), dtype=float) + 1.0), axis=-1
         ),
         params=("alpha", "d"), defaults=("alpha", "d"), check=_laguerre_check,
-        rule=lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
+        frame=Frame(
+            lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
+            4.0, np.sqrt, partial(_line_profile, 0.0), (0.05, 3),
+        ),
     ),
     **{variant: _TENSOR for variant in TENSOR_VARIANTS},
     # metrics only
@@ -1034,6 +1071,11 @@ FAMILIES = {
 
 # ---------------------------------------------------------------------------
 # kernel instances
+
+
+def _json_params(params):
+    """Family parameters as JSON values: tuples and arrays become lists."""
+    return {k: list(v) if isinstance(v, (tuple, list, np.ndarray)) else v for k, v in params.items()}
 
 
 @dataclass
@@ -1073,9 +1115,7 @@ class KernelInstance:
         return _weight(self.family, self.n, x, self.params)
 
     def descriptor(self):
-        d = {"family": self.family, "n": self.n}
-        for key, val in sorted(self.params.items()):
-            d[key] = list(val) if isinstance(val, (tuple, list, np.ndarray)) else val
+        d = {"family": self.family, "n": self.n, **_json_params(self.params)}
         d["cutoff"] = {
             "kind": self.cutoff.spec.kind,
             "epsilon": self.cutoff.spec.epsilon,

@@ -41,7 +41,7 @@ __all__ = [
     "coefficients_to_csv",
 ]
 
-_FAMILIES = tuple(name for name, spec in kernels.FAMILIES.items() if spec.rule)
+_FAMILIES = tuple(name for name, spec in kernels.FAMILIES.items() if spec.frame)
 
 
 @dataclass
@@ -97,8 +97,7 @@ class NeedletSystem:
         return out if out.ndim else float(out)
 
     def token(self):
-        p = {k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v) for k, v in self.params.items()}
-        return (self.family, json.dumps(p, sort_keys=True), self.j_max)
+        return (self.family, json.dumps(kernels._json_params(self.params), sort_keys=True), self.j_max)
 
 
 @dataclass
@@ -113,26 +112,24 @@ class FrameCoefficients:
         return float(sum(np.dot(c, c) for c in self.levels))
 
 
-def _level(family, cutoff, j):
-    """(n_j, band_lo, band_hi, band) of level j.  Jacobi bands are dyadic in
-    nu; Hermite and Laguerre bands are 4-adic in nu, dyadic in the natural
-    frequency sqrt(nu).  The level's rule has band_hi nodes (2^j or 4^j)."""
+def _level(frame, cutoff, j):
+    """(n_j, band_lo, band_hi, band) of level j, whose bands are base-adic in
+    nu by the family's frame record; its rule has band_hi = base^j nodes."""
     if j == 0:
         return 1.0, 0, 1, np.ones(1)
-    base = 2.0 if family == "jacobi" else 4.0
-    n_j = base ** (j - 1)
-    lo = int(math.floor(n_j / base)) + 1
-    hi = int(math.ceil(base * n_j))
+    n_j = frame.base ** (j - 1)
+    lo = int(math.floor(n_j / frame.base)) + 1
+    hi = int(math.ceil(frame.base * n_j))
     t = np.arange(lo, hi, dtype=float) / n_j
-    band = cutoff(t if base == 2.0 else np.sqrt(t))
+    band = cutoff(frame.band_arg(t))
     return n_j, lo, hi, np.asarray(band, dtype=float)
 
 
 def build_needlet_system(family, params, cutoff, j_max):
     """Construct a tight needlet frame.
 
-    family   "jacobi" (params alpha, beta), "hermite" (no params), or
-             "laguerre" (param alpha >= 0)
+    family   one of the families with a frame record, ``_FAMILIES``; params
+             its parameters (Jacobi alpha, beta; Laguerre alpha >= 0)
     cutoff   a kind-"c" cutoff function (tightness relies on its quadratic
              partition identity)
     j_max    top level; at most 7 at desk scale
@@ -144,10 +141,11 @@ def build_needlet_system(family, params, cutoff, j_max):
     if cutoff.spec.kind != "c":
         raise ValueError("needlet construction requires a TypeC cutoff")
     params = dict(params or {})
+    frame = kernels.FAMILIES[family].frame
     levels = []
     for j in range(j_max + 1):
-        n_j, lo, hi, band = _level(family, cutoff, j)
-        rule = kernels.FAMILIES[family].rule(params, hi)
+        n_j, lo, hi, band = _level(frame, cutoff, j)
+        rule = frame.rule(params, hi)
         # the rule's table holds phi_0..phi_{hi-1} at its nodes; its band
         # rows, scaled in place, are the level's matrix as a (nodes, band) view
         psi = rule.table[lo:]
@@ -193,7 +191,7 @@ def analyze(system, f, f_degree=None):
 def _project_callable(system, f, degree, meta):
     """Spectral coefficients of a callable via one high-order Gauss rule."""
     top = system.levels[-1].band_hi
-    rule = kernels.FAMILIES[system.family].rule(system.params, max(top, degree) + 2)
+    rule = kernels.FAMILIES[system.family].frame.rule(system.params, max(top, degree) + 2)
     vals = np.asarray(f(rule.nodes), dtype=float)
     meta["fallback_rule"] = {"weight": rule.weight, "m": rule.m}
     return rule.table[:top] @ (rule.weights * vals)
@@ -246,22 +244,14 @@ def needlet_decay_profile(system, j, xi_index):
     parameter is n_j (Jacobi) or sqrt(n_j)-scaled (Hermite/Laguerre), matching
     how the kernels localize.  Each of the 48 bins samples 64 offsets on
     either side of the node and keeps those whose distance falls in the bin;
-    every bin's samples are evaluated in one call.  Jacobi bins end at the
-    farthest point from the node, max(theta, pi - theta) with theta =
-    arccos(xi), so no bin lies beyond the interval.
+    every bin's samples are evaluated in one call.  The bins' diameter and the
+    offsets' sampler are the family's frame record's ``profile``.
     """
     from . import decay
 
     lvl = system.levels[j]
     xi = float(lvl.nodes[xi_index])
-    if system.family == "jacobi":
-        theta = np.arccos(xi)
-        diameter = max(theta, np.pi - theta)
-        sample = lambda r: np.cos(np.clip(theta + r, 0.0, np.pi))
-    else:
-        diameter = 2.0 * (math.sqrt(8.0 * lvl.n_j + 2.0) + 2.0)
-        lo_clip = 0.0 if system.family == "laguerre" else -np.inf
-        sample = lambda r: np.clip(xi + r, lo_clip, np.inf)
+    diameter, sample = kernels.FAMILIES[system.family].frame.profile(xi, lvl.n_j)
     scale, prefactor = kernels.FAMILIES[system.family].scale(lvl.n_j, system.params)
     edges = np.linspace(0.0, diameter, _PROFILE_BINS + 1)
     lo, hi = edges[:-1], edges[1:]
@@ -293,12 +283,8 @@ def frame_to_json(system):
         }
         for lvl in system.levels
     ]
-    params = {
-        k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v)
-        for k, v in system.params.items()
-    }
     return json.dumps(
-        {"family": system.family, "params": params, "levels": levels},
+        {"family": system.family, "params": kernels._json_params(system.params), "levels": levels},
         sort_keys=True,
     )
 

@@ -107,6 +107,24 @@ def test_jacobi_points_within_round_off_of_the_interval_evaluate(tmp_path, capsy
     assert math.isfinite(record["value"]) and math.isfinite(record["rho"])
 
 
+@pytest.mark.parametrize("x", ["-0.4,0.1", "-0.2,-0.3"])
+def test_points_with_a_negative_first_coordinate_read_in_either_spelling(tmp_path, x):
+    # "--y -0.4,0.1" once exited 2: argparse read the point as an option
+    ball = ["kernel", "eval", "--family", "ball", "--dim", "2"] + FAST
+    assert run(ball + ["--x", x, "--y", "-0.4,0.1", "--out", str(tmp_path / "a")]) == 0
+    assert run(ball + [f"--x={x}", "--y=-0.4,0.1", "--out", str(tmp_path / "b")]) == 0
+    written = [(tmp_path / d / "kernel_eval.json").read_bytes() for d in ("a", "b")]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("family, x", [("hermite", "nan"), ("hermite", "-inf"), ("trig", "nan"), ("laguerre", "inf")])
+def test_non_finite_points_are_usage_errors(tmp_path, capsys, family, x):
+    # these once printed value=nan, or an infinite distance, and exited 0
+    assert run(["kernel", "eval", "--family", family, "--x", x] + FAST + ["--out", str(tmp_path)]) == 2
+    assert "(got nan or inf)" in capsys.readouterr().err
+    assert not (tmp_path / "kernel_eval.json").exists()
+
+
 def test_quad_build_and_verify(tmp_path):
     out = str(tmp_path / "o")
     assert run(["quad", "build", "--weight", "jacobi", "--m", "8", "--out", out]) == 0
@@ -177,6 +195,16 @@ def test_needlet_line_families_pass_at_jmax_5(tmp_path, capsys, family, action):
     args = ["--family", family, "--jmax", "5", "--trials", "2"] + FAST + ["--out", out]
     assert run(["needlet", action] + args) == 0
     assert "worst defect nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", needlets._FAMILIES)
+@pytest.mark.parametrize("action", ["parseval", "roundtrip"])
+def test_needlet_checks_pass_for_every_frame_family(tmp_path, capsys, family, action):
+    # every family with a frame record, so a new record is covered as it lands
+    out = str(tmp_path / "o")
+    args = ["--family", family, "--jmax", "4", "--trials", "2"] + FAST + ["--out", out]
+    assert run(["needlet", action] + args) == 0
+    assert f"needlet {action}: {family} J=4 worst defect" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", ["-3", "1.5"])

@@ -295,8 +295,9 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
 def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     kernel = ke.KernelInstance(family, cutoff_c, 4, params)
     lo, hi = 0.5, 1.0
-    raw = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3))
-    wtd = de._generic_bin_values(kernel, lo, hi, 40, de.SamplingPlan(seed=3, weighted=True))
+    xs, ys, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 40, 3)
+    raw = de._pair_magnitudes(kernel, xs, ys, False)
+    wtd = de._pair_magnitudes(kernel, xs, ys, True)
     x, y, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
     factor = math.sqrt(
         ke.weight_factor(family, 4, x[0], mu=params.get("mu"), kappa=params.get("kappa"))
@@ -313,10 +314,12 @@ def _per_bin_envelope(kernel, plan):
     diameter = spec.diameter(kernel.n, kernel.params)
     scale, _ = spec.scale(kernel.n, kernel.params)
     edges = np.concatenate([[0.0], np.geomspace(diameter / (4.0 * scale), diameter, plan.n_bins)])
-    bins = [
-        de._generic_bin_values(kernel, a, b, plan.pairs_per_bin, plan)
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
+
+    def bin_values(lo, hi):
+        xs, ys, _ = spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed)
+        return de._pair_magnitudes(kernel, xs, ys, plan.weighted)
+
+    bins = [bin_values(a, b) for a, b in zip(edges[:-1], edges[1:])]
     values = np.array([np.max(v) if len(v) else 0.0 for v in bins])
     return 0.5 * (edges[:-1] + edges[1:]), values, np.array([len(v) for v in bins])
 

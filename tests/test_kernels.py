@@ -662,6 +662,15 @@ def test_laguerre_difference_kernel_rejects_bad_k(cutoff_c):
         ke.laguerre_K_kernel(cutoff_c, 8, [0.0], 1, 3, 1.0)
 
 
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+def test_zonal_and_difference_kernels_refuse_non_finite_arguments(cutoff_c, v):
+    # a nan cosine or t once read nan, and t = inf raised a RuntimeWarning
+    with pytest.raises(ValueError, match=r"evaluation points must lie in \[-1, 1\]"):
+        ke.sphere_kernel(cutoff_c, 8, 2, np.array([0.3, v]))
+    with pytest.raises(ValueError, match=r"t must be nonnegative \(got nan or inf\)"):
+        ke.laguerre_K_kernel(cutoff_c, 8, [0.0], 1, 0, np.array([0.3, v]))
+
+
 # ---------------------------------------------------------------------------
 # tensor-product blocks
 
@@ -1067,9 +1076,9 @@ _DOMAINS = {
 
 @pytest.mark.parametrize("family", list(_DOMAINS))
 def test_every_evaluation_of_a_family_accepts_and_refuses_the_same_points(cutoff_c, family):
-    # one round-off rule: 1e-13 outside the domain is accepted, 1e-3 and nan
-    # refused, by the kernel, the instance's distance and weight and
-    # weight_factor alike
+    # one round-off rule: 1e-13 outside the domain is accepted, 1e-3, nan and
+    # inf refused, by the kernel, the instance's distance and weight and
+    # weight_factor alike (a Laguerre point at inf once read an inf distance)
     params, inside, edge, out, message = _DOMAINS[family]
     inside, edge, out = (np.asarray(v, dtype=float) for v in (inside, edge, out))
     k = ke.KernelInstance(family, cutoff_c, 4, params)
@@ -1084,12 +1093,37 @@ def test_every_evaluation_of_a_family_accepts_and_refuses_the_same_points(cutoff
     for evaluate in evaluations:
         for x in (inside, edge + 1e-13 * out):
             assert np.all(np.isfinite(evaluate(x)))
-        for x in (edge + 1e-3 * out, np.full_like(edge, np.nan)):
+        for x in (edge + 1e-3 * out, *(np.full_like(edge, v) for v in (np.nan, np.inf, -np.inf))):
             with pytest.raises(ValueError, match=message):
                 evaluate(x)
     if family in ("chebyshev", "jacobi"):
         # round-off is clipped onto the interval: the value at the end
         assert k(edge + 1e-13, inside) == k(edge, inside)
+
+
+@pytest.mark.parametrize(
+    "family, params, inside",
+    [("trig", {}, 0.2), ("hermite", {}, 0.2), ("hermite", {"d": 2}, (0.2, -0.1))],
+    ids=["trig", "hermite", "hermite-d2"],
+)
+def test_every_evaluation_of_an_edgeless_family_refuses_non_finite_points(cutoff_c, family, params, inside):
+    # nan and inf points once reached the recurrences: nan values, or a
+    # RuntimeWarning at inf
+    inside = np.asarray(inside, dtype=float)
+    k = ke.KernelInstance(family, cutoff_c, 4, params)
+    evaluations = [
+        lambda x: k(x, inside),
+        lambda x: k(inside, x),
+        lambda x: k.pair_values(x[None], inside[None]),
+        lambda x: k.distance(x, inside),
+        k.weight,
+        lambda x: ke.weight_factor(family, 4, x),
+    ]
+    for evaluate in evaluations:
+        assert np.all(np.isfinite(evaluate(inside)))
+        for v in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"points must be finite \(got nan or inf\)"):
+                evaluate(np.full_like(inside, v))
 
 
 def test_kernel_instance_dispatch(cutoff_c, rng):

@@ -316,9 +316,18 @@ def test_coefficients_csv(tmp_path, jacobi_system, rng):
     assert len(lines) == 1 + sum(len(l.nodes) for l in jacobi_system.levels)
 
 
-# the front end's pinned tolerances and round-trip intervals
+# the front end's pinned tolerances
 _PARSEVAL_TOL, _ROUNDTRIP_TOL = 1e-8, 1e-7
-_ROUNDTRIP_POINTS = {"hermite": (-3.0, 3.0), "laguerre": (0.05, 3.0)}
+
+
+@pytest.mark.parametrize("family", ne._FAMILIES)
+def test_frame_roundtrip_intervals_lie_in_their_family_domain(family):
+    # the front end's default parameters: every one but d, at 0
+    spec = ke.FAMILIES[family]
+    params = {name: 0.0 for name in spec.params if name != "d"}
+    lo, hi = spec.frame.roundtrip
+    assert lo < hi
+    spec.check(params, np.array([lo]), np.array([hi]))
 
 
 @pytest.fixture(
@@ -339,7 +348,7 @@ def test_line_frames_stay_tight_past_1024_nodes(line_frame):
         assert np.all(np.isfinite(lvl.rule.weights)) and np.all(lvl.rule.weights > 0)
         assert np.all(np.isfinite(lvl.needlet_matrix))
     rng = np.random.default_rng(5)
-    lo, hi = _ROUNDTRIP_POINTS[line_frame.family]
+    lo, hi = ke.FAMILIES[line_frame.family].frame.roundtrip
     for _ in range(2):
         coeffs = rng.standard_normal(line_frame.capacity + 1)
         assert ne.parseval_check(line_frame, coeffs) < _PARSEVAL_TOL
