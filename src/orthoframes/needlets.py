@@ -141,6 +141,7 @@ def build_needlet_system(family, params, cutoff, j_max):
     if cutoff.spec.kind != "c":
         raise ValueError("needlet construction requires a TypeC cutoff")
     params = dict(params or {})
+    kernels.FAMILIES[family].check(params)
     frame = kernels.FAMILIES[family].frame
     levels = []
     for j in range(j_max + 1):

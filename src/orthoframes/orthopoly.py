@@ -33,6 +33,19 @@ __all__ = [
 ]
 
 
+def _check_values(values, accept, message):
+    """Raise ``message`` unless every entry of ``values`` is finite and
+    ``accept`` holds for it; a nan or infinite entry raises the message with
+    "(got nan or inf)".  Written to accept only what passes, so no nan slips
+    through a comparison; the families' parameter checks, the rules, the
+    tables and the kernels' domain checks all run it."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{message} (got nan or inf)")
+    if not np.all(accept(values)):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Jacobi weight exponents; orthogonality needs both above -1."""
@@ -41,8 +54,9 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
+        _check_values(
+            (self.alpha, self.beta), lambda v: v > -1.0, "jacobi parameters must satisfy alpha, beta > -1"
+        )
 
 
 @dataclass
@@ -165,8 +179,7 @@ def jacobi_all(p, n_max, x):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    _check_values(x, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
     vals = _jacobi_values(p.alpha, p.beta, n_max, x)
     return OrthoValueTable("jacobi", (p.alpha, p.beta), n_max, x, vals)
 
@@ -231,13 +244,11 @@ def gegenbauer_all(lam, n_max, t):
     [Gamma(n+2 lam)/Gamma(n+lam+1/2)] * P_n^(lam-1/2, lam-1/2) with all
     ratios in log space.
     """
-    if lam <= 0:
-        raise ValueError("gegenbauer parameter must be positive")
+    _check_values(lam, lambda v: v > 0.0, "gegenbauer parameter must be positive")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    _check_values(t, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
     base = _jacobi_values(lam - 0.5, lam - 0.5, n_max, t)
     vals = base * _gegenbauer_ratio(lam, n_max).reshape((-1,) + (1,) * t.ndim)
     return OrthoValueTable("gegenbauer", (float(lam),), n_max, t, vals)
@@ -289,6 +300,7 @@ def hermite_fn_all(n_max, t):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t = np.asarray(t, dtype=float)
+    _check_values(t, np.isfinite, "evaluation points must be finite")
     return OrthoValueTable("hermite_fn", (), n_max, t, _hermite_fn_values(n_max, t))
 
 
@@ -358,15 +370,13 @@ def laguerre_fn_all(alpha, n_max, t, which="F"):
             orthonormal in L2(R_+);
     which = "M": sqrt(2t) * L-type at t^2, orthonormal in L2(R_+).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0 for the Laguerre function families")
+    _check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0 for the Laguerre function families")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if which not in ("F", "L", "M"):
         raise ValueError("which must be 'F', 'L', or 'M'")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("evaluation points must be nonnegative")
+    _check_values(t, lambda v: v >= 0.0, "evaluation points must be nonnegative")
     if which == "F":
         vals = _laguerre_fn_values(alpha, n_max, t)
     elif which == "L":

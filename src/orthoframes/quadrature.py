@@ -57,8 +57,7 @@ class QuadratureRule:
 def _jacobi_coeffs(m, alpha, beta):
     from scipy.special import betaln
 
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("jacobi weight needs alpha, beta > -1")
+    orthopoly._check_values((alpha, beta), lambda v: v > -1.0, "jacobi weight needs alpha, beta > -1")
     k = np.arange(m, dtype=float)
     s = alpha + beta
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -82,8 +81,7 @@ def _hermite_coeffs(m):
 def _laguerre_coeffs(m, alpha):
     from scipy.special import gammaln
 
-    if alpha <= -1.0:
-        raise ValueError("laguerre weight needs alpha > -1")
+    orthopoly._check_values(alpha, lambda v: v > -1.0, "laguerre weight needs alpha > -1")
     k = np.arange(m, dtype=float)
     a = 2 * k + alpha + 1
     kk = k[1:]
@@ -272,8 +270,7 @@ def laguerre_function_rule(alpha, m):
     variable s = t^2; the exponential factor is absorbed through Christoffel
     sums of the normalized F-type functions at the nodes t.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0")
     nodes, table, sums, _ = _christoffel_pass("laguerre_fn", m, alpha)
     return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, 2 * m - 1, table)
 

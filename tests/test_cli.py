@@ -125,6 +125,22 @@ def test_non_finite_points_are_usage_errors(tmp_path, capsys, family, x):
     assert not (tmp_path / "kernel_eval.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernel", "eval", "--family", "laguerre", "--alpha", "nan"],
+        ["kernel", "eval", "--family", "jacobi", "--alpha", "inf", "--beta", "0"],
+        ["needlet", "parseval", "--family", "laguerre", "--alpha", "nan", "--jmax", "2"],
+    ],
+    ids=["kernel-laguerre", "kernel-jacobi", "needlet-laguerre"],
+)
+def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args):
+    # the kernels once printed value=nan and exited 0; the frame exited 2
+    # only through scipy's eigensolver
+    assert run(args + FAST + ["--out", str(tmp_path)]) == 2
+    assert "(got nan or inf)" in capsys.readouterr().err
+
+
 def test_quad_build_and_verify(tmp_path):
     out = str(tmp_path / "o")
     assert run(["quad", "build", "--weight", "jacobi", "--m", "8", "--out", out]) == 0

@@ -1040,6 +1040,18 @@ def test_weight_factor_names_missing_parameter():
         ("simplex", {"kappa": (0.5, -1.0)}, "kappa must be a nonnegative vector"),
         ("simplex", {"kappa": (0.5, 0.5, 0.5, 0.5)}, r"simplex kernel supports d in \{1, 2\}"),
         ("jacobi", {"alpha": -2.0, "beta": 0.0}, "alpha, beta > -1"),
+        # nan and inf: Laguerre alpha = nan and simplex kappa = (nan, 1/2) once
+        # evaluated to nan, and Jacobi alpha = inf raised a RuntimeWarning
+        ("jacobi", {"alpha": math.inf, "beta": 0.0}, r"alpha, beta > -1 \(got nan or inf\)"),
+        ("jacobi", {"alpha": 0.5, "beta": math.nan}, r"alpha, beta > -1 \(got nan or inf\)"),
+        ("laguerre", {"alpha": math.nan}, r"alpha components must be >= 0 \(got nan or inf\)"),
+        ("laguerre", {"alpha": (0.5, math.inf), "d": 2}, r"alpha components must be >= 0 \(got nan or inf\)"),
+        ("ball", {"mu": math.nan, "d": 2}, r"ball kernel requires mu > 0 \(got nan or inf\)"),
+        ("ball", {"mu": math.inf, "d": 2}, r"ball kernel requires mu > 0 \(got nan or inf\)"),
+        ("simplex", {"kappa": (math.nan, 0.5)}, r"kappa must be a nonnegative vector .*\(got nan or inf\)"),
+        ("simplex", {"kappa": (0.5, 0.5, -math.inf)}, r"kappa must be a nonnegative vector .*\(got nan or inf\)"),
+        ("sphere", {"d": math.nan}, r"sphere dimension d must be >= 2 \(got nan or inf\)"),
+        ("ball", {"mu": 1.0, "d": math.inf}, r"ball dimension d must be >= 2 \(got nan or inf\)"),
     ],
 )
 def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):
@@ -1309,3 +1321,86 @@ def test_streamed_series_sums_match_the_table_formulas(cutoff_a):
     for lam in (0.75, 2.5):
         with pytest.raises(ValueError, match="must lie in"):
             ke._gegenbauer_sum_even(band, lam, np.array([1.0 + 5e-13]))
+
+
+# ---------------------------------------------------------------------------
+# streamed series in point blocks
+#
+# Every step of a row source is elementwise in the points, so a value keeps
+# its bits whichever block of ``_SERIES_BLOCK`` points it falls in.  A block
+# of 7 points holds 3 pairs, so these cases span several blocks and end on a
+# short one; the far Hermite and Laguerre points (seeds below 2^-1000) sit in
+# the middle blocks only, so the exponent path is on in them and off in the
+# blocks beside them.
+
+
+def _block_points(gen, lo, hi, far=()):
+    x = gen.uniform(lo, hi, 23)
+    x[9 : 9 + len(far)] = far
+    return x
+
+
+_BLOCKED_PAIR_KERNELS = {
+    "chebyshev": (lambda cut, x, y: ke.chebyshev_kernel(cut, 16, x, y), (-1.0, 1.0), ()),
+    "jacobi": (lambda cut, x, y: ke.jacobi_kernel(cut, 16, 1.5, -0.5, x, y), (-1.0, 1.0), ()),
+    "hermite": (lambda cut, x, y: ke.hermite_kernel(cut, 512, x, y), (-6.0, 6.0), (41.0, -43.5, 44.0)),
+    "laguerre": (lambda cut, x, y: ke.laguerre_kernel(cut, 512, 1.0, x, y), (0.0, 6.0), (40.0, 42.5, 44.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BLOCKED_PAIR_KERNELS))
+def test_series_pair_values_keep_their_bits_in_any_block(cutoff_c, family, monkeypatch):
+    evaluate, (lo, hi), far = _BLOCKED_PAIR_KERNELS[family]
+    gen = np.random.default_rng(17)
+    x, y = _block_points(gen, lo, hi, far), _block_points(gen, lo, hi, far[::-1])
+    one_block = evaluate(cutoff_c, x, y)
+    grid = evaluate(cutoff_c, x[:5, None], y[None, :7])
+    if far:
+        # the far pairs are not all underflowed: their rows carry exponents
+        assert np.all(one_block[9 : 9 + len(far)] != 0.0)
+    monkeypatch.setattr(ke, "_SERIES_BLOCK", 7)
+    assert np.array_equal(evaluate(cutoff_c, x, y), one_block)
+    # broadcast pairs keep their shape across blocks
+    assert np.array_equal(evaluate(cutoff_c, x[:5, None], y[None, :7]), grid)
+
+
+_BLOCKED_SUMS = {
+    "chebyshev": (lambda cut, x: ke.trig_kernel(cut, 16, np.arccos(x)), (-1.0, 1.0), ()),
+    "jacobi": (lambda cut, x: ke.jacobi_Q(cut, 16, 1.5, -0.5, x), (-1.0, 1.0), ()),
+    "hermite": (
+        lambda cut, x: ke._series(op._hermite_rows, ke.cutoff_band(cut, 512), x), (-6.0, 6.0), (41.0, -43.5, 44.0)
+    ),
+    "laguerre": (
+        lambda cut, x: ke._series(partial(op._laguerre_rows, 1.0), ke.cutoff_band(cut, 512), x),
+        (0.0, 36.0), (1700.0, 1800.0, 1900.0),
+    ),
+    "ball": (
+        lambda cut, x: ke.ball_kernel(cut, 8, 1.0, 2, x[:20].reshape(10, 2), x[::-1][:20].reshape(10, 2)),
+        (-0.7, 0.7), (),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BLOCKED_SUMS))
+def test_series_sums_keep_their_bits_in_any_block(cutoff_c, family, monkeypatch):
+    # the one-argument form; the ball runs its 10 pairs x 8 nodes of
+    # Gegenbauer arguments through it
+    evaluate, (lo, hi), far = _BLOCKED_SUMS[family]
+    x = _block_points(np.random.default_rng(18), lo, hi, far)
+    one_block = evaluate(cutoff_c, x)
+    if far:
+        assert np.all(one_block[9 : 9 + len(far)] != 0.0)
+    monkeypatch.setattr(ke, "_SERIES_BLOCK", 7)
+    assert np.array_equal(evaluate(cutoff_c, x), one_block)
+
+
+def test_series_over_more_than_one_block_matches_its_halves(cutoff_c):
+    # 2^15 + 1000 pairs span three blocks of 2^14 pairs, each half two; the
+    # far Hermite points sit in the first block only
+    x = np.linspace(-45.0, 5.0, 2**15 + 1000)
+    y = np.linspace(-3.0, 3.0, len(x))[::-1]
+    vals = ke.hermite_kernel(cutoff_c, 8, x, y)
+    half = len(x) // 2
+    halves = [ke.hermite_kernel(cutoff_c, 8, x[s], y[s]) for s in (slice(None, half), slice(half, None))]
+    assert len(x) > 2 * (ke._SERIES_BLOCK // 2)
+    assert np.array_equal(vals, np.concatenate(halves))

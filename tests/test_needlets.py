@@ -30,6 +30,20 @@ def test_rejects_flat_cutoff(cutoff_a):
         ne.build_needlet_system("jacobi", {"alpha": 0.0, "beta": 0.0}, cutoff_a, 3)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("jacobi", {"alpha": math.nan, "beta": 0.0}, "alpha, beta > -1"),
+        ("laguerre", {"alpha": math.nan}, "alpha components must be >= 0"),
+        ("laguerre", {"alpha": -0.5}, "alpha components must be >= 0"),
+    ],
+)
+def test_frames_refuse_parameters_their_family_refuses(cutoff_c, family, params, message):
+    # nan once reached scipy's eigensolver ("array must not contain infs or NaNs")
+    with pytest.raises(ValueError, match=message):
+        ne.build_needlet_system(family, params, cutoff_c, 2)
+
+
 def test_level_zero_is_constant_projector(jacobi_system):
     lvl = jacobi_system.levels[0]
     assert lvl.band_lo == 0 and lvl.band_hi == 1

@@ -48,6 +48,43 @@ def test_jacobi_rejects_outside_domain():
         op.jacobi_all(op.JacobiParams(0.0, 0.0), 3, 1.2)
 
 
+_PUBLIC_TABLES = {
+    "jacobi": lambda t: op.jacobi_all(op.JacobiParams(0.0, 0.0), 3, t),
+    "gegenbauer": lambda t: op.gegenbauer_all(1.5, 3, t),
+    "hermite": lambda t: op.hermite_fn_all(3, t),
+    **{f"laguerre-{w}": lambda t, w=w: op.laguerre_fn_all(0.5, 3, t, which=w) for w in "FLM"},
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("table", sorted(_PUBLIC_TABLES))
+def test_public_tables_refuse_non_finite_points(table, bad):
+    # jacobi_all at nan once returned rows 1, nan, nan, nan and laguerre_fn_all
+    # nan rows: a nan passed the "reject if outside" tests
+    tabulate = _PUBLIC_TABLES[table]
+    assert np.all(np.isfinite(tabulate(np.array([0.2, 0.7])).values))
+    with pytest.raises(ValueError, match=r"evaluation points must .*\(got nan or inf\)"):
+        tabulate(np.array([0.2, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: op.JacobiParams(v, 0.0), "alpha, beta > -1"),
+        (lambda v: op.gegenbauer_all(v, 3, 0.2), "gegenbauer parameter must be positive"),
+        (lambda v: op.laguerre_fn_all(v, 3, 0.2), "alpha must be >= 0"),
+        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi weight needs alpha, beta > -1"),
+        (lambda v: qd.gauss_rule("laguerre", 4, alpha=v), "laguerre weight needs alpha > -1"),
+        (lambda v: qd.laguerre_function_rule(v, 4), "alpha must be >= 0"),
+    ],
+    ids=["jacobi-params", "gegenbauer", "laguerre-fn", "jacobi-rule", "laguerre-rule", "laguerre-fn-rule"],
+)
+def test_parameters_refuse_nan_and_inf(build, message, bad):
+    with pytest.raises(ValueError, match=message + r".*\(got nan or inf\)"):
+        build(bad)
+
+
 def test_jacobi_norm_legendre():
     p = op.JacobiParams(0.0, 0.0)
     assert op.jacobi_norm(p, 1) == pytest.approx(2.0 / 3.0, rel=1e-13)
