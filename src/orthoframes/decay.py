@@ -2,7 +2,10 @@
 tensor-product counterexample suite.
 
 An envelope bins point pairs by the family distance and records the largest
-(optionally weight-normalized) kernel magnitude per bin.  Bound fitting works
+(optionally weight-normalized) kernel magnitude per bin.  One builder,
+``_binned``, turns binned samples into every envelope: kernel envelopes,
+needlet profiles and wavelets each bring their own edges and samples, and
+share how a bin is summarized.  Bound fitting works
 against two shapes, with u the scaled distance (n*rho, or sqrt(n)*rho for the
 Hermite/Laguerre families):
 
@@ -13,7 +16,8 @@ For the sub-exponential shape the rate is the largest value whose implied
 leading constant stays within a fixed factor of the diagonal constant ("a
 finite c"), in closed form: that constant never decreases as the rate grows.
 The fit reports the constant and a zero violation count, or declares the
-shape unsatisfied at the smallest rate of its range.  Pairs come from one
+shape unsatisfied at the smallest rate of its range; a non-finite bin
+leaves either shape unsatisfied.  Pairs come from one
 call of each family's sampler in ``kernels.FAMILIES``, so envelopes are
 deterministic for a fixed plan seed.  The ball and simplex samplers place
 each bin's ``pairs_per_bin`` pairs at their planned distances on the lifted
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cutoff as cutoff_mod
-from . import kernels
+from . import kernels, orthopoly
 
 __all__ = [
     "check_seed",
@@ -141,16 +145,28 @@ def measure_envelope(kernel, plan=None):
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
     xs, ys, counts = spec.sample(kernel, edges, plan.pairs_per_bin, plan.seed)
     vals = _pair_magnitudes(kernel, xs, ys, plan.weighted)
-    bins = np.split(vals, np.cumsum(counts)[:-1])
+    bins = np.repeat(np.arange(len(counts)), counts)
+    return _binned(kernel.family, kernel.n, edges, bins, vals, scale, prefactor, plan.weighted)
+
+
+def _binned(family, n, edges, bins, magnitudes, scale, prefactor, weighted=False):
+    """The envelope of samples binned on ``edges``, sample i in bin
+    ``bins[i]``: rho at the bin midpoints, each bin's largest magnitude (0
+    for an empty bin; a nan carries through) and each bin's sample count.
+    Kernel envelopes, needlet profiles and wavelets are all built here."""
+    size = len(edges) - 1
+    values = np.zeros(size)
+    with np.errstate(invalid="ignore"):  # a nan magnitude is carried, not warned of
+        np.maximum.at(values, bins, magnitudes)
     return DecayEnvelope(
-        family=kernel.family,
-        n=kernel.n,
+        family=family,
+        n=n,
         rho=0.5 * (edges[:-1] + edges[1:]),
-        values=np.array([np.max(v) if len(v) else 0.0 for v in bins]),
-        weighted=plan.weighted,
+        values=values,
+        weighted=weighted,
         scale=scale,
         prefactor=prefactor,
-        counts=counts,
+        counts=np.bincount(bins, minlength=size),
     )
 
 
@@ -190,6 +206,19 @@ _RATE_MIN = 1e-3
 _RATE_MAX = 20.0
 
 
+def _check_form(form):
+    """Refuse a bound form whose exponent is not finite, or a sub-exponential
+    form whose log depth is not a positive integer."""
+    if isinstance(form, Polynomial):
+        name, exponent = "sigma", form.sigma
+    elif isinstance(form, SubExponential):
+        name, exponent = "epsilon", form.epsilon
+        cutoff_mod._check_log_depth(form.log_depth)
+    else:
+        raise ValueError("form must be Polynomial or SubExponential")
+    orthopoly._check_values(exponent, np.isfinite, f"bound {name} must be finite")
+
+
 def fit_bound(env, form):
     """Fit a bound shape to an envelope.
 
@@ -198,19 +227,25 @@ def fit_bound(env, form):
     examine).  Sub-exponential fits take the largest rate, up to 20, whose
     implied constant stays within 10 times the diagonal constant; when that
     rate lies below 1e-3 the form is declared unsatisfied at 1e-3 and the
-    violating bins are counted.
+    violating bins are counted.  A non-finite bin fails either shape: the
+    fit reports c = nan and counts those bins as its violations.  A form with
+    a non-finite sigma or epsilon, or a log depth that is not a positive
+    integer, raises ValueError.
     """
-    u = env.scale * np.asarray(env.rho, dtype=float)
+    _check_form(form)
+    polynomial = isinstance(form, Polynomial)
     vals = np.asarray(env.values, dtype=float)
+    nonfinite = int(np.count_nonzero(~np.isfinite(vals)))
+    if nonfinite:
+        return BoundFit(form, math.nan, None if polynomial else math.nan, nonfinite, False)
+    u = env.scale * np.asarray(env.rho, dtype=float)
     with np.errstate(divide="ignore"):
         logm = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
     logp = math.log(env.prefactor)
-    if isinstance(form, Polynomial):
+    if polynomial:
         log_c = np.max(logm + form.sigma * np.log1p(u)) - logp
         c = 0.0 if log_c == -np.inf else float(np.exp(log_c))
         return BoundFit(form, c, None, 0, True)
-    if not isinstance(form, SubExponential):
-        raise ValueError("form must be Polynomial or SubExponential")
     phi = u / _log_product(u, form.epsilon, form.log_depth)
     if not np.any(np.isfinite(logm)):
         return BoundFit(form, 0.0, _RATE_MAX, 0, True)
@@ -293,18 +328,7 @@ def build_wavelet(epsilon):
     rho = np.abs(x_grid)
     edges = np.linspace(0.0, rho.max(), _WAVELET_BINS + 1)
     idx = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, _WAVELET_BINS - 1)
-    maxima = np.zeros(_WAVELET_BINS)
-    np.maximum.at(maxima, idx, np.abs(psi))
-    env = DecayEnvelope(
-        family="wavelet",
-        n=1,
-        rho=0.5 * (edges[:-1] + edges[1:]),
-        values=maxima,
-        weighted=False,
-        scale=1.0,
-        prefactor=1.0,
-        counts=np.bincount(idx, minlength=_WAVELET_BINS),
-    )
+    env = _binned("wavelet", 1, edges, idx, np.abs(psi), 1.0, 1.0)
     return Wavelet(epsilon, x_grid, psi, plancherel_defect, mean_abs, env)
 
 

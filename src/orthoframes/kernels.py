@@ -55,10 +55,13 @@ __all__ = [
 TENSOR_VARIANTS = ("legleg", "chebcheb", "chebleg")
 
 
+def _check_level(n):
+    orthopoly._check_values(n, lambda v: v > 0, "level parameter n must be positive")
+
+
 def cutoff_band(cutoff, n):
     """Band weights ahat(j/n) for j = 0 .. ceil(2n) - 1 (support truncation)."""
-    if n <= 0:
-        raise ValueError("level parameter n must be positive")
+    _check_level(n)
     j = np.arange(int(math.ceil(2.0 * n)))
     return np.asarray(cutoff(j / n), dtype=float)
 
@@ -228,8 +231,8 @@ def summation_by_parts_coefficients(cutoff, n, alpha, beta, k):
     vanishing below 1/2 the support of A_k lies in [n/2 - k, 2n].
     """
     _jacobi_check({"alpha": alpha, "beta": beta})
-    if not 1 <= k <= n / 4:
-        raise ValueError("ladder depth k must satisfy 1 <= k <= n/4")
+    _check_level(n)
+    k = orthopoly._check_integer(k, 1, n / 4, "ladder depth k must be an integer in 1..n/4")
     jtop = int(math.ceil(2.0 * n)) + k + 2
     t = np.arange(jtop, dtype=float)
     a = (2.0 * t + alpha + beta + 1.0) * np.asarray(cutoff(t / n), dtype=float)
@@ -569,8 +572,10 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
 def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
     """Auxiliary half-line kernel with (k+1)-fold forward differences of the
     band weights against raw Laguerre polynomials of lifted parameter."""
-    if not 0 <= k <= n / 4:
-        raise ValueError("difference order k must satisfy 0 <= k <= n/4")
+    _check_level(n)
+    k = orthopoly._check_integer(k, 0, n / 4, "difference order k must be an integer in 0..n/4")
+    d = orthopoly._check_integer(d, 1, np.inf, "dimension d must be a positive integer")
+    orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha components must be >= 0")
     (t,) = _domain([np.asarray(t, dtype=float)], np.negative, "t must be nonnegative")
     lift = float(np.sum(alpha, dtype=float)) + k + d
     top = int(math.ceil(2.0 * n))
@@ -692,8 +697,7 @@ def _check_params(family, p, *points, exempt=()):
 
 
 def _weight(family, n, x, p):
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    orthopoly._check_values(n, lambda v: v >= 1, "n must be >= 1")
     spec = _family(family)
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
@@ -1110,8 +1114,7 @@ class KernelInstance:
         if spec is None or spec.values is None:
             raise ValueError(f"unknown kernel family {self.family!r}")
         _check_params(self.family, self.params)
-        if self.n <= 0:
-            raise ValueError("level parameter n must be positive")
+        _check_level(self.n)
 
     def __call__(self, x, y):
         return FAMILIES[self.family].values(self, x, y)

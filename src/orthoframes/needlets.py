@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels, quadrature
+from . import decay, kernels, orthopoly, quadrature
 
 __all__ = [
     "NeedletLevel",
@@ -136,8 +136,7 @@ def build_needlet_system(family, params, cutoff, j_max):
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}")
-    if not (0 <= j_max <= 7):
-        raise ValueError("j_max must lie in 0..7")
+    j_max = orthopoly._check_integer(j_max, 0, 7, "j_max must be an integer in 0..7")
     if cutoff.spec.kind != "c":
         raise ValueError("needlet construction requires a TypeC cutoff")
     params = dict(params or {})
@@ -244,12 +243,13 @@ def needlet_decay_profile(system, j, xi_index):
     Returns a decay envelope ready for bound fitting; the effective level
     parameter is n_j (Jacobi) or sqrt(n_j)-scaled (Hermite/Laguerre), matching
     how the kernels localize.  Each of the 48 bins samples 64 offsets on
-    either side of the node and keeps those whose distance falls in the bin;
-    every bin's samples are evaluated in one call.  The bins' diameter and the
-    offsets' sampler are the family's frame record's ``profile``.
+    either side of the node and keeps those whose distance falls in the bin
+    (within 1e-12, so a sample on a shared edge counts in both); every bin's
+    samples are evaluated in one call, and ``decay._binned``, the builder of
+    every envelope, keeps each bin's largest value and its count.  The bins'
+    diameter and the offsets' sampler are the family's frame record's
+    ``profile``.
     """
-    from . import decay
-
     lvl = system.levels[j]
     xi = float(lvl.nodes[xi_index])
     diameter, sample = kernels.FAMILIES[system.family].frame.profile(xi, lvl.n_j)
@@ -261,16 +261,8 @@ def needlet_decay_profile(system, j, xi_index):
     vals = np.abs(system.psi(j, xi_index, pts.ravel())).reshape(pts.shape)
     rr = kernels.distance(system.family, pts.reshape(-1, 1), xi).reshape(pts.shape)
     keep = (rr >= lo[:, None] - 1e-12) & (rr <= hi[:, None] + 1e-12)
-    return decay.DecayEnvelope(
-        family=system.family,
-        n=max(int(lvl.n_j), 1),
-        rho=0.5 * (lo + hi),
-        values=np.max(vals, axis=1, initial=0.0, where=keep),
-        weighted=False,
-        scale=scale,
-        prefactor=prefactor,
-        counts=np.count_nonzero(keep, axis=1),
-    )
+    n = max(int(lvl.n_j), 1)
+    return decay._binned(system.family, n, edges, np.nonzero(keep)[0], vals[keep], scale, prefactor)
 
 
 def frame_to_json(system):

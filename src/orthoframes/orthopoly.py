@@ -46,6 +46,13 @@ def _check_values(values, accept, message):
         raise ValueError(message)
 
 
+def _check_integer(value, lo, hi, message):
+    """``value`` as an int if it is a whole number in [lo, hi], else raise
+    ``message`` as ``_check_values`` does; orders and levels run it."""
+    _check_values(value, lambda v: (v % 1 == 0) & (v >= lo) & (v <= hi), message)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Jacobi weight exponents; orthogonality needs both above -1."""

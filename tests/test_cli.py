@@ -131,12 +131,13 @@ def test_non_finite_points_are_usage_errors(tmp_path, capsys, family, x):
         ["kernel", "eval", "--family", "laguerre", "--alpha", "nan"],
         ["kernel", "eval", "--family", "jacobi", "--alpha", "inf", "--beta", "0"],
         ["needlet", "parseval", "--family", "laguerre", "--alpha", "nan", "--jmax", "2"],
+        ["decay", "fit", "--family", "chebyshev", "--n", "32", "--form", "poly", "--sigma", "nan"],
     ],
-    ids=["kernel-laguerre", "kernel-jacobi", "needlet-laguerre"],
+    ids=["kernel-laguerre", "kernel-jacobi", "needlet-laguerre", "fit-sigma"],
 )
 def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args):
     # the kernels once printed value=nan and exited 0; the frame exited 2
-    # only through scipy's eigensolver
+    # only through scipy's eigensolver; the fit wrote "c": NaN as satisfied
     assert run(args + FAST + ["--out", str(tmp_path)]) == 2
     assert "(got nan or inf)" in capsys.readouterr().err
 

@@ -307,6 +307,59 @@ def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     assert not np.array_equal(raw, wtd)
 
 
+def test_binned_reads_an_empty_bin_as_zero_and_carries_a_nan():
+    edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    env = de._binned("chebyshev", 8, edges, np.array([0, 0, 2, 3, 3]), np.array([0.5, 2.0, 1.0, 3.0, np.nan]), 2.0, 1.5)
+    assert np.array_equal(env.rho, [0.5, 1.5, 2.5, 3.5])
+    assert np.array_equal(env.values[:3], [2.0, 0.0, 1.0]) and np.isnan(env.values[3])
+    assert np.array_equal(env.counts, [2, 0, 1, 2])
+    assert (env.scale, env.prefactor, env.weighted) == (2.0, 1.5, False)
+
+
+def test_a_nan_pair_fails_the_fit(cutoff_c, monkeypatch):
+    # the nan bin once read as empty, and the fit passed
+    kernel = ke.KernelInstance("chebyshev", cutoff_c, 32)
+    plan = de.SamplingPlan(n_bins=40, pairs_per_bin=200)
+    first = de.measure_envelope(kernel, plan).counts[0]  # the first pair of bin 1
+    pair_values = kernel.pair_values
+
+    def one_nan(xs, ys):
+        vals = pair_values(xs, ys)
+        vals[first] = np.nan
+        return vals
+
+    monkeypatch.setattr(kernel, "pair_values", one_nan)
+    env = de.measure_envelope(kernel, plan)
+    assert np.isnan(env.values[1]) and np.all(np.isfinite(np.delete(env.values, 1)))
+    for form in (de.Polynomial(4.0), de.SubExponential(1.0)):
+        fit = de.fit_bound(env, form)
+        assert not fit.satisfied and math.isnan(fit.c) and fit.violations == 1
+
+
+def test_an_infinite_bin_fails_the_fit():
+    values = np.array([1.0, np.inf, 0.1, np.nan])
+    env = de.DecayEnvelope("chebyshev", 8, np.arange(4.0), values, False, 8.0, 1.0)
+    fit = de.fit_bound(env, de.SubExponential(1.0))
+    assert not fit.satisfied and math.isnan(fit.c) and math.isnan(fit.c_rate) and fit.violations == 2
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        # a nan sigma or epsilon once fitted c = nan and passed
+        (de.Polynomial(math.nan), "bound sigma must be finite"),
+        (de.Polynomial(math.inf), "bound sigma must be finite"),
+        (de.SubExponential(math.nan), "bound epsilon must be finite"),
+        (de.SubExponential(-math.inf), "bound epsilon must be finite"),
+        (de.SubExponential(1.0, 0), "log_depth must be a positive integer"),
+        (de.SubExponential(1.0, 1.5), "log_depth must be a positive integer"),
+    ],
+)
+def test_fit_refuses_forms_that_are_not_finite(cheb_env_128, form, message):
+    with pytest.raises(ValueError, match=message):
+        de.fit_bound(cheb_env_128, form)
+
+
 def _per_bin_envelope(kernel, plan):
     """rho, values and counts of an envelope evaluated bin by bin, one
     ``pair_values`` call per bin, on measure_envelope's bin edges."""

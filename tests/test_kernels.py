@@ -13,6 +13,7 @@ from scipy.special import eval_genlaguerre
 
 from orthoframes import cutoff as co
 from orthoframes import kernels as ke
+from orthoframes import needlets as ne
 from orthoframes import orthopoly as op
 from orthoframes import quadrature as qd
 
@@ -660,6 +661,39 @@ def test_laguerre_difference_kernel_growth(cutoff_c):
 def test_laguerre_difference_kernel_rejects_bad_k(cutoff_c):
     with pytest.raises(ValueError):
         ke.laguerre_K_kernel(cutoff_c, 8, [0.0], 1, 3, 1.0)
+
+
+_NONFINITE = r" \(got nan or inf\)"
+_JACOBI = {"alpha": 0.0, "beta": 0.0}
+
+
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        # alpha = nan read nan, alpha = inf raised a RuntimeWarning, d = -5 read 0.0499
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [math.nan], 1, 0, 0.5), "alpha components must be >= 0" + _NONFINITE),
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [math.inf], 1, 0, 0.5), "alpha components must be >= 0" + _NONFINITE),
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [0.5, -1.0], 2, 0, 0.5), "alpha components must be >= 0$"),
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [0.0], -5, 0, 0.5), "d must be a positive integer"),
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [0.0], 1.5, 0, 0.5), "d must be a positive integer"),
+        # orders that are not integers raised TypeError
+        (lambda cut: ke.laguerre_K_kernel(cut, 8, [0.0], 1, 1.5, 0.5), r"k must be an integer in 0\.\.n/4"),
+        (lambda cut: ke.summation_by_parts_coefficients(cut, 16, 0.0, 0.0, 1.5), r"k must be an integer in 1\.\.n/4"),
+        (lambda cut: ne.build_needlet_system("jacobi", _JACOBI, cut, 2.5), r"j_max must be an integer in 0\.\.7"),
+        # a non-finite level read nan, constructed, or raised OverflowError
+        (lambda cut: ke.laguerre_K_kernel(cut, math.inf, [0.0], 1, 0, 0.5), "n must be positive" + _NONFINITE),
+        (lambda cut: ke.weight_factor("jacobi", math.nan, 0.2, **_JACOBI), "n must be >= 1" + _NONFINITE),
+        (lambda cut: ke.KernelInstance("chebyshev", cut, math.nan), "n must be positive" + _NONFINITE),
+        (lambda cut: ke.cutoff_band(cut, math.inf), "n must be positive" + _NONFINITE),
+    ],
+    ids=[
+        "K-alpha-nan", "K-alpha-inf", "K-alpha-negative", "K-d-negative", "K-d-fraction", "K-k-fraction",
+        "ladder-k-fraction", "frame-j_max-fraction", "K-n-inf", "weight-n-nan", "instance-n-nan", "band-n-inf",
+    ],
+)
+def test_orders_levels_and_difference_kernel_parameters_are_refused(cutoff_c, evaluate, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(cutoff_c)
 
 
 @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
