@@ -15,28 +15,17 @@ import numpy as np
 
 from orthoframes import cutoff as co
 
-PARTITION_TOL = 1e-8  # the command-line front end's pinned tolerance
 failed = []
 
 for eps in (1.0, 0.5):
     print(f"=== epsilon = {eps} ===")
-    flat = co.assemble_cutoff(co.CutoffSpec("a", epsilon=eps))
     banded = co.assemble_cutoff(co.CutoffSpec("c", epsilon=eps))
-
-    t = np.linspace(0, 1, 2001)
-    flat_dev = np.abs(flat(t) - 1).max()
-    print(f"kind a: max |ahat - 1| on [0,1]   = {flat_dev:.3e}")
-    print(f"kind a: ahat(2.05)                = {flat(2.05):.3e}")
-    if not max(flat_dev, abs(flat(2.05))) < PARTITION_TOL:
-        failed.append(f"kind a flat/support deviation at eps={eps}")
-
-    tt = np.linspace(1, 2, 2001)
-    quad = np.abs(banded(tt) ** 2 + banded(tt / 2) ** 2 - 1).max()
-    print(f"kind c: quadratic identity defect = {quad:.3e}")
-    part = co.check_partition_of_unity(banded, 1.0, 1.0e4)
-    print(f"kind c: partition defect [1,1e4]  = {part:.3e}")
-    if not max(quad, part) < PARTITION_TOL:
-        failed.append(f"kind c partition at eps={eps}")
+    for prof in (co.assemble_cutoff(co.CutoffSpec("a", epsilon=eps)), banded):
+        report, ok = co.check_profile(prof, seed=42)
+        deviations = ", ".join(f"{k} {v:.3e}" for k, v in report.items() if k != "range_ok")
+        print(f"kind {prof.spec.kind}: {deviations}")
+        if not ok:
+            failed.append(f"kind {prof.spec.kind} checks at eps={eps}")
 
     est = co.estimate_derivative_norms(banded, 6)
     print("kind c: derivative sup-norms k=1..6:")

@@ -11,7 +11,6 @@ error.  A fixed default seed keeps CSV outputs byte-identical across runs.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,14 +18,6 @@ import numpy as np
 
 from . import cutoff as cutoff_mod
 from . import decay, kernels, needlets, quadrature
-
-_DEF_TOL = {
-    "partition": 1e-8,
-    "exactness": 1e-10,
-    "parseval": 1e-8,
-    "roundtrip": 1e-7,
-    "counterexample": 1e-10,
-}
 
 
 def _cutoff_from_args(args):
@@ -57,7 +48,7 @@ def _add_cutoff_opts(p):
 def _add_family_opts(p, n):
     p.add_argument("--family", default="chebyshev")
     p.add_argument("--n", type=int, default=n)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=_numbers, default=0.0, help="one value, or one per axis: 0,1")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=1)
@@ -103,8 +94,10 @@ def _seed(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_point(text):
-    return np.array([float(v) for v in text.split(",")])
+def _numbers(text):
+    """One number, or a tuple of them written comma-separated (a point, or one value per axis)."""
+    values = tuple(float(v) for v in text.split(","))
+    return values if len(values) > 1 else values[0]
 
 
 def cmd_cutoff(args):
@@ -117,34 +110,15 @@ def cmd_cutoff(args):
             fh.write(cutoff_mod.spec_to_json(cut.spec))
         print(f"cutoff build: kind={cut.spec.kind} eps={cut.spec.epsilon} -> {path}")
         return 0
-    # check
-    tol = args.tolerance if args.tolerance is not None else _DEF_TOL["partition"]
-    rng = np.random.default_rng(args.seed)
-    t = rng.uniform(0.0, 2.5, 4096)
-    vals = cut(t)
-    ok = bool(np.all((vals >= 0) & (vals <= 1)))
-    report = {"range_ok": ok}
+    report, ok = cutoff_mod.check_profile(cut, args.seed, args.tolerance)
     if cut.spec.kind == "a":
-        dev = max(
-            float(np.abs(cut(np.linspace(0, 1, 2048)) - 1.0).max()),
-            float(np.abs(cut(np.linspace(2.0, 2.5, 256))).max()),
-        )
-        report["flat_deviation"] = dev
-        ok = ok and dev < tol
-        print(f"cutoff check: kind=a flat/support deviation {dev:.3e}")
+        print(f"cutoff check: kind=a flat/support deviation {report['flat_deviation']:.3e}")
+    elif cut.spec.kind == "c":
+        print(f"cutoff check: partition-of-unity deviation {report['partition_deviation']:.3e}")
     else:
-        tt = np.linspace(1.0, 2.0, 2048)
-        quad_dev = float(np.abs(cut(tt) ** 2 + cut(tt / 2.0) ** 2 - 1.0).max())
-        report["quadratic_identity_deviation"] = quad_dev
-        ok = ok and quad_dev < tol
-        if cut.spec.kind == "c":
-            dev = cutoff_mod.check_partition_of_unity(cut, 1.0, 1.0e4)
-            report["partition_deviation"] = dev
-            ok = ok and dev < tol
-            print(f"cutoff check: partition-of-unity deviation {dev:.3e}")
-        else:
-            print(f"cutoff check: quadratic identity deviation {quad_dev:.3e}")
-    with open(os.path.join(_outdir(args), "cutoff_check.json"), "w") as fh:
+        dev = report["quadratic_identity_deviation"]
+        print(f"cutoff check: quadratic identity deviation {dev:.3e}")
+    with open(os.path.join(out, "cutoff_check.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True)
     return 0 if ok else 1
 
@@ -154,12 +128,8 @@ def cmd_kernel(args):
     kernel = _kernel_from_args(args, cut)
     out = _outdir(args)
     if args.action == "eval":
-        x = _parse_point(args.x)
-        y = _parse_point(args.y)
-        xs = x if len(x) > 1 else float(x[0])
-        ys = y if len(y) > 1 else float(y[0])
-        val = kernel(xs, ys)
-        rho = kernel.distance(xs, ys)
+        val = kernel(args.x, args.y)
+        rho = kernel.distance(args.x, args.y)
         print(f"kernel eval: {args.family} n={args.n} rho={rho:.6g} value={val:.12g}")
         with open(os.path.join(out, "kernel_eval.json"), "w") as fh:
             json.dump(
@@ -209,7 +179,7 @@ def cmd_quad(args):
         return 0
     degree = args.degree if args.degree is not None else rule.exactness
     err = verify(rule, degree)
-    tol = args.tolerance if args.tolerance is not None else _DEF_TOL["exactness"]
+    tol = quadrature.EXACTNESS_TOL if args.tolerance is None else args.tolerance
     print(f"quad verify: {args.weight} m={args.m} degree={degree} {check} error {err:.3e}")
     return 0 if err < tol else 1
 
@@ -231,35 +201,18 @@ def cmd_needlet(args):
         counts = [len(l.nodes) for l in system.levels]
         print(f"needlet build: {args.family} J={args.jmax} node counts {counts} -> {path}")
         return 0
-    rng = np.random.default_rng(args.seed)
-    defects = []
-    for _ in range(args.trials):
-        coeffs = rng.standard_normal(system.capacity + 1)
-        if args.action == "parseval":
-            defects.append(needlets.parseval_check(system, coeffs))
-        else:
-            frame = needlets.analyze(system, coeffs)
-            pts = rng.uniform(*kernels.FAMILIES[args.family].frame.roundtrip, 50)
-            rec = needlets.synthesize(system, frame, pts)
-            ref = np.tensordot(
-                coeffs, system.basis_values(np.arange(len(coeffs)), pts), axes=(0, 0)
-            )
-            scale = max(float(np.abs(ref).max()), 1e-30)
-            defects.append(float(np.abs(rec - ref).max()) / scale)
-    # a non-finite defect is a failure: report it as nan, which no tolerance passes
-    defects = np.asarray(defects, dtype=float)
-    worst = float(np.max(defects, initial=0.0)) if np.all(np.isfinite(defects)) else math.nan
-    key = "parseval" if args.action == "parseval" else "roundtrip"
-    tol = args.tolerance if args.tolerance is not None else _DEF_TOL[key]
-    print(f"needlet {key}: {args.family} J={args.jmax} worst defect {worst:.3e}")
-    return 0 if worst < tol else 1
+    worst, ok = needlets.check_tightness(
+        system, args.action, args.trials, args.seed, args.tolerance
+    )
+    print(f"needlet {args.action}: {args.family} J={args.jmax} worst defect {worst:.3e}")
+    return 0 if ok else 1
 
 
 def cmd_decay(args):
     out = _outdir(args)
     if args.action == "wavelet":
         w = decay.build_wavelet(args.epsilon)
-        fit = decay.fit_bound(w.envelope, decay.SubExponential(args.epsilon))
+        fit, ok = w.check(args.tolerance)
         path = os.path.join(out, "wavelet.csv")
         with open(path, "w") as fh:
             fh.write("x,psi\n")
@@ -267,12 +220,6 @@ def cmd_decay(args):
                 fh.write(f"{xv:.17g},{pv:.17g}\n")
         with open(os.path.join(out, "wavelet_fit.json"), "w") as fh:
             fh.write(decay.fit_to_json(fit))
-        ok = (
-            w.plancherel_defect < 1e-8
-            and w.mean_abs < 1e-8
-            and fit.satisfied
-            and fit.c_rate > 0
-        )
         print(
             f"decay wavelet: plancherel {w.plancherel_defect:.3e} mean {w.mean_abs:.3e} "
             f"rate {fit.c_rate:.3g} -> {path}"
@@ -280,38 +227,28 @@ def cmd_decay(args):
         return 0 if ok else 1
     if args.action == "counterexample":
         cut = _resolve_cutoff(args)
-        n_list = [int(v) for v in args.n_list.split(",")]
-        report = decay.counterexample_suite(cut, n_list)
+        report = decay.counterexample_suite(cut, [int(v) for v in args.n_list.split(",")])
         with open(os.path.join(out, "counterexample.json"), "w") as fh:
             fh.write(report.to_json())
-        variant = args.variant
-        vals = report.values[variant]
-        pred = report.predicted[variant]
-        tol = args.tolerance if args.tolerance is not None else _DEF_TOL["counterexample"]
-        if variant == "chebcheb":
-            ok = bool(np.all(np.abs(vals - pred) < tol))
-        else:
-            resid_scaled = np.abs(report.residuals[variant]) * np.asarray(n_list)
-            ok = bool(resid_scaled.max() < 10.0)
-        print(
-            f"decay counterexample: {variant} values {np.array2string(vals, precision=8)} "
-            f"predicted {np.array2string(pred, precision=8)} match={ok}"
-        )
+        ok = report.matches(args.variant, args.tolerance)
+        vals = np.array2string(report.values[args.variant], precision=8)
+        pred = np.array2string(report.predicted[args.variant], precision=8)
+        print(f"decay counterexample: {args.variant} values {vals} predicted {pred} match={ok}")
         return 0 if ok else 1
     cut = _resolve_cutoff(args)
     kernel = _kernel_from_args(args, cut)
     plan = decay.SamplingPlan(seed=args.seed, weighted=args.weighted)
-    env = decay.measure_envelope(kernel, plan)
     if args.action == "envelope":
         path = os.path.join(out, f"envelope_{args.family}_{args.n}.csv")
-        decay.envelope_to_csv(env, path)
+        decay.envelope_to_csv(decay.measure_envelope(kernel, plan), path)
         print(f"decay envelope: {args.family} n={args.n} -> {path}")
         return 0
     if args.action == "fit":
         if args.form == "poly":
-            fit = decay.fit_bound(env, decay.Polynomial(args.sigma))
+            form = decay.Polynomial(args.sigma)
         else:
-            fit = decay.fit_bound(env, decay.SubExponential(args.epsilon))
+            form = decay.SubExponential(cut.spec.epsilon, cut.spec.log_depth)
+        fit = decay.fit_bound(decay.measure_envelope(kernel, plan), form)
         with open(os.path.join(out, "fit.json"), "w") as fh:
             fh.write(decay.fit_to_json(fit))
         print(
@@ -320,14 +257,9 @@ def cmd_decay(args):
         )
         return 0 if fit.satisfied else 1
     # compare
-    rough = cutoff_mod.build_control_cutoff(args.epsilon)
+    cutoffs = [cut, cutoff_mod.build_control_cutoff(cut.spec.epsilon)]
     fits = decay.compare_cutoffs(
-        args.family,
-        args.n,
-        [cut, rough],
-        epsilon=args.epsilon,
-        plan=plan,
-        params=kernel.params,
+        args.family, args.n, cutoffs, epsilon=cut.spec.epsilon, plan=plan, params=kernel.params
     )
     rows = [json.loads(decay.fit_to_json(f)) for f in fits]
     with open(os.path.join(out, "compare.json"), "w") as fh:
@@ -362,8 +294,8 @@ def build_parser():
     p.add_argument("action", choices=("eval", "grid"))
     _add_family_opts(p, n=32)
     point = "a point: its coordinates, comma-separated (0.2,0.3 or -0.4,0.1)"
-    p.add_argument("--x", default="0.5", help=point)
-    p.add_argument("--y", default="0.25", help=point)
+    p.add_argument("--x", type=_numbers, default="0.5", help=point)
+    p.add_argument("--y", type=_numbers, default="0.25", help=point)
     p.add_argument("--count", type=_positive_int, default=200)
     _add_cutoff_opts(p)
     common(p)

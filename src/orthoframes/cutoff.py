@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import orthopoly
+
 __all__ = [
     "CutoffSpec",
     "BumpFunction",
@@ -46,6 +48,7 @@ __all__ = [
     "build_control_cutoff",
     "estimate_derivative_norms",
     "check_partition_of_unity",
+    "check_profile",
     "inverse_transform",
     "integrate_profile",
     "save_samples_csv",
@@ -561,10 +564,7 @@ def estimate_derivative_norms(f, k_max=6):
     ``k_max`` is capped at 10: beyond that no double-precision grid retains
     meaningful derivative information.
     """
-    if k_max > 10:
-        raise ValueError("k_max is capped at 10 on double-precision grids")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    k_max = orthopoly._check_integer(k_max, 0, 10, "k_max must be an integer in 0..10")
     vals, step = _even_extension_lattice(f)
     m = len(vals)
     spec = np.fft.rfft(vals)
@@ -618,6 +618,33 @@ def check_partition_of_unity(f, t_lo=1.0, t_hi=1.0e4, samples=200_000):
     for scale, lo, hi in zip(scales, starts, stops):
         total[lo:hi] += f(t[lo:hi] / scale) ** 2
     return float(np.abs(total - 1.0).max())
+
+
+# the largest flat-top, support, quadratic or partition deviation that passes
+PARTITION_TOL = 1e-8
+
+
+def check_profile(f, seed, tol=None):
+    """(report, passed): ``range_ok`` (0 <= ahat <= 1 at 4,096 points of
+    [0, 2.5] drawn from ``seed``) and the deviations of the profile's kind:
+    for "a" the largest |ahat - 1| on [0, 1] and |ahat| on [2, 2.5], for "b"
+    and "c" the quadratic identity's on [1, 2], for "c" also the partition's
+    on [1, 1e4].  It passes when the range holds and every deviation lies
+    below ``tol`` (default ``PARTITION_TOL``); a nan deviation fails."""
+    tol = PARTITION_TOL if tol is None else tol
+    vals = f(np.random.default_rng(seed).uniform(0.0, 2.5, 4096))
+    report = {"range_ok": bool(np.all((vals >= 0) & (vals <= 1)))}
+    if f.spec.kind == "a":
+        flat = np.abs(f(np.linspace(0, 1, 2048)) - 1.0).max()
+        support = np.abs(f(np.linspace(2.0, 2.5, 256))).max()
+        report["flat_deviation"] = float(np.maximum(flat, support))
+    else:
+        tt = np.linspace(1.0, 2.0, 2048)
+        quad = np.abs(f(tt) ** 2 + f(tt / 2.0) ** 2 - 1.0).max()
+        report["quadratic_identity_deviation"] = float(quad)
+        if f.spec.kind == "c":
+            report["partition_deviation"] = check_partition_of_unity(f, 1.0, 1.0e4)
+    return report, report["range_ok"] and all(v < tol for k, v in report.items() if k != "range_ok")
 
 
 def inverse_transform(f, s):

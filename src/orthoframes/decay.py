@@ -72,11 +72,11 @@ class SamplingPlan:
     weighted: bool = False
 
     def validate(self):
+        """Return the bin and pair counts as ints, or raise ValueError."""
         check_seed(self.seed)
-        if self.n_bins < 40:
-            raise ValueError("plans need at least 40 bins")
-        if self.pairs_per_bin < 200:
-            raise ValueError("plans need at least 200 pairs per bin")
+        bins, pairs = "plans need at least 40 bins", "plans need at least 200 pairs per bin"
+        return (orthopoly._check_integer(self.n_bins, 40, math.inf, bins),
+                orthopoly._check_integer(self.pairs_per_bin, 200, math.inf, pairs))
 
 
 @dataclass
@@ -130,7 +130,7 @@ def measure_envelope(kernel, plan=None):
     Weighted plans need a family with a bound weight.
     """
     plan = plan or SamplingPlan()
-    plan.validate()
+    n_bins, pairs_per_bin = plan.validate()
     spec = kernels.FAMILIES[kernel.family]
     if plan.weighted and spec.weight is None:
         raise ValueError(f"{kernel.family} kernels carry no bound weight; measure them unweighted")
@@ -142,8 +142,8 @@ def measure_envelope(kernel, plan=None):
     # u = scale * rho to the same locations for every n, which keeps fitted
     # constants comparable across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
-    edges = np.concatenate([[0.0], np.geomspace(lo, diameter, plan.n_bins)])
-    xs, ys, counts = spec.sample(kernel, edges, plan.pairs_per_bin, plan.seed)
+    edges = np.concatenate([[0.0], np.geomspace(lo, diameter, n_bins)])
+    xs, ys, counts = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
     vals = _pair_magnitudes(kernel, xs, ys, plan.weighted)
     bins = np.repeat(np.arange(len(counts)), counts)
     return _binned(kernel.family, kernel.n, edges, bins, vals, scale, prefactor, plan.weighted)
@@ -281,6 +281,10 @@ def compare_cutoffs(family, n, cutoffs, epsilon=1.0, plan=None, params=None):
     return fits
 
 
+# the largest relative Plancherel defect, and |mean|, that passes
+PLANCHEREL_TOL = 1e-8
+
+
 @dataclass
 class Wavelet:
     """Band-limited orthonormal wavelet sampled on a uniform grid."""
@@ -291,6 +295,15 @@ class Wavelet:
     plancherel_defect: float
     mean_abs: float
     envelope: DecayEnvelope
+
+    def check(self, tol=None):
+        """(fit, passed): the envelope's sub-exponential fit at epsilon, and whether
+        the Plancherel defect and |mean| lie below ``tol`` (default
+        ``PLANCHEREL_TOL``) and the fit holds at a positive rate; nan fails."""
+        tol = PLANCHEREL_TOL if tol is None else tol
+        fit = fit_bound(self.envelope, SubExponential(self.epsilon))
+        passed = self.plancherel_defect < tol and self.mean_abs < tol
+        return fit, bool(passed and fit.satisfied and fit.c_rate > 0)
 
 
 # bins of a wavelet's decay envelope
@@ -332,6 +345,21 @@ def build_wavelet(epsilon):
     return Wavelet(epsilon, x_grid, psi, plancherel_defect, mean_abs, env)
 
 
+# per tensor variant, closed forms in (n, ia, ita, a0) (see counterexample_suite):
+# the corner value, whether it is exact (else a leading term, matched within
+# 10/n), and the slice's F_n'(1) on a Chebyshev-recurrence axis, if any
+_CLOSED_FORMS = {
+    "legleg": (lambda n, ia, ita, a0: n / 8.0 * ia + a0 / 8.0, False, None),
+    "chebcheb": (lambda n, ia, ita, a0: a0 / np.pi**2, True,
+                 lambda n, ia, ita, a0: 2.0 * n**2 / np.pi**2 * ita),
+    "chebleg": (lambda n, ia, ita, a0: a0 / (4.0 * np.pi), False,
+                lambda n, ia, ita, a0: n**2 / (2.0 * np.pi) * ita + n / (4.0 * np.pi) * ia),
+}
+
+# the largest deviation of an exact corner value that passes
+COUNTEREXAMPLE_TOL = 1e-10
+
+
 @dataclass
 class CounterexampleReport:
     """Tensor-product kernel values at the distinguished corner pair."""
@@ -346,6 +374,15 @@ class CounterexampleReport:
     slice_fprime: dict    # variant -> array of F_n'(1) from the slice series
     slice_predicted: dict
     sup_norms: dict       # variant -> array of sup |F_n| over [-1, 1]
+
+    def matches(self, variant, tol=None):
+        """Whether the variant's corner values match their closed form: an
+        exact one within ``tol`` (default ``COUNTEREXAMPLE_TOL``), a leading
+        term within 10/n.  A nan fails."""
+        resid = np.abs(self.residuals[variant])
+        if _CLOSED_FORMS[variant][1]:
+            return bool(np.all(resid < (COUNTEREXAMPLE_TOL if tol is None else tol)))
+        return bool(np.all(resid * np.asarray(self.n_list) < 10.0))
 
     def to_json(self):
         def conv(d):
@@ -391,19 +428,15 @@ def counterexample_suite(cutoff, n_list):
     slice_fprime, slice_predicted, sup_norms = {}, {}, {}
     grid = np.cos(np.linspace(0.0, np.pi, 801))
     for variant in kernels.TENSOR_VARIANTS:
+        corner, _, slope = _CLOSED_FORMS[variant]
         vals = np.array(
             [kernels.tensor2d_kernel(cutoff, n, variant, x, y) for n in n_list]
         )
-        if variant == "legleg":
-            pred = np.array([n / 8.0 * ia + a0 / 8.0 for n in n_list])
-        elif variant == "chebcheb":
-            pred = np.full(len(n_list), a0 / np.pi**2)
-        else:
-            pred = np.full(len(n_list), a0 / (4.0 * np.pi))
+        pred = np.array([corner(n, ia, ita, a0) for n in n_list])
         values[variant] = vals
         predicted[variant] = pred
         residuals[variant] = vals - pred
-        if variant in ("chebcheb", "chebleg"):
+        if slope is not None:
             fps, sups = [], []
             for n in n_list:
                 coeffs = kernels.tensor_slice_cheb_coeffs(cutoff, n, variant)
@@ -411,16 +444,8 @@ def counterexample_suite(cutoff, n_list):
                 fps.append(float(np.dot(coeffs, a_idx**2)))
                 sups.append(float(np.abs(np.polynomial.chebyshev.chebval(grid, coeffs)).max()))
             slice_fprime[variant] = np.array(fps)
-            sups = np.array(sups)
-            sup_norms[variant] = sups
-            if variant == "chebcheb":
-                slice_predicted[variant] = np.array(
-                    [2.0 * n**2 / np.pi**2 * ita for n in n_list]
-                )
-            else:
-                slice_predicted[variant] = np.array(
-                    [n**2 / (2.0 * np.pi) * ita + n / (4.0 * np.pi) * ia for n in n_list]
-                )
+            sup_norms[variant] = np.array(sups)
+            slice_predicted[variant] = np.array([slope(n, ia, ita, a0) for n in n_list])
     return CounterexampleReport(
         list(n_list), ia, ita, a0, values, predicted, residuals,
         slice_fprime, slice_predicted, sup_norms,
@@ -436,15 +461,16 @@ def envelope_to_csv(env, path):
 
 
 def fit_to_json(fit):
-    """JSON report {form, epsilon, sigma, c, c_rate, violations, satisfied}."""
+    """JSON report {form, epsilon, log_depth, sigma, c, c_rate, violations, satisfied}."""
     if isinstance(fit.form, Polynomial):
-        form, eps, sigma = "polynomial", None, fit.form.sigma
+        form, eps, depth, sigma = "polynomial", None, None, fit.form.sigma
     else:
-        form, eps, sigma = "sub_exponential", fit.form.epsilon, None
+        form, eps, depth, sigma = "sub_exponential", fit.form.epsilon, fit.form.log_depth, None
     return json.dumps(
         {
             "form": form,
             "epsilon": eps,
+            "log_depth": depth,
             "sigma": sigma,
             "c": fit.c,
             "c_rate": fit.c_rate,

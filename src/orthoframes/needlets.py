@@ -36,6 +36,8 @@ __all__ = [
     "analyze",
     "synthesize",
     "parseval_check",
+    "roundtrip_defect",
+    "check_tightness",
     "needlet_decay_profile",
     "frame_to_json",
     "coefficients_to_csv",
@@ -230,6 +232,42 @@ def parseval_check(system, f, f_degree=None):
         return 0.0
     frame = analyze(system, coeffs)
     return abs(frame.norm_squared() - norm2) / norm2
+
+
+def roundtrip_defect(system, coeffs, x):
+    """max |synthesis of the analysis - f| at the points x over max |f| there
+    (floored at 1e-30), f with spectral coefficients ``coeffs``."""
+    rec = synthesize(system, analyze(system, coeffs), x)
+    ref = np.tensordot(coeffs, system.basis_values(np.arange(len(coeffs)), x), axes=(0, 0))
+    return float(np.abs(rec - ref).max()) / max(float(np.abs(ref).max()), 1e-30)
+
+
+# the largest Parseval and round-trip defects a tight frame passes with
+PARSEVAL_TOL, ROUNDTRIP_TOL = 1e-8, 1e-7
+
+
+def check_tightness(system, check, trials, seed, tol=None):
+    """(worst, passed): the worst "parseval" or "roundtrip" defect of
+    ``trials`` inputs, and whether it lies below ``tol`` (default
+    ``PARSEVAL_TOL`` or ``ROUNDTRIP_TOL``); a nan or inf in any trial makes
+    the worst nan, which fails.  A generator seeded with ``seed`` draws each
+    input's coefficients, then a round trip's 50 points on the frame
+    record's ``roundtrip`` interval."""
+    if check not in ("parseval", "roundtrip"):
+        raise ValueError('check must be "parseval" or "roundtrip"')
+    trials = orthopoly._check_integer(trials, 1, math.inf, "trials must be a positive integer")
+    lo, hi = kernels.FAMILIES[system.family].frame.roundtrip
+    rng = np.random.default_rng(seed)
+    defects = []
+    for _ in range(trials):
+        coeffs = rng.standard_normal(system.capacity + 1)
+        if check == "parseval":
+            defects.append(parseval_check(system, coeffs))
+        else:
+            defects.append(roundtrip_defect(system, coeffs, rng.uniform(lo, hi, 50)))
+    worst = float(np.max(defects)) if np.all(np.isfinite(defects)) else math.nan
+    tol = (PARSEVAL_TOL if check == "parseval" else ROUNDTRIP_TOL) if tol is None else tol
+    return worst, worst < tol
 
 
 # bins of a needlet decay profile, and offsets sampled per bin on each side

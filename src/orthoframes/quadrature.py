@@ -111,6 +111,7 @@ def gauss_rule(weight, m, alpha=None, beta=None):
             weights = 1.0 / sums
         else:
             weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
+    m = len(nodes)
     return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1, table)
 
 
@@ -145,8 +146,7 @@ def _christoffel_pass(weight, m, *params):
     sum_k f_k(x)^2, taken row by row, and the zeroth moment."""
     from scipy.linalg import eigh_tridiagonal
 
-    if m < 1:
-        raise ValueError("node count m must be >= 1")
+    m = orthopoly._check_integer(m, 1, math.inf, "node count m must be an integer >= 1")
     coeffs, support, functions = _PASSES[weight]
     a, b, mu0 = coeffs(m, *params)
     try:
@@ -184,6 +184,10 @@ def _log_sum(logs, signs):
         return top + np.log(abs(q)), np.sign(q)
 
 
+# the largest moment or orthonormality error a rule may show and pass
+EXACTNESS_TOL = 1e-10
+
+
 def verify_exactness(rule, degree):
     """Max relative error of the rule's monomial moments up to ``degree``.
 
@@ -196,12 +200,8 @@ def verify_exactness(rule, degree):
     """
     from scipy.special import gammaln
 
-    if degree > rule.exactness:
-        raise ValueError(
-            f"degree {degree} exceeds declared exactness {rule.exactness}"
-        )
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    message = f"degree must be an integer in 0..{rule.exactness}, the declared exactness"
+    degree = orthopoly._check_integer(degree, 0, rule.exactness, message)
     x, w = rule.nodes, rule.weights
     errors = np.empty(degree + 1)
     if rule.weight == "jacobi":
@@ -259,7 +259,7 @@ def hermite_function_rule(m):
     no intermediate quantity underflows.
     """
     nodes, table, sums, _ = _christoffel_pass("hermite_fn", m)
-    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * m - 1, table)
+    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * len(nodes) - 1, table)
 
 
 def laguerre_function_rule(alpha, m):
@@ -272,7 +272,8 @@ def laguerre_function_rule(alpha, m):
     """
     orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0")
     nodes, table, sums, _ = _christoffel_pass("laguerre_fn", m, alpha)
-    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, 2 * m - 1, table)
+    exactness = 2 * len(nodes) - 1
+    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, exactness, table)
 
 
 def rule_to_json(rule):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orthoframes import needlets, quadrature
+from orthoframes import cutoff, decay, kernels, needlets, quadrature
 from orthoframes.cli import run
 
 FAST = ["--m-max", "512", "--grid", "4096"]
@@ -72,10 +72,24 @@ def test_kernel_grid_draws_points_of_the_kernels_dimension(tmp_path, capsys):
     assert run(args + ["--family", "hermite", "--dim", "3"]) == 0
     lines = (tmp_path / "o" / "kernel_grid_hermite.csv").read_text().splitlines()
     assert lines[0] == "x0,x1,x2,y0,y1,y2,rho,value" and len(lines) == 31
-    # --alpha is one number, and a 2-d Laguerre kernel needs one per axis
+    # a 2-d Laguerre kernel needs one alpha per axis, written as --x is
     assert run(args + ["--family", "laguerre", "--dim", "2"]) == 2
     assert "alpha must have one component per axis (d = 2)" in capsys.readouterr().err
     assert not (tmp_path / "o" / "kernel_grid_laguerre.csv").exists()
+    assert run(args + ["--family", "laguerre", "--dim", "2", "--alpha", "0,1"]) == 0
+    lines = (tmp_path / "o" / "kernel_grid_laguerre.csv").read_text().splitlines()
+    assert lines[0] == "x0,x1,y0,y1,rho,value" and len(lines) == 31
+
+
+def test_laguerre_kernel_at_d_2_evaluates_one_alpha_per_axis(tmp_path):
+    # no command reached a 2-d Laguerre kernel while --alpha took one number
+    args = ["--family", "laguerre", "--dim", "2", "--n", "16", "--alpha", "0.5,1"]
+    args += ["--x", "0.5,0.2", "--y", "0.1,0.3"] + FAST + ["--out", str(tmp_path)]
+    assert run(["kernel", "eval"] + args) == 0
+    record = json.loads((tmp_path / "kernel_eval.json").read_text())
+    cut = cutoff.assemble_cutoff(cutoff.CutoffSpec("c", m_max=512, grid_points=4096))
+    value = kernels.laguerre_kernel(cut, 16, (0.5, 1.0), [0.5, 0.2], [0.1, 0.3], d=2)
+    assert record["value"] == float(value) and record["descriptor"]["alpha"] == [0.5, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -288,6 +302,37 @@ def test_decay_counterexample(tmp_path, capsys):
     assert "match=True" in capsys.readouterr().out
     report = json.loads((tmp_path / "o" / "counterexample.json").read_text())
     assert report["a0"] == 1.0
+
+
+def test_decay_fit_fits_the_shape_of_the_measured_cutoff(tmp_path):
+    # the fit once took --epsilon (default 1) and depth 1 whatever the cutoff:
+    # depth 2 read rate 2.105 for 1.099, a config at eps = 1/2 fitted eps = 1
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"kind": "c", "epsilon": 0.5, "m_max": 512, "grid": 4096}))
+    base = ["decay", "fit", "--family", "chebyshev", "--n", "32", "--out", str(tmp_path)]
+    for options, epsilon, depth in [(["--log-depth", "2"] + FAST, 1.0, 2), (["--config", str(config)], 0.5, 1)]:
+        assert run(base + options) == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        spec = cutoff.CutoffSpec("c", epsilon=epsilon, log_depth=depth, m_max=512, grid_points=4096)
+        kernel = kernels.KernelInstance("chebyshev", cutoff.assemble_cutoff(spec), 32)
+        env = decay.measure_envelope(kernel, decay.SamplingPlan())
+        expected = decay.fit_bound(env, decay.SubExponential(epsilon, depth))
+        assert (fit["epsilon"], fit["log_depth"], fit["c_rate"]) == (epsilon, depth, expected.c_rate)
+
+
+def test_decay_compare_measures_each_cutoff_once(tmp_path, monkeypatch):
+    # compare once measured the first cutoff's envelope twice
+    measured = []
+
+    def measure(kernel, plan=None):
+        measured.append(kernel.cutoff)
+        return measure_envelope(kernel, plan)
+
+    measure_envelope = decay.measure_envelope
+    monkeypatch.setattr(decay, "measure_envelope", measure)
+    args = ["decay", "compare", "--family", "chebyshev", "--n", "32"] + FAST
+    assert run(args + ["--out", str(tmp_path)]) in (0, 1)  # the count is under test, not the order
+    assert len(measured) == 2 and measured[0] is not measured[1]
 
 
 def test_decay_compare(tmp_path, capsys):

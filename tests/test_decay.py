@@ -553,7 +553,7 @@ def test_envelope_csv_and_fit_json(tmp_path, cheb_env_128):
     assert len(lines) == 49
     fit = de.fit_bound(cheb_env_128, de.SubExponential(1.0))
     raw = json.loads(de.fit_to_json(fit))
-    assert raw["form"] == "sub_exponential"
+    assert raw["form"] == "sub_exponential" and raw["log_depth"] == 1
     assert raw["violations"] == 0
     praw = json.loads(de.fit_to_json(de.fit_bound(cheb_env_128, de.Polynomial(4.0))))
-    assert praw["form"] == "polynomial" and praw["sigma"] == 4.0
+    assert praw["form"] == "polynomial" and praw["sigma"] == 4.0 and praw["log_depth"] is None

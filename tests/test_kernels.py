@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
 from orthoframes import cutoff as co
+from orthoframes import decay as de
 from orthoframes import kernels as ke
 from orthoframes import needlets as ne
 from orthoframes import orthopoly as op
@@ -667,6 +668,10 @@ _NONFINITE = r" \(got nan or inf\)"
 _JACOBI = {"alpha": 0.0, "beta": 0.0}
 
 
+def _measure(cut, **plan):
+    return de.measure_envelope(ke.KernelInstance("chebyshev", cut, 8), de.SamplingPlan(**plan))
+
+
 @pytest.mark.parametrize(
     "evaluate, message",
     [
@@ -685,10 +690,22 @@ _JACOBI = {"alpha": 0.0, "beta": 0.0}
         (lambda cut: ke.weight_factor("jacobi", math.nan, 0.2, **_JACOBI), "n must be >= 1" + _NONFINITE),
         (lambda cut: ke.KernelInstance("chebyshev", cut, math.nan), "n must be positive" + _NONFINITE),
         (lambda cut: ke.cutoff_band(cut, math.inf), "n must be positive" + _NONFINITE),
+        # counts and orders that raised numpy's TypeError, or passed validate first
+        (lambda cut: qd.gauss_rule("hermite", 2.5), "node count m must be an integer >= 1$"),
+        (lambda cut: qd.gauss_rule("jacobi", 2.5, alpha=0, beta=0), "node count m must be an integer >= 1$"),
+        (lambda cut: qd.hermite_function_rule(math.nan), "node count m must be an integer >= 1" + _NONFINITE),
+        (lambda cut: _measure(cut, n_bins=math.nan), "at least 40 bins" + _NONFINITE),
+        (lambda cut: _measure(cut, n_bins=45.5), "at least 40 bins$"),
+        (lambda cut: _measure(cut, n_bins=math.inf), "at least 40 bins" + _NONFINITE),
+        (lambda cut: _measure(cut, pairs_per_bin=300.5), "at least 200 pairs per bin$"),
+        (lambda cut: co.estimate_derivative_norms(cut, 2.5), r"k_max must be an integer in 0\.\.10"),
+        (lambda cut: qd.verify_exactness(qd.gauss_rule("jacobi", 4, 0, 0), 2.5), r"degree must be an integer in 0\.\.7"),
     ],
     ids=[
         "K-alpha-nan", "K-alpha-inf", "K-alpha-negative", "K-d-negative", "K-d-fraction", "K-k-fraction",
         "ladder-k-fraction", "frame-j_max-fraction", "K-n-inf", "weight-n-nan", "instance-n-nan", "band-n-inf",
+        "rule-m-fraction", "jacobi-rule-m-fraction", "function-rule-m-nan", "plan-bins-nan", "plan-bins-fraction",
+        "plan-bins-inf", "plan-pairs-fraction", "derivative-k_max-fraction", "exactness-degree-fraction",
     ],
 )
 def test_orders_levels_and_difference_kernel_parameters_are_refused(cutoff_c, evaluate, message):
