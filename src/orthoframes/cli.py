@@ -264,12 +264,23 @@ def cmd_decay(args):
     rows = [json.loads(decay.fit_to_json(f)) for f in fits]
     with open(os.path.join(out, "compare.json"), "w") as fh:
         json.dump(rows, fh, sort_keys=True)
-    ordered = fits[0].c_rate > fits[1].c_rate
+    smooth, control = fits[0].c_rate, fits[1].c_rate
+    ordered = smooth > control
+    # a fitted rate is nan or at least 1e-3, so the gap's divisor is never 0
     print(
-        f"decay compare: smooth rate {fits[0].c_rate:.4g} vs control {fits[1].c_rate:.4g} "
-        f"ordered={ordered}"
+        "decay compare: smooth rate {} vs control {} ".format(*_distinct(smooth, control))
+        + f"relative gap {(smooth - control) / control:.2e} ordered={ordered}"
     )
     return 0 if ordered else 1
+
+
+def _distinct(a, b):
+    """a and b with the fewest significant digits, at least 4, that tell
+    them apart (17 when they are equal)."""
+    for digits in range(4, 18):
+        if f"{a:.{digits}g}" != f"{b:.{digits}g}":
+            break
+    return f"{a:#.{digits}g}", f"{b:#.{digits}g}"
 
 
 def build_parser():

@@ -362,6 +362,7 @@ def ball_kernel(cutoff, n, mu, d, x, y):
 
 def _ball_check(p, *points):
     orthopoly._check_values(p["mu"], lambda v: v > 0.0, "ball kernel requires mu > 0")
+    orthopoly._check_size(p["mu"], "ball parameter mu")
     # a weight reads the dimension off its points, so d may be absent
     orthopoly._check_values(p.get("d", 2), lambda v: v >= 2, "ball dimension d must be >= 2")
     points = _check_dimension(p["d"], *points) if "d" in p else points
@@ -411,6 +412,7 @@ def _simplex_check(p, *points):
     if len(kappa) not in (2, 3):
         raise ValueError("simplex kernel supports d in {1, 2}, the same for x and y")
     orthopoly._check_values(kappa, lambda v: v >= 0.0, "kappa must be a nonnegative vector of length d + 1")
+    orthopoly._check_size(kappa, "simplex parameters kappa")
     # a point of the 1-simplex may be a scalar
     points = _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
     return _domain(points, lambda v: -_barycentric(v), "points must lie in the simplex")
@@ -564,7 +566,7 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     if d == 1:
         # the F-type functions are sqrt(2) ell_n(t^2)
         rows = partial(orthopoly._laguerre_rows, alpha_vec[0])
-        return _series(rows, 2.0 * band, np.square(x), np.square(y))
+        return _series(rows, 2.0 * band, orthopoly._square(x), orthopoly._square(y))
     axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
     return _contract(axes, band, x, y)
 

@@ -46,6 +46,19 @@ def _check_values(values, accept, message):
         raise ValueError(message)
 
 
+# The Jacobi recurrences, the rows here and the Gauss rules' coefficients,
+# multiply up to four factors of size alpha + beta + 2n, the parameters'
+# squares among them; parameters up to _PARAM_MAX keep every one in double
+# range.
+_PARAM_MAX = 1e64
+
+
+def _check_size(values, name):
+    """Raise unless every entry of ``values`` is at most _PARAM_MAX; the
+    Jacobi, ball, simplex and Gegenbauer parameter checks run it."""
+    _check_values(values, lambda v: v <= _PARAM_MAX, f"{name} must be at most {_PARAM_MAX:.0e}")
+
+
 def _check_integer(value, lo, hi, message):
     """``value`` as an int if it is a whole number in [lo, hi], else raise
     ``message`` as ``_check_values`` does; orders and levels run it."""
@@ -64,6 +77,7 @@ class JacobiParams:
         _check_values(
             (self.alpha, self.beta), lambda v: v > -1.0, "jacobi parameters must satisfy alpha, beta > -1"
         )
+        _check_size((self.alpha, self.beta), "jacobi parameters alpha, beta")
 
 
 @dataclass
@@ -252,6 +266,7 @@ def gegenbauer_all(lam, n_max, t):
     ratios in log space.
     """
     _check_values(lam, lambda v: v > 0.0, "gegenbauer parameter must be positive")
+    _check_size(lam, "gegenbauer parameter")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t = np.asarray(t, dtype=float)
@@ -284,9 +299,22 @@ def _hermite_step(n, t, cur, prev, out):
     out -= prev
 
 
+# Past _FAR a point's square leaves double range.  Every Hermite row there,
+# and every Laguerre F-row, whose argument is that square, carries
+# exp(-t^2 / 2) and lies far below double range, so such a point is held at
+# _FAR: each of its rows comes out 0, as its true value rounds, with no
+# overflow and no inf * 0; every other point keeps its bits.
+_FAR = 2.0**511
+
+
+def _square(t):
+    """t^2 with |t| held at _FAR."""
+    return np.square(np.clip(t, -_FAR, _FAR))
+
+
 def _hermite_rows(top, t, consume):
     """L2-normalized Hermite functions h_n(t)."""
-    t = np.asarray(t, dtype=float).reshape(-1)
+    t = np.clip(np.asarray(t, dtype=float).reshape(-1), -_FAR, _FAR)
     seed0 = np.pi**-0.25 * np.exp(-0.5 * t**2)
     _recur(
         seed0, np.sqrt(2.0) * t * seed0, t, top, _hermite_step, consume,
@@ -363,7 +391,7 @@ def _laguerre_core(alpha, n_max, s):
 def _laguerre_fn_values(alpha, n_max, t):
     """The F-type functions sqrt(2) ell_n(t^2), orthonormal in
     L2(R_+, t^(2a+1) dt)."""
-    out = _laguerre_core(alpha, n_max, np.asarray(t, dtype=float) ** 2)
+    out = _laguerre_core(alpha, n_max, _square(np.asarray(t, dtype=float)))
     out *= np.sqrt(2.0)
     return out
 

@@ -58,6 +58,7 @@ def _jacobi_coeffs(m, alpha, beta):
     from scipy.special import betaln
 
     orthopoly._check_values((alpha, beta), lambda v: v > -1.0, "jacobi weight needs alpha, beta > -1")
+    orthopoly._check_size((alpha, beta), "jacobi weight parameters alpha, beta")
     k = np.arange(m, dtype=float)
     s = alpha + beta
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -156,6 +156,20 @@ def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, args):
     assert "(got nan or inf)" in capsys.readouterr().err
 
 
+def test_huge_jacobi_parameters_are_usage_errors(tmp_path, capsys):
+    # this once died with an OverflowError traceback (exit 1)
+    args = ["kernel", "eval", "--family", "ball", "--dim", "2", "--mu", "1e308", "--x", "0.1,0.2", "--y=0,0.1"]
+    assert run(args + FAST + ["--out", str(tmp_path)]) == 2
+    assert "ball parameter mu must be at most" in capsys.readouterr().err
+
+
+def test_far_laguerre_point_reads_zero(tmp_path, capsys):
+    # this once printed value=nan
+    args = ["kernel", "eval", "--family", "laguerre", "--x", "1e160", "--y", "0"]
+    assert run(args + FAST + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" value=0")
+
+
 def test_quad_build_and_verify(tmp_path):
     out = str(tmp_path / "o")
     assert run(["quad", "build", "--weight", "jacobi", "--m", "8", "--out", out]) == 0
@@ -344,6 +358,17 @@ def test_decay_compare(tmp_path, capsys):
     assert "ordered=True" in capsys.readouterr().out
     rows = json.loads((tmp_path / "o" / "compare.json").read_text())
     assert len(rows) == 2
+
+
+def test_decay_compare_prints_close_rates_apart(tmp_path, capsys):
+    # these rates, 2.635972 and 2.635910, once both printed as 2.636
+    run(["decay", "compare", "--family", "chebyshev", "--n", "32"] + FAST + ["--out", str(tmp_path)])
+    smooth, control = (row["c_rate"] for row in json.loads((tmp_path / "compare.json").read_text()))
+    words = capsys.readouterr().out.split()
+    shown = [float(words[words.index("rate") + 1]), float(words[words.index("control") + 1])]
+    assert (shown[0] > shown[1]) == (smooth > control) and shown[0] != shown[1]
+    gap = float(words[words.index("gap") + 1])
+    assert gap == pytest.approx((smooth - control) / control, rel=1e-2)
 
 
 def test_decay_wavelet(tmp_path, capsys):

@@ -1111,6 +1111,43 @@ def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, pa
 
 
 @pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("jacobi", {"alpha": 1e308, "beta": 0.0}, "jacobi parameters alpha, beta must be at most 1e"),
+        ("jacobi", {"alpha": 0.5, "beta": 1e65}, "jacobi parameters alpha, beta must be at most 1e"),
+        ("ball", {"mu": 1e308, "d": 2}, "ball parameter mu must be at most 1e"),
+        ("simplex", {"kappa": (1e308, 0.5)}, "simplex parameters kappa must be at most 1e"),
+        ("simplex", {"kappa": (0.5, 0.5, 1e200)}, "simplex parameters kappa must be at most 1e"),
+    ],
+)
+def test_kernel_instance_refuses_parameters_past_the_recurrences_range(cutoff_c, family, params, message):
+    # ball mu = 1e308 and simplex kappa = (1e308, 1/2) once raised
+    # OverflowError from the Jacobi rule's squared parameters
+    with pytest.raises(ValueError, match=message):
+        ke.KernelInstance(family, cutoff_c, 8, params)
+
+
+@pytest.mark.parametrize("far", [1e160, 1e300, 1.7e308])
+@pytest.mark.parametrize(
+    "family, params",
+    [("hermite", {}), ("hermite", {"d": 2}), ("laguerre", {}), ("laguerre", {"alpha": (0.0, 1.0), "d": 2})],
+    ids=["hermite-1", "hermite-2", "laguerre-1", "laguerre-2"],
+)
+def test_far_hermite_and_laguerre_points_read_zero(cutoff_c, family, params, far):
+    # Laguerre once read nan there (the square overflowed to inf, then
+    # inf * 0), and Hermite raised an overflow warning; every row lies below
+    # double range, and the other points keep their bits
+    k = ke.KernelInstance(family, cutoff_c, 16, params)
+    x = np.array([far, 0.5, 2.0]) if params.get("d", 1) == 1 else np.array([[far, 0.5], [0.5, 0.5], [2.0, 1.0]])
+    y = np.full(x.shape, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = k.pair_values(x, y)
+    assert values[0] == 0.0
+    assert np.array_equal(values[1:], k.pair_values(x[1:], y[1:]))
+
+
+@pytest.mark.parametrize(
     "evaluate",
     [
         pytest.param(lambda cut: ke.jacobi_Q(cut, 8, -2.0, 0.0, 0.3), id="Q-alpha"),

@@ -85,6 +85,21 @@ def test_parameters_refuse_nan_and_inf(build, message, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: op.JacobiParams(v, 0.0), "jacobi parameters alpha, beta must be at most 1e"),
+        (lambda v: op.gegenbauer_all(v, 3, 0.2), "gegenbauer parameter must be at most 1e"),
+        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi weight parameters alpha, beta must be at most 1e"),
+    ],
+    ids=["jacobi-params", "gegenbauer", "jacobi-rule"],
+)
+def test_jacobi_parameters_past_the_recurrences_range_are_refused(build, message):
+    # the rule's coefficients once squared a Python float into OverflowError
+    with pytest.raises(ValueError, match=message):
+        build(1e308)
+
+
 def test_jacobi_norm_legendre():
     p = op.JacobiParams(0.0, 0.0)
     assert op.jacobi_norm(p, 1) == pytest.approx(2.0 / 3.0, rel=1e-13)
