@@ -189,15 +189,14 @@ def _jacobi_check(p, *points):
 
 
 def _q_coefficients(cutoff, n, alpha, beta):
-    from scipy.special import gammaln
-
+    lgamma = orthopoly._lgamma
     w = cutoff_band(cutoff, n)
     j = np.arange(len(w), dtype=float)
     s = alpha + beta
-    term1 = np.exp(gammaln(j + s + 2.0) - gammaln(j + beta + 1.0))
+    term1 = np.exp(lgamma(j + s + 2.0) - lgamma(j + beta + 1.0))
     term2 = np.zeros_like(j)
-    term2[1:] = j[1:] * np.exp(gammaln(j[1:] + s + 1.0) - gammaln(j[1:] + beta + 1.0))
-    cstar = np.exp(-(s + 1.0) * np.log(2.0) - gammaln(alpha + 1.0))
+    term2[1:] = j[1:] * np.exp(lgamma(j[1:] + s + 1.0) - lgamma(j[1:] + beta + 1.0))
+    cstar = np.exp(-(s + 1.0) * np.log(2.0) - lgamma(alpha + 1.0))
     return cstar * w * (term1 + term2)
 
 
@@ -246,14 +245,13 @@ def summation_by_parts_coefficients(cutoff, n, alpha, beta, k):
 
 def verify_summation_by_parts(cutoff, n, alpha, beta, k, x):
     """Relative discrepancy between Q_n and its k-fold summation-by-parts form."""
-    from scipy.special import gammaln
-
+    lgamma = orthopoly._lgamma
     (x,) = _jacobi_check({"alpha": alpha, "beta": beta}, x)
     state = summation_by_parts_coefficients(cutoff, n, alpha, beta, k)
     a = state.values
     j = np.arange(len(a), dtype=float)
-    gam = np.exp(gammaln(j + alpha + k + beta + 1.0) - gammaln(j + beta + 1.0))
-    cstar = np.exp(-(alpha + beta + 1.0) * np.log(2.0) - gammaln(alpha + 1.0))
+    gam = np.exp(lgamma(j + alpha + k + beta + 1.0) - lgamma(j + beta + 1.0))
+    cstar = np.exp(-(alpha + beta + 1.0) * np.log(2.0) - lgamma(alpha + 1.0))
     ladder = cstar * _series(partial(orthopoly._jacobi_rows, alpha + k, beta), a * gam, x)
     direct = jacobi_Q(cutoff, n, alpha, beta, x)
     return float(np.max(np.abs(ladder - direct) / np.maximum(1.0, np.abs(direct))))
@@ -648,6 +646,16 @@ def tensor_slice_cheb_coeffs(cutoff, n, variant):
 def _angle_distance(x, y):
     """Largest coordinate gap in arccos (interval and tensor-square metric)."""
     return np.max(np.abs(_safe_arccos(x) - _safe_arccos(y)), axis=-1)
+
+
+def _sup_distance(x, y):
+    """Largest coordinate gap |x - y| (the Hermite and Laguerre metric).  Two
+    points farther apart than the largest double, which only points of
+    opposite sign can be, are refused; that is read off the halves, whose
+    difference rounds to half that of the points and cannot overflow."""
+    if np.any(np.abs(0.5 * x - 0.5 * y) > 0.5 * np.finfo(float).max):
+        raise ValueError("points lie farther apart than the largest double")
+    return np.max(np.abs(x - y), axis=-1)
 
 
 def _periodic_distance(x, y):
@@ -1055,7 +1063,7 @@ FAMILIES = {
         params=("kappa",), check=_simplex_check,
     ),
     "hermite": Family(
-        lambda x, y: np.max(np.abs(x - y), axis=-1),
+        _sup_distance,
         values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params.get("d", 1)),
         sample=partial(_line_pairs, half_line=False),
         scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
@@ -1066,7 +1074,7 @@ FAMILIES = {
         ),
     ),
     "laguerre": Family(
-        lambda x, y: np.max(np.abs(x - y), axis=-1),
+        _sup_distance,
         values=lambda k, x, y: laguerre_kernel(
             k.cutoff, k.n, k.params.get("alpha", 0.0), x, y, d=k.params.get("d", 1)
         ),

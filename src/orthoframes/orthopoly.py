@@ -5,9 +5,12 @@ Hermite and Laguerre function families the recurrences are normalized and
 carry the exponential factors inside the recursion state, so no raw
 polynomial value or factorial is ever formed; values stay O(1) wherever the
 functions are O(1).  Every Gamma-function ratio goes through log-Gamma
-differences to dodge overflow past n ~ 170.  Each recurrence hands its
-finished rows, one at a time, to a consumer: the table builders store them,
-and the kernels reduce them as they arrive.
+differences to dodge overflow past n ~ 170.  Every log-Gamma in the
+package is ``_lgamma``, built on the standard library's ``math.lgamma``, so
+scipy loads only where a Gauss rule is built (the ball and simplex kernels
+among them), not for a table, a norm or any other kernel.  Each recurrence
+hands its finished rows, one at a time, to a consumer: the table builders
+store them, and the kernels reduce them as they arrive.
 
 Operations are pure functions of their arguments and safe for concurrent
 use.
@@ -64,6 +67,28 @@ def _check_integer(value, lo, hi, message):
     ``message`` as ``_check_values`` does; orders and levels run it."""
     _check_values(value, lambda v: (v % 1 == 0) & (v >= lo) & (v <= hi), message)
     return int(value)
+
+
+def _lgamma_at(v):
+    try:
+        return math.lgamma(v)
+    except (ValueError, OverflowError):  # a pole, or a value past double range
+        return math.inf
+
+
+def _lgamma(x):
+    """log|Gamma(x)| elementwise by ``math.lgamma``: inf at the poles 0, -1,
+    -2, ... and past double range, as scipy's log-Gamma reads, and nan
+    at nan; a float for a scalar.  Elementwise in Python, so no floating-point
+    flag raises a RuntimeWarning."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([_lgamma_at(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+def _log_beta(a, b):
+    """log B(a, b) as three log-Gammas."""
+    return _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -230,8 +255,6 @@ def jacobi_norms(p, n_max):
     alpha + beta + 1 = 0 (Gamma pole against a vanishing prefactor) and is
     undefined below, so h_0 is then the Beta integral of the weight itself.
     """
-    from scipy.special import gammaln
-
     a, b = p.alpha, p.beta
     s = a + b
     n = np.arange(n_max + 1, dtype=float)
@@ -239,14 +262,14 @@ def jacobi_norms(p, n_max):
         logval = (
             (s + 1.0) * np.log(2.0)
             - np.log(2.0 * n + s + 1.0)
-            + gammaln(n + a + 1.0)
-            + gammaln(n + b + 1.0)
-            - gammaln(n + 1.0)
-            - gammaln(n + s + 1.0)
+            + _lgamma(n + a + 1.0)
+            + _lgamma(n + b + 1.0)
+            - _lgamma(n + 1.0)
+            - _lgamma(n + s + 1.0)
         )
     out = np.exp(logval)
     if s + 1.0 < 1e-12:
-        out[0] = np.exp((s + 1) * np.log(2.0) + gammaln(a + 1) + gammaln(b + 1) - gammaln(s + 2))
+        out[0] = np.exp((s + 1) * np.log(2.0) + _log_beta(a + 1, b + 1))
     return out
 
 
@@ -278,14 +301,12 @@ def gegenbauer_all(lam, n_max, t):
 
 def _gegenbauer_ratio(lam, n_max):
     """C_n^lam / P_n^(lam - 1/2, lam - 1/2), n = 0..n_max."""
-    from scipy.special import gammaln
-
     n = np.arange(n_max + 1, dtype=float)
     logratio = (
-        gammaln(lam + 0.5)
-        - gammaln(2.0 * lam)
-        + gammaln(n + 2.0 * lam)
-        - gammaln(n + lam + 0.5)
+        _lgamma(lam + 0.5)
+        - _lgamma(2.0 * lam)
+        + _lgamma(n + 2.0 * lam)
+        - _lgamma(n + lam + 0.5)
     )
     return np.exp(logratio)
 
@@ -342,8 +363,6 @@ def hermite_fn_all(n_max, t):
 def _laguerre_rows(alpha, top, s, consume):
     """Normalized Laguerre values ell_n(s) = sqrt(n!/Gamma(n+a+1)) *
     L_n^a(s) * exp(-s/2), the common core of all three function types."""
-    from scipy.special import gammaln
-
     s = np.asarray(s, dtype=float).reshape(-1)
 
     def step(n, s, cur, prev, out):
@@ -356,10 +375,10 @@ def _laguerre_rows(alpha, top, s, consume):
         out -= prev
 
     _recur(
-        np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
-        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0)),
+        np.exp(-0.5 * s - 0.5 * _lgamma(alpha + 1.0)),
+        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * _lgamma(alpha + 2.0)),
         s, top, step, consume,
-        lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
+        lambda s: -0.5 * s - 0.5 * _lgamma(alpha + 1.0),
         lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
     )
 
@@ -396,6 +415,16 @@ def _laguerre_fn_values(alpha, n_max, t):
     return out
 
 
+def _times_power(core, t, power):
+    """The rows ``core`` times ``power(t)``, the power formed only at points
+    with a nonzero row: a far point's rows are all 0, and its power may leave
+    double range."""
+    live = np.any(core != 0, axis=0)
+    factor = np.zeros(t.shape)
+    factor[live] = power(t[live])
+    return core * factor
+
+
 def laguerre_fn_all(alpha, n_max, t, which="F"):
     """Normalized Laguerre function families at t >= 0.
 
@@ -415,13 +444,10 @@ def laguerre_fn_all(alpha, n_max, t, which="F"):
     if which == "F":
         vals = _laguerre_fn_values(alpha, n_max, t)
     elif which == "L":
-        core = _laguerre_core(alpha, n_max, t)
-        with np.errstate(divide="ignore"):
-            frac = np.where(t > 0, t, 1.0) ** (0.5 * alpha)
-        vals = core * np.where(t > 0, frac, 1.0 if alpha == 0 else 0.0)
+        vals = _times_power(_laguerre_core(alpha, n_max, t), t, lambda t: t ** (0.5 * alpha))
     else:
-        core = _laguerre_core(alpha, n_max, t**2)
-        vals = np.sqrt(2.0 * t) * t**alpha * core
+        core = _laguerre_core(alpha, n_max, _square(t))
+        vals = _times_power(core, t, lambda t: np.sqrt(2.0 * t) * t**alpha)
     return OrthoValueTable(f"laguerre_{which}", (float(alpha),), n_max, t, vals)
 
 

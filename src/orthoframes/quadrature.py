@@ -55,8 +55,6 @@ class QuadratureRule:
 
 
 def _jacobi_coeffs(m, alpha, beta):
-    from scipy.special import betaln
-
     orthopoly._check_values((alpha, beta), lambda v: v > -1.0, "jacobi weight needs alpha, beta > -1")
     orthopoly._check_size((alpha, beta), "jacobi weight parameters alpha, beta")
     k = np.arange(m, dtype=float)
@@ -70,7 +68,7 @@ def _jacobi_coeffs(m, alpha, beta):
         b2[0] = 4.0 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
         b2[1:] = (4.0 * kk * (kk + alpha) * (kk + beta) * (kk + s)
                   / ((2 * kk + s) ** 2 * (2 * kk + s + 1) * (2 * kk + s - 1)))
-    mu0 = np.exp((s + 1) * np.log(2.0) + betaln(alpha + 1, beta + 1))
+    mu0 = np.exp((s + 1) * np.log(2.0) + orthopoly._log_beta(alpha + 1, beta + 1))
     return a, np.sqrt(b2), mu0
 
 
@@ -80,14 +78,12 @@ def _hermite_coeffs(m):
 
 
 def _laguerre_coeffs(m, alpha):
-    from scipy.special import gammaln
-
     orthopoly._check_values(alpha, lambda v: v > -1.0, "laguerre weight needs alpha > -1")
     k = np.arange(m, dtype=float)
     a = 2 * k + alpha + 1
     kk = k[1:]
     b = np.sqrt(kk * (kk + alpha))
-    return a, b, np.exp(gammaln(alpha + 1))
+    return a, b, np.exp(orthopoly._lgamma(alpha + 1))
 
 
 def gauss_rule(weight, m, alpha=None, beta=None):
@@ -162,11 +158,9 @@ def _christoffel_pass(weight, m, *params):
 
 
 def _jacobi_moments(degree, alpha, beta):
-    from scipy.special import betaln
-
     # mu_{k+1} = ((beta-alpha) mu_k + k mu_{k-1}) / (alpha+beta+2+k)
     mu = np.empty(degree + 1)
-    mu[0] = np.exp((alpha + beta + 1) * np.log(2.0) + betaln(alpha + 1, beta + 1))
+    mu[0] = np.exp((alpha + beta + 1) * np.log(2.0) + orthopoly._log_beta(alpha + 1, beta + 1))
     if degree >= 1:
         mu[1] = (beta - alpha) / (alpha + beta + 2.0) * mu[0]
     for k in range(1, degree):
@@ -199,8 +193,6 @@ def verify_exactness(rule, degree):
     checked against the neighboring even scale.  A non-finite error is
     returned, never dropped.
     """
-    from scipy.special import gammaln
-
     message = f"degree must be an integer in 0..{rule.exactness}, the declared exactness"
     degree = orthopoly._check_integer(degree, 0, rule.exactness, message)
     x, w = rule.nodes, rule.weights
@@ -220,11 +212,11 @@ def verify_exactness(rule, degree):
     for k in range(degree + 1):
         logq, qsign = _log_sum(logw + k * logx if k else logw, sign**k)
         if rule.weight == "laguerre":
-            errors[k] = abs(np.expm1(logq - gammaln(rule.params[0] + k + 1)))
+            errors[k] = abs(np.expm1(logq - orthopoly._lgamma(rule.params[0] + k + 1)))
         elif k % 2 == 0:
-            errors[k] = abs(qsign * np.exp(logq - gammaln((k + 1) / 2.0)) - 1.0)
+            errors[k] = abs(qsign * np.exp(logq - orthopoly._lgamma((k + 1) / 2.0)) - 1.0)
         else:
-            errors[k] = np.exp(logq - gammaln((k + 2) / 2.0))
+            errors[k] = np.exp(logq - orthopoly._lgamma((k + 2) / 2.0))
     return float(np.max(errors))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ def test_huge_jacobi_parameters_are_usage_errors(tmp_path, capsys):
     args = ["kernel", "eval", "--family", "ball", "--dim", "2", "--mu", "1e308", "--x", "0.1,0.2", "--y=0,0.1"]
     assert run(args + FAST + ["--out", str(tmp_path)]) == 2
     assert "ball parameter mu must be at most" in capsys.readouterr().err
+
+
+def test_hermite_points_farther_apart_than_double_range_are_usage_errors(tmp_path, capsys):
+    # this once stopped on "overflow encountered in subtract" in the distance
+    args = ["kernel", "eval", "--family", "hermite", "--x", "-1.7e308", "--y", "1.7e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + FAST + ["--out", str(tmp_path)]) == 2
+    assert "farther apart than the largest double" in capsys.readouterr().err
 
 
 def test_far_laguerre_point_reads_zero(tmp_path, capsys):

@@ -705,8 +705,17 @@ def test_spline_prefilter_taps_come_from_the_poles():
         assert np.abs(np.delete(delta, mid)).max() < 1e-14
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter importing the package these tests
+    import, and assert that it succeeds."""
+    src = os.path.dirname(os.path.dirname(co.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_importing_and_assembling_loads_no_scipy_until_a_rule():
-    code = (
+    _run_fresh(
         "import sys, orthoframes\n"
         "from orthoframes import cutoff, decay, kernels, quadrature\n"
         "prof = cutoff.assemble_cutoff(cutoff.CutoffSpec('c'))\n"
@@ -717,8 +726,25 @@ def test_importing_and_assembling_loads_no_scipy_until_a_rule():
         "assert abs(rule.weights.sum() - 3.141592653589793 ** 0.5) < 1e-13\n"
         "assert 'scipy.linalg' in sys.modules\n"
     )
-    # a fresh interpreter, importing the package these tests import
-    src = os.path.dirname(os.path.dirname(co.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_envelopes_and_fits_load_no_scipy_and_a_jacobi_rule_only_its_eigensolver():
+    # every Gamma ratio of the Jacobi, Gegenbauer and Laguerre norms once
+    # imported scipy.special
+    _run_fresh(
+        "import sys\n"
+        "from orthoframes import cutoff, decay, kernels, quadrature\n"
+        "prof = cutoff.assemble_cutoff(cutoff.CutoffSpec('c'))\n"
+        "jacobi = {'alpha': 1.0, 'beta': 0.5}\n"
+        "cases = [('jacobi', jacobi, False), ('jacobi', jacobi, True), ('laguerre', {'alpha': 1.0}, True),\n"
+        "         ('sphere', {'d': 2}, False), ('chebleg', {}, False)]\n"
+        "for family, params, weighted in cases:\n"
+        "    kernel = kernels.KernelInstance(family, prof, 16, params)\n"
+        "    env = decay.measure_envelope(kernel, decay.SamplingPlan(weighted=weighted))\n"
+        "    assert decay.fit_bound(env, decay.SubExponential(1.0)).satisfied, family\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "rule = quadrature.gauss_rule('jacobi', 16, alpha=1.0, beta=0.5)\n"
+        "assert quadrature.verify_exactness(rule, rule.exactness) < quadrature.EXACTNESS_TOL\n"
+        "assert 'scipy.linalg' in sys.modules and 'scipy.special' not in sys.modules\n"
+    )

@@ -1127,6 +1127,22 @@ def test_kernel_instance_refuses_parameters_past_the_recurrences_range(cutoff_c,
         ke.KernelInstance(family, cutoff_c, 8, params)
 
 
+def test_hermite_distance_refuses_a_gap_past_double_range_without_forming_it():
+    # -1.7e308 to 1.7e308 once stopped on "overflow encountered in subtract";
+    # the largest gap that rounds to a double is still returned
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ke.distance("hermite", -top / 2, top / 2) == top
+        assert ke.distance("hermite", -top, 1e291) == top
+        assert ke.distance("laguerre", 0.0, top) == top
+        for x, y in [(-1.7e308, 1.7e308), (-top / 2, np.nextafter(top / 2, np.inf)), (-top, 1e292)]:
+            with pytest.raises(ValueError, match="farther apart than the largest double"):
+                ke.distance("hermite", x, y)
+        with pytest.raises(ValueError, match="farther apart than the largest double"):
+            ke.distance("hermite", np.array([[0.0, -1.7e308], [1.0, 2.0]]), np.array([[0.0, 1.7e308], [0.0, 0.0]]))
+
+
 @pytest.mark.parametrize("far", [1e160, 1e300, 1.7e308])
 @pytest.mark.parametrize(
     "family, params",

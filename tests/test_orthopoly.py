@@ -311,6 +311,38 @@ def test_hermite_functions_keep_far_tail_points():
         _assert_rows_match(vals[:, i], ref)
 
 
+def test_lgamma_matches_scipy_gammaln():
+    gen = np.random.default_rng(21)
+    positive = np.concatenate([np.geomspace(1e-300, 1e64, 4001), 10 ** gen.uniform(-300, 64, 4000),
+                               gen.uniform(0.0, 200.0, 4000), 1.0 + gen.uniform(-1e-3, 1e-3, 500),
+                               2.0 + gen.uniform(-1e-3, 1e-3, 500)])
+    negative = np.concatenate([-gen.uniform(0.0, 200.0, 4000), -np.arange(200) - 0.5,
+                               -np.arange(1, 50) + 1e-9, -np.arange(1, 50) - 1e-9])
+    x = np.concatenate([positive, negative[negative % 1 != 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = op._lgamma(x)
+        poles = op._lgamma(np.array([0.0, -0.0, -1.0, -2.0, -171.0, -1e20]))
+        at_nan = op._lgamma(math.nan)
+    ref = gammaln(x)
+    assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(poles == np.inf) and np.all(gammaln(np.array([0.0, -1.0, -2.0])) == np.inf)
+    assert isinstance(at_nan, float) and math.isnan(at_nan)
+    assert isinstance(op._lgamma(2.5), float) and op._lgamma(np.array(2.5)) == op._lgamma(2.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("which, far", [("L", 1e300), ("L", 1.7e308), ("M", 1e100), ("M", 1e160), ("M", 1.7e308)])
+def test_laguerre_l_and_m_types_read_zero_at_far_points(alpha, which, far):
+    # these once read nan: M squared t unheld, and both multiplied an
+    # infinite power t^alpha or t^(alpha/2) by the far point's 0 core
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = op.laguerre_fn_all(alpha, 3, [far, 1.0], which).values
+    assert np.all(values[:, 0] == 0.0)
+    assert np.array_equal(values[:, 1], op.laguerre_fn_all(alpha, 3, 1.0, which).values)
+
+
 @pytest.mark.parametrize("alpha", [0, 2])
 def test_laguerre_core_keeps_far_tail_points(alpha):
     s = np.array([1.0, 30.0, 2500.0, 8000.0, 16000.0])
@@ -414,10 +446,10 @@ def _ref_laguerre_rows(alpha, top, s, consume):
         return c1 * cur - c2 * prev
 
     _ref_recur(
-        np.exp(-0.5 * s - 0.5 * gammaln(alpha + 1.0)),
-        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * gammaln(alpha + 2.0)),
+        np.exp(-0.5 * s - 0.5 * op._lgamma(alpha + 1.0)),
+        (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * op._lgamma(alpha + 2.0)),
         s, top, step,
-        lambda s: -0.5 * s - 0.5 * gammaln(alpha + 1.0),
+        lambda s: -0.5 * s - 0.5 * op._lgamma(alpha + 1.0),
         lambda s: (alpha + 1.0 - s) / np.sqrt(alpha + 1.0),
         consume,
     )
