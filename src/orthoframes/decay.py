@@ -125,9 +125,13 @@ def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
     Deterministic for a fixed plan seed: one call of the family's sampler in
-    ``kernels.FAMILIES`` draws the pairs of every bin, and one
-    ``pair_values`` call (and, weighted, one ``weight`` call) evaluates them.
-    Weighted plans need a family with a bound weight.
+    ``kernels.FAMILIES`` draws the pairs of every bin in a few groups, and
+    each group is evaluated in one ``pair_values`` call (and, weighted, one
+    ``weight`` call per side), never bin by bin.  The interval families'
+    end slices, whose pairs all end at the upper end or start at the lower
+    one, pass that end once, so the kernel recurs it once and each pair keeps
+    the bits of its broadcast.  Weighted plans need a family with a bound
+    weight.
     """
     plan = plan or SamplingPlan()
     n_bins, pairs_per_bin = plan.validate()
@@ -143,10 +147,12 @@ def measure_envelope(kernel, plan=None):
     # constants comparable across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, n_bins)])
-    xs, ys, counts = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
-    vals = _pair_magnitudes(kernel, xs, ys, plan.weighted)
-    bins = np.repeat(np.arange(len(counts)), counts)
-    return _binned(kernel.family, kernel.n, edges, bins, vals, scale, prefactor, plan.weighted)
+    groups = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
+    vals = [_pair_magnitudes(kernel, xs, ys, plan.weighted) for xs, ys, _ in groups]
+    bins = [np.repeat(np.arange(n_bins), counts) for _, _, counts in groups]
+    return _binned(
+        kernel.family, kernel.n, edges, np.concatenate(bins), np.concatenate(vals), scale, prefactor, plan.weighted
+    )
 
 
 def _binned(family, n, edges, bins, magnitudes, scale, prefactor, weighted=False):

@@ -7,9 +7,12 @@ estimation is ever needed.  The one-dimensional and zonal sums stream
 (``_series``): the points go in blocks of at most ``_SERIES_BLOCK`` = 2^15
 (2^14 pairs), small enough for a block's buffers to stay in a core's L2
 cache, and one recurrence runs over each block, each row reduced as it
-arrives.  Every step is elementwise in the points, so the values are
-bit-identical to one pass over all of them; memory is O(block) for the
-buffers plus O(pairs) for the result, at any n.  The product
+arrives.  A point that all the pairs share is recurred once per block, not
+once per pair: the decay envelopes' end slices, whose pairs all end at the
+upper end of the interval or start at its lower end, pass that end once.
+Every step is elementwise in the points, so the values are bit-identical to
+one pass over all of them, a shared point's pairs to its broadcast; memory
+is O(block) for the buffers plus O(pairs) for the result, at any n.  The product
 bases (Hermite on R^d, Laguerre on R^d_+, the 2-d tensor bases) sum blocks
 of equal total degree: one contraction (``_contract``) folds one table per
 axis into those blocks over whole arrays of pairs.
@@ -121,14 +124,24 @@ def _series(rows, coeff, x, y=None):
     recurrence runs over each block's points [x, y], and each row is reduced
     into the block's slice of the result as it arrives; rows past the last
     nonzero coefficient are not formed and the others with a zero coefficient
-    are skipped.  Every step is elementwise in the points, so a value keeps
-    its bits in any block.  The result has the points' broadcast shape (a
+    are skipped.  A point that every pair shares (``x`` or ``y`` of size 1)
+    is not broadcast: it joins each block as one extra point, so its
+    recurrence runs once per block, not once per pair.  The series is
+    symmetric in x and y, so the shared point may sit on either side, and a
+    pair's term is (f_nu(x) f_nu(y)) coeff_nu either way.  Every step is
+    elementwise in the points, so a value keeps its bits in any block and
+    beside a shared point.  The result has the points' broadcast shape (a
     float for scalars).
     """
     x = np.asarray(x, dtype=float)
+    shape = x.shape
     if y is not None:
-        x, y = np.broadcast_arrays(x, np.asarray(y, dtype=float))
-        y = y.reshape(-1)
+        y = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(shape, y.shape)
+        if x.size == 1 < y.size:
+            x, y = y, x
+        x = np.broadcast_to(x, shape)
+        y = (y if y.size == 1 else np.broadcast_to(y, shape)).reshape(-1)
     size = x.size
     acc = np.zeros(size)
     live = np.flatnonzero(coeff)
@@ -138,7 +151,9 @@ def _series(rows, coeff, x, y=None):
         for s in range(0, size, per_block):
             part = acc[s : s + per_block]
             k, term = len(part), np.empty(len(part))
-            pts = xs[s : s + k] if y is None else np.concatenate([xs[s : s + k], y[s : s + k]])
+            pts = xs[s : s + k]
+            if y is not None:
+                pts = np.concatenate([pts, y if len(y) == 1 else y[s : s + k]])
 
             def consume(nu, row):
                 if coeff[nu] == 0.0:
@@ -146,12 +161,13 @@ def _series(rows, coeff, x, y=None):
                 if y is None:
                     np.multiply(row, coeff[nu], out=term)
                 else:
+                    # row[k:] is one point's value when the pairs share it
                     np.multiply(row[:k], row[k:], out=term)
                     np.multiply(term, coeff[nu], out=term)
                 np.add(part, term, out=part)
 
             rows(int(live[-1]), pts, consume)
-    out = acc.reshape(x.shape)
+    out = acc.reshape(shape)
     return out if out.ndim else float(out)
 
 
@@ -179,7 +195,7 @@ def jacobi_kernel(cutoff, n, alpha, beta, x, y):
     """Weighted reproducing-type kernel of the Jacobi family."""
     x, y = _jacobi_check({"alpha": alpha, "beta": beta}, x, y)
     w = cutoff_band(cutoff, n)
-    h = orthopoly.jacobi_norms(JacobiParams(alpha, beta), len(w) - 1)
+    h = orthopoly._jacobi_norms_upto(alpha, beta, len(w) - 1)
     return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
 
 
@@ -730,8 +746,12 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
 
 # ---------------------------------------------------------------------------
 # envelope pair samplers: ``sample(k, edges, count, seed)`` draws the pairs of
-# every bin [edges[i], edges[i + 1]] in one call and returns (xs, ys, counts),
-# the pairs bin after bin and the number in each bin.  A bin's pairs depend
+# every bin [edges[i], edges[i + 1]] in one call and returns them as a list of
+# groups (xs, ys, counts), each with its pairs bin after bin and the number in
+# each bin.  One side of a group may be a single point that all of its pairs
+# share: the interval samplers' end slices, whose pairs all end at the upper
+# end or start at the lower one, pass that end once, and ``_series`` recurs it
+# once.  A bin's pairs depend
 # only on the seed and its own edges, and the first ``count`` of them stay the
 # same when the budget grows, so doubling it only refines the sampled set.
 # Separations come from a nested van der Corput stream rotated by the seed.
@@ -775,7 +795,9 @@ def _interval_pairs(lo, hi, edges, count, seed, core=None, pin_center=False):
     # ride distinguished slices (the domain ends and, for the symmetric
     # families, pairs mirrored about the center) at the full separation
     # density; interior pairs cover the (optionally restricted) oscillatory
-    # core with nested low-discrepancy streams
+    # core with nested low-discrepancy streams.  Three groups: the upper end
+    # slice, every pair ending exactly at hi; the lower one, every pair
+    # starting at lo; and the rest
     delta, shift = _bin_offsets(edges, count, seed), _shift(seed)
     span = np.maximum(hi - lo - delta, 0.0)
     c_lo, c_hi = (lo, hi) if core is None else core
@@ -784,22 +806,25 @@ def _interval_pairs(lo, hi, edges, count, seed, core=None, pin_center=False):
     streams = [_vdc(count, 3, shift)]
     if core is not None:
         streams.append(_vdc(count, 5, shift))
-    groups = [lo + span, np.full_like(span, lo)]
-    if pin_center:
-        groups.append(0.5 * (lo + hi) - 0.5 * delta)
-    groups.extend(c_lo + s * c_span for s in streams)
-    x = np.stack(groups, axis=1)
-    return x.ravel(), (x + delta[:, None]).ravel(), _per_bin(edges, len(groups) * count)
+    slices = [0.5 * (lo + hi) - 0.5 * delta] if pin_center else []
+    slices.extend(c_lo + s * c_span for s in streams)
+    x = np.stack(slices, axis=1)
+    per_bin = _per_bin(edges, count)
+    return [
+        ((lo + span).ravel(), np.array([hi]), per_bin),
+        (np.array([lo]), (lo + delta).ravel(), per_bin),
+        (x.ravel(), (x + delta[:, None]).ravel(), _per_bin(edges, len(slices) * count)),
+    ]
 
 
 def _angle_pairs(k, edges, count, seed):
-    th, ph, counts = _interval_pairs(0.0, np.pi, edges, count, seed)
-    return np.cos(th), np.cos(ph), counts
+    groups = _interval_pairs(0.0, np.pi, edges, count, seed)
+    return [(np.cos(th), np.cos(ph), counts) for th, ph, counts in groups]
 
 
 def _trig_pairs(k, edges, count, seed):
     deltas = _bin_offsets(edges, count, seed).ravel()
-    return deltas, np.zeros(len(deltas)), _per_bin(edges, count)
+    return [(deltas, np.zeros(len(deltas)), _per_bin(edges, count))]
 
 
 def _sphere_pairs(k, edges, count, seed):
@@ -809,7 +834,7 @@ def _sphere_pairs(k, edges, count, seed):
     ys = np.zeros_like(xs)
     xs[:, 0] = 1.0
     ys[:, 0], ys[:, 1] = np.cos(deltas), np.sin(deltas)
-    return xs, ys, _per_bin(edges, count)
+    return [(xs, ys, _per_bin(edges, count))]
 
 
 def _line_pairs(k, edges, count, seed, half_line):
@@ -860,7 +885,7 @@ def _ball_pairs(k, edges, count, seed):
     w = w - np.sum(w * p, axis=-1, keepdims=True) * p
     w[..., d] = np.abs(w[..., d])
     x, y = _chord_pairs(p, _unit(w), np.pi, _bin_offsets(edges, count, seed), ndtr(g[..., -1]))
-    return x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count)
+    return [(x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count))]
 
 
 def _simplex_pairs(k, edges, count, seed):
@@ -889,7 +914,7 @@ def _simplex_pairs(k, edges, count, seed):
     w = q - pq[..., None] * p
     length = np.arctan2(np.linalg.norm(w, axis=-1), pq)
     x, y = _chord_pairs(p, _unit(w), length, delta, u[..., 3])
-    return (x * x)[..., :d].reshape(-1, d), (y * y)[..., :d].reshape(-1, d), _per_bin(edges, count)
+    return [((x * x)[..., :d].reshape(-1, d), (y * y)[..., :d].reshape(-1, d), _per_bin(edges, count))]
 
 
 def _tensor_pairs(k, edges, count, seed):
@@ -906,7 +931,7 @@ def _tensor_pairs(k, edges, count, seed):
     r = k.distance(xs, ys)
     hit = (edges[:-1, None] <= r) & (r <= edges[1:, None])
     keep = np.nonzero(hit)[1]
-    return xs[keep], ys[keep], hit.sum(axis=1)
+    return [(xs[keep], ys[keep], hit.sum(axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -974,8 +999,9 @@ class Family:
 
     ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs and
     ``sample(k, edges, count, seed)`` draws the pairs of every envelope bin
-    [edges[i], edges[i + 1]], returning (xs, ys, counts) with the pairs bin
-    after bin; the rest take level ``n`` and parameters ``p``: the metric
+    [edges[i], edges[i + 1]], returning a list of groups (xs, ys, counts),
+    each with its pairs bin after bin, one side possibly a single point that
+    all of its pairs share; the rest take level ``n`` and parameters ``p``: the metric
     ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
     (None: none), the bounds' (scale, prefactor), the envelope ``diameter``
     and the needlet ``frame`` (None: none).

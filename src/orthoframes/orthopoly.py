@@ -248,17 +248,23 @@ def jacobi_norm(p, n):
     return float(jacobi_norms(p, n)[n])
 
 
+# The norms h_n span double range: parameters whose norms leave it, such as
+# alpha = 2000 at beta = 0 (h_0 = 2^2001 / 2001), are refused.
+_NORM_RANGE = (np.finfo(float).tiny, np.finfo(float).max)
+
+
 def jacobi_norms(p, n_max):
     """Vector of h_0..h_{n_max}.
 
     At n = 0 the closed form needs log(alpha + beta + 1): it degenerates when
     alpha + beta + 1 = 0 (Gamma pole against a vanishing prefactor) and is
     undefined below, so h_0 is then the Beta integral of the weight itself.
+    Raises ValueError if a norm lies outside double range (``_NORM_RANGE``).
     """
     a, b = p.alpha, p.beta
     s = a + b
     n = np.arange(n_max + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logval = (
             (s + 1.0) * np.log(2.0)
             - np.log(2.0 * n + s + 1.0)
@@ -267,17 +273,43 @@ def jacobi_norms(p, n_max):
             - _lgamma(n + 1.0)
             - _lgamma(n + s + 1.0)
         )
-    out = np.exp(logval)
+        out = np.exp(logval)
     if s + 1.0 < 1e-12:
         out[0] = np.exp((s + 1) * np.log(2.0) + _log_beta(a + 1, b + 1))
+    lo, hi = _NORM_RANGE
+    _check_values(
+        out, lambda h: h >= lo,
+        f"jacobi parameters alpha = {a:g}, beta = {b:g} put the norms h_0..h_{n_max} "
+        f"outside double range [{lo:.4g}, {hi:.4g}]",
+    )
     return out
+
+
+# h_0..h_top of the parameters in use, each vector held at the largest degree
+# asked for: h_n depends only on n, so a head sliced off a longer vector keeps
+# its bits.  Cleared once it holds _NORMS_KEPT parameter pairs.
+_NORMS = {}
+_NORMS_KEPT = 64
+
+
+def _jacobi_norms_upto(alpha, beta, n_max):
+    """h_0..h_{n_max} of (alpha, beta), read-only, computed once per pair
+    up to the largest degree asked for."""
+    h = _NORMS.get((alpha, beta))
+    if h is None or len(h) <= n_max:
+        if len(_NORMS) >= _NORMS_KEPT:
+            _NORMS.clear()
+        h = jacobi_norms(JacobiParams(alpha, beta), n_max)
+        h.flags.writeable = False
+        _NORMS[(alpha, beta)] = h
+    return h[: n_max + 1]
 
 
 def _jacobi_fn_values(alpha, beta, n_max, x):
     """Orthonormal Jacobi polynomials P_n / sqrt(h_n), n = 0..n_max, at x."""
     x = np.asarray(x, dtype=float)
     out = _jacobi_values(alpha, beta, n_max, x)
-    out /= np.sqrt(jacobi_norms(JacobiParams(alpha, beta), n_max)).reshape((-1,) + (1,) * x.ndim)
+    out /= np.sqrt(_jacobi_norms_upto(alpha, beta, n_max)).reshape((-1,) + (1,) * x.ndim)
     return out
 
 

@@ -66,6 +66,14 @@ def reproducing_defect(family, cut, n, xs, alpha=None, beta=None):
     return worst
 
 
+def broadcast_pairs(groups):
+    """All the pairs of a sampler's groups (xs, ys, counts) as two full
+    (pairs, ...) arrays, group after group: a point that all of a group's
+    pairs share is repeated for each."""
+    full = [[np.broadcast_to(v, (int(np.sum(c)),) + np.shape(v)[1:]) for v in (x, y)] for x, y, c in groups]
+    return [np.concatenate([f[i] for f in full]) for i in (0, 1)]
+
+
 @pytest.fixture(scope="session")
 def cutoff_a():
     return co.assemble_cutoff(co.CutoffSpec("a", epsilon=1.0))

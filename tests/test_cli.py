@@ -173,6 +173,16 @@ def test_hermite_points_farther_apart_than_double_range_are_usage_errors(tmp_pat
     assert "farther apart than the largest double" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e6", "2000"])
+def test_jacobi_parameters_whose_norms_leave_double_range_are_usage_errors(tmp_path, capsys, alpha):
+    # this once warned of an overflow in the norms and printed value=0
+    args = ["kernel", "eval", "--family", "jacobi", "--alpha", alpha, "--beta", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + FAST + ["--out", str(tmp_path)]) == 2
+    assert "outside double range" in capsys.readouterr().err
+
+
 def test_far_laguerre_point_reads_zero(tmp_path, capsys):
     # this once printed value=nan
     args = ["kernel", "eval", "--family", "laguerre", "--x", "1e160", "--y", "0"]

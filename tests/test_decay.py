@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import broadcast_pairs
 
 from orthoframes import cutoff as co
 from orthoframes import decay as de
@@ -239,54 +242,97 @@ def test_simplex_envelope_generic_path(cutoff_c):
     assert fit.satisfied and fit.violations == 0 and fit.c_rate > 0
 
 
-_LIFTED_CASES = [
-    ("ball", {"mu": 1.0, "d": 2}),
-    ("ball", {"mu": 1.0, "d": 3}),
-    ("simplex", {"kappa": (0.5, 0.5)}),
-    ("simplex", {"kappa": (0.5, 0.5, 0.5)}),
+_SAMPLED_CASES = [
+    ("ball", 4, {"mu": 1.0, "d": 2}),
+    ("ball", 4, {"mu": 1.0, "d": 3}),
+    ("simplex", 4, {"kappa": (0.5, 0.5)}),
+    ("simplex", 4, {"kappa": (0.5, 0.5, 0.5)}),
+    ("chebyshev", 16, {}),
+    ("jacobi", 16, {"alpha": 2.0, "beta": 0.5}),
+    # at n = 64 the oscillatory core is narrower than the Hermite line
+    ("hermite", 64, {"d": 1}),
+    ("laguerre", 16, {"alpha": 1.0}),
 ]
 
 
-def _in_closed_domain(family, pts):
+def _ends(family, r):
+    """(lower, upper) ends of a one-dimensional family's sampled interval:
+    the angles 0 and pi map to the points 1 and -1."""
+    return {"chebyshev": (1.0, -1.0), "jacobi": (1.0, -1.0), "hermite": (-r, r), "laguerre": (0.0, r)}[family]
+
+
+def _in_closed_domain(family, pts, r):
     # within the round-off the kernels' own domain checks allow
     if family == "ball":
         return np.all(np.sum(pts * pts, axis=-1) <= 1.0 + 1e-12)
-    return np.all(pts >= 0.0) and np.all(np.sum(pts, axis=-1) <= 1.0 + 1e-12)
+    if family == "simplex":
+        return np.all(pts >= 0.0) and np.all(np.sum(pts, axis=-1) <= 1.0 + 1e-12)
+    lower, upper = sorted(_ends(family, r))
+    return np.all((pts >= lower) & (pts <= upper))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    case=st.sampled_from(_LIFTED_CASES),
+    case=st.sampled_from(_SAMPLED_CASES),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10, unique=True),
     count=st.integers(1, 64),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, count, seed):
-    family, params = case
-    kernel = ke.KernelInstance(family, None, 4, params)
+    # every sampler: the ball and simplex pairs on their lifted chords, and the
+    # interval families' groups, whose end slices share the interval's ends
+    family, n, params = case
+    kernel = ke.KernelInstance(family, None, n, params)
     sample = ke.FAMILIES[family].sample
-    edges = ke.FAMILIES[family].diameter(4, params) * np.sort(fracs)
+    r = ke.FAMILIES[family].diameter(n, params)
+    edges = r * np.sort(fracs)
     assume(np.min(np.diff(edges)) >= 1e-6)
-    xs, ys, counts = sample(kernel, edges, count, seed)
     bins = len(edges) - 1
-    assert np.array_equal(counts, np.full(bins, count))
-    dim = params["d"] if family == "ball" else len(params["kappa"]) - 1
-    assert xs.shape == ys.shape == (bins * count, dim)
-    assert _in_closed_domain(family, xs) and _in_closed_domain(family, ys)
-    rho = kernel.distance(xs, ys).reshape(bins, count)
-    assert np.all(rho >= edges[:-1, None] - 1e-9) and np.all(rho <= edges[1:, None] + 1e-9)
+    planned = ke._bin_offsets(edges, count, seed)
+    tol = 1e-12 * r if family in ("hermite", "laguerre") else 1e-9
+    groups = sample(kernel, edges, count, seed)
+    if family in ("ball", "simplex"):
+        dim = params["d"] if family == "ball" else len(params["kappa"]) - 1
+        assert len(groups) == 1 and groups[0][0].shape == groups[0][1].shape == (bins * count, dim)
+        shared = set()
+    else:
+        # the upper end slice shares its y at the upper end, the lower one
+        # its x at the lower end, exactly
+        assert len(groups) == 3
+        shared = {(0, 1), (1, 0)}
+        lower, upper = _ends(family, r)
+        assert np.array_equal(groups[0][1], [upper]) and np.array_equal(groups[1][0], [lower])
+    for g, (xs, ys, counts) in enumerate(groups):
+        slices = counts[0] // count
+        assert np.array_equal(counts, np.full(bins, slices * count))
+        for side, pts in enumerate((xs, ys)):
+            assert len(pts) == (1 if (g, side) in shared else bins * slices * count)
+            assert _in_closed_domain(family, pts, r)
+        rho = kernel.distance(*np.broadcast_arrays(xs, ys)).reshape(bins, slices, count)
+        assert np.all(np.abs(rho - planned[:, None]) <= tol)
+        assert np.all(rho >= edges[:-1, None, None] - tol) and np.all(rho <= edges[1:, None, None] + tol)
     # deterministic per seed, and a bin's pairs come from its own edges only
     again = sample(kernel, edges, count, seed)
-    assert np.array_equal(again[0], xs) and np.array_equal(again[1], ys)
+    for (xs, ys, counts), (ax, ay, ac) in zip(groups, again, strict=True):
+        assert np.array_equal(ax, xs) and np.array_equal(ay, ys) and np.array_equal(ac, counts)
     i = len(fracs) // 2 - 1
     alone = sample(kernel, edges[i : i + 2], count, seed)
-    assert np.array_equal(alone[0], xs[i * count : (i + 1) * count])
-    assert np.array_equal(alone[1], ys[i * count : (i + 1) * count])
-    # doubling the budget keeps each bin's pairs as its first half, so the
-    # envelope's bin maxima can only rise
-    fine_x, fine_y, _ = sample(kernel, edges, 2 * count, seed)
-    assert np.array_equal(fine_x.reshape(bins, 2 * count, -1)[:, :count], xs.reshape(bins, count, -1))
-    assert np.array_equal(fine_y.reshape(bins, 2 * count, -1)[:, :count], ys.reshape(bins, count, -1))
+    for g, ((xs, ys, counts), (ax, ay, ac)) in enumerate(zip(groups, alone, strict=True)):
+        start, stop = np.sum(counts[:i]), np.sum(counts[: i + 1])
+        assert np.array_equal(ac, counts[i : i + 1])
+        for side, (own, whole) in enumerate(((ax, xs), (ay, ys))):
+            assert np.array_equal(own, whole if (g, side) in shared else whole[start:stop])
+    # doubling the budget keeps each bin's pairs as the first half of each of
+    # its slices, so the envelope's bin maxima can only rise
+    fine = sample(kernel, edges, 2 * count, seed)
+    for g, ((xs, ys, counts), (fx, fy, _)) in enumerate(zip(groups, fine, strict=True)):
+        slices = counts[0] // count
+        for side, (old, new) in enumerate(((xs, fx), (ys, fy))):
+            if (g, side) in shared:
+                assert np.array_equal(new, old)
+            else:
+                new = new.reshape(bins, slices, 2 * count, -1)
+                assert np.array_equal(new[:, :, :count], old.reshape(bins, slices, count, -1))
 
 
 @pytest.mark.parametrize(
@@ -295,10 +341,10 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
 def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     kernel = ke.KernelInstance(family, cutoff_c, 4, params)
     lo, hi = 0.5, 1.0
-    xs, ys, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 40, 3)
+    [(xs, ys, _)] = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 40, 3)
     raw = de._pair_magnitudes(kernel, xs, ys, False)
     wtd = de._pair_magnitudes(kernel, xs, ys, True)
-    x, y, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
+    [(x, y, _)] = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
     factor = math.sqrt(
         ke.weight_factor(family, 4, x[0], mu=params.get("mu"), kappa=params.get("kappa"))
         * ke.weight_factor(family, 4, y[0], mu=params.get("mu"), kappa=params.get("kappa"))
@@ -320,12 +366,15 @@ def test_a_nan_pair_fails_the_fit(cutoff_c, monkeypatch):
     # the nan bin once read as empty, and the fit passed
     kernel = ke.KernelInstance("chebyshev", cutoff_c, 32)
     plan = de.SamplingPlan(n_bins=40, pairs_per_bin=200)
-    first = de.measure_envelope(kernel, plan).counts[0]  # the first pair of bin 1
     pair_values = kernel.pair_values
+    calls = []
 
     def one_nan(xs, ys):
         vals = pair_values(xs, ys)
-        vals[first] = np.nan
+        if not calls:
+            # the first pair of bin 1 in the first group, whose bins hold equally many
+            vals[len(vals) // plan.n_bins] = np.nan
+        calls.append(len(vals))
         return vals
 
     monkeypatch.setattr(kernel, "pair_values", one_nan)
@@ -362,14 +411,15 @@ def test_fit_refuses_forms_that_are_not_finite(cheb_env_128, form, message):
 
 def _per_bin_envelope(kernel, plan):
     """rho, values and counts of an envelope evaluated bin by bin, one
-    ``pair_values`` call per bin, on measure_envelope's bin edges."""
+    ``pair_values`` call per bin over all of its pairs, a shared point
+    repeated for each pair, on measure_envelope's bin edges."""
     spec = ke.FAMILIES[kernel.family]
     diameter = spec.diameter(kernel.n, kernel.params)
     scale, _ = spec.scale(kernel.n, kernel.params)
     edges = np.concatenate([[0.0], np.geomspace(diameter / (4.0 * scale), diameter, plan.n_bins)])
 
     def bin_values(lo, hi):
-        xs, ys, _ = spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed)
+        xs, ys = broadcast_pairs(spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed))
         return de._pair_magnitudes(kernel, xs, ys, plan.weighted)
 
     bins = [bin_values(a, b) for a, b in zip(edges[:-1], edges[1:])]
@@ -397,9 +447,21 @@ def test_envelope_evaluates_every_bin_in_one_call(cutoff_c, monkeypatch, family,
     rho, values, counts = _per_bin_envelope(kernel, plan)
     calls = []
     pair_values = kernel.pair_values
-    monkeypatch.setattr(kernel, "pair_values", lambda xs, ys: calls.append(len(xs)) or pair_values(xs, ys))
-    env = de.measure_envelope(kernel, plan)
-    assert calls == [counts.sum()]
+
+    def counted(xs, ys):
+        vals = pair_values(xs, ys)
+        calls.append(len(vals))
+        return vals
+
+    monkeypatch.setattr(kernel, "pair_values", counted)
+    # one call per group, whatever the number of bins: the interval families
+    # draw their two end slices and the rest
+    groups = 3 if family in ("chebyshev", "jacobi", "hermite", "laguerre") else 1
+    for n_bins in (60, plan.n_bins):
+        calls.clear()
+        env = de.measure_envelope(kernel, dataclasses.replace(plan, n_bins=n_bins))
+        assert len(calls) == groups
+    assert sum(calls) == counts.sum()
     assert np.array_equal(env.rho, rho) and np.array_equal(env.counts, counts)
     if family in ("ball", "simplex"):
         # chunked auxiliary integrals sum in another grouping

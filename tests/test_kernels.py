@@ -5,7 +5,7 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
-from conftest import reproducing_defect
+from conftest import broadcast_pairs, reproducing_defect
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -843,7 +843,7 @@ def test_tensor_pair_arrays_match_the_per_pair_convolution(cutoff_c, family, par
         n = 32
         k = ke.KernelInstance(family, cutoff_c, n)
         edges = np.concatenate([[0.0], np.geomspace(np.pi / (4 * n), np.pi, 40)])
-        xs, ys, _ = ke.FAMILIES[family].sample(k, edges, 200, 42)
+        [(xs, ys, _)] = ke.FAMILIES[family].sample(k, edges, 200, 42)
     else:
         n = 64
         k = ke.KernelInstance(family, cutoff_c, n, params)
@@ -998,7 +998,7 @@ def test_table_cases_cover_every_kernel_family():
 def test_family_array_paths_match_scalar_loops(cutoff_c, family):
     # pairs from the family's own envelope sampler, one bin away from the diagonal
     k = ke.KernelInstance(family, cutoff_c, 6, _TABLE_CASES[family])
-    xs, ys, _ = ke.FAMILIES[family].sample(k, np.array([0.2, 0.6]), 12, 42)
+    xs, ys = broadcast_pairs(ke.FAMILIES[family].sample(k, np.array([0.2, 0.6]), 12, 42))
     assert 0 < len(xs) == len(ys)
     vals = k.pair_values(xs, ys)
     loop = np.array([k(x, y) for x, y in zip(xs, ys)])
@@ -1466,6 +1466,40 @@ def test_series_pair_values_keep_their_bits_in_any_block(cutoff_c, family, monke
     assert np.array_equal(evaluate(cutoff_c, x, y), one_block)
     # broadcast pairs keep their shape across blocks
     assert np.array_equal(evaluate(cutoff_c, x[:5, None], y[None, :7]), grid)
+
+
+_SHARED_POINT_CASES = {
+    # family: (params, its row source, the other points' interval, the shared
+    # points: the interval's ends, an inner point and, unweighted only, far
+    # points that read 0)
+    "chebyshev": ({}, "_chebyshev_rows", (-1.0, 1.0), (-1.0, 1.0, 0.3), ()),
+    "jacobi": ({"alpha": 2.0, "beta": 0.5}, "_jacobi_rows", (-1.0, 1.0), (-1.0, 1.0, -0.6), ()),
+    "hermite": ({"d": 1}, "_hermite_rows", (-44.0, 44.0), (-44.0, 44.0, 41.0), (2.0**512, -(2.0**600))),
+    "laguerre": ({"alpha": 1.0}, "_laguerre_rows", (0.0, 44.0), (0.0, 44.0, 40.0), (1e160,)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SHARED_POINT_CASES))
+def test_series_recurs_a_shared_point_once_with_the_bits_of_its_broadcast(cutoff_c, family, monkeypatch):
+    # a point shared by more than 2^14 pairs: each block recurs it once, beside
+    # its 2^14 other points, and every pair keeps the bits of the broadcast pairs
+    params, name, (lo, hi), shared, far = _SHARED_POINT_CASES[family]
+    k = ke.KernelInstance(family, cutoff_c, 16, params)
+    others = np.random.default_rng(19).uniform(lo, hi, 2**14 + 37)
+    others[:2] = lo, hi
+    rows, points = getattr(op, name), []
+    # a row source's points come second to last: rows(*params, top, x, consume)
+    monkeypatch.setattr(op, name, lambda *args: points.append(len(args[-2])) or rows(*args))
+    for point in shared + far:
+        one = np.array([point])
+        weightings = (False,) if point in far else (False, True)
+        for x, y in ((others, one), (one, others)):
+            for weighted in weightings:
+                points.clear()
+                vals = de._pair_magnitudes(k, x, y, weighted)
+                assert points == [2**14 + 1, 37 + 1]
+                assert np.array_equal(vals, de._pair_magnitudes(k, *np.broadcast_arrays(x, y), weighted))
+                assert point not in far or np.all(vals == 0.0)
 
 
 _BLOCKED_SUMS = {

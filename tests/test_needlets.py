@@ -311,6 +311,17 @@ def test_needlet_profile_evaluates_every_bin_in_one_call(request, monkeypatch, n
     assert np.array_equal(prof.values, maxima) and np.array_equal(prof.counts, counts)
 
 
+def test_a_jacobi_round_trip_computes_each_norm_once(cutoff_c, monkeypatch):
+    # one J = 7 build and the command line's 20-trial round trip once took
+    # 16,484 log-Gammas: every basis table recomputed its norms
+    monkeypatch.setattr(op, "_NORMS", {}, raising=False)
+    lgamma, count = op._lgamma, []
+    monkeypatch.setattr(op, "_lgamma", lambda x: count.append(np.size(x)) or lgamma(x))
+    system = ne.build_needlet_system("jacobi", {"alpha": 2.0, "beta": 0.5}, cutoff_c, 7)
+    worst, passed = ne.check_tightness(system, "roundtrip", 20, 0)
+    assert passed and sum(count) < 2000
+
+
 def test_frame_json_dump(jacobi_system):
     raw = json.loads(ne.frame_to_json(jacobi_system))
     assert raw["family"] == "jacobi"

@@ -141,6 +141,15 @@ def test_vector_norms_take_the_beta_integral_without_warning():
         assert np.all(np.isfinite(h))
 
 
+def test_norms_sliced_off_a_longer_vector_keep_their_bits(monkeypatch):
+    monkeypatch.setattr(op, "_NORMS", {})
+    for a, b in [(0.0, 0.0), (2.0, 0.5), (-0.5, -0.5), (-0.9, 0.2), (30.0, 0.5)]:
+        longest = op._jacobi_norms_upto(a, b, 300)
+        assert not longest.flags.writeable
+        for top in (0, 1, 7, 127, 300):
+            assert np.array_equal(op._jacobi_norms_upto(a, b, top), op.jacobi_norms(op.JacobiParams(a, b), top))
+
+
 def test_gegenbauer_normalization_and_recurrence():
     lam = 1.0
     vals = op.gegenbauer_all(lam, 6, 1.0).values
