@@ -3,8 +3,8 @@
 Every kernel has the form ``sum_j ahat(j/n) P_j(x, y)`` where ``P_j`` is the
 projector kernel of the degree-j eigenspace of one of the supported
 families.  The cutoff support truncates each sum at ``j < 2n``, so no tail
-estimation is ever needed.  The one-dimensional and zonal sums stream
-(``_series``): the points go in blocks of at most ``_SERIES_BLOCK`` = 2^15
+estimation is ever needed.  The one-dimensional, zonal and simplex sums
+stream (``_series``): the points go in blocks of at most ``_SERIES_BLOCK`` = 2^15
 (2^14 pairs), small enough for a block's buffers to stay in a core's L2
 cache, and one recurrence runs over each block, each row reduced as it
 arrives.  A point that all the pairs share is recurred once per block, not
@@ -15,7 +15,8 @@ one pass over all of them, a shared point's pairs to its broadcast; memory
 is O(block) for the buffers plus O(pairs) for the result, at any n.  The product
 bases (Hermite on R^d, Laguerre on R^d_+, the 2-d tensor bases) sum blocks
 of equal total degree: one contraction (``_contract``) folds one table per
-axis into those blocks over whole arrays of pairs.
+axis into those blocks over whole arrays of pairs.  The ball integrates
+over one auxiliary axis (``_auxiliary_integral``).
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -191,11 +192,25 @@ def chebyshev_kernel(cutoff, n, x, y):
     return _series(orthopoly._chebyshev_rows, coeff, *_interval_check({}, x, y))
 
 
+def _check_rows(n, *rows):
+    """Refuse level n if two Jacobi rows P_top^(alpha, beta), (alpha, beta,
+    top) in ``rows``, could multiply past the largest double: on [-1, 1],
+    |P_m| <= binom(m + q, m) for q = max(alpha, beta) >= -1/2 (Szego,
+    Theorem 7.32.1), and the rows stay O(1) below."""
+    for alpha, beta, top in rows:
+        q = max(alpha, beta, -0.5)
+        log_row = -math.log(top + q + 1.0) - orthopoly._log_beta(top + 1.0, q + 1.0)
+        if 2.0 * log_row > math.log(np.finfo(float).max):
+            reach = f"the Jacobi rows P_{top}^({alpha:g}, {beta:g}) reach e^{log_row:.0f} at level n = {n:g}"
+            raise ValueError(f"{reach}: their products leave double range")
+
+
 def jacobi_kernel(cutoff, n, alpha, beta, x, y):
     """Weighted reproducing-type kernel of the Jacobi family."""
     x, y = _jacobi_check({"alpha": alpha, "beta": beta}, x, y)
     w = cutoff_band(cutoff, n)
     h = orthopoly._jacobi_norms_upto(alpha, beta, len(w) - 1)
+    _check_rows(n, (alpha, beta, len(w) - 1))
     return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
 
 
@@ -204,27 +219,24 @@ def _jacobi_check(p, *points):
     return _interval_check(p, *points)
 
 
-def _q_coefficients(cutoff, n, alpha, beta):
-    lgamma = orthopoly._lgamma
-    w = cutoff_band(cutoff, n)
-    j = np.arange(len(w), dtype=float)
-    s = alpha + beta
-    term1 = np.exp(lgamma(j + s + 2.0) - lgamma(j + beta + 1.0))
-    term2 = np.zeros_like(j)
-    term2[1:] = j[1:] * np.exp(lgamma(j[1:] + s + 1.0) - lgamma(j[1:] + beta + 1.0))
-    cstar = np.exp(-(s + 1.0) * np.log(2.0) - lgamma(alpha + 1.0))
-    return cstar * w * (term1 + term2)
-
-
 def jacobi_Q(cutoff, n, alpha, beta, x):
     """Boundary kernel Q_n(x) = L_n(x, 1) in the Gamma-ratio form.
 
     The degree-0 coefficient is written through Gamma(alpha+beta+2) so the
-    Chebyshev-type corner (alpha + beta = -1) hits no pole.
+    Chebyshev-type corner (alpha + beta = -1) hits no pole, and the constant
+    c* = 2^-(alpha+beta+1) / Gamma(alpha+1) joins each ratio in log space.
     """
+    lgamma = orthopoly._lgamma
     (x,) = _jacobi_check({"alpha": alpha, "beta": beta}, x)
-    coeff = _q_coefficients(cutoff, n, alpha, beta)
-    return _series(partial(orthopoly._jacobi_rows, alpha, beta), coeff, x)
+    w = cutoff_band(cutoff, n)
+    _check_rows(n, (alpha, beta, len(w) - 1))
+    j = np.arange(len(w), dtype=float)
+    s = alpha + beta
+    log_cstar = -(s + 1.0) * np.log(2.0) - lgamma(alpha + 1.0)
+    term1 = np.exp(log_cstar + lgamma(j + s + 2.0) - lgamma(j + beta + 1.0))
+    term2 = np.zeros_like(j)
+    term2[1:] = j[1:] * np.exp(log_cstar + lgamma(j[1:] + s + 1.0) - lgamma(j[1:] + beta + 1.0))
+    return _series(partial(orthopoly._jacobi_rows, alpha, beta), w * (term1 + term2), x)
 
 
 @dataclass
@@ -305,34 +317,28 @@ def _gegenbauer_sum(band, lam, arg):
     return _gegenbauer_series(band * (j + lam) / lam, lam, arg)
 
 
-# Largest number of (pair, node) arguments in one chunk of a ball or simplex
-# series, or of (pair, degree) entries in one product-basis axis table; more
-# pairs go chunk by chunk, which bounds peak memory at any n, d and pair count.
+# Largest number of (pair, node) arguments in one chunk of a ball series, or
+# of (pair, degree) entries in one product-basis axis table; more pairs go
+# chunk by chunk, which bounds peak memory at any n, d and pair count.
 _TABLE_ENTRIES = 2**16
 
 
 def _auxiliary_integral(series, base, coef, nodes, weights):
-    """sum_k weights_k series(base + coef . nodes_k) for every pair.
-
-    ``base`` has the pairs' shape, ``coef`` adds one axis of length
-    ``nodes.shape[1]``, and ``series`` maps an argument array to its sum.
-    Pairs are taken in chunks of at most ``_TABLE_ENTRIES`` arguments.
-    """
+    """sum_k weights_k series(base + coef nodes_k), the ball's integral over
+    its one auxiliary axis, for the pairs of the shape of ``base`` and
+    ``coef``, taken in chunks of at most ``_TABLE_ENTRIES`` arguments;
+    ``series`` maps an argument array to its sum."""
     shape = base.shape
-    base = base.reshape(-1)
-    coef = coef.reshape(len(base), nodes.shape[1])
+    base, coef = base.reshape(-1), coef.reshape(-1)
     out = np.empty(len(base))
     step = max(1, _TABLE_ENTRIES // len(weights))
-    # one argument and one term buffer for every chunk, filled in place
+    # one argument buffer for every chunk, filled in place
     arg_buf = np.empty((min(step, len(base)), len(weights)))
-    term_buf = np.empty_like(arg_buf)
     for s in range(0, len(base), step):
         rows = slice(s, s + step)
-        arg, term = arg_buf[: len(base) - s], term_buf[: len(base) - s]
-        arg[...] = base[rows, None]
-        for i in range(nodes.shape[1]):
-            np.multiply(coef[rows, i, None], nodes[:, i], out=term)
-            arg += term
+        arg = arg_buf[: len(base) - s]
+        np.multiply(coef[rows, None], nodes, out=arg)
+        arg += base[rows, None]
         np.clip(arg, -1.0, 1.0, out=arg)
         out[rows] = series(arg) @ weights
     out = out.reshape(shape)
@@ -368,8 +374,8 @@ def ball_kernel(cutoff, n, mu, d, x, y):
     return _auxiliary_integral(
         lambda arg: _gegenbauer_sum(band, lam, arg),
         np.sum(x * y, axis=-1),
-        rxy[..., None],
-        rule.nodes[:, None],
+        rxy,
+        rule.nodes,
         rule.weights / rule.weights.sum(),
     )
 
@@ -384,41 +390,46 @@ def _ball_check(p, *points):
     return _domain(points, radius_excess, "points must lie in the closed unit ball")
 
 
-def _axis_rule(kappa_i, m):
-    if kappa_i > 0:
-        rule = quadrature.gauss_rule("jacobi", m, alpha=kappa_i - 1.0, beta=kappa_i - 1.0)
-        return rule.nodes, rule.weights / rule.weights.sum()
-    # the kappa -> 0 limit of the normalized measure is the two-point average
-    return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-
-
 def simplex_kernel(cutoff, n, kappa, x, y):
-    """Kernel on the d-simplex with weight prod x_i^(kappa_i - 1/2).
-
-    ``x`` and ``y`` are points of shape (d,) or broadcastable arrays of pairs
-    of shape (..., d); the result has the pairs' shape (a float for one
-    pair).  Supported for d in {1, 2}: the auxiliary integral is a (d+1)-fold
-    tensor Gauss-Jacobi rule whose integrand has degree 2(2n - 1) on each
-    axis, so len(band) nodes per axis are exact.  The rule is built once per
-    call and the pairs are evaluated in chunks of bounded size.  Zero
-    kappa components collapse their axis to the two-point average.
+    """Kernel on the d-simplex, d in {1, 2}, for the weight prod
+    x_i^(kappa_i - 1/2) of mass 1, over (..., d) pairs x, y (a float for one
+    pair): the band-weighted sum of the orthonormal product basis (Koornwinder
+    1975; Dunkl and Xu, 2nd ed., 2014, section 2.4).  With (a, b, c) =
+    kappa - 1/2, d = 1 is the mass h_0 times the Jacobi kernel of (b, a) in
+    2x - 1.  At d = 2 the basis is P_m^(2k+b+c+1, a)(2 x_1 - 1) (1 - x_1)^k
+    P_k^(c, b)(2 x_2 / (1 - x_1) - 1) of degree k + m, each squared norm the
+    product of two Jacobi norms scaled by 2^-(alpha + beta + 1); each row k of
+    the inner recurrence starts one streamed series in 2 x_1 - 1.
     """
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    xb, yb = map(_barycentric, _simplex_check({"kappa": kappa}, x, y))
-    d = len(kappa) - 1
-    lam = kappa.sum() + (d - 1) / 2.0
-    band = cutoff_band(cutoff, n)
-    axes = [_axis_rule(k, len(band)) for k in kappa]
-    nodes = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1)
-    wgt = np.prod(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=0)
-    root = np.sqrt(np.clip(xb, 0.0, None) * np.clip(yb, 0.0, None))
-    return _auxiliary_integral(
-        lambda arg: _gegenbauer_sum_even(band, lam, arg),
-        np.zeros(root.shape[:-1]),
-        root,
-        nodes.reshape(-1, d + 1),
-        wgt.ravel(),
-    )
+    x, y = np.broadcast_arrays(*_simplex_check({"kappa": kappa}, x, y))
+    pts = np.stack([x, y]).reshape(2, -1, len(kappa) - 1)
+    t = np.clip(2.0 * pts[..., 0] - 1.0, -1.0, 1.0)
+    if len(kappa) == 2:
+        a, b = kappa - 0.5
+        out = jacobi_kernel(cutoff, n, b, a, *t) * float(orthopoly._jacobi_norms_upto(b, a, 0)[0])
+    else:
+        a, b, c = kappa - 0.5
+        band = cutoff_band(cutoff, n)
+        top, out = len(band) - 1, np.zeros(t.shape[1])
+        _check_rows(n, (c, b, top), *((2 * k + b + c + 1.0, a, top - k) for k in range(top + 1)))
+        g = np.maximum(1.0 - pts[..., 0], 0.0)
+        # any s at the vertex x_1 = 1, where (1 - x_1)^k is 0 for k >= 1
+        s = np.divide(2.0 * pts[..., 1], g, out=np.ones_like(g), where=g > 0.0) - 1.0
+        h = orthopoly._jacobi_norms_upto(c, b, top)
+        # h_{0,0} / h_{k,m} = 4^k h_0^(b+c+1, a) h_0^(c, b) / (h_m^(2k+b+c+1, a) h_k^(c, b))
+        h00 = orthopoly.jacobi_norms(JacobiParams(b + c + 1.0, a), 0)[0] * h[0]
+
+        def consume(k, row):
+            outer = 2 * k + b + c + 1.0
+            coeff = band[k:] * (h00 * 4.0**k / h[k]) / orthopoly.jacobi_norms(JacobiParams(outer, a), top - k)
+            series = _series(partial(orthopoly._jacobi_rows, outer, a), coeff, *t)
+            row = row.reshape(2, -1)
+            np.add(out, (g[0] * g[1]) ** k * row[0] * row[1] * series, out=out)
+
+        orthopoly._jacobi_rows(c, b, top, np.clip(s, -1.0, 1.0), consume)
+    out = np.reshape(out, x.shape[:-1])
+    return out if out.ndim else float(out)
 
 
 def _simplex_check(p, *points):
@@ -430,19 +441,6 @@ def _simplex_check(p, *points):
     # a point of the 1-simplex may be a scalar
     points = _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
     return _domain(points, lambda v: -_barycentric(v), "points must lie in the simplex")
-
-
-def _gegenbauer_sum_even(band, lam, arg):
-    """sum_j band_j ((2j + lam)/lam) C_{2j}^lam(arg), with the lam -> 0 limit
-    sum_j band_j (2 - [j = 0]) T_{2j}(arg); the odd rows are skipped."""
-    coeff = np.zeros(2 * len(band) - 1)
-    if lam < 1e-13:
-        coeff[::2] = 2.0 * band
-        coeff[0] = band[0]
-        return _series(orthopoly._chebyshev_rows, coeff, _clamped(arg))
-    j = np.arange(len(band), dtype=float)
-    coeff[::2] = band * (2.0 * j + lam) / lam
-    return _gegenbauer_series(coeff, lam, arg)
 
 
 # ---------------------------------------------------------------------------

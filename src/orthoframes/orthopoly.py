@@ -7,8 +7,8 @@ polynomial value or factorial is ever formed; values stay O(1) wherever the
 functions are O(1).  Every Gamma-function ratio goes through log-Gamma
 differences to dodge overflow past n ~ 170.  Every log-Gamma in the
 package is ``_lgamma``, built on the standard library's ``math.lgamma``, so
-scipy loads only where a Gauss rule is built (the ball and simplex kernels
-among them), not for a table, a norm or any other kernel.  Each recurrence
+scipy loads only where a Gauss rule is built (the ball kernel among them),
+not for a table, a norm or any other kernel.  Each recurrence
 hands its finished rows, one at a time, to a consumer: the table builders
 store them, and the kernels reduce them as they arrive.
 

@@ -183,6 +183,22 @@ def test_jacobi_parameters_whose_norms_leave_double_range_are_usage_errors(tmp_p
     assert "outside double range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "jacobi", "--alpha", "1000", "--beta", "0", "--n", "512", "--x", "0.99", "--y", "0.98"],
+        ["--family", "simplex", "--kappa", "0.5,0.5,0.5", "--n", "256", "--x", "0.2,0.3", "--y", "0.25,0.3"],
+    ],
+    ids=["jacobi", "simplex"],
+)
+def test_rows_whose_products_leave_double_range_are_usage_errors(tmp_path, capsys, family):
+    # the Jacobi kernel once printed value=nan here and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["kernel", "eval", *family, *FAST, "--out", str(tmp_path)]) == 2
+    assert "leave double range" in capsys.readouterr().err
+
+
 def test_far_laguerre_point_reads_zero(tmp_path, capsys):
     # this once printed value=nan
     args = ["kernel", "eval", "--family", "laguerre", "--x", "1e160", "--y", "0"]

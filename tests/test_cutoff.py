@@ -748,3 +748,21 @@ def test_envelopes_and_fits_load_no_scipy_and_a_jacobi_rule_only_its_eigensolver
         "assert quadrature.verify_exactness(rule, rule.exactness) < quadrature.EXACTNESS_TOL\n"
         "assert 'scipy.linalg' in sys.modules and 'scipy.special' not in sys.modules\n"
     )
+
+
+def test_simplex_kernels_build_no_rule_and_load_no_scipy():
+    # the simplex kernel once integrated over a tensor Gauss-Jacobi rule
+    _run_fresh(
+        "import sys\n"
+        "from orthoframes import cutoff, kernels, quadrature\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a quadrature rule was built')\n"
+        "quadrature.QuadratureRule.__init__ = refuse\n"
+        "prof = cutoff.assemble_cutoff(cutoff.CutoffSpec('c'))\n"
+        "cases = [((0.5, 0.5), 0.3, 0.6), ((0.0, 0.0), 1.0, 0.0),\n"
+        "         ((0.5, 0.5, 0.5), (0.2, 0.3), (0.5, 0.1)), ((0.0, 1.0, 0.0), (1.0, 0.0), (0.0, 0.0))]\n"
+        "for kappa, x, y in cases:\n"
+        "    assert abs(kernels.simplex_kernel(prof, 8, kappa, x, y)) < 1e6\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )

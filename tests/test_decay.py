@@ -242,6 +242,16 @@ def test_simplex_envelope_generic_path(cutoff_c):
     assert fit.satisfied and fit.violations == 0 and fit.c_rate > 0
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("kappa", [(0.5, 0.5), (0.5, 0.5, 0.5)])
+def test_simplex_fits_hold_up_the_ladder(cutoff_c, kappa, n):
+    # the command line's default plan; the d = 2 envelope at n = 64 once took
+    # minutes
+    kernel = ke.KernelInstance("simplex", cutoff_c, n, {"kappa": kappa})
+    fit = de.fit_bound(de.measure_envelope(kernel, de.SamplingPlan(seed=42)), de.SubExponential(1.0))
+    assert fit.satisfied and fit.violations == 0
+
+
 _SAMPLED_CASES = [
     ("ball", 4, {"mu": 1.0, "d": 2}),
     ("ball", 4, {"mu": 1.0, "d": 3}),

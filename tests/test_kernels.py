@@ -351,6 +351,44 @@ def test_simplex_reproducing_unit_interval(cutoff_a):
         assert proj == pytest.approx(band[m] * p0, abs=1e-8)
 
 
+# Xu's reduction, the oracle of the simplex kernel: the kernel of the d-simplex
+# is a (d + 1)-fold tensor Gauss-Jacobi integral of an even Gegenbauer sum over
+# the square roots of the barycentric coordinates.
+
+
+def _axis_rule(kappa_i, m):
+    if kappa_i > 0:
+        rule = qd.gauss_rule("jacobi", m, alpha=kappa_i - 1.0, beta=kappa_i - 1.0)
+        return rule.nodes, rule.weights / rule.weights.sum()
+    # the kappa -> 0 limit of the normalized measure is the two-point average
+    return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+
+
+def _gegenbauer_sum_even(band, lam, arg):
+    """sum_j band_j ((2j + lam)/lam) C_{2j}^lam(arg), with the lam -> 0 limit
+    sum_j band_j (2 - [j = 0]) T_{2j}(arg)."""
+    coeff = np.zeros(2 * len(band) - 1)
+    if lam < 1e-13:
+        coeff[::2] = 2.0 * band
+        coeff[0] = band[0]
+        return ke._series(op._chebyshev_rows, coeff, ke._clamped(arg))
+    j = np.arange(len(band), dtype=float)
+    coeff[::2] = band * (2.0 * j + lam) / lam
+    return ke._gegenbauer_series(coeff, lam, arg)
+
+
+def _simplex_at_order(cut, n, kappa, x, y, m):
+    # one pair, an m-node rule on every axis of the tensor grid
+    band = ke.cutoff_band(cut, n)
+    root = np.sqrt(np.clip(np.append(x, 1.0 - x.sum()), 0.0, None) * np.clip(np.append(y, 1.0 - y.sum()), 0.0, None))
+    axes = [_axis_rule(k, m) for k in kappa]
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wgt = np.prod(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=0)
+    z = np.clip(sum(r * g for r, g in zip(root, grids)), -1.0, 1.0)
+    lam = sum(kappa) + (len(x) - 1) / 2.0
+    return float(np.sum(wgt * _gegenbauer_sum_even(band, lam, z)))
+
+
 def test_simplex_zero_kappa_collapses_to_point_average(cutoff_a):
     n = 4
     x, y = 0.3, 0.6
@@ -361,7 +399,7 @@ def test_simplex_zero_kappa_collapses_to_point_average(cutoff_a):
     for t1 in (-1.0, 1.0):
         for t2 in (-1.0, 1.0):
             z = np.clip(root[0] * t1 + root[1] * t2, -1, 1)
-            acc += 0.25 * float(ke._gegenbauer_sum_even(band, 0.0, np.array([z]))[0])
+            acc += 0.25 * float(_gegenbauer_sum_even(band, 0.0, np.array([z]))[0])
     assert val == pytest.approx(acc, rel=1e-12)
 
 
@@ -373,18 +411,6 @@ def _ball_at_order(cut, n, mu, d, x, y, m):
     arg = np.clip(x @ y + rule.nodes * rxy, -1.0, 1.0)
     vals = ke._gegenbauer_sum(band, mu + (d - 1) / 2.0, arg)
     return float(rule.weights @ vals / rule.weights.sum())
-
-
-def _simplex_at_order(cut, n, kappa, x, y, m):
-    # one pair, an m-node rule on every axis of the tensor grid
-    band = ke.cutoff_band(cut, n)
-    root = np.sqrt(np.append(x, 1.0 - x.sum()) * np.append(y, 1.0 - y.sum()))
-    axes = [ke._axis_rule(k, m) for k in kappa]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgt = np.prod(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=0)
-    z = np.clip(sum(r * g for r, g in zip(root, grids)), -1.0, 1.0)
-    lam = sum(kappa) + (len(x) - 1) / 2.0
-    return float(np.sum(wgt * ke._gegenbauer_sum_even(band, lam, z)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -405,18 +431,58 @@ def test_ball_exact_order_matches_doubled_order(cutoff_c, mu, d, n):
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize(
-    "kappa", [(0.5, 0.5), (0.0, 1.0), (0.5, 0.25, 1.0), (0.0, 0.5, 0.5)]
+    "kappa", [(0.5, 0.5), (0.0, 1.0), (0.5, 0.25, 1.0), (0.0, 0.5, 0.5), (0.0, 0.0), (1.0, 0.0, 2.0)]
 )
 def test_simplex_exact_order_matches_doubled_order(cutoff_c, kappa, n):
-    # degree 2(2n - 1) per axis, so len(band) nodes per axis are exact
+    # the basis sum against Xu's integral at twice the exact order (degree
+    # 2(2n - 1) per axis, so len(band) nodes per axis are exact), at random
+    # points, the vertices and points on every edge
     d = len(kappa) - 1
-    pts = np.random.default_rng(11).dirichlet(np.ones(d + 1), 7)[:, :d]
-    x, y = pts[:4], pts[3:]
+    corners = np.vstack([np.eye(d), np.zeros(d)])
+    edges = [0.3 * a + 0.7 * b for a in corners for b in corners if a is not b]
+    pts = np.vstack([np.random.default_rng(11).dirichlet(np.ones(d + 1), 7)[:, :d], corners, edges])
+    # each point beside the next, and three on the diagonal
+    x, y = np.vstack([pts, pts[:3]]), np.vstack([np.roll(pts, 1, axis=0), pts[:3]])
     vals = ke.simplex_kernel(cutoff_c, n, kappa, x, y)
     m = len(ke.cutoff_band(cutoff_c, n))
     ref = np.array([_simplex_at_order(cutoff_c, n, kappa, a, b, 2 * m) for a, b in zip(x, y)])
-    # relative to the diagonal pair (x[3] == y[0]), the size of the summands
+    # relative to the diagonal pairs, the size of the summands
     assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kappa", [(0.5, 0.25), (0.5, 0.25, 1.0)])
+def test_a_simplex_value_does_not_depend_on_its_batch(cutoff_c, kappa):
+    # 2^14 + 37 pairs cross a block of ``_series``: a pair alone keeps the
+    # bits it has at either end of the batch and on either side of the boundary
+    d = len(kappa) - 1
+    block = ke._SERIES_BLOCK // 2
+    pts = np.random.default_rng(12).dirichlet(np.ones(d + 1), (block + 37, 2))[..., :d]
+    pts[:2] = np.vstack([np.eye(d), np.zeros(d)])[:2, None]  # vertex pairs
+    many = ke.simplex_kernel(cutoff_c, 8, kappa, pts[:, 0], pts[:, 1])
+    for i in (0, 1, 2, block - 1, block, len(pts) - 1):
+        assert ke.simplex_kernel(cutoff_c, 8, kappa, pts[i, 0], pts[i, 1]) == many[i]
+
+
+def test_jacobi_rows_whose_products_leave_double_range_are_refused(cutoff_c):
+    # alpha = 1000 at n = 512 once read nan: P_1023(1) = binom(2023, 1023)
+    # ~ e^1398; the last levels accepted are finite at their largest value
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.2, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"P_1023\^\(1000, 0\) reach e\^1398 at level n = 512"):
+            ke.jacobi_kernel(cutoff_c, 512, 1000.0, 0.0, 0.99, 0.98)
+        with pytest.raises(ValueError, match="leave double range"):
+            ke.jacobi_Q(cutoff_c, 512, 1000.0, 0.0, 0.99)
+        with pytest.raises(ValueError, match="leave double range"):
+            ke.simplex_kernel(cutoff_c, 512, (0.5, 1000.5), 0.01, 0.02)
+        for kappa in [(0.5, 0.5, 0.5), (5.0, 0.5, 3.0)]:
+            with pytest.raises(ValueError, match="leave double range"):
+                ke.simplex_kernel(cutoff_c, 256, kappa, pts[3], pts[3])
+            assert np.all(np.isfinite(ke.simplex_kernel(cutoff_c, 128, kappa, pts, pts)))
+        assert np.isfinite(ke.jacobi_kernel(cutoff_c, 55, 1000.0, 0.0, 1.0, 1.0))
+        assert np.isfinite(ke.jacobi_Q(cutoff_c, 55, 1000.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="leave double range"):
+            ke.jacobi_kernel(cutoff_c, 56, 1000.0, 0.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -451,31 +517,21 @@ def test_pair_values_match_scalar_calls(cutoff_c, family, params, monkeypatch):
 
 
 def _allocating_auxiliary_integral(series, base, coef, nodes, weights):
-    # the chunk loop as it stood before it filled two buffers in place
+    # the chunk loop as it stood before it filled its buffer in place
     shape = base.shape
-    base = base.reshape(-1)
-    coef = coef.reshape(len(base), nodes.shape[1])
+    base, coef = base.reshape(-1), coef.reshape(-1)
     out = np.empty(len(base))
     step = max(1, ke._TABLE_ENTRIES // len(weights))
     for s in range(0, len(base), step):
-        arg = base[s : s + step, None]
-        for i in range(nodes.shape[1]):
-            arg = arg + coef[s : s + step, i, None] * nodes[:, i]
+        arg = base[s : s + step, None] + coef[s : s + step, None] * nodes
         out[s : s + step] = series(np.clip(arg, -1.0, 1.0)) @ weights
     out = out.reshape(shape)
     return out if out.ndim else float(out)
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [("ball", {"mu": 1.0, "d": 2}), ("simplex", {"kappa": (0.5, 0.25, 1.0)})],
-)
+@pytest.mark.parametrize("family, params", [("ball", {"mu": 1.0, "d": 2})])
 def test_auxiliary_integral_keeps_the_bits_of_the_allocating_chunks(cutoff_c, family, params, monkeypatch):
-    gen = np.random.default_rng(8)
-    if family == "ball":
-        pts = gen.uniform(-0.7, 0.7, (37, 2, 2))
-    else:
-        pts = gen.dirichlet(np.ones(3), (37, 2))[..., :2]
+    pts = np.random.default_rng(8).uniform(-0.7, 0.7, (37, 2, 2))
     k = ke.KernelInstance(family, cutoff_c, 8, params)
     # 300 entries make chunks of a few pairs and a short last chunk
     monkeypatch.setattr(ke, "_TABLE_ENTRIES", 300)
@@ -1399,8 +1455,8 @@ def test_streamed_pair_values_match_the_table_formulas(cutoff_c, family, n, a, b
 
 
 def test_streamed_series_sums_match_the_table_formulas(cutoff_a):
-    # the one-argument sums: the trigonometric kernel, the simplex's even
-    # Gegenbauer sum and its lam -> 0 limit; a type-a band weights degree 0
+    # the one-argument sum of the trigonometric kernel; a type-a band weights
+    # degree 0
     theta = np.linspace(-7.0, 7.0, 41)
     band = ke.cutoff_band(cutoff_a, 64)
     j = np.arange(len(band), dtype=float)
@@ -1408,23 +1464,6 @@ def test_streamed_series_sums_match_the_table_formulas(cutoff_a):
     w[0] *= 0.5
     ref = np.tensordot(w, np.cos(np.multiply.outer(j, theta)), axes=(0, 0))
     assert np.all(np.abs(ke.trig_kernel(cutoff_a, 64, theta) - ref) <= 1e-12 * np.abs(ref).max())
-    arg = np.linspace(-1.0, 1.0, 33)
-    for lam in (0.0, 0.75, 2.5):
-        if lam:
-            table = op.gegenbauer_all(lam, 2 * (len(band) - 1), arg).values[::2]
-            ref = np.tensordot(band * (2.0 * j + lam) / lam, table, axes=(0, 0))
-        else:
-            cos = np.cos(np.multiply.outer(2.0 * j[1:], np.arccos(arg)))
-            ref = band[0] + 2.0 * np.tensordot(band[1:], cos, axes=(0, 0))
-        vals = ke._gegenbauer_sum_even(band, lam, arg)
-        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max())
-    # arguments past the ends: the lam -> 0 limit clamps round-off as arccos
-    # did, the Gegenbauer sums refuse them as the tables did
-    at_end = ke._gegenbauer_sum_even(band, 0.0, np.array([1.0, 1.0 + 5e-13]))
-    assert at_end[0] == at_end[1]
-    for lam in (0.75, 2.5):
-        with pytest.raises(ValueError, match="must lie in"):
-            ke._gegenbauer_sum_even(band, lam, np.array([1.0 + 5e-13]))
 
 
 # ---------------------------------------------------------------------------
