@@ -272,15 +272,17 @@ def summation_by_parts_coefficients(cutoff, n, alpha, beta, k):
 
 
 def verify_summation_by_parts(cutoff, n, alpha, beta, k, x):
-    """Relative discrepancy between Q_n and its k-fold summation-by-parts form."""
+    """Relative discrepancy between Q_n and its k-fold summation-by-parts
+    form; the constant c* = 2^-(alpha+beta+1) / Gamma(alpha+1) joins each
+    Gamma ratio in log space, as in ``jacobi_Q``."""
     lgamma = orthopoly._lgamma
     (x,) = _jacobi_check({"alpha": alpha, "beta": beta}, x)
     state = summation_by_parts_coefficients(cutoff, n, alpha, beta, k)
     a = state.values
     j = np.arange(len(a), dtype=float)
-    gam = np.exp(lgamma(j + alpha + k + beta + 1.0) - lgamma(j + beta + 1.0))
-    cstar = np.exp(-(alpha + beta + 1.0) * np.log(2.0) - lgamma(alpha + 1.0))
-    ladder = cstar * _series(partial(orthopoly._jacobi_rows, alpha + k, beta), a * gam, x)
+    log_cstar = -(alpha + beta + 1.0) * np.log(2.0) - lgamma(alpha + 1.0)
+    gam = np.exp(log_cstar + lgamma(j + alpha + k + beta + 1.0) - lgamma(j + beta + 1.0))
+    ladder = _series(partial(orthopoly._jacobi_rows, alpha + k, beta), a * gam, x)
     direct = jacobi_Q(cutoff, n, alpha, beta, x)
     return float(np.max(np.abs(ladder - direct) / np.maximum(1.0, np.abs(direct))))
 
@@ -417,13 +419,23 @@ def simplex_kernel(cutoff, n, kappa, x, y):
         # any s at the vertex x_1 = 1, where (1 - x_1)^k is 0 for k >= 1
         s = np.divide(2.0 * pts[..., 1], g, out=np.ones_like(g), where=g > 0.0) - 1.0
         h = orthopoly._jacobi_norms_upto(c, b, top)
+        # the log-Gammas of every outer norm h_m^(2k+b+c+1, a), m = 0..top - k,
+        # at the arguments that all k share: j + b + c + 2 and j + a + b + c + 2
+        # at j = m + 2k, j + a + 1 and j + 1 at j = m
+        j = np.arange(2 * top + 1, dtype=float)
+        lg_outer, lg_sum = orthopoly._lgamma(j + (b + c + 2.0)), orthopoly._lgamma(j + (a + b + c + 2.0))
+        lg_a, lg_1 = orthopoly._lgamma(j[: top + 1] + (a + 1.0)), orthopoly._lgamma(j[: top + 1] + 1.0)
+
+        def outer_norms(k):
+            i, m = slice(2 * k, top + k + 1), slice(0, top - k + 1)
+            return orthopoly._norms_from(JacobiParams(2 * k + b + c + 1.0, a), lg_outer[i], lg_a[m], lg_1[m], lg_sum[i])
+
         # h_{0,0} / h_{k,m} = 4^k h_0^(b+c+1, a) h_0^(c, b) / (h_m^(2k+b+c+1, a) h_k^(c, b))
-        h00 = orthopoly.jacobi_norms(JacobiParams(b + c + 1.0, a), 0)[0] * h[0]
+        h00 = outer_norms(0)[0] * h[0]
 
         def consume(k, row):
-            outer = 2 * k + b + c + 1.0
-            coeff = band[k:] * (h00 * 4.0**k / h[k]) / orthopoly.jacobi_norms(JacobiParams(outer, a), top - k)
-            series = _series(partial(orthopoly._jacobi_rows, outer, a), coeff, *t)
+            coeff = band[k:] * (h00 * 4.0**k / h[k]) / outer_norms(k)
+            series = _series(partial(orthopoly._jacobi_rows, 2 * k + b + c + 1.0, a), coeff, *t)
             row = row.reshape(2, -1)
             np.add(out, (g[0] * g[1]) ** k * row[0] * row[1] * series, out=out)
 
@@ -857,6 +869,13 @@ def _normals(edges, count, seed, width):
     ])
 
 
+def _uniforms(g):
+    """Exact U(0, 1) draws, one per pair of standard normals along the last
+    axis: exp(-(g_1^2 + g_2^2) / 2), since g_1^2 + g_2^2 is exponential with
+    mean 2 (the squared Box-Muller radius)."""
+    return np.exp(-0.5 * (g[..., 0::2] ** 2 + g[..., 1::2] ** 2))
+
+
 def _unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -874,15 +893,14 @@ def _ball_pairs(k, edges, count, seed):
     # chords of the upper hemisphere: half great circles from a point p of
     # the boundary sphere to -p, leaving p along a unit tangent w that points
     # up, so every point of the chord has height >= 0
-    from scipy.special import ndtr
-
     d = k.params["d"]
-    g = _normals(edges, count, seed, 2 * d + 2)
+    g = _normals(edges, count, seed, 2 * d + 3)
     p = np.concatenate([_unit(g[..., :d]), np.zeros(g.shape[:-1] + (1,))], axis=-1)
     w = g[..., d : 2 * d + 1]
     w = w - np.sum(w * p, axis=-1, keepdims=True) * p
     w[..., d] = np.abs(w[..., d])
-    x, y = _chord_pairs(p, _unit(w), np.pi, _bin_offsets(edges, count, seed), ndtr(g[..., -1]))
+    frac = _uniforms(g[..., 2 * d + 1 :])[..., 0]
+    x, y = _chord_pairs(p, _unit(w), np.pi, _bin_offsets(edges, count, seed), frac)
     return [(x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count))]
 
 
@@ -892,11 +910,9 @@ def _simplex_pairs(k, edges, count, seed):
     # for d = 2 the faces z_i = 0 and z_j = 0 meet at the vertex e_k, with
     # p = cos(a) e_k + sin(a) e_j and q = cos(b) e_k + sin(b) e_i at distance
     # arccos(cos(a) cos(b)), which reaches delta once b >= b_min
-    from scipy.special import ndtr
-
     d = len(np.atleast_1d(k.params["kappa"])) - 1
     delta = _bin_offsets(edges, count, seed)
-    u = ndtr(_normals(edges, count, seed, 4))
+    u = _uniforms(_normals(edges, count, seed, 8))
     if d == 1:
         p = np.broadcast_to([0.0, 1.0], delta.shape + (2,))
         q = np.broadcast_to([1.0, 0.0], delta.shape + (2,))

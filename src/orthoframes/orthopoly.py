@@ -7,10 +7,9 @@ polynomial value or factorial is ever formed; values stay O(1) wherever the
 functions are O(1).  Every Gamma-function ratio goes through log-Gamma
 differences to dodge overflow past n ~ 170.  Every log-Gamma in the
 package is ``_lgamma``, built on the standard library's ``math.lgamma``, so
-scipy loads only where a Gauss rule is built (the ball kernel among them),
-not for a table, a norm or any other kernel.  Each recurrence
-hands its finished rows, one at a time, to a consumer: the table builders
-store them, and the kernels reduce them as they arrive.
+no table or norm loads scipy: only a Gauss rule of more than 256 nodes does.
+Each recurrence hands its finished rows, one at a time, to a consumer: the
+table builders store them, and the kernels reduce them as they arrive.
 
 Operations are pure functions of their arguments and safe for concurrent
 use.
@@ -262,17 +261,20 @@ def jacobi_norms(p, n_max):
     Raises ValueError if a norm lies outside double range (``_NORM_RANGE``).
     """
     a, b = p.alpha, p.beta
-    s = a + b
     n = np.arange(n_max + 1, dtype=float)
+    return _norms_from(p, _lgamma(n + a + 1.0), _lgamma(n + b + 1.0), _lgamma(n + 1.0), _lgamma(n + (a + b) + 1.0))
+
+
+def _norms_from(p, lg_alpha, lg_beta, lg_n, lg_sum):
+    """``jacobi_norms`` of p from its log-Gammas at n + alpha + 1, n + beta +
+    1, n + 1 and n + alpha + beta + 1, n = 0..n_max, which a caller may share
+    between parameters."""
+    a, b = p.alpha, p.beta
+    s = a + b
+    n = np.arange(len(lg_n), dtype=float)
+    n_max = len(n) - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logval = (
-            (s + 1.0) * np.log(2.0)
-            - np.log(2.0 * n + s + 1.0)
-            + _lgamma(n + a + 1.0)
-            + _lgamma(n + b + 1.0)
-            - _lgamma(n + 1.0)
-            - _lgamma(n + s + 1.0)
-        )
+        logval = (s + 1.0) * np.log(2.0) - np.log(2.0 * n + s + 1.0) + lg_alpha + lg_beta - lg_n - lg_sum
         out = np.exp(logval)
     if s + 1.0 < 1e-12:
         out[0] = np.exp((s + 1) * np.log(2.0) + _log_beta(a + 1, b + 1))

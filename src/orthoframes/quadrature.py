@@ -1,12 +1,18 @@
 """Gaussian quadrature rules for the Jacobi, Hermite and Laguerre weights.
 
 Nodes are the eigenvalues of the symmetric tridiagonal matrix of recurrence
-coefficients.  Weights are the Christoffel numbers 1 / sum_k f_k(x)^2 over
-one table of the family's normalized functions f_0..f_{m-1} at the nodes:
-orthonormal Jacobi polynomials, or Hermite and Laguerre functions that carry
-the root of their weight, so no weight underflows before its true value
-does.  The rule keeps that table.  An m-point rule integrates all
-polynomials of degree <= 2m-1 exactly against its weight.
+coefficients (Golub and Welsch, Math. Comp. 1969).  Up to ``_DENSE_MAX`` =
+256 nodes numpy's dense ``eigvalsh`` finds them, and above it scipy's
+``eigh_tridiagonal``.  Both end in LAPACK's ``dsterf`` on the same diagonal
+and squared off-diagonal (reducing a matrix that is already tridiagonal
+takes zero Householder vectors), so either path gives the nodes the same
+bits, and only rules above the cut load scipy.  Weights are the Christoffel
+numbers 1 / sum_k f_k(x)^2 over one table of the family's normalized
+functions f_0..f_{m-1} at the nodes: orthonormal Jacobi polynomials, or
+Hermite and Laguerre functions that carry the root of their weight, so no
+weight underflows before its true value does.  The rule keeps that table.
+An m-point rule integrates all polynomials of degree <= 2m-1 exactly
+against its weight.
 
 Two derived rules serve band-limited function spaces directly: they
 integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
@@ -136,18 +142,36 @@ def _rule_functions(rule, top, x):
     return _PASSES[rule.weight][2](rule.params, top, x)
 
 
+# The largest Jacobi matrix whose eigenvalues come from numpy's dense solver.
+# Up to here the dense O(m^3) solve is small next to the import of
+# scipy.linalg that it saves (about 0.34 s): 0.03, 0.2 and 4.4 ms at m = 8, 64
+# and 256, against 0.04, 0.12 and 1.5 ms for the tridiagonal solver (2 shared
+# vCPUs).  Above it the gap grows as m^3 against m^2 (19 against 5.6 ms at
+# m = 512), and the frames' levels of 1,024 to 4,096 nodes would pay seconds.
+_DENSE_MAX = 256
+
+
+def _eigenvalues(a, b):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal a and
+    off-diagonal b: dense up to ``_DENSE_MAX`` rows, tridiagonal above."""
+    if len(a) <= _DENSE_MAX:
+        # eigvalsh reads the lower triangle
+        return np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1))
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(a, b, eigvals_only=True)
+
+
 def _christoffel_pass(weight, m, *params):
     """(nodes, table, sums, mu0) of the m-point rule of a ``_PASSES`` entry:
     the nodes from the eigenvalues of the Jacobi matrix, the table of the
     normalized functions f_0..f_{m-1} at them, the Christoffel sums
     sum_k f_k(x)^2, taken row by row, and the zeroth moment."""
-    from scipy.linalg import eigh_tridiagonal
-
     m = orthopoly._check_integer(m, 1, math.inf, "node count m must be an integer >= 1")
     coeffs, support, functions = _PASSES[weight]
     a, b, mu0 = coeffs(m, *params)
     try:
-        nodes = support(np.sort(eigh_tridiagonal(a, b, eigvals_only=True)))
+        nodes = support(np.sort(_eigenvalues(a, b)))
     except np.linalg.LinAlgError as err:  # pragma: no cover
         raise RuntimeError("tridiagonal eigensolver failed") from err
     table = functions(params, m - 1, nodes)

@@ -722,7 +722,7 @@ def test_importing_and_assembling_loads_no_scipy_until_a_rule():
         "env = decay.measure_envelope(kernels.KernelInstance('chebyshev', prof, 32), decay.SamplingPlan())\n"
         "loaded = [m for m in ('scipy.interpolate', 'scipy.special', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "rule = quadrature.gauss_rule('hermite', 16)\n"
+        "rule = quadrature.gauss_rule('hermite', 257)\n"
         "assert abs(rule.weights.sum() - 3.141592653589793 ** 0.5) < 1e-13\n"
         "assert 'scipy.linalg' in sys.modules\n"
     )
@@ -744,7 +744,7 @@ def test_envelopes_and_fits_load_no_scipy_and_a_jacobi_rule_only_its_eigensolver
         "    assert decay.fit_bound(env, decay.SubExponential(1.0)).satisfied, family\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
-        "rule = quadrature.gauss_rule('jacobi', 16, alpha=1.0, beta=0.5)\n"
+        "rule = quadrature.gauss_rule('jacobi', 257, alpha=1.0, beta=0.5)\n"
         "assert quadrature.verify_exactness(rule, rule.exactness) < quadrature.EXACTNESS_TOL\n"
         "assert 'scipy.linalg' in sys.modules and 'scipy.special' not in sys.modules\n"
     )
@@ -765,4 +765,29 @@ def test_simplex_kernels_build_no_rule_and_load_no_scipy():
         "    assert abs(kernels.simplex_kernel(prof, 8, kappa, x, y)) < 1e6\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+    )
+
+
+def test_ball_and_simplex_runs_and_rules_up_to_256_nodes_load_no_scipy():
+    # the ball's Gauss-Jacobi rule once loaded scipy.linalg, and the ball and
+    # simplex samplers scipy.special for a normal CDF
+    _run_fresh(
+        "import sys\n"
+        "from orthoframes import cutoff, decay, kernels, quadrature\n"
+        "prof = cutoff.assemble_cutoff(cutoff.CutoffSpec('c'))\n"
+        "cases = [('ball', {'mu': 1.0, 'd': 2}, 8, False), ('ball', {'mu': 0.5, 'd': 3}, 8, True),\n"
+        "         ('simplex', {'kappa': (0.5, 0.5, 0.5)}, 16, False)]\n"
+        "for family, params, n, weighted in cases:\n"
+        "    kernel = kernels.KernelInstance(family, prof, n, params)\n"
+        "    env = decay.measure_envelope(kernel, decay.SamplingPlan(weighted=weighted))\n"
+        "    fit = decay.fit_bound(env, decay.SubExponential(1.0))\n"
+        "    assert fit.satisfied and fit.violations == 0, family\n"
+        "for weight, params in [('jacobi', {'alpha': 0.0, 'beta': 0.0}), ('hermite', {}), ('laguerre', {})]:\n"
+        "    rule = quadrature.gauss_rule(weight, 256, **params)\n"
+        "    assert quadrature.verify_exactness(rule, 40) < quadrature.EXACTNESS_TOL, weight\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "rule = quadrature.gauss_rule('jacobi', 257, alpha=0.0, beta=0.0)\n"
+        "assert quadrature.verify_exactness(rule, 40) < quadrature.EXACTNESS_TOL\n"
+        "assert 'scipy.linalg' in sys.modules and 'scipy.special' not in sys.modules\n"
     )

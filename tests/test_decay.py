@@ -345,6 +345,16 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
                 assert np.array_equal(new[:, :, :count], old.reshape(bins, slices, count, -1))
 
 
+def test_the_ball_and_simplex_samplers_uniforms_are_uniform():
+    # exp(-(g_1^2 + g_2^2) / 2) of two standard normals; 20,000 draws sit
+    # within the Kolmogorov-Smirnov distance that 1% of uniform samples exceed
+    count = 20_000
+    u = np.sort(ke._uniforms(np.random.default_rng(0).standard_normal((count, 2)))[:, 0])
+    assert np.all((u > 0.0) & (u < 1.0))
+    ks = max(np.max(np.arange(1, count + 1) / count - u), np.max(u - np.arange(count) / count))
+    assert ks < 1.628 / math.sqrt(count)
+
+
 @pytest.mark.parametrize(
     "family, params", [("ball", {"mu": 1.5, "d": 2}), ("simplex", {"kappa": (0.5, 1.0)})]
 )

@@ -177,6 +177,16 @@ def test_summation_by_parts_identity(cutoff_c):
                 assert d < 1e-7, (n, a, b, k, d)
 
 
+def test_summation_by_parts_stays_finite_at_large_alpha(cutoff_c):
+    # 2^-(alpha+beta+1) / Gamma(alpha+1) and the Gamma ratios, formed apart,
+    # overflowed at alpha = 1000
+    xs = np.array([-0.8, -0.2, 0.5, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = ke.verify_summation_by_parts(cutoff_c, 16, 1000.0, 0.0, 1, xs)
+    assert math.isfinite(d) and d < 1e-7
+
+
 def test_summation_by_parts_rejects_deep_ladder(cutoff_c):
     with pytest.raises(ValueError):
         ke.verify_summation_by_parts(cutoff_c, 16, 0.0, 0.0, 5, 0.3)

@@ -186,6 +186,20 @@ def test_roundtrip_reconstruction(jacobi_system, rng):
     assert np.abs(rec - ref).max() < 1e-7 * np.abs(ref).max()
 
 
+def test_roundtrip_defect_keeps_the_bits_of_its_two_tables(jacobi_system, hermite_system, laguerre_system):
+    # the reference once tabulated its own rows, a prefix of the synthesis's
+    rng = np.random.default_rng(11)
+    for system in (jacobi_system, hermite_system, laguerre_system):
+        lo, hi = ke.FAMILIES[system.family].frame.roundtrip
+        for size in (1, system.capacity + 1, system.levels[-1].band_hi):
+            coeffs = rng.standard_normal(size)
+            pts = rng.uniform(lo, hi, 50)
+            rec = ne.synthesize(system, ne.analyze(system, coeffs), pts)
+            ref = np.tensordot(coeffs, system.basis_values(np.arange(size), pts), axes=(0, 0))
+            expected = float(np.abs(rec - ref).max()) / max(float(np.abs(ref).max()), 1e-30)
+            assert ne.roundtrip_defect(system, coeffs, pts) == expected
+
+
 def test_synthesize_zero_coefficients(jacobi_system):
     frame = ne.analyze(jacobi_system, np.zeros(3))
     assert ne.synthesize(jacobi_system, frame, 0.3) == 0.0

@@ -193,6 +193,28 @@ def test_function_rules_share_the_plain_rules_nodes():
     assert not np.all(qd.gauss_rule("laguerre", 1024).weights > 0)
 
 
+# every Jacobi matrix of the rules: the Jacobi weights of the needlets and of
+# the ball at mu = 1/2, 1 and 3/2, and the line weights' (the function rules
+# share the Hermite and Laguerre matrices)
+_EIGEN_CASES = [
+    ("jacobi", (0.0, 0.0)), ("jacobi", (2.0, 0.5)), ("jacobi", (-0.9, 3.0)), ("jacobi", (-0.5, -0.5)),
+    ("jacobi", (0.5, 0.5)), ("hermite", ()), ("laguerre", (0.0,)), ("laguerre", (5.0,)),
+]
+
+
+@pytest.mark.parametrize("weight, params", _EIGEN_CASES)
+def test_dense_eigenvalues_keep_the_tridiagonal_solvers_bits(weight, params):
+    # both solvers end in LAPACK's dsterf on the same entries; if a platform's
+    # two LAPACK builds differ, this fails rather than the nodes moving
+    from scipy.linalg import eigh_tridiagonal
+
+    assert {qd._PASSES[w][0] for w in qd._PASSES} == {qd._PASSES[w][0] for w, _ in _EIGEN_CASES}
+    for m in range(1, qd._DENSE_MAX + 1):
+        a, b, _ = qd._PASSES[weight][0](m, *params)
+        dense = np.sort(qd._eigenvalues(a, b))
+        assert np.array_equal(dense, np.sort(eigh_tridiagonal(a, b, eigvals_only=True))), m
+
+
 @pytest.mark.parametrize("weight, table", [
     ("hermite", lambda m, x: op._hermite_fn_values(m - 1, x)),
     ("laguerre", lambda m, x: op._laguerre_core(0.5, m - 1, x)),
