@@ -45,14 +45,20 @@ def _add_cutoff_opts(p):
     p.add_argument("--config", default=None, help="JSON cutoff spec (overrides flags)")
 
 
+# The family options, each the parameter of its name (--dim is d), and the
+# defaults that apply to the families that read them.  d has none: the
+# families that read it need it, or take it from their record.
+_FAMILY_OPTIONS = {"alpha": 0.0, "beta": 0.0, "mu": 1.0, "d": None, "kappa": (0.5, 0.5)}
+
+
 def _add_family_opts(p, n):
     p.add_argument("--family", default="chebyshev")
     p.add_argument("--n", type=int, default=n)
-    p.add_argument("--alpha", type=_numbers, default=0.0, help="one value, or one per axis: 0,1")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--kappa", default="0.5,0.5")
+    p.add_argument("--alpha", type=_numbers, help="one value, or one per axis: 0,1 (default 0)")
+    p.add_argument("--beta", type=float, help="default 0")
+    p.add_argument("--mu", type=float, help="default 1")
+    p.add_argument("--dim", dest="d", type=int)
+    p.add_argument("--kappa", type=_numbers, help="default 0.5,0.5")
 
 
 def _resolve_cutoff(args):
@@ -63,18 +69,18 @@ def _resolve_cutoff(args):
     return _cutoff_from_args(args)
 
 
-def _params_from_args(args, names):
-    """The family parameters ``names``, read from the options of that name."""
-    params = {name: getattr(args, "dim" if name == "d" else name) for name in names}
-    if "kappa" in params:
-        params["kappa"] = tuple(float(v) for v in params["kappa"].split(","))
-    return params
+def _params_from_args(args):
+    """The family parameters: every family option given, and the default of
+    each one not given that the family reads.  The family refuses a given
+    option it does not read."""
+    read = kernels.FAMILIES[args.family].params if args.family in kernels.FAMILIES else ()
+    given = {name: getattr(args, name, None) for name in _FAMILY_OPTIONS}
+    params = {name: v for name, v in _FAMILY_OPTIONS.items() if name in read and v is not None}
+    return params | {name: v for name, v in given.items() if v is not None}
 
 
 def _kernel_from_args(args, cut):
-    spec = kernels.FAMILIES.get(args.family)
-    params = _params_from_args(args, spec.params if spec else ())
-    return kernels.KernelInstance(args.family, cut, args.n, params)
+    return kernels.KernelInstance(args.family, cut, args.n, _params_from_args(args))
 
 
 def _positive_int(text):
@@ -128,6 +134,8 @@ def cmd_kernel(args):
     kernel = _kernel_from_args(args, cut)
     out = _outdir(args)
     if args.action == "eval":
+        if kernels.FAMILIES[args.family].scalar(kernel.params) and (np.ndim(args.x) or np.ndim(args.y)):
+            raise ValueError(f"kernel eval takes one pair: {args.family} points have 1 coordinate")
         val = kernel(args.x, args.y)
         rho = kernel.distance(args.x, args.y)
         print(f"kernel eval: {args.family} n={args.n} rho={rho:.6g} value={val:.12g}")
@@ -184,15 +192,9 @@ def cmd_quad(args):
     return 0 if err < tol else 1
 
 
-def _system_from_args(args, cut):
-    # a frame lives on the line, so it reads every family parameter but d
-    names = [name for name in kernels.FAMILIES[args.family].params if name != "d"]
-    return needlets.build_needlet_system(args.family, _params_from_args(args, names), cut, args.jmax)
-
-
 def cmd_needlet(args):
     cut = _resolve_cutoff(args)
-    system = _system_from_args(args, cut)
+    system = needlets.build_needlet_system(args.family, _params_from_args(args), cut, args.jmax)
     out = _outdir(args)
     if args.action == "build":
         path = os.path.join(out, f"needlet_{args.family}.json")
@@ -325,8 +327,8 @@ def build_parser():
     p = sub.add_parser("needlet", help="build frames, verify tightness")
     p.add_argument("action", choices=("build", "parseval", "roundtrip"))
     p.add_argument("--family", default="jacobi", choices=needlets._FAMILIES)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, help="default 0")
+    p.add_argument("--beta", type=float, help="default 0")
     p.add_argument("--jmax", type=int, default=5)
     p.add_argument("--trials", type=_positive_int, default=20)
     _add_cutoff_opts(p)

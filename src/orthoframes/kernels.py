@@ -542,7 +542,7 @@ def _block(axes, m, x, y):
 
 
 def _hermite_check(p, *points):
-    d = p.get("d", 1)
+    d = p["d"]
     if d not in (1, 2, 3):
         raise ValueError("hermite kernel supports d in {1, 2, 3}")
     return _finite_check(p, *(_check_dimension(d, *points) if d > 1 else points))
@@ -569,12 +569,13 @@ def hermite_block(j, x, y, d):
 
 
 def _laguerre_check(p, *points):
-    d = p.get("d", 1)
+    d = p["d"]
     if d not in (1, 2):
         raise ValueError("laguerre kernel supports d in {1, 2}")
-    alpha = np.atleast_1d(np.asarray(p.get("alpha", 0.0), dtype=float))
+    alpha = np.atleast_1d(np.asarray(p["alpha"], dtype=float))
     orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha components must be >= 0")
-    if d > 1 and len(alpha) != d:
+    # the axes are alpha's components, so a d given beside alpha must agree
+    if len(alpha) != d:
         raise ValueError(f"alpha must have one component per axis (d = {d})")
     points = _check_dimension(d, *points) if d > 1 else points
     return _domain(points, np.negative, "points must be nonnegative")
@@ -721,15 +722,23 @@ def distance(family, x, y):
 
 
 def _check_params(family, p, *points, exempt=()):
-    """The ``points`` as (..., dim) arrays checked by the family's ``check``;
-    raise ValueError naming a required parameter missing from ``p`` (other
-    than those ``exempt``), or parameters or points that the check rejects."""
-    spec = FAMILIES[family]
-    missing = [name for name in spec.params if name not in p and name not in exempt + spec.defaults]
+    """The one door to a family's inputs: ``p`` with the family's defaults
+    filled in, and the ``points`` as (..., dim) arrays checked by its
+    ``check``.  Raise ValueError naming the parameters of ``p`` the family
+    does not read, those it needs that ``p`` lacks (other than those
+    ``exempt``), or parameters or points that the check rejects."""
+    spec = _family(family)
+    unread = [name for name in p if name not in spec.params]
+    if unread:
+        raise ValueError(f"{family} kernels do not read the parameter(s) {', '.join(unread)}")
+    p = dict(p)
+    for name, value in spec.defaults.items():
+        p.setdefault(name, value(p) if callable(value) else value)
+    missing = [name for name in spec.params if name not in p and name not in exempt]
     if missing:
         raise ValueError(f"{family} kernels need the parameter(s) {', '.join(missing)}")
     points = [_as_points(spec, p, v) for v in points]
-    return points if spec.check is None else spec.check(p, *points)
+    return p, (points if spec.check is None else spec.check(p, *points))
 
 
 def _weight(family, n, x, p):
@@ -738,7 +747,7 @@ def _weight(family, n, x, p):
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
     # a weight reads the dimension off its points
-    (x,) = _check_params(family, p, x, exempt=("d",))
+    p, (x,) = _check_params(family, p, x, exempt=("d",))
     out = spec.weight(n, x, p)
     return out if out.ndim else float(out)
 
@@ -848,7 +857,7 @@ def _sphere_pairs(k, edges, count, seed):
 
 
 def _line_pairs(k, edges, count, seed, half_line):
-    d = k.params.get("d", 1)
+    d = k.params["d"]
     if d != 1:
         raise ValueError(f"{k.family} envelopes sample d = 1 only, got d = {d}")
     r = FAMILIES[k.family].diameter(k.n, k.params)
@@ -959,7 +968,7 @@ def _power_scale(dim):
 
 def _root_scale(n, p):
     """Hermite and Laguerre kernels localize at the scale sqrt(n)."""
-    return math.sqrt(n), float(n) ** (p.get("d", 1) / 2.0)
+    return math.sqrt(n), float(n) ** (p["d"] / 2.0)
 
 
 def _sphere_check(p, *points):
@@ -980,10 +989,6 @@ def _sphere_cosine(d, x, y):
 
 def _unit_weight(n, x, p):
     return np.ones(x.shape[:-1])
-
-
-def _one_dimensional(p):
-    return p.get("d", 1) == 1 and np.size(p.get("alpha", 0.0)) == 1
 
 
 # the profile geometries of a ``Frame``; angle offsets end at the farther end from xi
@@ -1019,10 +1024,12 @@ class Family:
     ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
     (None: none), the bounds' (scale, prefactor), the envelope ``diameter``
     and the needlet ``frame`` (None: none).
-    ``params`` names the parameters read, all required but the ``defaults``;
-    ``check(p, *points)``, the check the family's kernel runs, rejects the
-    values given that do not fit and points (..., dim) of another dimension
-    or farther than ``_ROUND_OFF`` outside the domain, and returns the points.
+    ``params`` names the parameters read, all required but those with
+    ``defaults``, each a value or a function of the parameters filled before
+    it; ``check(p, *points)``, the check the family's kernel runs, rejects
+    the values given that do not fit and points (..., dim) of another
+    dimension or farther than ``_ROUND_OFF`` outside the domain, and returns
+    the points.  ``_check_params`` fills, names and checks them all.
     """
 
     distance: object
@@ -1033,7 +1040,7 @@ class Family:
     scale: object = _power_scale(lambda p: 1)
     diameter: object = lambda n, p: np.pi
     params: tuple = ()
-    defaults: tuple = ()
+    defaults: dict = field(default_factory=dict)
     check: object = None
     frame: object = None
 
@@ -1104,27 +1111,23 @@ FAMILIES = {
     ),
     "hermite": Family(
         _sup_distance,
-        values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params.get("d", 1)),
+        values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params["d"]),
         sample=partial(_line_pairs, half_line=False),
-        scalar=_one_dimensional, weight=_unit_weight, scale=_root_scale,
+        scalar=lambda p: p["d"] == 1, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
-        params=("d",), defaults=("d",), check=_hermite_check,
+        params=("d",), defaults={"d": 1}, check=_hermite_check,
         frame=Frame(
             lambda p, m: quadrature.hermite_function_rule(m), 4.0, np.sqrt, partial(_line_profile, -np.inf), (-3, 3)
         ),
     ),
     "laguerre": Family(
         _sup_distance,
-        values=lambda k, x, y: laguerre_kernel(
-            k.cutoff, k.n, k.params.get("alpha", 0.0), x, y, d=k.params.get("d", 1)
-        ),
+        values=lambda k, x, y: laguerre_kernel(k.cutoff, k.n, k.params["alpha"], x, y, d=k.params["d"]),
         sample=partial(_line_pairs, half_line=True),
-        scalar=_one_dimensional, scale=_root_scale,
-        diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p.get("alpha", 0.0))) + 3.0),
-        weight=lambda n, x, p: np.prod(
-            (x + n**-0.5) ** (2.0 * np.asarray(p.get("alpha", 0.0), dtype=float) + 1.0), axis=-1
-        ),
-        params=("alpha", "d"), defaults=("alpha", "d"), check=_laguerre_check,
+        scalar=lambda p: p["d"] == 1, scale=_root_scale,
+        diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p["alpha"])) + 3.0),
+        weight=lambda n, x, p: np.prod((x + n**-0.5) ** (2.0 * np.asarray(p["alpha"], dtype=float) + 1.0), axis=-1),
+        params=("alpha", "d"), defaults={"alpha": 0.0, "d": lambda p: np.size(p["alpha"])}, check=_laguerre_check,
         frame=Frame(
             lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
             4.0, np.sqrt, partial(_line_profile, 0.0), (0.05, 3),
@@ -1151,7 +1154,8 @@ class KernelInstance:
     """An evaluable localized kernel: family tag, cutoff, level, parameters.
 
     ``params`` carries the family-specific entries (alpha, beta, d, mu,
-    kappa).  Instances are immutable in use; evaluation is reentrant.
+    kappa), the family's defaults filled in when the instance is built.
+    Instances are immutable in use; evaluation is reentrant.
     """
 
     family: str
@@ -1163,7 +1167,7 @@ class KernelInstance:
         spec = FAMILIES.get(self.family)
         if spec is None or spec.values is None:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        _check_params(self.family, self.params)
+        self.params, _ = _check_params(self.family, self.params)
         _check_level(self.n)
 
     def __call__(self, x, y):
@@ -1176,7 +1180,7 @@ class KernelInstance:
         return np.asarray(FAMILIES[self.family].values(self, xs, ys), dtype=float)
 
     def distance(self, x, y):
-        return distance(self.family, *_check_params(self.family, self.params, x, y))
+        return distance(self.family, *_check_params(self.family, self.params, x, y)[1])
 
     def weight(self, x):
         return _weight(self.family, self.n, x, self.params)

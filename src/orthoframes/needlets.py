@@ -131,7 +131,9 @@ def build_needlet_system(family, params, cutoff, j_max):
     """Construct a tight needlet frame.
 
     family   one of the families with a frame record, ``_FAMILIES``; params
-             its parameters (Jacobi alpha, beta; Laguerre alpha >= 0)
+             its parameters (Jacobi alpha, beta; Laguerre alpha >= 0,
+             default 0), checked as a kernel's are; a frame lives on the
+             line, and records every parameter but d
     cutoff   a kind-"c" cutoff function (tightness relies on its quadratic
              partition identity)
     j_max    top level; at most 7 at desk scale
@@ -141,8 +143,10 @@ def build_needlet_system(family, params, cutoff, j_max):
     j_max = orthopoly._check_integer(j_max, 0, 7, "j_max must be an integer in 0..7")
     if cutoff.spec.kind != "c":
         raise ValueError("needlet construction requires a TypeC cutoff")
-    params = dict(params or {})
-    kernels.FAMILIES[family].check(params)
+    params, _ = kernels._check_params(family, params or {})
+    if not kernels.FAMILIES[family].scalar(params):
+        raise ValueError(f"{family} frames live on the line (d = 1), got d = {params['d']}")
+    params = {name: value for name, value in params.items() if name != "d"}
     frame = kernels.FAMILIES[family].frame
     levels = []
     for j in range(j_max + 1):
@@ -199,28 +203,22 @@ def _project_callable(system, f, degree, meta):
     return rule.table[:top] @ (rule.weights * vals)
 
 
-def synthesize(system, coefficients, x):
-    """Pointwise frame reconstruction sum over all levels and nodes."""
+def _spectral(system, coefficients):
+    """The spectral coefficients, degrees 0 .. top - 1, of the frame expansion
+    with the given frame coefficients."""
     if coefficients.token != system.token():
         raise ValueError("coefficients come from an incompatible system")
-    top = system.levels[-1].band_hi
-    spectral = np.zeros(top)
+    spectral = np.zeros(system.levels[-1].band_hi)
     for lvl, c in zip(system.levels, coefficients.levels):
         spectral[lvl.band_lo : lvl.band_hi] += lvl.needlet_matrix.T @ c
-    vals = system.basis_values(np.arange(top), x)
-    out = np.tensordot(spectral, vals, axes=(0, 0))
+    return spectral
+
+
+def synthesize(system, coefficients, x):
+    """Pointwise frame reconstruction sum over all levels and nodes."""
+    spectral = _spectral(system, coefficients)
+    out = np.tensordot(spectral, system.basis_values(np.arange(len(spectral)), x), axes=(0, 0))
     return out if out.ndim else float(out)
-
-
-@dataclass
-class _Tabulated(NeedletSystem):
-    """A system whose basis values at one set of points are rows of a table
-    already built there."""
-
-    table: np.ndarray = None
-
-    def basis_values(self, degrees, x):
-        return self.table[degrees]
 
 
 def parseval_check(system, f, f_degree=None):
@@ -248,11 +246,12 @@ def parseval_check(system, f, f_degree=None):
 def roundtrip_defect(system, coeffs, x):
     """max |synthesis of the analysis - f| at the points x over max |f| there
     (floored at 1e-30), f with spectral coefficients ``coeffs``.  One basis
-    table serves both: f reads the first rows of the synthesis table, since
-    the analysis accepts no degree past it."""
+    table serves both: the synthesis contracts it with the spectral
+    coefficients of the analysis, and f reads its first rows, since the
+    analysis accepts no degree past it."""
     frame = analyze(system, coeffs)
     vals = system.basis_values(np.arange(system.levels[-1].band_hi), x)
-    rec = synthesize(_Tabulated(**vars(system), table=vals), frame, x)
+    rec = np.tensordot(_spectral(system, frame), vals, axes=(0, 0))
     ref = np.tensordot(coeffs, vals[: len(coeffs)], axes=(0, 0))
     return float(np.abs(rec - ref).max()) / max(float(np.abs(ref).max()), 1e-30)
 
@@ -305,8 +304,10 @@ def needlet_decay_profile(system, j, xi_index):
     """
     lvl = system.levels[j]
     xi = float(lvl.nodes[xi_index])
-    diameter, sample = kernels.FAMILIES[system.family].frame.profile(xi, lvl.n_j)
-    scale, prefactor = kernels.FAMILIES[system.family].scale(lvl.n_j, system.params)
+    spec = kernels.FAMILIES[system.family]
+    diameter, sample = spec.frame.profile(xi, lvl.n_j)
+    # the system records no d, which the door fills in
+    scale, prefactor = spec.scale(lvl.n_j, kernels._check_params(system.family, system.params)[0])
     edges = np.linspace(0.0, diameter, _PROFILE_BINS + 1)
     lo, hi = edges[:-1], edges[1:]
     offsets = np.linspace(lo, hi, _PROFILE_OFFSETS, axis=1)

@@ -98,6 +98,9 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if np.ndim(value):
+                raise ValueError(f"jacobi parameter {name} must be one number, got {value}")
         _check_values(
             (self.alpha, self.beta), lambda v: v > -1.0, "jacobi parameters must satisfy alpha, beta > -1"
         )
@@ -221,8 +224,7 @@ def _jacobi_values(alpha, beta, n_max, x):
 def jacobi_all(p, n_max, x):
     """Jacobi polynomials P_0..P_{n_max} at x in the traditional
     normalization P_n(1) = binom(n + alpha, n)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _check_integer(n_max, 0, math.inf, "n_max must be an integer >= 0")
     x = np.asarray(x, dtype=float)
     _check_values(x, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
     vals = _jacobi_values(p.alpha, p.beta, n_max, x)
@@ -236,8 +238,7 @@ def jacobi_norm(p, n):
     value is the Beta integral of the weight itself (see jacobi_norms); that
     case is flagged with a warning.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _check_integer(n, 0, math.inf, "degree must be an integer >= 0")
     if n == 0 and abs(p.alpha + p.beta + 1.0) < 1e-12:
         warnings.warn(
             "norm formula is degenerate at n=0 for alpha+beta=-1; "
@@ -324,8 +325,7 @@ def gegenbauer_all(lam, n_max, t):
     """
     _check_values(lam, lambda v: v > 0.0, "gegenbauer parameter must be positive")
     _check_size(lam, "gegenbauer parameter")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _check_integer(n_max, 0, math.inf, "n_max must be an integer >= 0")
     t = np.asarray(t, dtype=float)
     _check_values(t, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
     base = _jacobi_values(lam - 0.5, lam - 0.5, n_max, t)
@@ -387,8 +387,7 @@ def hermite_fn_all(n_max, t):
     The recurrence carries exp(-t^2/2) in its initial values; a value is 0
     only where its true size lies below double range.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _check_integer(n_max, 0, math.inf, "n_max must be an integer >= 0")
     t = np.asarray(t, dtype=float)
     _check_values(t, np.isfinite, "evaluation points must be finite")
     return OrthoValueTable("hermite_fn", (), n_max, t, _hermite_fn_values(n_max, t))
@@ -469,8 +468,7 @@ def laguerre_fn_all(alpha, n_max, t, which="F"):
     which = "M": sqrt(2t) * L-type at t^2, orthonormal in L2(R_+).
     """
     _check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0 for the Laguerre function families")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _check_integer(n_max, 0, math.inf, "n_max must be an integer >= 0")
     if which not in ("F", "L", "M"):
         raise ValueError("which must be 'F', 'L', or 'M'")
     t = np.asarray(t, dtype=float)
@@ -511,8 +509,9 @@ def check_laguerre_bound(alpha, n_max, t_points=600):
     Valid for -1/2 <= alpha <= n; degrees below ceil(alpha) are skipped so
     the precondition holds for every reported constant.
     """
-    if alpha < -0.5:
-        raise ValueError("alpha must be >= -1/2")
+    _check_values(alpha, lambda v: v >= -0.5, "alpha must be >= -1/2")
+    n_max = _check_integer(n_max, 0, math.inf, "n_max must be an integer >= 0")
+    t_points = _check_integer(t_points, 1, math.inf, "t_points must be an integer >= 1")
     n_lo = max(1, int(np.ceil(alpha)))
     if n_max < n_lo:
         raise ValueError("n_max too small for this alpha")

@@ -93,10 +93,67 @@ def test_laguerre_kernel_at_d_2_evaluates_one_alpha_per_axis(tmp_path):
     assert record["value"] == float(value) and record["descriptor"]["alpha"] == [0.5, 1.0]
 
 
+def test_laguerre_alpha_per_axis_alone_gives_the_2d_kernel(tmp_path):
+    # --alpha 0,1 once fitted or evaluated the 1-d alpha = 0 kernel
+    args = ["kernel", "eval", "--family", "laguerre", "--alpha", "0,1", "--x", "0.5,0.2", "--y", "0.1,0.3"]
+    assert run(args + FAST + ["--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "kernel_eval.json").read_text())
+    cut = cutoff.assemble_cutoff(cutoff.CutoffSpec("c", m_max=512, grid_points=4096))
+    value = kernels.laguerre_kernel(cut, 32, (0.0, 1.0), [0.5, 0.2], [0.1, 0.3], d=2)
+    assert record["value"] == float(value)
+    assert record["descriptor"]["d"] == 2 and record["descriptor"]["alpha"] == [0.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--x", "0.5", "--y", "0.2"], "sphere dimension d must be >= 2"),
+        (["decay", "fit", "--family", "laguerre", "--alpha", "0,1", "--n", "16"],
+         "laguerre envelopes sample d = 1 only, got d = 2"),
+        (["decay", "fit", "--family", "simplex", "--dim", "2", "--n", "16"],
+         "simplex kernels do not read the parameter(s) d"),
+        (["kernel", "eval", "--family", "chebyshev", "--dim", "3"], "chebyshev kernels do not read the parameter(s) d"),
+        (["kernel", "eval", "--family", "hermite", "--alpha", "1"], "hermite kernels do not read the parameter(s) alpha"),
+        (["kernel", "eval", "--family", "chebyshev", "--x", "0.5,0.25", "--y", "0.1,0.3"],
+         "kernel eval takes one pair: chebyshev points have 1 coordinate"),
+        (["kernel", "eval", "--family", "ball", "--x", "0.1,0.2", "--y=0,0.1"], "ball kernels need the parameter(s) d"),
+        (["kernel", "eval", "--family", "jacobi", "--alpha", "0,1"], "jacobi parameter alpha must be one number"),
+        (["needlet", "build", "--family", "hermite", "--alpha", "1"], "hermite kernels do not read the parameter(s) alpha"),
+        (["needlet", "build", "--family", "laguerre", "--alpha", "-1"], "alpha components must be >= 0"),
+    ],
+)
+def test_family_options_are_read_by_the_family_or_refused(tmp_path, capsys, args, message):
+    # the first two once ran on d = 1, and a pair of 2-coordinate Chebyshev
+    # points ended in a TypeError traceback with exit 1
+    assert run(args + FAST + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("*.*"))
+
+
+# one point of each width, inside every domain that has points of that width
+_POINT_OF_WIDTH = {1: ("1", "0"), 2: ("1,0", "0,1"), 3: ("1,0,0", "0,0,1")}
+
+
+@pytest.mark.parametrize("family", sorted(kernels.FAMILIES))
+def test_kernel_eval_exits_0_or_2_at_every_dimension_and_point_width(tmp_path, capsys, family):
+    # an exception other than a usage error would leave run() uncaught
+    for dim in (None, 1, 2, 3):
+        for width, (x, y) in _POINT_OF_WIDTH.items():
+            out = tmp_path / f"{dim}-{width}"
+            args = ["kernel", "eval", "--family", family, "--n", "4", "--x", x, "--y", y] + FAST + ["--out", str(out)]
+            code = run(args + ([] if dim is None else ["--dim", str(dim)]))
+            assert code in (0, 2), (dim, width)
+            if code == 0:
+                assert isinstance(json.loads((out / "kernel_eval.json").read_text())["value"], float)
+            else:
+                assert not (out / "kernel_eval.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--dim", "1", "--x", "0.5", "--y", "0.2"], "sphere dimension d must be >= 2"),
         (["--dim", "2", "--x", "0.5", "--y", "0.2"], "points must have dimension d + 1 = 3"),
         (["--dim", "2", "--x", "1,0,0", "--y", "0,1"], "points must have dimension d + 1 = 3"),
         # once read rho = 1.318 between two equal points off the sphere
@@ -261,7 +318,7 @@ def test_needlet_subcommands(tmp_path):
 def test_needlet_nonfinite_defect_fails(tmp_path, capsys, monkeypatch, action):
     # a trial whose defect is NaN must be reported as nan and fail the verdict
     monkeypatch.setattr(needlets, "parseval_check", lambda system, coeffs: math.nan)
-    monkeypatch.setattr(needlets, "synthesize", lambda system, frame, x: np.full(len(x), math.nan))
+    monkeypatch.setattr(needlets, "roundtrip_defect", lambda system, coeffs, x: math.nan)
     out = str(tmp_path / "o")
     args = ["--family", "jacobi", "--jmax", "3", "--trials", "2"] + FAST + ["--out", out]
     assert run(["needlet", action] + args) == 1

@@ -1097,6 +1097,42 @@ def test_kernel_instance_names_missing_parameter(cutoff_c, family, params, missi
         ke.KernelInstance(family, cutoff_c, 8, params)
 
 
+@pytest.mark.parametrize(
+    "family, params, unread",
+    [
+        ("chebyshev", {"d": 1}, "d"),
+        ("simplex", {"kappa": (0.5, 0.5), "d": 2}, "d"),
+        ("hermite", {"alpha": 1.0}, "alpha"),
+        ("jacobi", {"alpha": 0.0, "beta": 0.0, "mu": 1.0}, "mu"),
+    ],
+)
+def test_kernel_instance_refuses_parameters_its_family_does_not_read(cutoff_c, family, params, unread):
+    # the simplex once took d = 2 beside a kappa of the 1-simplex and ran at d = 1
+    with pytest.raises(ValueError, match=f"{family} kernels do not read the parameter\\(s\\) {unread}$"):
+        ke.KernelInstance(family, cutoff_c, 8, params)
+    with pytest.raises(ValueError, match=r"do not read the parameter\(s\) mu$"):
+        ke.weight_factor(family, 8, 0.5, mu=1.0)
+
+
+def test_laguerre_reads_its_dimension_off_alpha(cutoff_c):
+    # laguerre_kernel(cut, 16, (0, 1), 0.5, 0.25) once returned the alpha = 0 value
+    with pytest.raises(ValueError, match=r"alpha must have one component per axis \(d = 1\)"):
+        ke.laguerre_kernel(cutoff_c, 16, (0.0, 1.0), 0.5, 0.25)
+    with pytest.raises(ValueError, match=r"alpha must have one component per axis \(d = 1\)"):
+        ke.KernelInstance("laguerre", cutoff_c, 16, {"alpha": (0.0, 1.0), "d": 1})
+    x, y = [0.5, 0.2], [0.1, 0.3]
+    for params in ({"alpha": (0.0, 1.0)}, {"alpha": (0.0, 1.0), "d": 2}):
+        k = ke.KernelInstance("laguerre", cutoff_c, 16, params)
+        assert k.params == {"alpha": (0.0, 1.0), "d": 2}
+        assert k(x, y) == ke.laguerre_kernel(cutoff_c, 16, (0.0, 1.0), x, y, d=2)
+    assert ke.weight_factor("laguerre", 16, x, alpha=(0.0, 1.0)) == k.weight(x)
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        ke.weight_factor("laguerre", 4, 0.5, alpha=(0.0, 1.0))
+    # the defaults are filled in, and kept, once
+    assert ke.KernelInstance("laguerre", cutoff_c, 16).params == {"alpha": 0.0, "d": 1}
+    assert ke.KernelInstance("hermite", cutoff_c, 16).params == {"d": 1}
+
+
 def test_sphere_points_must_have_dimension_d_plus_1(cutoff_c):
     k = ke.KernelInstance("sphere", cutoff_c, 8, {"d": 2})
     for x, y in [(0.5, 0.2), ([1.0, 0.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [0.0, 1.0]),
@@ -1169,6 +1205,9 @@ def test_weight_factor_names_missing_parameter():
         ("simplex", {"kappa": (0.5, 0.5, -math.inf)}, r"kappa must be a nonnegative vector .*\(got nan or inf\)"),
         ("sphere", {"d": math.nan}, r"sphere dimension d must be >= 2 \(got nan or inf\)"),
         ("ball", {"mu": 1.0, "d": math.inf}, r"ball dimension d must be >= 2 \(got nan or inf\)"),
+        # alpha = (0, 1) once met numpy's "inhomogeneous shape" error
+        ("jacobi", {"alpha": (0.0, 1.0), "beta": 0.0}, r"jacobi parameter alpha must be one number, got \(0\.0, 1\.0\)"),
+        ("jacobi", {"alpha": 0.0, "beta": [0.5]}, "jacobi parameter beta must be one number"),
     ],
 )
 def test_kernel_instance_rejects_parameters_that_do_not_fit(cutoff_c, family, params, message):

@@ -366,7 +366,33 @@ def test_frame_roundtrip_intervals_lie_in_their_family_domain(family):
     params = {name: 0.0 for name in spec.params if name != "d"}
     lo, hi = spec.frame.roundtrip
     assert lo < hi
-    spec.check(params, np.array([lo]), np.array([hi]))
+    ke._check_params(family, params, np.array([lo]), np.array([hi]))
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("jacobi", {}, r"jacobi kernels need the parameter\(s\) alpha, beta"),
+        ("jacobi", {"alpha": 0.0, "beta": 0.0, "d": 1}, r"jacobi kernels do not read the parameter\(s\) d"),
+        ("hermite", {"alpha": 0.0}, r"hermite kernels do not read the parameter\(s\) alpha"),
+        ("hermite", {"d": 2}, r"hermite frames live on the line \(d = 1\), got d = 2"),
+        ("laguerre", {"alpha": (0.0, 1.0)}, r"laguerre frames live on the line \(d = 1\), got d = 2"),
+        ("laguerre", {"alpha": -1.0}, "alpha components must be >= 0"),
+    ],
+)
+def test_frames_take_their_parameters_through_the_kernels_check(cutoff_c, family, params, message):
+    # {} once raised KeyError: 'alpha', Laguerre alpha = (0, 1) a numpy
+    # broadcast error, and Hermite d = 2 built a 1-d frame recording d = 2
+    with pytest.raises(ValueError, match=message):
+        ne.build_needlet_system(family, params, cutoff_c, 2)
+
+
+def test_frames_fill_their_family_defaults_and_record_no_d(cutoff_c):
+    laguerre = ne.build_needlet_system("laguerre", {}, cutoff_c, 3)
+    assert laguerre.params == {"alpha": 0.0}
+    given = ne.build_needlet_system("laguerre", {"alpha": 0.0, "d": 1}, cutoff_c, 3)
+    assert ne.frame_to_json(given) == ne.frame_to_json(laguerre)
+    assert ne.build_needlet_system("hermite", {"d": 1}, cutoff_c, 3).params == {}
 
 
 @pytest.fixture(

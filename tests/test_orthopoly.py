@@ -281,6 +281,30 @@ def test_laguerre_bound_preconditions():
         op.check_laguerre_bound(5.0, 3)
 
 
+_ORDERED = {
+    "jacobi_all": lambda v: op.jacobi_all(op.JacobiParams(0.0, 0.0), v, 0.2),
+    "jacobi_norm": lambda v: op.jacobi_norm(op.JacobiParams(0.5, 0.0), v),
+    "gegenbauer_all": lambda v: op.gegenbauer_all(1.5, v, 0.2),
+    "hermite_fn_all": lambda v: op.hermite_fn_all(v, 0.2),
+    "laguerre_fn_all": lambda v: op.laguerre_fn_all(0.5, v, 0.2),
+    "check_laguerre_bound-n_max": lambda v: op.check_laguerre_bound(0.0, v),
+    "check_laguerre_bound-t_points": lambda v: op.check_laguerre_bound(0.0, 4, t_points=v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, -1, math.inf], ids=["2.5", "nan", "-1", "inf"])
+@pytest.mark.parametrize("entry", sorted(_ORDERED))
+def test_public_entry_points_refuse_orders_that_are_not_whole_numbers(entry, bad):
+    # an order of 2.5 once raised TypeError or IndexError, and
+    # check_laguerre_bound(nan, 8) numpy's "cannot convert float NaN to integer"
+    _ORDERED[entry](3)
+    with pytest.raises(ValueError, match="must be an integer >= "):
+        _ORDERED[entry](bad)
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError, match=r"alpha must be >= -1/2 \(got nan or inf\)"):
+            op.check_laguerre_bound(bad, 8)
+
+
 def _decimal_rows(seed, lift, step, n_max):
     """Rows 0..n_max of a three-term recurrence in 60-digit decimals."""
     with localcontext() as ctx:
