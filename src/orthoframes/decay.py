@@ -125,13 +125,14 @@ def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
     Deterministic for a fixed plan seed: one call of the family's sampler in
-    ``kernels.FAMILIES`` draws the pairs of every bin in a few groups, and
-    each group is evaluated in one ``pair_values`` call (and, weighted, one
+    ``kernels.FAMILIES`` draws the pairs of every bin in one group, each pair
+    with its bin (-1 for a pair outside them all, which is left out), and the
+    group is evaluated in one ``pair_values`` call (and, weighted, one
     ``weight`` call per side), never bin by bin.  The interval families'
-    end slices, whose pairs all end at the upper end or start at the lower
-    one, pass that end once, so the kernel recurs it once and each pair keeps
-    the bits of its broadcast.  Weighted plans need a family with a bound
-    weight.
+    group is a block of 16 x 16 cells and windows: each point's rows are
+    formed once, and each cell's 256 values are one tile product.  A pair
+    keeps its bits in any block, so the envelope equals the one evaluated
+    bin by bin.  Weighted plans need a family with a bound weight.
     """
     plan = plan or SamplingPlan()
     n_bins, pairs_per_bin = plan.validate()
@@ -148,11 +149,10 @@ def measure_envelope(kernel, plan=None):
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, n_bins)])
     groups = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
-    vals = [_pair_magnitudes(kernel, xs, ys, plan.weighted) for xs, ys, _ in groups]
-    bins = [np.repeat(np.arange(n_bins), counts) for _, _, counts in groups]
-    return _binned(
-        kernel.family, kernel.n, edges, np.concatenate(bins), np.concatenate(vals), scale, prefactor, plan.weighted
-    )
+    vals = np.concatenate([_pair_magnitudes(kernel, xs, ys, plan.weighted).ravel() for xs, ys, _ in groups])
+    bins = np.concatenate([np.ravel(b) for _, _, b in groups])
+    keep = bins >= 0
+    return _binned(kernel.family, kernel.n, edges, bins[keep], vals[keep], scale, prefactor, plan.weighted)
 
 
 def _binned(family, n, edges, bins, magnitudes, scale, prefactor, weighted=False):

@@ -7,12 +7,14 @@ estimation is ever needed.  The one-dimensional, zonal and simplex sums
 stream (``_series``): the points go in blocks of at most ``_SERIES_BLOCK`` = 2^15
 (2^14 pairs), small enough for a block's buffers to stay in a core's L2
 cache, and one recurrence runs over each block, each row reduced as it
-arrives.  A point that all the pairs share is recurred once per block, not
-once per pair: the decay envelopes' end slices, whose pairs all end at the
-upper end of the interval or start at its lower end, pass that end once.
-Every step is elementwise in the points, so the values are bit-identical to
-one pass over all of them, a shared point's pairs to its broadcast; memory
-is O(block) for the buffers plus O(pairs) for the result, at any n.  The product
+arrives.  Every step is elementwise in the points, so the values are
+bit-identical to one pass over all of them; memory is O(block) for the
+buffers plus O(pairs) for the result, at any n.  Blocks of pairs, x of shape
+(..., m, 1) against y of shape (..., 1, m'), such as the decay envelopes'
+cells, form each point's rows once instead (``_block_series``): the rows fill
+a table in chunks of 16, and each chunk adds one 16 x 16 tile product per
+tile pair, every side padded to whole tiles, so a pair keeps its bits at
+any position, block size and fill.  The product
 bases (Hermite on R^d, Laguerre on R^d_+, the 2-d tensor bases) sum blocks
 of equal total degree: one contraction (``_contract``) folds one table per
 axis into those blocks over whole arrays of pairs.  The ball integrates
@@ -24,7 +26,7 @@ Kernel evaluation is pure; instances are safe to evaluate concurrently.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,29 +123,24 @@ def _series(rows, coeff, x, y=None):
     memory beside the O(points) result.
 
     ``rows(top, t, consume)`` is an ``orthopoly`` row source of the functions
-    f_nu.  The points go in blocks of at most ``_SERIES_BLOCK``: one
-    recurrence runs over each block's points [x, y], and each row is reduced
-    into the block's slice of the result as it arrives; rows past the last
-    nonzero coefficient are not formed and the others with a zero coefficient
-    are skipped.  A point that every pair shares (``x`` or ``y`` of size 1)
-    is not broadcast: it joins each block as one extra point, so its
-    recurrence runs once per block, not once per pair.  The series is
-    symmetric in x and y, so the shared point may sit on either side, and a
-    pair's term is (f_nu(x) f_nu(y)) coeff_nu either way.  Every step is
-    elementwise in the points, so a value keeps its bits in any block and
-    beside a shared point.  The result has the points' broadcast shape (a
-    float for scalars).
+    f_nu.  Blocks of pairs, x of shape (..., m, 1) against y of shape (..., 1,
+    m'), go to ``_block_series``, which forms each point's rows once.  Other
+    pairs go in blocks of at most ``_SERIES_BLOCK`` points: one recurrence
+    runs over each block's points [x, y], and each row is reduced into the
+    block's slice of the result as it arrives; rows past the last nonzero
+    coefficient are not formed and the others with a zero coefficient are
+    skipped.  Every step is elementwise in the points, so a value keeps its
+    bits in any block.  The result has the points' broadcast shape (a float
+    for scalars).
     """
     x = np.asarray(x, dtype=float)
-    shape = x.shape
     if y is not None:
         y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(shape, y.shape)
-        if x.size == 1 < y.size:
-            x, y = y, x
-        x = np.broadcast_to(x, shape)
-        y = (y if y.size == 1 else np.broadcast_to(y, shape)).reshape(-1)
-    size = x.size
+        if x.ndim == y.ndim >= 2 and x.shape[-1] == 1 == y.shape[-2] and x.shape[:-2] == y.shape[:-2]:
+            return _block_series(rows, coeff, x[..., 0], y[..., 0, :])
+        x, y = np.broadcast_arrays(x, y)
+        y = y.reshape(-1)
+    shape, size = x.shape, x.size
     acc = np.zeros(size)
     live = np.flatnonzero(coeff)
     if len(live):
@@ -152,9 +149,7 @@ def _series(rows, coeff, x, y=None):
         for s in range(0, size, per_block):
             part = acc[s : s + per_block]
             k, term = len(part), np.empty(len(part))
-            pts = xs[s : s + k]
-            if y is not None:
-                pts = np.concatenate([pts, y if len(y) == 1 else y[s : s + k]])
+            pts = xs[s : s + k] if y is None else np.concatenate([xs[s : s + k], y[s : s + k]])
 
             def consume(nu, row):
                 if coeff[nu] == 0.0:
@@ -162,7 +157,6 @@ def _series(rows, coeff, x, y=None):
                 if y is None:
                     np.multiply(row, coeff[nu], out=term)
                 else:
-                    # row[k:] is one point's value when the pairs share it
                     np.multiply(row[:k], row[k:], out=term)
                     np.multiply(term, coeff[nu], out=term)
                 np.add(part, term, out=part)
@@ -170,6 +164,70 @@ def _series(rows, coeff, x, y=None):
             rows(int(live[-1]), pts, consume)
     out = acc.reshape(shape)
     return out if out.ndim else float(out)
+
+
+# A block's pairs are summed tile by tile: one product of a (_TILE, _CHUNK) x
+# tile and a (_CHUNK, _TILE) y tile per chunk of _CHUNK rows with a nonzero
+# coefficient, added chunk after chunk.  Each side is padded to whole tiles,
+# so every pair meets one product shape and one order of its terms, and keeps
+# its bits at any position, block size and fill.  A table of 16-row chunks
+# over 2^15 points (4 MiB) bounds the working memory at any n.
+_TILE = 16
+_CHUNK = 16
+
+
+def _block_series(rows, coeff, x, y):
+    """The series over every pair of each block: x (..., m) against y (...,
+    m'), an (..., m, m') result.
+
+    Each side is padded to whole tiles by repeating its last point, and the
+    blocks go in groups of as many as fit in ``_SERIES_BLOCK`` points, one
+    recurrence per group (``_tile_sums``).
+    """
+    lead, m, m_y = x.shape[:-1], x.shape[-1], y.shape[-1]
+    if not (x.size and y.size and np.any(coeff)):
+        return np.zeros(lead + (m, m_y))
+    a, b = -(-m // _TILE), -(-m_y // _TILE)
+    xs = np.pad(x.reshape(-1, m), ((0, 0), (0, a * _TILE - m)), mode="edge")
+    ys = np.pad(y.reshape(-1, m_y), ((0, 0), (0, b * _TILE - m_y)), mode="edge")
+    out = np.zeros((len(xs), a, b, _TILE, _TILE))
+    per_group = max(1, _SERIES_BLOCK // ((a + b) * _TILE))
+    for s in range(0, len(xs), per_group):
+        _tile_sums(rows, coeff, xs[s : s + per_group], ys[s : s + per_group], out[s : s + per_group])
+    out = out.transpose(0, 1, 3, 2, 4).reshape(len(xs), a * _TILE, b * _TILE)[:, :m, :m_y]
+    return out.reshape(lead + (m, m_y))
+
+
+def _tile_sums(rows, coeff, xs, ys, out):
+    """Add the series of every tile pair of the blocks xs (g, a _TILE)
+    against ys (g, b _TILE) to ``out`` (g, a, b, _TILE, _TILE), in one
+    recurrence over their points, each point's rows formed once: the rows
+    with a nonzero coefficient fill a table chunk by chunk, the x rows times
+    their coefficients, and each full chunk adds the products (R_x c)^T R_y."""
+    g, a, b = out.shape[:3]
+    nx = xs.size
+    live = np.flatnonzero(coeff)
+    slot = np.full(len(coeff), -1)
+    slot[live] = np.arange(len(live))
+    table = np.empty((min(_CHUNK, len(live)), nx + ys.size))
+    term = np.empty(out.shape)
+
+    def consume(nu, row):
+        i = slot[nu]
+        if i < 0:
+            return
+        j = i % _CHUNK
+        np.multiply(row[:nx], coeff[nu], out=table[j, :nx])
+        table[j, nx:] = row[nx:]
+        if j == _CHUNK - 1 or i == len(live) - 1:
+            # x tiles as (g, a, 1, _TILE, k) and y tiles as (g, 1, b, k, _TILE) views
+            k = j + 1
+            tiles_x = table[:k, :nx].T.reshape(g, a, 1, _TILE, k)
+            tiles_y = table[:k, nx:].reshape(k, g, 1, b, _TILE).transpose(1, 2, 3, 0, 4)
+            np.matmul(tiles_x, tiles_y, out=term)
+            np.add(out, term, out=out)
+
+    rows(int(live[-1]), np.concatenate([xs.reshape(-1), ys.reshape(-1)]), consume)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +242,20 @@ def trig_kernel(cutoff, n, theta):
     return _series(orthopoly._chebyshev_rows, w, np.cos(np.asarray(theta, dtype=float)))
 
 
+# The series families' terms ``terms(cutoff, n, p)``: the row source of their
+# functions and the coefficients of their kernel's series, which a
+# ``KernelInstance`` forms once.
+
+
+def _chebyshev_terms(cutoff, n, p):
+    band = cutoff_band(cutoff, n)
+    return orthopoly._chebyshev_rows, _chebyshev_weight(np.arange(len(band))) * band
+
+
 def chebyshev_kernel(cutoff, n, x, y):
     """Sum of ahat(j/n) * T~_j(x) T~_j(y) with weighted-L2-normalized
     Chebyshev polynomials (T~_0 = 1/sqrt(pi))."""
-    band = cutoff_band(cutoff, n)
-    coeff = _chebyshev_weight(np.arange(len(band))) * band
-    return _series(orthopoly._chebyshev_rows, coeff, *_interval_check({}, x, y))
+    return _series(*_chebyshev_terms(cutoff, n, {}), *_interval_check({}, x, y))
 
 
 def _check_rows(n, *rows):
@@ -205,13 +271,19 @@ def _check_rows(n, *rows):
             raise ValueError(f"{reach}: their products leave double range")
 
 
-def jacobi_kernel(cutoff, n, alpha, beta, x, y):
-    """Weighted reproducing-type kernel of the Jacobi family."""
-    x, y = _jacobi_check({"alpha": alpha, "beta": beta}, x, y)
+def _jacobi_terms(cutoff, n, p):
+    alpha, beta = p["alpha"], p["beta"]
     w = cutoff_band(cutoff, n)
     h = orthopoly._jacobi_norms_upto(alpha, beta, len(w) - 1)
     _check_rows(n, (alpha, beta, len(w) - 1))
-    return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
+    return partial(orthopoly._jacobi_rows, alpha, beta), w / h
+
+
+def jacobi_kernel(cutoff, n, alpha, beta, x, y):
+    """Weighted reproducing-type kernel of the Jacobi family."""
+    p = {"alpha": alpha, "beta": beta}
+    x, y = _jacobi_check(p, x, y)
+    return _series(*_jacobi_terms(cutoff, n, p), x, y)
 
 
 def _jacobi_check(p, *points):
@@ -552,14 +624,17 @@ def _hermite_axes(d):
     return [_function_axis(orthopoly._hermite_fn_values)] * d
 
 
+def _hermite_terms(cutoff, n, p):
+    return orthopoly._hermite_rows, cutoff_band(cutoff, n)
+
+
 def hermite_kernel(cutoff, n, x, y, d=1):
     """Hermite-function kernel on R^d; d = 1 accepts point arrays, d > 1
     (..., d) arrays of pairs."""
     x, y = _hermite_check({"d": d}, x, y)
-    band = cutoff_band(cutoff, n)
     if d == 1:
-        return _series(orthopoly._hermite_rows, band, x, y)
-    return _contract(_hermite_axes(d), band, x, y)
+        return _series(*_hermite_terms(cutoff, n, {}), x, y)
+    return _contract(_hermite_axes(d), cutoff_band(cutoff, n), x, y)
 
 
 def hermite_block(j, x, y, d):
@@ -581,19 +656,25 @@ def _laguerre_check(p, *points):
     return _domain(points, np.negative, "points must be nonnegative")
 
 
+def _laguerre_terms(cutoff, n, p):
+    # the F-type functions are sqrt(2) ell_n(t^2): the rows of the squares
+    (alpha,) = np.atleast_1d(np.asarray(p["alpha"], dtype=float))
+
+    def rows(top, t, consume):
+        orthopoly._laguerre_rows(alpha, top, orthopoly._square(t), consume)
+
+    return rows, 2.0 * cutoff_band(cutoff, n)
+
+
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     """Laguerre F-function kernel on the positive orthant; d = 1 accepts
     point arrays, d > 1 (..., d) arrays of pairs.  ``alpha`` is scalar for
     d = 1, else one entry per axis."""
     x, y = _laguerre_check({"alpha": alpha, "d": d}, x, y)
-    alpha_vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    band = cutoff_band(cutoff, n)
     if d == 1:
-        # the F-type functions are sqrt(2) ell_n(t^2)
-        rows = partial(orthopoly._laguerre_rows, alpha_vec[0])
-        return _series(rows, 2.0 * band, orthopoly._square(x), orthopoly._square(y))
-    axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in alpha_vec]
-    return _contract(axes, band, x, y)
+        return _series(*_laguerre_terms(cutoff, n, {"alpha": alpha}), x, y)
+    axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in np.atleast_1d(alpha)]
+    return _contract(axes, cutoff_band(cutoff, n), x, y)
 
 
 def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
@@ -746,7 +827,11 @@ def _weight(family, n, x, p):
     spec = _family(family)
     if spec.weight is None:
         raise ValueError(f"{family} kernels carry no bound weight")
-    # a weight reads the dimension off its points
+    # a weight reads the dimension off its points: those of the ball and the
+    # sphere always, Hermite's and Laguerre's when no parameter is given
+    # (scalars and arrays of them are points of the line)
+    if not p and "d" in spec.defaults:
+        p = {"d": 1 if np.ndim(x) < 2 else np.shape(x)[-1]}
     p, (x,) = _check_params(family, p, x, exempt=("d",))
     out = spec.weight(n, x, p)
     return out if out.ndim else float(out)
@@ -766,14 +851,14 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
 # ---------------------------------------------------------------------------
 # envelope pair samplers: ``sample(k, edges, count, seed)`` draws the pairs of
 # every bin [edges[i], edges[i + 1]] in one call and returns them as a list of
-# groups (xs, ys, counts), each with its pairs bin after bin and the number in
-# each bin.  One side of a group may be a single point that all of its pairs
-# share: the interval samplers' end slices, whose pairs all end at the upper
-# end or start at the lower one, pass that end once, and ``_series`` recurs it
-# once.  A bin's pairs depend
-# only on the seed and its own edges, and the first ``count`` of them stay the
-# same when the budget grows, so doubling it only refines the sampled set.
-# Separations come from a nested van der Corput stream rotated by the seed.
+# groups (xs, ys, bins): the pairs of the broadcast of xs and ys, each with
+# the bin it counts in (-1: none), at least ``count`` pairs in each bin.  The
+# interval samplers' group is a block, xs of shape (cells, _TILE, 1) against
+# ys of shape (cells, 1, _TILE), so ``_series`` forms each point's rows once.
+# A bin's pairs depend only on the seed and its own edges, and those of a
+# budget stay the same when the budget grows, so doubling it only refines the
+# sampled set.  The other samplers' separations come from a nested van der
+# Corput stream rotated by the seed.
 # The ball and simplex lift to the sphere (the upper hemisphere through
 # x -> (x, sqrt(1 - |x|^2)), the positive orthant through the square roots of
 # the barycentric coordinates), where the family distance is the geodesic
@@ -806,39 +891,98 @@ def _bin_offsets(edges, count, seed):
 
 
 def _per_bin(edges, count):
-    return np.full(len(edges) - 1, count)
+    """The bins of ``count`` pairs in each bin, bin after bin."""
+    return np.repeat(np.arange(len(edges) - 1), count)
 
 
-def _interval_pairs(lo, hi, edges, count, seed, core=None, pin_center=False):
-    # pairs of [lo, hi] at separations spread over each bin: extremal pairs
-    # ride distinguished slices (the domain ends and, for the symmetric
-    # families, pairs mirrored about the center) at the full separation
-    # density; interior pairs cover the (optionally restricted) oscillatory
-    # core with nested low-discrepancy streams.  Three groups: the upper end
-    # slice, every pair ending exactly at hi; the lower one, every pair
-    # starting at lo; and the rest
-    delta, shift = _bin_offsets(edges, count, seed), _shift(seed)
-    span = np.maximum(hi - lo - delta, 0.0)
-    c_lo, c_hi = (lo, hi) if core is None else core
-    c_lo = np.maximum(lo, c_lo)
-    c_span = np.maximum(np.minimum(hi, c_hi) - delta - c_lo, 0.0)
-    streams = [_vdc(count, 3, shift)]
-    if core is not None:
-        streams.append(_vdc(count, 5, shift))
-    slices = [0.5 * (lo + hi) - 0.5 * delta] if pin_center else []
-    slices.extend(c_lo + s * c_span for s in streams)
-    x = np.stack(slices, axis=1)
-    per_bin = _per_bin(edges, count)
-    return [
-        ((lo + span).ravel(), np.array([hi]), per_bin),
-        (np.array([lo]), (lo + delta).ravel(), per_bin),
-        (x.ravel(), (x + delta[:, None]).ravel(), _per_bin(edges, len(slices) * count)),
-    ]
+# The interval samplers' cells and windows are _TILE x _TILE points, one tile
+# of ``_block_series`` each.
+_GOLDEN = 0.6180339887498949
+
+
+def _cells(edges, reps):
+    """Offsets (x_off, y_off), each (bins, reps, _TILE), of ``reps`` cells
+    per bin [a, b] of ``edges``: x_i = i h and y_j = a + (_TILE - phi + j
+    _TILE) h with h = (b - a) / _TILE^2, whose separations y_j - x_i are a +
+    (k + 1 - phi) h, k = 0.._TILE^2 - 1, an even grid over the bin that
+    reaches b at phi = 0.  A bin at the diagonal takes y_j = (phi + j _TILE)
+    h, so its cells start with a diagonal pair.  The reps take the van der
+    Corput phases phi = 0, 1/2, 1/4, ..., so more reps only append cells."""
+    a, b = edges[:-1, None], edges[1:, None]
+    phi = np.concatenate([[0.0], _vdc(reps - 1, 2)])
+    h = ((b - a) / _TILE**2)[..., None]
+    i = np.arange(_TILE)
+    y_off = a[..., None] + (np.where(a > 0.0, _TILE - phi, phi)[..., None] + i * _TILE) * h
+    return np.broadcast_to(i * h, y_off.shape), y_off
+
+
+def _windows(c_lo, c_hi, unit, reps, seed):
+    """Points x and y, each (windows, _TILE), of the windows of [c_lo, c_hi]
+    at the scales 4 unit, 16 unit, ... up to its length: at each, one window
+    at either end and _TILE reps more at golden-ratio starts rotated by the
+    seed, x and y jittered over a window's _TILE strata by two golden-ratio
+    streams."""
+    length = c_hi - c_lo
+    frac = np.concatenate([[0.0, 1.0], (_shift(seed) + np.arange(reps * _TILE) * _GOLDEN) % 1.0])
+    t = np.arange(len(frac))[:, None] * _TILE + np.arange(_TILE)
+    xs, ys, width = [], [], 4.0 * unit
+    while True:
+        w = min(width, length)
+        start = c_lo + (frac * (length - w))[:, None]
+        xs.append(start + w / _TILE * (t % _TILE + t * _GOLDEN % 1.0))
+        ys.append(start + w / _TILE * (t % _TILE + t * 0.7548776662466927 % 1.0))
+        if width >= length:
+            return np.concatenate(xs), np.concatenate(ys)
+        width *= 4.0
+
+
+def _bins(edges, sep):
+    """The bin of ``edges`` each separation falls in (the last holds its upper
+    edge), -1 outside them all."""
+    i = np.minimum(np.searchsorted(edges, sep, side="right") - 1, len(edges) - 2)
+    return np.where((sep >= edges[0]) & (sep <= edges[-1]), i, -1).astype(np.int32)
+
+
+def _interval_pairs(lo, hi, edges, count, seed, unit, core=None, pin_center=False):
+    # one block of _TILE x _TILE cells of [lo, hi].  Each bin has a cell per
+    # slice and budget of _TILE^2 pairs, at its planned bin: the lower end
+    # cell starts at lo (x_0 = lo), the upper one is its mirror image ending at
+    # hi (y_0 = hi), so the last bin's holds the pair of both ends, and the
+    # symmetric families' center cell is centered; interior cells sit in the
+    # (optionally restricted) oscillatory core, where the eigenfunctions (and
+    # the extremal pairs) live, one slice per stream, at the seed's and the
+    # bin's rotation of a golden-ratio stream over the starts that keep the
+    # cell in the core.  Windows of the core at every scale from the kernel's
+    # unit on, which do not depend on the edges, add each pair to the bin of
+    # its separation, so that near-diagonal bins see many positions
+    reps, bins = -(-count // _TILE**2), len(edges) - 1
+    x_off, y_off = _cells(edges, reps)
+    c_lo, c_hi = (lo, hi) if core is None else (max(lo, core[0]), min(hi, core[1]))
+    extent = y_off[..., -1:, None]  # (bins, reps, 1, 1)
+    streams = 1 if core is None else 2
+    turn = np.arange(reps * streams).reshape(reps, streams, 1) * _GOLDEN
+    rot = _shift(seed + (1e6 * edges[:-1]).astype(int))[:, None, None, None]
+    starts = [c_lo + (rot + turn) % 1.0 * np.maximum(c_hi - c_lo - extent, 0.0)]
+    if pin_center:
+        starts.insert(0, 0.5 * (lo + hi) - 0.5 * extent)
+    starts = np.concatenate(starts, axis=2)  # (bins, reps, slices - 2, 1)
+    x_off, y_off = x_off[:, :, None], y_off[:, :, None]
+    xs = np.concatenate([lo + x_off, hi - y_off, starts + x_off], axis=2).reshape(-1, _TILE)
+    ys = np.concatenate([lo + y_off, hi - x_off, starts + y_off], axis=2).reshape(-1, _TILE)
+    wx, wy = _windows(c_lo, c_hi, unit, reps, seed)
+    planned = np.broadcast_to(np.arange(bins, dtype=np.int32)[:, None, None], (bins, len(xs) // bins, _TILE**2))
+    binned = np.concatenate([planned.reshape(-1, _TILE, _TILE), _bins(edges, np.abs(wy[:, None] - wx[..., None]))])
+    return [(np.concatenate([xs, wx])[..., None], np.concatenate([ys, wy])[:, None], binned)]
+
+
+def _kernel_unit(k):
+    """The distance over which kernel instance k varies: 1 / its scale."""
+    return 1.0 / FAMILIES[k.family].scale(k.n, k.params)[0]
 
 
 def _angle_pairs(k, edges, count, seed):
-    groups = _interval_pairs(0.0, np.pi, edges, count, seed)
-    return [(np.cos(th), np.cos(ph), counts) for th, ph, counts in groups]
+    groups = _interval_pairs(0.0, np.pi, edges, count, seed, _kernel_unit(k))
+    return [(np.cos(th), np.cos(ph), bins) for th, ph, bins in groups]
 
 
 def _trig_pairs(k, edges, count, seed):
@@ -865,7 +1009,7 @@ def _line_pairs(k, edges, count, seed, half_line):
     # eigenfunctions (and hence the extremal pairs) live
     tp = math.sqrt(2.0 * 2.0 * k.n + 2.0) + 4.0
     return _interval_pairs(
-        0.0 if half_line else -r, r, edges, count, seed, core=(-tp, tp), pin_center=not half_line
+        0.0 if half_line else -r, r, edges, count, seed, _kernel_unit(k), core=(-tp, tp), pin_center=not half_line
     )
 
 
@@ -952,9 +1096,8 @@ def _tensor_pairs(k, edges, count, seed):
     inner = np.stack([np.cos(np.pi * h5), np.cos(np.pi * ((t1 + h5) % 1.0))], axis=-1)
     ys = np.concatenate([np.ones((3 * m, 2)), inner])
     r = k.distance(xs, ys)
-    hit = (edges[:-1, None] <= r) & (r <= edges[1:, None])
-    keep = np.nonzero(hit)[1]
-    return [(xs[keep], ys[keep], hit.sum(axis=1))]
+    bins, keep = np.nonzero((edges[:-1, None] <= r) & (r <= edges[1:, None]))
+    return [(xs[keep], ys[keep], bins)]
 
 
 # ---------------------------------------------------------------------------
@@ -991,6 +1134,12 @@ def _unit_weight(n, x, p):
     return np.ones(x.shape[:-1])
 
 
+def _terms_values(k, x, y):
+    """A series family's kernel at d = 1 over pairs, from the instance's
+    terms."""
+    return _series(*k.terms, *FAMILIES[k.family].check(k.params, x, y))
+
+
 # the profile geometries of a ``Frame``; angle offsets end at the farther end from xi
 def _angle_profile(xi, n_j):
     theta = np.arccos(xi)
@@ -1018,9 +1167,10 @@ class Family:
 
     ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs and
     ``sample(k, edges, count, seed)`` draws the pairs of every envelope bin
-    [edges[i], edges[i + 1]], returning a list of groups (xs, ys, counts),
-    each with its pairs bin after bin, one side possibly a single point that
-    all of its pairs share; the rest take level ``n`` and parameters ``p``: the metric
+    [edges[i], edges[i + 1]], returning a list of groups (xs, ys, bins),
+    each the pairs of the broadcast of xs and ys with the bin of each; the series
+    families' ``terms(cutoff, n, p)`` are their rows and coefficients at d =
+    1, which an instance forms once; the rest take level ``n`` and parameters ``p``: the metric
     ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
     (None: none), the bounds' (scale, prefactor), the envelope ``diameter``
     and the needlet ``frame`` (None: none).
@@ -1035,6 +1185,7 @@ class Family:
     distance: object
     values: object = None
     sample: object = None
+    terms: object = None
     scalar: object = lambda p: False
     weight: object = None
     scale: object = _power_scale(lambda p: 1)
@@ -1060,15 +1211,11 @@ FAMILIES = {
         scalar=lambda p: True, weight=_unit_weight, check=_finite_check,
     ),
     "chebyshev": Family(
-        _angle_distance, values=lambda k, x, y: chebyshev_kernel(k.cutoff, k.n, x, y),
-        sample=_angle_pairs, scalar=lambda p: True, weight=_unit_weight, check=_interval_check,
+        _angle_distance, values=_terms_values, sample=_angle_pairs, terms=_chebyshev_terms,
+        scalar=lambda p: True, weight=_unit_weight, check=_interval_check,
     ),
     "jacobi": Family(
-        _angle_distance,
-        values=lambda k, x, y: jacobi_kernel(
-            k.cutoff, k.n, k.params["alpha"], k.params["beta"], x, y
-        ),
-        sample=_angle_pairs, scalar=lambda p: True,
+        _angle_distance, values=_terms_values, sample=_angle_pairs, terms=_jacobi_terms, scalar=lambda p: True,
         weight=lambda n, x, p: np.prod(
             (1.0 - x + n**-2.0) ** (p["alpha"] + 0.5) * (1.0 + x + n**-2.0) ** (p["beta"] + 0.5),
             axis=-1,
@@ -1111,8 +1258,10 @@ FAMILIES = {
     ),
     "hermite": Family(
         _sup_distance,
-        values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params["d"]),
-        sample=partial(_line_pairs, half_line=False),
+        values=lambda k, x, y: (
+            _terms_values(k, x, y) if k.params["d"] == 1 else hermite_kernel(k.cutoff, k.n, x, y, d=k.params["d"])
+        ),
+        sample=partial(_line_pairs, half_line=False), terms=_hermite_terms,
         scalar=lambda p: p["d"] == 1, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), defaults={"d": 1}, check=_hermite_check,
@@ -1122,8 +1271,11 @@ FAMILIES = {
     ),
     "laguerre": Family(
         _sup_distance,
-        values=lambda k, x, y: laguerre_kernel(k.cutoff, k.n, k.params["alpha"], x, y, d=k.params["d"]),
-        sample=partial(_line_pairs, half_line=True),
+        values=lambda k, x, y: (
+            _terms_values(k, x, y) if k.params["d"] == 1
+            else laguerre_kernel(k.cutoff, k.n, k.params["alpha"], x, y, d=k.params["d"])
+        ),
+        sample=partial(_line_pairs, half_line=True), terms=_laguerre_terms,
         scalar=lambda p: p["d"] == 1, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p["alpha"])) + 3.0),
         weight=lambda n, x, p: np.prod((x + n**-0.5) ** (2.0 * np.asarray(p["alpha"], dtype=float) + 1.0), axis=-1),
@@ -1172,6 +1324,12 @@ class KernelInstance:
 
     def __call__(self, x, y):
         return FAMILIES[self.family].values(self, x, y)
+
+    @cached_property
+    def terms(self):
+        """The rows and coefficients of a series family's kernel at d = 1:
+        the band, and Jacobi's w / h, formed once per instance."""
+        return FAMILIES[self.family].terms(self.cutoff, self.n, self.params)
 
     def pair_values(self, xs, ys):
         """Kernel values over arrays of pairs (scalar points for the

@@ -146,7 +146,8 @@ def build_needlet_system(family, params, cutoff, j_max):
     params, _ = kernels._check_params(family, params or {})
     if not kernels.FAMILIES[family].scalar(params):
         raise ValueError(f"{family} frames live on the line (d = 1), got d = {params['d']}")
-    params = {name: value for name, value in params.items() if name != "d"}
+    # on the line each parameter is one number: a one-component alpha reads as it
+    params = {name: np.reshape(value, ()).item() for name, value in params.items() if name != "d"}
     frame = kernels.FAMILIES[family].frame
     levels = []
     for j in range(j_max + 1):

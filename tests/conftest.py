@@ -67,11 +67,15 @@ def reproducing_defect(family, cut, n, xs, alpha=None, beta=None):
 
 
 def broadcast_pairs(groups):
-    """All the pairs of a sampler's groups (xs, ys, counts) as two full
-    (pairs, ...) arrays, group after group: a point that all of a group's
-    pairs share is repeated for each."""
-    full = [[np.broadcast_to(v, (int(np.sum(c)),) + np.shape(v)[1:]) for v in (x, y)] for x, y, c in groups]
-    return [np.concatenate([f[i] for f in full]) for i in (0, 1)]
+    """The sampled pairs of a sampler's groups (xs, ys, bins) as two full
+    (pairs, ...) arrays, group after group: the pairs of the broadcast of xs
+    and ys, in C order, whose bin is not -1."""
+    full = [[], []]
+    for x, y, bins in groups:
+        keep = np.ravel(bins) >= 0
+        for side, v in enumerate(np.broadcast_arrays(x, y)):
+            full[side].append(v.reshape((np.size(bins),) + v.shape[np.ndim(bins) :])[keep])
+    return [np.concatenate(f) for f in full]
 
 
 @pytest.fixture(scope="session")

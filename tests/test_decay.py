@@ -281,16 +281,24 @@ def _in_closed_domain(family, pts, r):
     return np.all((pts >= lower) & (pts <= upper))
 
 
+def _pair_keys(xs, ys):
+    """The pairs (x, y) of two (pairs, ...) arrays, one byte string each."""
+    rows = np.ascontiguousarray(np.column_stack([xs.reshape(len(xs), -1), ys.reshape(len(ys), -1)]))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     case=st.sampled_from(_SAMPLED_CASES),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10, unique=True),
-    count=st.integers(1, 64),
+    count=st.integers(1, 300),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, count, seed):
-    # every sampler: the ball and simplex pairs on their lifted chords, and the
-    # interval families' groups, whose end slices share the interval's ends
+    # every sampler: the ball and simplex pairs on their lifted chords at
+    # their planned separations, the interval families' cells and windows;
+    # every pair in the bin its distance falls in, and each bin with at
+    # least the pairs of one slice per stream and end
     family, n, params = case
     kernel = ke.KernelInstance(family, None, n, params)
     sample = ke.FAMILIES[family].sample
@@ -298,51 +306,44 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
     edges = r * np.sort(fracs)
     assume(np.min(np.diff(edges)) >= 1e-6)
     bins = len(edges) - 1
-    planned = ke._bin_offsets(edges, count, seed)
     tol = 1e-12 * r if family in ("hermite", "laguerre") else 1e-9
     groups = sample(kernel, edges, count, seed)
+    assert len(groups) == 1
+    [(xs, ys, binned)] = groups
+    xs_all, ys_all = broadcast_pairs(groups)
+    b = np.ravel(binned)[np.ravel(binned) >= 0]
+    assert _in_closed_domain(family, xs_all, r) and _in_closed_domain(family, ys_all, r)
+    rho = kernel.distance(xs_all, ys_all)
+    assert np.all(rho >= edges[b] - tol) and np.all(rho <= edges[b + 1] + tol)
     if family in ("ball", "simplex"):
         dim = params["d"] if family == "ball" else len(params["kappa"]) - 1
-        assert len(groups) == 1 and groups[0][0].shape == groups[0][1].shape == (bins * count, dim)
-        shared = set()
+        assert xs.shape == ys.shape == (bins * count, dim)
+        assert np.array_equal(binned, np.repeat(np.arange(bins), count))
+        planned = ke._bin_offsets(edges, count, seed)
+        assert np.all(np.abs(rho.reshape(bins, count) - planned) <= tol)
     else:
-        # the upper end slice shares its y at the upper end, the lower one
-        # its x at the lower end, exactly
-        assert len(groups) == 3
-        shared = {(0, 1), (1, 0)}
+        # one 16 x 16 block; the interval's ends are points of every bin's pairs
+        assert xs.shape[1:] == (16, 1) and ys.shape[1:] == (1, 16) and binned.shape == (len(xs), 16, 16)
+        slices = {"chebyshev": 3, "jacobi": 3, "hermite": 5, "laguerre": 4}[family]
+        assert np.all(np.bincount(b, minlength=bins) >= slices * count)
         lower, upper = _ends(family, r)
-        assert np.array_equal(groups[0][1], [upper]) and np.array_equal(groups[1][0], [lower])
-    for g, (xs, ys, counts) in enumerate(groups):
-        slices = counts[0] // count
-        assert np.array_equal(counts, np.full(bins, slices * count))
-        for side, pts in enumerate((xs, ys)):
-            assert len(pts) == (1 if (g, side) in shared else bins * slices * count)
-            assert _in_closed_domain(family, pts, r)
-        rho = kernel.distance(*np.broadcast_arrays(xs, ys)).reshape(bins, slices, count)
-        assert np.all(np.abs(rho - planned[:, None]) <= tol)
-        assert np.all(rho >= edges[:-1, None, None] - tol) and np.all(rho <= edges[1:, None, None] + tol)
-    # deterministic per seed, and a bin's pairs come from its own edges only
-    again = sample(kernel, edges, count, seed)
-    for (xs, ys, counts), (ax, ay, ac) in zip(groups, again, strict=True):
-        assert np.array_equal(ax, xs) and np.array_equal(ay, ys) and np.array_equal(ac, counts)
+        for i in range(bins):
+            assert lower in xs_all[b == i] and upper in ys_all[b == i]
+    # deterministic per seed
+    for (ax, ay, ab), (bx, by, bb) in zip(groups, sample(kernel, edges, count, seed), strict=True):
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by) and np.array_equal(ab, bb)
+    # a bin's pairs come from its own edges only
     i = len(fracs) // 2 - 1
-    alone = sample(kernel, edges[i : i + 2], count, seed)
-    for g, ((xs, ys, counts), (ax, ay, ac)) in enumerate(zip(groups, alone, strict=True)):
-        start, stop = np.sum(counts[:i]), np.sum(counts[: i + 1])
-        assert np.array_equal(ac, counts[i : i + 1])
-        for side, (own, whole) in enumerate(((ax, xs), (ay, ys))):
-            assert np.array_equal(own, whole if (g, side) in shared else whole[start:stop])
-    # doubling the budget keeps each bin's pairs as the first half of each of
-    # its slices, so the envelope's bin maxima can only rise
+    alone_x, alone_y = broadcast_pairs(sample(kernel, edges[i : i + 2], count, seed))
+    assert np.array_equal(alone_x, xs_all[b == i]) and np.array_equal(alone_y, ys_all[b == i])
+    # doubling the budget keeps every pair of every bin, so the envelope's
+    # bin maxima can only rise
     fine = sample(kernel, edges, 2 * count, seed)
-    for g, ((xs, ys, counts), (fx, fy, _)) in enumerate(zip(groups, fine, strict=True)):
-        slices = counts[0] // count
-        for side, (old, new) in enumerate(((xs, fx), (ys, fy))):
-            if (g, side) in shared:
-                assert np.array_equal(new, old)
-            else:
-                new = new.reshape(bins, slices, 2 * count, -1)
-                assert np.array_equal(new[:, :, :count], old.reshape(bins, slices, count, -1))
+    fine_x, fine_y = broadcast_pairs(fine)
+    fine_b = np.ravel(fine[0][2])[np.ravel(fine[0][2]) >= 0]
+    for i in range(bins):
+        old, new = _pair_keys(xs_all[b == i], ys_all[b == i]), _pair_keys(fine_x[fine_b == i], fine_y[fine_b == i])
+        assert np.all(np.isin(old, new))
 
 
 def test_the_ball_and_simplex_samplers_uniforms_are_uniform():
@@ -430,17 +431,19 @@ def test_fit_refuses_forms_that_are_not_finite(cheb_env_128, form, message):
 
 
 def _per_bin_envelope(kernel, plan):
-    """rho, values and counts of an envelope evaluated bin by bin, one
-    ``pair_values`` call per bin over all of its pairs, a shared point
-    repeated for each pair, on measure_envelope's bin edges."""
+    """rho, values and counts of an envelope evaluated bin by bin, on
+    measure_envelope's bin edges: each bin's pairs drawn from its own edges,
+    each group in one ``pair_values`` call, the pairs outside the bin left
+    out."""
     spec = ke.FAMILIES[kernel.family]
     diameter = spec.diameter(kernel.n, kernel.params)
     scale, _ = spec.scale(kernel.n, kernel.params)
     edges = np.concatenate([[0.0], np.geomspace(diameter / (4.0 * scale), diameter, plan.n_bins)])
 
     def bin_values(lo, hi):
-        xs, ys = broadcast_pairs(spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed))
-        return de._pair_magnitudes(kernel, xs, ys, plan.weighted)
+        groups = spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed)
+        vals = [de._pair_magnitudes(kernel, xs, ys, plan.weighted).ravel()[np.ravel(b) == 0] for xs, ys, b in groups]
+        return np.concatenate(vals)
 
     bins = [bin_values(a, b) for a, b in zip(edges[:-1], edges[1:])]
     values = np.array([np.max(v) if len(v) else 0.0 for v in bins])
@@ -470,18 +473,18 @@ def test_envelope_evaluates_every_bin_in_one_call(cutoff_c, monkeypatch, family,
 
     def counted(xs, ys):
         vals = pair_values(xs, ys)
-        calls.append(len(vals))
+        calls.append(vals.size)
         return vals
 
     monkeypatch.setattr(kernel, "pair_values", counted)
-    # one call per group, whatever the number of bins: the interval families
-    # draw their two end slices and the rest
-    groups = 3 if family in ("chebyshev", "jacobi", "hermite", "laguerre") else 1
+    # one call, whatever the number of bins: every sampler draws one group;
+    # it evaluates every counted pair, and the interval families' windows
+    # also pairs beyond the last bin, which are left out
     for n_bins in (60, plan.n_bins):
         calls.clear()
         env = de.measure_envelope(kernel, dataclasses.replace(plan, n_bins=n_bins))
-        assert len(calls) == groups
-    assert sum(calls) == counts.sum()
+        assert len(calls) == 1
+    assert sum(calls) >= counts.sum()
     assert np.array_equal(env.rho, rho) and np.array_equal(env.counts, counts)
     if family in ("ball", "simplex"):
         # chunked auxiliary integrals sum in another grouping

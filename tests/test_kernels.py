@@ -1177,6 +1177,25 @@ def test_simplex_instance_refuses_points_of_another_dimension_than_kappa_gives(c
     assert k(0.1, 0.3) == k.pair_values(x[:1, None], y[:1, None])[0]
 
 
+@pytest.mark.parametrize("family, params", [("hermite", {}), ("laguerre", {"alpha": (0.0, 1.0)})])
+def test_a_weight_reads_the_dimension_off_its_points(family, params):
+    # (3, 2) Hermite points once gave (3, 2) weights, one per coordinate
+    x = np.abs(np.random.default_rng(5).standard_normal((3, 2)))
+    w = ke.weight_factor(family, 16, x, **params)
+    assert w.shape == (3,)
+    assert np.array_equal(w, [ke.weight_factor(family, 16, v[None], **params)[0] for v in x])
+    assert np.array_equal(w, ke.KernelInstance(family, None, 16, {**params, "d": 2}).weight(x))
+    # a scalar is a point of the line, and so is each entry of a 1-d array
+    line = {} if family == "hermite" else {"alpha": 0.5}
+    assert ke.weight_factor(family, 16, x[:, 0], **line).shape == (3,)
+    assert isinstance(ke.weight_factor(family, 16, 0.5, **line), float)
+
+
+def test_a_weight_of_2_d_laguerre_points_needs_an_alpha_per_axis():
+    with pytest.raises(ValueError, match=r"alpha must have one component per axis \(d = 2\)"):
+        ke.weight_factor("laguerre", 16, np.ones((3, 2)))
+
+
 def test_weight_factor_names_missing_parameter():
     with pytest.raises(ValueError, match="alpha"):
         ke.weight_factor("jacobi", 4, 0.3)
@@ -1556,10 +1575,10 @@ def test_series_pair_values_keep_their_bits_in_any_block(cutoff_c, family, monke
     assert np.array_equal(evaluate(cutoff_c, x[:5, None], y[None, :7]), grid)
 
 
-_SHARED_POINT_CASES = {
-    # family: (params, its row source, the other points' interval, the shared
-    # points: the interval's ends, an inner point and, unweighted only, far
-    # points that read 0)
+_BLOCK_CASES = {
+    # family: (params, its row source, the points' interval, points every
+    # block holds: the interval's ends, an inner point and, unweighted only,
+    # far points that read 0)
     "chebyshev": ({}, "_chebyshev_rows", (-1.0, 1.0), (-1.0, 1.0, 0.3), ()),
     "jacobi": ({"alpha": 2.0, "beta": 0.5}, "_jacobi_rows", (-1.0, 1.0), (-1.0, 1.0, -0.6), ()),
     "hermite": ({"d": 1}, "_hermite_rows", (-44.0, 44.0), (-44.0, 44.0, 41.0), (2.0**512, -(2.0**600))),
@@ -1567,27 +1586,61 @@ _SHARED_POINT_CASES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(_SHARED_POINT_CASES))
-def test_series_recurs_a_shared_point_once_with_the_bits_of_its_broadcast(cutoff_c, family, monkeypatch):
-    # a point shared by more than 2^14 pairs: each block recurs it once, beside
-    # its 2^14 other points, and every pair keeps the bits of the broadcast pairs
-    params, name, (lo, hi), shared, far = _SHARED_POINT_CASES[family]
+@pytest.mark.parametrize("family", sorted(_BLOCK_CASES))
+def test_block_series_recurs_each_point_once(cutoff_c, family, monkeypatch):
+    # a one-row block, one point against 2^14 + 37: one recurrence over the
+    # point and the others, each side padded to whole tiles, every pair with
+    # the value of the pair path within round-off of the block's largest term
+    params, name, (lo, hi), shared, far = _BLOCK_CASES[family]
     k = ke.KernelInstance(family, cutoff_c, 16, params)
     others = np.random.default_rng(19).uniform(lo, hi, 2**14 + 37)
     others[:2] = lo, hi
     rows, points = getattr(op, name), []
     # a row source's points come second to last: rows(*params, top, x, consume)
     monkeypatch.setattr(op, name, lambda *args: points.append(len(args[-2])) or rows(*args))
+    tiles = ke._TILE * (1 + -(-len(others) // ke._TILE))
     for point in shared + far:
-        one = np.array([point])
+        one = np.array([[point]])
         weightings = (False,) if point in far else (False, True)
-        for x, y in ((others, one), (one, others)):
+        for x, y in ((one, others[None]), (others[:, None], one)):
             for weighted in weightings:
                 points.clear()
                 vals = de._pair_magnitudes(k, x, y, weighted)
-                assert points == [2**14 + 1, 37 + 1]
-                assert np.array_equal(vals, de._pair_magnitudes(k, *np.broadcast_arrays(x, y), weighted))
+                assert points == [tiles] and vals.shape == np.broadcast_shapes(x.shape, y.shape)
+                pair = de._pair_magnitudes(k, *(v.ravel() for v in np.broadcast_arrays(x, y)), weighted)
+                assert np.all(np.abs(vals.ravel() - pair) <= 1e-13 * np.abs(pair).max())
                 assert point not in far or np.all(vals == 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("family", sorted(_BLOCK_CASES))
+def test_a_block_pair_keeps_its_bits_at_any_position_and_fill(cutoff_c, family, n, monkeypatch):
+    # 24 pairs, the interval's ends and far points among them, each met in
+    # blocks of other shapes, fills and positions: once in a block of its own,
+    # in 16 x 16 and 17 x 33 blocks of random points at random positions,
+    # and in blocks split into groups of one block each; the rows with a
+    # nonzero coefficient span 2, 3 and 6 chunks
+    params, _, (lo, hi), shared, far = _BLOCK_CASES[family]
+    k = ke.KernelInstance(family, cutoff_c, n, params)
+    assert len(np.flatnonzero(k.terms[1])) > ke._CHUNK * (n // 16)
+    gen = np.random.default_rng(n)
+    xs, ys = gen.uniform(lo, hi, (2, 24))
+    xs[: len(shared + far)], ys[-len(shared + far) :] = shared + far, shared + far
+    alone = np.array([k.pair_values(x[None, None, None], y[None, None, None]).item() for x, y in zip(xs, ys)])
+    assert not np.all(alone == 0.0)
+    for shape in ((16, 16), (17, 33)):
+        for trial in range(3):
+            bx, by = gen.uniform(lo, hi, (5,) + shape[:1]), gen.uniform(lo, hi, (5,) + shape[1:])
+            # each pair on a row and a column of its cell of its own
+            cell, i = np.divmod(gen.choice(5 * shape[0], 24, replace=False), shape[0])
+            cols = [gen.permutation(shape[1]) for _ in range(5)]
+            j = np.array([cols[c][np.sum(cell[:p] == c)] for p, c in enumerate(cell)])
+            bx[cell, i], by[cell, j] = xs, ys
+            vals = k.pair_values(bx[..., None], by[:, None])
+            assert np.array_equal(vals[cell, i, j], alone)
+            monkeypatch.setattr(ke, "_SERIES_BLOCK", 7)
+            assert np.array_equal(k.pair_values(bx[..., None], by[:, None]), vals)
+            monkeypatch.undo()
 
 
 _BLOCKED_SUMS = {

@@ -460,3 +460,12 @@ def test_basis_values_slices_consecutive_degrees(laguerre_system):
     assert run.base is not None  # a view of the table
     picked = laguerre_system.basis_values([8, 3, 5], x)
     assert np.array_equal(picked, run[[5, 0, 2]])
+
+
+def test_a_one_component_laguerre_alpha_reads_as_its_number(cutoff_c):
+    # build_needlet_system once ended in a TypeError from the Laguerre rule
+    one = ne.build_needlet_system("laguerre", {"alpha": (0.5,)}, cutoff_c, 2)
+    ref = ne.build_needlet_system("laguerre", {"alpha": 0.5}, cutoff_c, 2)
+    assert one.params == ref.params == {"alpha": 0.5}
+    for a, b in zip(one.levels, ref.levels, strict=True):
+        assert np.array_equal(a.needlet_matrix, b.needlet_matrix)
