@@ -919,17 +919,21 @@ def _cells(edges, reps):
 def _windows(c_lo, c_hi, unit, reps, seed):
     """Points x and y, each (windows, _TILE), of the windows of [c_lo, c_hi]
     at the scales 4 unit, 16 unit, ... up to its length: at each, one window
-    at either end and _TILE reps more at golden-ratio starts rotated by the
-    seed, x and y jittered over a window's _TILE strata by two golden-ratio
-    streams."""
+    at either end, whose x points lie within 8 unit of that end, and _TILE
+    reps more at golden-ratio starts rotated by the seed; x and y are
+    jittered over _TILE strata by two golden-ratio streams."""
     length = c_hi - c_lo
     frac = np.concatenate([[0.0, 1.0], (_shift(seed) + np.arange(reps * _TILE) * _GOLDEN) % 1.0])
     t = np.arange(len(frac))[:, None] * _TILE + np.arange(_TILE)
+    jitter = t % _TILE + t * _GOLDEN % 1.0
     xs, ys, width = [], [], 4.0 * unit
     while True:
         w = min(width, length)
         start = c_lo + (frac * (length - w))[:, None]
-        xs.append(start + w / _TILE * (t % _TILE + t * _GOLDEN % 1.0))
+        x = start + w / _TILE * jitter
+        z = min(w, 8.0 * unit) / _TILE
+        x[0], x[1] = c_lo + z * jitter[0], c_hi - z * jitter[1]
+        xs.append(x)
         ys.append(start + w / _TILE * (t % _TILE + t * 0.7548776662466927 % 1.0))
         if width >= length:
             return np.concatenate(xs), np.concatenate(ys)
