@@ -125,14 +125,14 @@ def measure_envelope(kernel, plan=None):
     """Binned decay envelope of a kernel instance under a sampling plan.
 
     Deterministic for a fixed plan seed: one call of the family's sampler in
-    ``kernels.FAMILIES`` draws the pairs of every bin in one group, each pair
-    with its bin (-1 for a pair outside them all, which is left out), and the
-    group is evaluated in one ``pair_values`` call (and, weighted, one
-    ``weight`` call per side), never bin by bin.  The interval families'
-    group is a block of 16 x 16 cells and windows: each point's rows are
-    formed once, and each cell's 256 values are one tile product.  A pair
-    keeps its bits in any block, so the envelope equals the one evaluated
-    bin by bin.  Weighted plans need a family with a bound weight.
+    ``kernels.FAMILIES`` draws the pairs of every bin as one triple (xs, ys,
+    bins), each pair with its bin (-1 for a pair outside them all, which is
+    left out), and the pairs are evaluated in one ``pair_values`` call (and,
+    weighted, one ``weight`` call per side), never bin by bin.  The interval
+    families' pairs are a block of 16 x 16 cells and windows: each point's
+    rows are formed once, and each cell's 256 values are one tile product.
+    A pair keeps its bits in any block, so the envelope equals the one
+    evaluated bin by bin.  Weighted plans need a family with a bound weight.
     """
     plan = plan or SamplingPlan()
     n_bins, pairs_per_bin = plan.validate()
@@ -148,9 +148,9 @@ def measure_envelope(kernel, plan=None):
     # constants comparable across levels; the first bin starts at the diagonal
     lo = diameter / (4.0 * scale)
     edges = np.concatenate([[0.0], np.geomspace(lo, diameter, n_bins)])
-    groups = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
-    vals = np.concatenate([_pair_magnitudes(kernel, xs, ys, plan.weighted).ravel() for xs, ys, _ in groups])
-    bins = np.concatenate([np.ravel(b) for _, _, b in groups])
+    xs, ys, bins = spec.sample(kernel, edges, pairs_per_bin, plan.seed)
+    vals = _pair_magnitudes(kernel, xs, ys, plan.weighted).ravel()
+    bins = np.ravel(bins)
     keep = bins >= 0
     return _binned(kernel.family, kernel.n, edges, bins[keep], vals[keep], scale, prefactor, plan.weighted)
 

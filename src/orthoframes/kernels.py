@@ -18,7 +18,9 @@ any position, block size and fill.  The product
 bases (Hermite on R^d, Laguerre on R^d_+, the 2-d tensor bases) sum blocks
 of equal total degree: one contraction (``_contract``) folds one table per
 axis into those blocks over whole arrays of pairs.  The ball integrates
-over one auxiliary axis (``_auxiliary_integral``).
+over one auxiliary axis (``_auxiliary_integral``).  Each family has one
+kernel body, its public ``*_kernel`` function, which a ``KernelInstance``
+evaluates through.
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -26,7 +28,7 @@ Kernel evaluation is pure; instances are safe to evaluate concurrently.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,9 +113,12 @@ def _safe_arccos(v):
 # pairs, whose [x, y] rows hold 2^15 points.  A block's working set (its
 # points, three rotating rows and a step's point-sized constant at 256 KiB
 # each, the term and the result slice at 128 KiB) is then 1.5 MiB, inside a
-# core's 2 MiB L2 cache.  The 37k-61k pairs of a decay envelope taken at once
-# spill out of it, and blocks of 2^12 points pay the per-row Python calls 8
-# times as often; both run slower.
+# core's 2 MiB L2 cache.  The path carries the one-argument sums (a sphere
+# envelope's 12,288 cosines, a ball envelope's 64,000 Gegenbauer arguments),
+# ``kernel eval|grid`` pairs and the simplex's pairs; blocks of pairs, the
+# interval envelopes' among them, go to ``_block_series``.  A ``kernel grid``
+# of 40,000 Chebyshev pairs at n = 64 runs 1.5x slower in blocks of 2^12 or
+# 2^17 points (x86-64, one thread).
 _SERIES_BLOCK = 2**15
 
 
@@ -242,20 +247,12 @@ def trig_kernel(cutoff, n, theta):
     return _series(orthopoly._chebyshev_rows, w, np.cos(np.asarray(theta, dtype=float)))
 
 
-# The series families' terms ``terms(cutoff, n, p)``: the row source of their
-# functions and the coefficients of their kernel's series, which a
-# ``KernelInstance`` forms once.
-
-
-def _chebyshev_terms(cutoff, n, p):
-    band = cutoff_band(cutoff, n)
-    return orthopoly._chebyshev_rows, _chebyshev_weight(np.arange(len(band))) * band
-
-
 def chebyshev_kernel(cutoff, n, x, y):
     """Sum of ahat(j/n) * T~_j(x) T~_j(y) with weighted-L2-normalized
     Chebyshev polynomials (T~_0 = 1/sqrt(pi))."""
-    return _series(*_chebyshev_terms(cutoff, n, {}), *_interval_check({}, x, y))
+    band = cutoff_band(cutoff, n)
+    coeff = _chebyshev_weight(np.arange(len(band))) * band
+    return _series(orthopoly._chebyshev_rows, coeff, *_interval_check({}, x, y))
 
 
 def _check_rows(n, *rows):
@@ -271,19 +268,13 @@ def _check_rows(n, *rows):
             raise ValueError(f"{reach}: their products leave double range")
 
 
-def _jacobi_terms(cutoff, n, p):
-    alpha, beta = p["alpha"], p["beta"]
+def jacobi_kernel(cutoff, n, alpha, beta, x, y):
+    """Weighted reproducing-type kernel of the Jacobi family."""
+    x, y = _jacobi_check({"alpha": alpha, "beta": beta}, x, y)
     w = cutoff_band(cutoff, n)
     h = orthopoly._jacobi_norms_upto(alpha, beta, len(w) - 1)
     _check_rows(n, (alpha, beta, len(w) - 1))
-    return partial(orthopoly._jacobi_rows, alpha, beta), w / h
-
-
-def jacobi_kernel(cutoff, n, alpha, beta, x, y):
-    """Weighted reproducing-type kernel of the Jacobi family."""
-    p = {"alpha": alpha, "beta": beta}
-    x, y = _jacobi_check(p, x, y)
-    return _series(*_jacobi_terms(cutoff, n, p), x, y)
+    return _series(partial(orthopoly._jacobi_rows, alpha, beta), w / h, x, y)
 
 
 def _jacobi_check(p, *points):
@@ -369,11 +360,20 @@ def _surface_area(d):
 
 def _gegenbauer_series(coeff, lam, arg):
     """sum_j coeff_j C_j^lam(arg), lam > 0, through the Jacobi rows
-    P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j."""
+    P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j.
+
+    A row past the largest double leaves the sum non-finite, which is
+    refused.  A bound on the rows before they recur would have to hold at
+    arg = 1, where P_j(1) = binom(j + lam - 1/2, j) leaves double range long
+    before the rows at the ball's arguments do (mu = 1e6 at n = 32)."""
     arg = np.asarray(arg, dtype=float)
     orthopoly._check_values(arg, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
     coeff = coeff * orthopoly._gegenbauer_ratio(lam, len(coeff) - 1)
-    return _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the Gegenbauer rows C_j^{lam:g}, j < {len(coeff)}, leave double range")
+    return out
 
 
 def sphere_kernel(cutoff, n, d, cosine):
@@ -624,16 +624,12 @@ def _hermite_axes(d):
     return [_function_axis(orthopoly._hermite_fn_values)] * d
 
 
-def _hermite_terms(cutoff, n, p):
-    return orthopoly._hermite_rows, cutoff_band(cutoff, n)
-
-
 def hermite_kernel(cutoff, n, x, y, d=1):
     """Hermite-function kernel on R^d; d = 1 accepts point arrays, d > 1
     (..., d) arrays of pairs."""
     x, y = _hermite_check({"d": d}, x, y)
     if d == 1:
-        return _series(*_hermite_terms(cutoff, n, {}), x, y)
+        return _series(orthopoly._hermite_rows, cutoff_band(cutoff, n), x, y)
     return _contract(_hermite_axes(d), cutoff_band(cutoff, n), x, y)
 
 
@@ -656,23 +652,19 @@ def _laguerre_check(p, *points):
     return _domain(points, np.negative, "points must be nonnegative")
 
 
-def _laguerre_terms(cutoff, n, p):
-    # the F-type functions are sqrt(2) ell_n(t^2): the rows of the squares
-    (alpha,) = np.atleast_1d(np.asarray(p["alpha"], dtype=float))
-
-    def rows(top, t, consume):
-        orthopoly._laguerre_rows(alpha, top, orthopoly._square(t), consume)
-
-    return rows, 2.0 * cutoff_band(cutoff, n)
-
-
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
     """Laguerre F-function kernel on the positive orthant; d = 1 accepts
     point arrays, d > 1 (..., d) arrays of pairs.  ``alpha`` is scalar for
     d = 1, else one entry per axis."""
     x, y = _laguerre_check({"alpha": alpha, "d": d}, x, y)
     if d == 1:
-        return _series(*_laguerre_terms(cutoff, n, {"alpha": alpha}), x, y)
+        # the F-type functions are sqrt(2) ell_n(t^2): the rows of the squares
+        (a,) = np.atleast_1d(np.asarray(alpha, dtype=float))
+
+        def rows(top, t, consume):
+            orthopoly._laguerre_rows(a, top, orthopoly._square(t), consume)
+
+        return _series(rows, 2.0 * cutoff_band(cutoff, n), x, y)
     axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in np.atleast_1d(alpha)]
     return _contract(axes, cutoff_band(cutoff, n), x, y)
 
@@ -790,7 +782,8 @@ def _as_points(spec, p, x):
 
 def distance(family, x, y):
     """The family's natural metric; arccos arguments are clamped against
-    round-off within 1e-12 of the boundary.
+    round-off within 1e-12 of the boundary, and the sphere, ball and simplex
+    take the half-chord angle of their points lifted to the sphere.
 
     A point is a scalar or an array whose last axis holds its coordinates, so
     (..., k) arrays of pairs give an array of distances and a single pair a
@@ -850,10 +843,10 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
 
 # ---------------------------------------------------------------------------
 # envelope pair samplers: ``sample(k, edges, count, seed)`` draws the pairs of
-# every bin [edges[i], edges[i + 1]] in one call and returns them as a list of
-# groups (xs, ys, bins): the pairs of the broadcast of xs and ys, each with
-# the bin it counts in (-1: none), at least ``count`` pairs in each bin.  The
-# interval samplers' group is a block, xs of shape (cells, _TILE, 1) against
+# every bin [edges[i], edges[i + 1]] in one call and returns them as one triple
+# (xs, ys, bins): the pairs of the broadcast of xs and ys, each with the bin
+# it counts in (-1: none), at least ``count`` pairs in each bin.  The
+# interval samplers' pairs are a block, xs of shape (cells, _TILE, 1) against
 # ys of shape (cells, 1, _TILE), so ``_series`` forms each point's rows once.
 # A bin's pairs depend only on the seed and its own edges, and those of a
 # budget stay the same when the budget grows, so doubling it only refines the
@@ -976,7 +969,7 @@ def _interval_pairs(lo, hi, edges, count, seed, unit, core=None, pin_center=Fals
     wx, wy = _windows(c_lo, c_hi, unit, reps, seed)
     planned = np.broadcast_to(np.arange(bins, dtype=np.int32)[:, None, None], (bins, len(xs) // bins, _TILE**2))
     binned = np.concatenate([planned.reshape(-1, _TILE, _TILE), _bins(edges, np.abs(wy[:, None] - wx[..., None]))])
-    return [(np.concatenate([xs, wx])[..., None], np.concatenate([ys, wy])[:, None], binned)]
+    return np.concatenate([xs, wx])[..., None], np.concatenate([ys, wy])[:, None], binned
 
 
 def _kernel_unit(k):
@@ -985,13 +978,13 @@ def _kernel_unit(k):
 
 
 def _angle_pairs(k, edges, count, seed):
-    groups = _interval_pairs(0.0, np.pi, edges, count, seed, _kernel_unit(k))
-    return [(np.cos(th), np.cos(ph), bins) for th, ph, bins in groups]
+    th, ph, bins = _interval_pairs(0.0, np.pi, edges, count, seed, _kernel_unit(k))
+    return np.cos(th), np.cos(ph), bins
 
 
 def _trig_pairs(k, edges, count, seed):
     deltas = _bin_offsets(edges, count, seed).ravel()
-    return [(deltas, np.zeros(len(deltas)), _per_bin(edges, count))]
+    return deltas, np.zeros(len(deltas)), _per_bin(edges, count)
 
 
 def _sphere_pairs(k, edges, count, seed):
@@ -1001,7 +994,7 @@ def _sphere_pairs(k, edges, count, seed):
     ys = np.zeros_like(xs)
     xs[:, 0] = 1.0
     ys[:, 0], ys[:, 1] = np.cos(deltas), np.sin(deltas)
-    return [(xs, ys, _per_bin(edges, count))]
+    return xs, ys, _per_bin(edges, count)
 
 
 def _line_pairs(k, edges, count, seed, half_line):
@@ -1058,7 +1051,7 @@ def _ball_pairs(k, edges, count, seed):
     w[..., d] = np.abs(w[..., d])
     frac = _uniforms(g[..., 2 * d + 1 :])[..., 0]
     x, y = _chord_pairs(p, _unit(w), np.pi, _bin_offsets(edges, count, seed), frac)
-    return [(x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count))]
+    return x[..., :d].reshape(-1, d), y[..., :d].reshape(-1, d), _per_bin(edges, count)
 
 
 def _simplex_pairs(k, edges, count, seed):
@@ -1085,7 +1078,7 @@ def _simplex_pairs(k, edges, count, seed):
     w = q - pq[..., None] * p
     length = np.arctan2(np.linalg.norm(w, axis=-1), pq)
     x, y = _chord_pairs(p, _unit(w), length, delta, u[..., 3])
-    return [((x * x)[..., :d].reshape(-1, d), (y * y)[..., :d].reshape(-1, d), _per_bin(edges, count))]
+    return (x * x)[..., :d].reshape(-1, d), (y * y)[..., :d].reshape(-1, d), _per_bin(edges, count)
 
 
 def _tensor_pairs(k, edges, count, seed):
@@ -1101,7 +1094,7 @@ def _tensor_pairs(k, edges, count, seed):
     ys = np.concatenate([np.ones((3 * m, 2)), inner])
     r = k.distance(xs, ys)
     bins, keep = np.nonzero((edges[:-1, None] <= r) & (r <= edges[1:, None]))
-    return [(xs[keep], ys[keep], bins)]
+    return xs[keep], ys[keep], bins
 
 
 # ---------------------------------------------------------------------------
@@ -1128,6 +1121,32 @@ def _sphere_check(p, *points):
     return _domain(points, radius_gap, "points must lie on the unit sphere")
 
 
+def _half_chord(lift, message):
+    """The metric of a family whose points ``lift`` maps onto the unit
+    sphere: the geodesic distance 2 atan2(|x - y|, |x + y|) of the lifted
+    points, exact at 0 and accurate up to pi, where the arccos of their dot
+    product reads a point's distance to itself as up to 3e-8.  A lift puts
+    the points outside its domain off the sphere; one farther off than
+    ``_ROUND_OFF`` raises ``message``."""
+
+    def metric(x, y):
+        x, y = _domain([lift(x), lift(y)], lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0), message)
+        return 2.0 * np.arctan2(np.linalg.norm(x - y, axis=-1), np.linalg.norm(x + y, axis=-1))
+
+    return metric
+
+
+def _ball_lift(x):
+    """Ball points (..., d) on the upper hemisphere: (x, sqrt(1 - |x|^2))."""
+    return np.concatenate([x, _hemisphere_height(x)[..., None]], axis=-1)
+
+
+def _simplex_lift(x):
+    """Simplex points (..., d) on the sphere's positive orthant: the square
+    roots of their barycentric coordinates."""
+    return np.sqrt(np.maximum(_barycentric(x), 0.0))
+
+
 def _sphere_cosine(d, x, y):
     """x . y of points on S^d, clipped to [-1, 1]."""
     x, y = _sphere_check({"d": d}, x, y)
@@ -1136,12 +1155,6 @@ def _sphere_cosine(d, x, y):
 
 def _unit_weight(n, x, p):
     return np.ones(x.shape[:-1])
-
-
-def _terms_values(k, x, y):
-    """A series family's kernel at d = 1 over pairs, from the instance's
-    terms."""
-    return _series(*k.terms, *FAMILIES[k.family].check(k.params, x, y))
 
 
 # the profile geometries of a ``Frame``; angle offsets end at the farther end from xi
@@ -1169,15 +1182,14 @@ class Frame:
 class Family:
     """What the package knows about one family, in one place.
 
-    ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs and
-    ``sample(k, edges, count, seed)`` draws the pairs of every envelope bin
-    [edges[i], edges[i + 1]], returning a list of groups (xs, ys, bins),
-    each the pairs of the broadcast of xs and ys with the bin of each; the series
-    families' ``terms(cutoff, n, p)`` are their rows and coefficients at d =
-    1, which an instance forms once; the rest take level ``n`` and parameters ``p``: the metric
-    ``distance(x, y)``, ``scalar`` points, the bound ``weight`` per point
-    (None: none), the bounds' (scale, prefactor), the envelope ``diameter``
-    and the needlet ``frame`` (None: none).
+    ``values(k, x, y)`` evaluates kernel instance ``k`` over pairs through
+    the family's public kernel function and ``sample(k, edges, count,
+    seed)`` draws the pairs of every envelope bin [edges[i], edges[i + 1]],
+    returning one triple (xs, ys, bins), the pairs of the broadcast of xs
+    and ys with the bin of each; the rest take level ``n`` and parameters
+    ``p``: the metric ``distance(x, y)``, ``scalar`` points, the bound
+    ``weight`` per point (None: none), the bounds' (scale, prefactor), the
+    envelope ``diameter`` and the needlet ``frame`` (None: none).
     ``params`` names the parameters read, all required but those with
     ``defaults``, each a value or a function of the parameters filled before
     it; ``check(p, *points)``, the check the family's kernel runs, rejects
@@ -1189,7 +1201,6 @@ class Family:
     distance: object
     values: object = None
     sample: object = None
-    terms: object = None
     scalar: object = lambda p: False
     weight: object = None
     scale: object = _power_scale(lambda p: 1)
@@ -1215,11 +1226,13 @@ FAMILIES = {
         scalar=lambda p: True, weight=_unit_weight, check=_finite_check,
     ),
     "chebyshev": Family(
-        _angle_distance, values=_terms_values, sample=_angle_pairs, terms=_chebyshev_terms,
+        _angle_distance, values=lambda k, x, y: chebyshev_kernel(k.cutoff, k.n, x, y), sample=_angle_pairs,
         scalar=lambda p: True, weight=_unit_weight, check=_interval_check,
     ),
     "jacobi": Family(
-        _angle_distance, values=_terms_values, sample=_angle_pairs, terms=_jacobi_terms, scalar=lambda p: True,
+        _angle_distance,
+        values=lambda k, x, y: jacobi_kernel(k.cutoff, k.n, k.params["alpha"], k.params["beta"], x, y),
+        sample=_angle_pairs, scalar=lambda p: True,
         weight=lambda n, x, p: np.prod(
             (1.0 - x + n**-2.0) ** (p["alpha"] + 0.5) * (1.0 + x + n**-2.0) ** (p["beta"] + 0.5),
             axis=-1,
@@ -1231,15 +1244,13 @@ FAMILIES = {
         ),
     ),
     "sphere": Family(
-        lambda x, y: _safe_arccos(_inner(x, y)),
+        _half_chord(np.asarray, "points must lie on the unit sphere"),
         values=lambda k, x, y: sphere_kernel(k.cutoff, k.n, k.params["d"], _sphere_cosine(k.params["d"], x, y)),
         sample=_sphere_pairs, weight=_unit_weight, scale=_power_scale(lambda p: p["d"]),
         params=("d",), check=_sphere_check,
     ),
     "ball": Family(
-        lambda x, y: _safe_arccos(
-            np.sum(x * y, axis=-1) + _hemisphere_height(x) * _hemisphere_height(y)
-        ),
+        _half_chord(_ball_lift, "points must lie in the closed unit ball"),
         values=lambda k, x, y: ball_kernel(k.cutoff, k.n, k.params["mu"], k.params["d"], x, y),
         sample=_ball_pairs,
         weight=lambda n, x, p: (_hemisphere_height(x) + 1.0 / n) ** (2.0 * p["mu"]),
@@ -1247,9 +1258,7 @@ FAMILIES = {
         params=("mu", "d"), check=_ball_check,
     ),
     "simplex": Family(
-        lambda x, y: _safe_arccos(
-            np.sum(np.sqrt(np.maximum(_barycentric(x), 0.0) * np.maximum(_barycentric(y), 0.0)), -1)
-        ),
+        _half_chord(_simplex_lift, "points must lie in the simplex"),
         values=lambda k, x, y: simplex_kernel(k.cutoff, k.n, k.params["kappa"], x, y),
         sample=_simplex_pairs,
         weight=lambda n, x, p: np.prod(
@@ -1262,10 +1271,8 @@ FAMILIES = {
     ),
     "hermite": Family(
         _sup_distance,
-        values=lambda k, x, y: (
-            _terms_values(k, x, y) if k.params["d"] == 1 else hermite_kernel(k.cutoff, k.n, x, y, d=k.params["d"])
-        ),
-        sample=partial(_line_pairs, half_line=False), terms=_hermite_terms,
+        values=lambda k, x, y: hermite_kernel(k.cutoff, k.n, x, y, d=k.params["d"]),
+        sample=partial(_line_pairs, half_line=False),
         scalar=lambda p: p["d"] == 1, weight=_unit_weight, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), defaults={"d": 1}, check=_hermite_check,
@@ -1275,11 +1282,8 @@ FAMILIES = {
     ),
     "laguerre": Family(
         _sup_distance,
-        values=lambda k, x, y: (
-            _terms_values(k, x, y) if k.params["d"] == 1
-            else laguerre_kernel(k.cutoff, k.n, k.params["alpha"], x, y, d=k.params["d"])
-        ),
-        sample=partial(_line_pairs, half_line=True), terms=_laguerre_terms,
+        values=lambda k, x, y: laguerre_kernel(k.cutoff, k.n, k.params["alpha"], x, y, d=k.params["d"]),
+        sample=partial(_line_pairs, half_line=True),
         scalar=lambda p: p["d"] == 1, scale=_root_scale,
         diameter=lambda n, p: math.sqrt(12.0 * n + 3.0 * np.max(np.abs(p["alpha"])) + 3.0),
         weight=lambda n, x, p: np.prod((x + n**-0.5) ** (2.0 * np.asarray(p["alpha"], dtype=float) + 1.0), axis=-1),
@@ -1328,12 +1332,6 @@ class KernelInstance:
 
     def __call__(self, x, y):
         return FAMILIES[self.family].values(self, x, y)
-
-    @cached_property
-    def terms(self):
-        """The rows and coefficients of a series family's kernel at d = 1:
-        the band, and Jacobi's w / h, formed once per instance."""
-        return FAMILIES[self.family].terms(self.cutoff, self.n, self.params)
 
     def pair_values(self, xs, ys):
         """Kernel values over arrays of pairs (scalar points for the

@@ -66,16 +66,13 @@ def reproducing_defect(family, cut, n, xs, alpha=None, beta=None):
     return worst
 
 
-def broadcast_pairs(groups):
-    """The sampled pairs of a sampler's groups (xs, ys, bins) as two full
-    (pairs, ...) arrays, group after group: the pairs of the broadcast of xs
-    and ys, in C order, whose bin is not -1."""
-    full = [[], []]
-    for x, y, bins in groups:
-        keep = np.ravel(bins) >= 0
-        for side, v in enumerate(np.broadcast_arrays(x, y)):
-            full[side].append(v.reshape((np.size(bins),) + v.shape[np.ndim(bins) :])[keep])
-    return [np.concatenate(f) for f in full]
+def broadcast_pairs(sampled):
+    """The sampled pairs of a sampler's triple (xs, ys, bins) as two full
+    (pairs, ...) arrays: the pairs of the broadcast of xs and ys, in C
+    order, whose bin is not -1."""
+    x, y, bins = sampled
+    keep = np.ravel(bins) >= 0
+    return [v.reshape((np.size(bins),) + v.shape[np.ndim(bins) :])[keep] for v in np.broadcast_arrays(x, y)]
 
 
 @pytest.fixture(scope="session")

@@ -245,11 +245,13 @@ def test_jacobi_parameters_whose_norms_leave_double_range_are_usage_errors(tmp_p
     [
         ["--family", "jacobi", "--alpha", "1000", "--beta", "0", "--n", "512", "--x", "0.99", "--y", "0.98"],
         ["--family", "simplex", "--kappa", "0.5,0.5,0.5", "--n", "256", "--x", "0.2,0.3", "--y", "0.25,0.3"],
+        ["--family", "ball", "--dim", "2", "--mu", "1e8", "--x", "0.1,0.2", "--y=0,0.1"],
     ],
-    ids=["jacobi", "simplex"],
+    ids=["jacobi", "simplex", "ball"],
 )
 def test_rows_whose_products_leave_double_range_are_usage_errors(tmp_path, capsys, family):
-    # the Jacobi kernel once printed value=nan here and exited 0
+    # the Jacobi kernel once printed value=nan here and exited 0, and so did
+    # the ball, whose Gegenbauer rows themselves overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["kernel", "eval", *family, *FAST, "--out", str(tmp_path)]) == 2

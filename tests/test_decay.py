@@ -307,10 +307,10 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
     assume(np.min(np.diff(edges)) >= 1e-6)
     bins = len(edges) - 1
     tol = 1e-12 * r if family in ("hermite", "laguerre") else 1e-9
-    groups = sample(kernel, edges, count, seed)
-    assert len(groups) == 1
-    [(xs, ys, binned)] = groups
-    xs_all, ys_all = broadcast_pairs(groups)
+    sampled = sample(kernel, edges, count, seed)
+    assert isinstance(sampled, tuple) and len(sampled) == 3
+    xs, ys, binned = sampled
+    xs_all, ys_all = broadcast_pairs(sampled)
     b = np.ravel(binned)[np.ravel(binned) >= 0]
     assert _in_closed_domain(family, xs_all, r) and _in_closed_domain(family, ys_all, r)
     rho = kernel.distance(xs_all, ys_all)
@@ -330,8 +330,8 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
         for i in range(bins):
             assert lower in xs_all[b == i] and upper in ys_all[b == i]
     # deterministic per seed
-    for (ax, ay, ab), (bx, by, bb) in zip(groups, sample(kernel, edges, count, seed), strict=True):
-        assert np.array_equal(ax, bx) and np.array_equal(ay, by) and np.array_equal(ab, bb)
+    for a, b_again in zip(sampled, sample(kernel, edges, count, seed), strict=True):
+        assert np.array_equal(a, b_again)
     # a bin's pairs come from its own edges only
     i = len(fracs) // 2 - 1
     alone_x, alone_y = broadcast_pairs(sample(kernel, edges[i : i + 2], count, seed))
@@ -340,7 +340,7 @@ def test_lifted_samplers_draw_every_pair_at_its_planned_distance(case, fracs, co
     # bin maxima can only rise
     fine = sample(kernel, edges, 2 * count, seed)
     fine_x, fine_y = broadcast_pairs(fine)
-    fine_b = np.ravel(fine[0][2])[np.ravel(fine[0][2]) >= 0]
+    fine_b = np.ravel(fine[2])[np.ravel(fine[2]) >= 0]
     for i in range(bins):
         old, new = _pair_keys(xs_all[b == i], ys_all[b == i]), _pair_keys(fine_x[fine_b == i], fine_y[fine_b == i])
         assert np.all(np.isin(old, new))
@@ -362,10 +362,10 @@ def test_the_ball_and_simplex_samplers_uniforms_are_uniform():
 def test_weighted_generic_bins_scale_by_weight_factor(cutoff_c, family, params):
     kernel = ke.KernelInstance(family, cutoff_c, 4, params)
     lo, hi = 0.5, 1.0
-    [(xs, ys, _)] = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 40, 3)
+    xs, ys, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 40, 3)
     raw = de._pair_magnitudes(kernel, xs, ys, False)
     wtd = de._pair_magnitudes(kernel, xs, ys, True)
-    [(x, y, _)] = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
+    x, y, _ = ke.FAMILIES[family].sample(kernel, np.array([lo, hi]), 1, 3)
     factor = math.sqrt(
         ke.weight_factor(family, 4, x[0], mu=params.get("mu"), kappa=params.get("kappa"))
         * ke.weight_factor(family, 4, y[0], mu=params.get("mu"), kappa=params.get("kappa"))
@@ -393,7 +393,7 @@ def test_a_nan_pair_fails_the_fit(cutoff_c, monkeypatch):
     def one_nan(xs, ys):
         vals = pair_values(xs, ys)
         if not calls:
-            # the first pair of bin 1 in the first group, whose bins hold equally many
+            # the first pair of bin 1 of the sampled pairs, whose bins hold equally many
             vals[len(vals) // plan.n_bins] = np.nan
         calls.append(len(vals))
         return vals
@@ -433,17 +433,16 @@ def test_fit_refuses_forms_that_are_not_finite(cheb_env_128, form, message):
 def _per_bin_envelope(kernel, plan):
     """rho, values and counts of an envelope evaluated bin by bin, on
     measure_envelope's bin edges: each bin's pairs drawn from its own edges,
-    each group in one ``pair_values`` call, the pairs outside the bin left
-    out."""
+    the bin's pairs in one ``pair_values`` call, the pairs outside the bin
+    left out."""
     spec = ke.FAMILIES[kernel.family]
     diameter = spec.diameter(kernel.n, kernel.params)
     scale, _ = spec.scale(kernel.n, kernel.params)
     edges = np.concatenate([[0.0], np.geomspace(diameter / (4.0 * scale), diameter, plan.n_bins)])
 
     def bin_values(lo, hi):
-        groups = spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed)
-        vals = [de._pair_magnitudes(kernel, xs, ys, plan.weighted).ravel()[np.ravel(b) == 0] for xs, ys, b in groups]
-        return np.concatenate(vals)
+        xs, ys, b = spec.sample(kernel, np.array([lo, hi]), plan.pairs_per_bin, plan.seed)
+        return de._pair_magnitudes(kernel, xs, ys, plan.weighted).ravel()[np.ravel(b) == 0]
 
     bins = [bin_values(a, b) for a, b in zip(edges[:-1], edges[1:])]
     values = np.array([np.max(v) if len(v) else 0.0 for v in bins])
@@ -477,7 +476,7 @@ def test_envelope_evaluates_every_bin_in_one_call(cutoff_c, monkeypatch, family,
         return vals
 
     monkeypatch.setattr(kernel, "pair_values", counted)
-    # one call, whatever the number of bins: every sampler draws one group;
+    # one call, whatever the number of bins: every sampler draws one triple;
     # it evaluates every counted pair, and the interval families' windows
     # also pairs beyond the last bin, which are left out
     for n_bins in (60, plan.n_bins):

@@ -279,6 +279,18 @@ def test_ball_symmetry(cutoff_c, rng):
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, abs(a)))
 
 
+def test_a_ball_mu_whose_gegenbauer_rows_leave_double_range_is_refused(cutoff_c):
+    # mu = 1e8 once returned nan after three overflow warnings from the rows;
+    # at mu = 1e6 the rows stay in range at the ball's arguments, though
+    # P_j(1) would not, and the value keeps its bits
+    x, y = [0.1, 0.2], [0.0, 0.1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"Gegenbauer rows C_j\^1e\+08, j < 64, leave double range"):
+            ke.ball_kernel(cutoff_c, 32, 1e8, 2, x, y)
+        assert ke.ball_kernel(cutoff_c, 32, 1e6, 2, x, y) == 9.103060950242862e191
+
+
 def test_ball_rejects_zero_mu(cutoff_c):
     with pytest.raises(ValueError):
         ke.ball_kernel(cutoff_c, 8, 0.0, 2, np.zeros(2), np.zeros(2))
@@ -909,7 +921,7 @@ def test_tensor_pair_arrays_match_the_per_pair_convolution(cutoff_c, family, par
         n = 32
         k = ke.KernelInstance(family, cutoff_c, n)
         edges = np.concatenate([[0.0], np.geomspace(np.pi / (4 * n), np.pi, 40)])
-        [(xs, ys, _)] = ke.FAMILIES[family].sample(k, edges, 200, 42)
+        xs, ys, _ = ke.FAMILIES[family].sample(k, edges, 200, 42)
     else:
         n = 64
         k = ke.KernelInstance(family, cutoff_c, n, params)
@@ -985,16 +997,64 @@ def test_distance_basics(rng):
     assert ke.distance("trig", 0.5, 2 * np.pi - 0.5) == pytest.approx(1.0)
     v = rng.uniform(-1, 1, 3)
     v = v / np.linalg.norm(v)
-    assert ke.distance("sphere", v, v) == pytest.approx(0.0, abs=3e-8)
-    assert ke.distance("ball", np.zeros(2), np.zeros(2)) == pytest.approx(0.0, abs=3e-8)
+    assert ke.distance("sphere", v, v) == 0.0
+    assert ke.distance("ball", np.zeros(2), np.zeros(2)) == 0.0
     x = np.array([0.2, 0.3])
-    assert ke.distance("simplex", x, x) == pytest.approx(0.0, abs=3e-8)
+    assert ke.distance("simplex", x, x) == 0.0
+
+
+def _lifted(family, g):
+    """Points (..., 3) of the unit sphere from normals g, those of the ball
+    on the upper hemisphere and those of the simplex in the positive
+    orthant, each coordinate that bounds the lifted set above 0.28, and the
+    map back to the family's points."""
+    g = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    if family == "sphere":
+        return g, lambda q: q
+    if family == "ball":
+        g[..., 2], back = np.maximum(np.abs(g[..., 2]), 0.3), lambda q: q[..., :2]
+    else:
+        g, back = np.maximum(np.abs(g), 0.3), lambda q: (q * q)[..., :2]
+    return g / np.linalg.norm(g, axis=-1, keepdims=True), back
+
+
+@pytest.mark.parametrize("family", ["sphere", "ball", "simplex"])
+def test_lifted_distances_are_exact_at_zero_and_accurate_at_any_separation(family):
+    # the half-chord angle of the lifted points: a point's distance to itself
+    # is 0 for 2,000 random points, where the arccos of the lifted dot
+    # product read up to 3e-8 for a third of them, and pairs at geodesic
+    # separations from 1e-12 to 0.1 read theirs within 3e-14
+    gen = np.random.default_rng(5)
+    p, back = _lifted(family, gen.standard_normal((2000, 3)))
+    x = back(p)
+    assert np.all(ke.distance(family, x, x) == 0.0)
+    w = gen.standard_normal(p.shape)
+    w -= np.sum(w * p, axis=-1, keepdims=True) * p
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    for delta in np.geomspace(1e-12, 0.1, 23):
+        q = np.cos(delta) * p + np.sin(delta) * w
+        assert family == "sphere" or np.all(q[:, 2] > 0.0) and (family == "ball" or np.all(q > 0.0))
+        assert np.all(np.abs(ke.distance(family, x, back(q)) - delta) <= 3e-14)
 
 
 def test_distance_clamps_roundoff_but_rejects_violations():
     assert ke.distance("interval", 1.0 + 5e-13, -1.0) == pytest.approx(np.pi)
     with pytest.raises(ValueError):
         ke.distance("interval", 1.001, 0.0)
+    # the lifted families refuse points their lift puts off the sphere, and
+    # nan, as the arccos of the lifted dot product did
+    assert ke.distance("ball", (1.0 + 5e-13, 0.0), (-1.0, 0.0)) == pytest.approx(np.pi)
+    for family, point, inside in [
+        ("sphere", (2.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ("sphere", (np.nan, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ("ball", (0.0, 3.0), (0.5, 0.0)),
+        ("ball", (np.nan, 0.0), (0.5, 0.0)),
+        ("simplex", (0.8, 0.3), (0.2, 0.2)),
+        ("simplex", (-1e-3, 0.5), (0.2, 0.2)),
+    ]:
+        for x, y in ((point, inside), (inside, point)):
+            with pytest.raises(ValueError, match="points must lie"):
+                ke.distance(family, x, y)
 
 
 def test_simplex_coordinate_distance_bound(rng):
@@ -1387,6 +1447,42 @@ def test_kernel_instance_dispatch(cutoff_c, rng):
     assert sph(u, v) == pytest.approx(ke.sphere_kernel(cutoff_c, 8, 2, 0.0), rel=1e-12)
     with pytest.raises(ValueError):
         ke.KernelInstance("fourier", cutoff_c, 8)
+    # one body per family: an instance's pair values are its family's public
+    # kernel function's, bit for bit, and its sampler returns one triple
+    gen = np.random.default_rng(11)
+    sphere_points = gen.standard_normal((2, 40, 3))
+    sphere_points /= np.linalg.norm(sphere_points, axis=-1, keepdims=True)
+    disk = gen.uniform(-0.7, 0.7, (2, 40, 2))
+    cases = [
+        ("chebyshev", {}, gen.uniform(-1, 1, (2, 40)), lambda x, y: ke.chebyshev_kernel(cutoff_c, 8, x, y)),
+        ("jacobi", {"alpha": 1.0, "beta": -0.5}, gen.uniform(-1, 1, (2, 40)),
+         lambda x, y: ke.jacobi_kernel(cutoff_c, 8, 1.0, -0.5, x, y)),
+        ("hermite", {}, gen.uniform(-6, 6, (2, 40)), lambda x, y: ke.hermite_kernel(cutoff_c, 8, x, y)),
+        ("hermite", {"d": 2}, gen.uniform(-6, 6, (2, 40, 2)), lambda x, y: ke.hermite_kernel(cutoff_c, 8, x, y, d=2)),
+        ("laguerre", {"alpha": 1.0}, gen.uniform(0, 12, (2, 40)),
+         lambda x, y: ke.laguerre_kernel(cutoff_c, 8, 1.0, x, y)),
+        ("laguerre", {"alpha": (0.0, 1.0)}, gen.uniform(0, 12, (2, 40, 2)),
+         lambda x, y: ke.laguerre_kernel(cutoff_c, 8, (0.0, 1.0), x, y, d=2)),
+        ("trig", {}, gen.uniform(-np.pi, np.pi, (2, 40)), lambda x, y: ke.trig_kernel(cutoff_c, 8, x - y)),
+        ("sphere", {"d": 2}, sphere_points,
+         lambda x, y: ke.sphere_kernel(cutoff_c, 8, 2, np.clip(ke._inner(x, y), -1.0, 1.0))),
+        ("ball", {"mu": 1.5, "d": 2}, disk, lambda x, y: ke.ball_kernel(cutoff_c, 8, 1.5, 2, x, y)),
+        ("simplex", {"kappa": (0.5, 1.0)}, gen.uniform(0, 1, (2, 40, 1)),
+         lambda x, y: ke.simplex_kernel(cutoff_c, 8, (0.5, 1.0), x, y)),
+        ("simplex", {"kappa": (0.5, 1.0, 0.5)}, 0.5 * gen.uniform(0, 1, (2, 40, 2)),
+         lambda x, y: ke.simplex_kernel(cutoff_c, 8, (0.5, 1.0, 0.5), x, y)),
+        *(
+            (variant, {}, gen.uniform(-1, 1, (2, 40, 2)), partial(ke.tensor2d_kernel, cutoff_c, 8, variant))
+            for variant in ke.TENSOR_VARIANTS
+        ),
+    ]
+    assert {family for family, *_ in cases} == {name for name, spec in ke.FAMILIES.items() if spec.values}
+    for family, params, (xs, ys), public in cases:
+        k = ke.KernelInstance(family, cutoff_c, 8, params)
+        assert np.array_equal(k.pair_values(xs, ys), public(xs, ys)), family
+        if k.params.get("d", 1) == 1 or family in ("sphere", "ball"):
+            sampled = ke.FAMILIES[family].sample(k, np.array([0.0, 0.1, 0.4]), 8, 42)
+            assert isinstance(sampled, tuple) and len(sampled) == 3, family
 
 
 def test_kernel_instance_descriptor_and_json(cutoff_c):
@@ -1622,7 +1718,7 @@ def test_a_block_pair_keeps_its_bits_at_any_position_and_fill(cutoff_c, family, 
     # nonzero coefficient span 2, 3 and 6 chunks
     params, _, (lo, hi), shared, far = _BLOCK_CASES[family]
     k = ke.KernelInstance(family, cutoff_c, n, params)
-    assert len(np.flatnonzero(k.terms[1])) > ke._CHUNK * (n // 16)
+    assert len(np.flatnonzero(ke.cutoff_band(cutoff_c, n))) > ke._CHUNK * (n // 16)
     gen = np.random.default_rng(n)
     xs, ys = gen.uniform(lo, hi, (2, 24))
     xs[: len(shared + far)], ys[-len(shared + far) :] = shared + far, shared + far
