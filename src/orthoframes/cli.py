@@ -20,17 +20,6 @@ from . import cutoff as cutoff_mod
 from . import decay, kernels, needlets, quadrature
 
 
-def _cutoff_from_args(args):
-    spec = cutoff_mod.CutoffSpec(
-        kind=args.type,
-        epsilon=args.epsilon,
-        log_depth=args.log_depth,
-        m_max=args.m_max,
-        grid_points=args.grid,
-    )
-    return cutoff_mod.assemble_cutoff(spec)
-
-
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -62,11 +51,13 @@ def _add_family_opts(p, n):
 
 
 def _resolve_cutoff(args):
+    """The cutoff of the JSON spec that --config names, else of the flags."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             spec = cutoff_mod.spec_from_json(fh.read())
-        return cutoff_mod.assemble_cutoff(spec)
-    return _cutoff_from_args(args)
+    else:
+        spec = cutoff_mod.CutoffSpec(args.type, args.epsilon, args.log_depth, args.m_max, args.grid)
+    return cutoff_mod.assemble_cutoff(spec)
 
 
 def _params_from_args(args):

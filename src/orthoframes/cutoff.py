@@ -92,15 +92,15 @@ class CutoffSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_epsilon(self.epsilon)
         _check_log_depth(self.log_depth)
-        if self.log_depth > 2:
-            raise ValueError(
-                "log_depth > 2 needs astronomically many convolution factors "
-                "before the iterated logarithms exceed 1"
-            )
         _check_m_max(self.m_max)
         if self.m_max < 8:
             raise ValueError("m_max must be at least 8 for cutoff assembly")
         _check_grid(self.grid_points)
+
+    def fields(self):
+        """The spec's wire format: {kind, epsilon, log_depth, m_max, grid}."""
+        return {"kind": self.kind, "epsilon": self.epsilon, "log_depth": self.log_depth,
+                "m_max": self.m_max, "grid": self.grid_points}
 
 
 def _check_epsilon(epsilon):
@@ -109,8 +109,14 @@ def _check_epsilon(epsilon):
 
 
 def _check_log_depth(log_depth):
+    # the widths and decay's log product have closed forms at depths 1 and 2 only
     if not isinstance(log_depth, numbers.Integral) or log_depth < 1:
         raise ValueError("log_depth must be a positive integer")
+    if log_depth > 2:
+        raise ValueError(
+            "log_depth > 2 needs astronomically many convolution factors "
+            "before the iterated logarithms exceed 1"
+        )
 
 
 def _check_m_max(m_max):
@@ -283,10 +289,9 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
     """Width sequence of the indicator convolution factors.
 
     Returns ``delta_0 .. delta_m_max`` with ``delta_0 = delta_1 = 1``.  For
-    ``log_depth == 1`` the remaining entries are ``1/(j * log(j)**(1+eps))``.
-    Deeper variants divide additionally by iterated logarithms; their
-    non-unit entries start at the first index where every iterated-log factor
-    exceeds 1 (earlier entries stay equal to 1).
+    ``log_depth == 1`` the remaining entries are ``1/(j * log(j)**(1+eps))``;
+    for ``log_depth == 2`` they are ``1/(j * log(j) * loglog(j)**(1+eps))``
+    where loglog j > 1 (so log j > 1 too), and 1 elsewhere (j < 16).
     """
     _check_epsilon(epsilon)
     _check_log_depth(log_depth)
@@ -295,28 +300,15 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
         raise ValueError("m_max must be at least 2")
     delta = np.ones(m_max + 1)
     j = np.arange(2, m_max + 1, dtype=float)
-    if log_depth == 1:
-        delta[2:] = 1.0 / (j * np.log(j) ** (1.0 + epsilon))
-        return delta
     logs = np.log(j)
-    factors = [logs]
-    for _ in range(log_depth - 1):
-        prev = factors[-1]
-        nxt = np.full_like(prev, np.nan)
-        ok = prev > 0
-        nxt[ok] = np.log(prev[ok])
-        factors.append(nxt)
-    valid = np.ones(j.shape, dtype=bool)
-    for f in factors:
-        valid &= np.isfinite(f) & (f > 1.0)
-    prod = np.ones_like(j)
-    for f in factors[:-1]:
-        prod = prod * f
-    # entries outside ``valid`` (a negative iterated log to a fractional
-    # power among them) are replaced by 1 below
+    if log_depth == 1:
+        delta[2:] = 1.0 / (j * logs ** (1.0 + epsilon))
+        return delta
+    loglogs = np.log(logs)
+    # a negative loglog to a fractional power is nan, replaced by 1 below
     with np.errstate(invalid="ignore"):
-        vals = 1.0 / (j * prod * factors[-1] ** (1.0 + epsilon))
-    delta[2:] = np.where(valid, vals, 1.0)
+        vals = 1.0 / (j * logs * loglogs ** (1.0 + epsilon))
+    delta[2:] = np.where(loglogs > 1.0, vals, 1.0)
     return delta
 
 
@@ -746,16 +738,7 @@ def _simpson_uniform(y, h):
 
 def spec_to_json(spec):
     """Serialize a cutoff spec to its JSON wire format."""
-    return json.dumps(
-        {
-            "kind": spec.kind,
-            "epsilon": spec.epsilon,
-            "log_depth": spec.log_depth,
-            "m_max": spec.m_max,
-            "grid": spec.grid_points,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(spec.fields(), sort_keys=True)
 
 
 def spec_from_json(text):

@@ -19,9 +19,11 @@ The fit reports the constant and a zero violation count, or declares the
 shape unsatisfied at the smallest rate of its range; a non-finite bin
 leaves either shape unsatisfied.  Pairs come from one
 call of each family's sampler in ``kernels.FAMILIES``, so envelopes are
-deterministic for a fixed plan seed.  The ball and simplex samplers place
-each bin's ``pairs_per_bin`` pairs at their planned distances on the lifted
-sphere, so none of their bins comes up short.
+deterministic for a fixed plan seed.  Every sampler but the tensor one
+gives each bin at least ``pairs_per_bin`` pairs (the ball and simplex place
+theirs at their planned distances on the lifted sphere); the tensor
+sampler keeps its fixed pairs in the bins they fall in, so some of its bins
+come up short or empty.
 """
 
 import json
@@ -185,26 +187,12 @@ def _pair_magnitudes(kernel, xs, ys, weighted):
 
 
 def _log_product(u, epsilon, log_depth):
-    """Denominator log product; depth 1 is log(e + u)^(1 + eps), depth 2 is
-    log(e + u) * [loglog(e^e + u)]^(1 + eps), and so on."""
+    """Denominator log product: log(e + u)^(1 + eps) at depth 1, and
+    log(e + u) * [loglog(e^e + u)]^(1 + eps) at depth 2."""
     u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    for level in range(1, log_depth + 1):
-        val = np.log(_exp_tower(level) + u)
-        for _ in range(level - 1):
-            val = np.log(val)
-        if level < log_depth:
-            out = out * val
-        else:
-            out = out * val ** (1.0 + epsilon)
-    return out
-
-
-def _exp_tower(level):
-    v = 1.0
-    for _ in range(level):
-        v = math.exp(v)
-    return v
+    if log_depth == 1:
+        return np.log(math.e + u) ** (1.0 + epsilon)
+    return np.log(math.e + u) * np.log(np.log(math.exp(math.e) + u)) ** (1.0 + epsilon)
 
 
 # the range of sub-exponential rates a fit reports
@@ -214,7 +202,7 @@ _RATE_MAX = 20.0
 
 def _check_form(form):
     """Refuse a bound form whose exponent is not finite, or a sub-exponential
-    form whose log depth is not a positive integer."""
+    form whose log depth is not 1 or 2."""
     if isinstance(form, Polynomial):
         name, exponent = "sigma", form.sigma
     elif isinstance(form, SubExponential):
@@ -235,8 +223,8 @@ def fit_bound(env, form):
     rate lies below 1e-3 the form is declared unsatisfied at 1e-3 and the
     violating bins are counted.  A non-finite bin fails either shape: the
     fit reports c = nan and counts those bins as its violations.  A form with
-    a non-finite sigma or epsilon, or a log depth that is not a positive
-    integer, raises ValueError.
+    a non-finite sigma or epsilon, or a log depth that is not 1 or 2,
+    raises ValueError.
     """
     _check_form(form)
     polynomial = isinstance(form, Polynomial)
@@ -346,8 +334,7 @@ def build_wavelet(epsilon):
     mean_abs = abs(float(np.sum(psi) * step))
     rho = np.abs(x_grid)
     edges = np.linspace(0.0, rho.max(), _WAVELET_BINS + 1)
-    idx = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, _WAVELET_BINS - 1)
-    env = _binned("wavelet", 1, edges, idx, np.abs(psi), 1.0, 1.0)
+    env = _binned("wavelet", 1, edges, kernels._bins(edges, rho), np.abs(psi), 1.0, 1.0)
     return Wavelet(epsilon, x_grid, psi, plancherel_defect, mean_abs, env)
 
 

@@ -366,8 +366,7 @@ def _gegenbauer_series(coeff, lam, arg):
     refused.  A bound on the rows before they recur would have to hold at
     arg = 1, where P_j(1) = binom(j + lam - 1/2, j) leaves double range long
     before the rows at the ball's arguments do (mu = 1e6 at n = 32)."""
-    arg = np.asarray(arg, dtype=float)
-    orthopoly._check_values(arg, lambda v: np.abs(v) <= 1.0, "evaluation points must lie in [-1, 1]")
+    arg = _clamped(arg, "evaluation points must lie in [-1, 1]")
     coeff = coeff * orthopoly._gegenbauer_ratio(lam, len(coeff) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
@@ -845,9 +844,12 @@ def weight_factor(family, n, x, alpha=None, beta=None, mu=None, kappa=None):
 # envelope pair samplers: ``sample(k, edges, count, seed)`` draws the pairs of
 # every bin [edges[i], edges[i + 1]] in one call and returns them as one triple
 # (xs, ys, bins): the pairs of the broadcast of xs and ys, each with the bin
-# it counts in (-1: none), at least ``count`` pairs in each bin.  The
-# interval samplers' pairs are a block, xs of shape (cells, _TILE, 1) against
-# ys of shape (cells, 1, _TILE), so ``_series`` forms each point's rows once.
+# it counts in (-1: none).  Every sampler but the tensor one puts at least
+# ``count`` pairs in each bin; ``_tensor_pairs`` keeps its boundary and
+# Halton pairs in the bins they fall in, so its bins can hold fewer, or none.
+# The interval samplers' pairs are a block, xs of shape (cells, _TILE, 1)
+# against ys of shape (cells, 1, _TILE), so ``_series`` forms each point's
+# rows once.
 # A bin's pairs depend only on the seed and its own edges, and those of a
 # budget stay the same when the budget grows, so doubling it only refines the
 # sampled set.  The other samplers' separations come from a nested van der
@@ -1347,13 +1349,7 @@ class KernelInstance:
 
     def descriptor(self):
         d = {"family": self.family, "n": self.n, **_json_params(self.params)}
-        d["cutoff"] = {
-            "kind": self.cutoff.spec.kind,
-            "epsilon": self.cutoff.spec.epsilon,
-            "log_depth": self.cutoff.spec.log_depth,
-            "m_max": self.cutoff.spec.m_max,
-            "grid": self.cutoff.spec.grid_points,
-        }
+        d["cutoff"] = self.cutoff.spec.fields()
         return d
 
     def to_json(self):

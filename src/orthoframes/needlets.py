@@ -222,16 +222,17 @@ def synthesize(system, coefficients, x):
     return out if out.ndim else float(out)
 
 
-def parseval_check(system, f, f_degree=None):
-    """Relative Parseval defect |sum |<f, psi>|^2 - ||f||^2| / ||f||^2.
+def parseval_check(system, coeffs):
+    """Relative Parseval defect |sum |<f, psi>|^2 - ||f||^2| / ||f||^2 of f
+    with spectral coefficients ``coeffs``.
 
     Requires f band-limited within the system capacity; beyond it the
-    dyadic partition is incomplete and no tightness claim is made.
+    dyadic partition is incomplete and no tightness claim is made.  A
+    callable is refused: ``analyze`` projects one onto the spectrum.
     """
-    if callable(f):
-        meta = {}
-        f = _project_callable(system, f, int(f_degree or system.capacity), meta)
-    coeffs = np.asarray(f, dtype=float)
+    if callable(coeffs):
+        raise ValueError("parseval_check takes spectral coefficients; project a callable with analyze")
+    coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) > system.capacity + 1:
         raise ValueError(
             f"parseval_check: band limit {len(coeffs) - 1} exceeds system "

@@ -90,6 +90,12 @@ def _log_beta(a, b):
     return _lgamma(a) + _lgamma(b) - _lgamma(a + b)
 
 
+def _jacobi_mass(a, b):
+    """The mass 2^(a + b + 1) B(a + 1, b + 1) of the Jacobi weight
+    (1 - x)^a (1 + x)^b on [-1, 1]: the norm h_0 and the moment mu_0."""
+    return np.exp((a + b + 1) * np.log(2.0) + _log_beta(a + 1, b + 1))
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Jacobi weight exponents; orthogonality needs both above -1."""
@@ -278,7 +284,7 @@ def _norms_from(p, lg_alpha, lg_beta, lg_n, lg_sum):
         logval = (s + 1.0) * np.log(2.0) - np.log(2.0 * n + s + 1.0) + lg_alpha + lg_beta - lg_n - lg_sum
         out = np.exp(logval)
     if s + 1.0 < 1e-12:
-        out[0] = np.exp((s + 1) * np.log(2.0) + _log_beta(a + 1, b + 1))
+        out[0] = _jacobi_mass(a, b)
     lo, hi = _NORM_RANGE
     _check_values(
         out, lambda h: h >= lo,

@@ -74,8 +74,7 @@ def _jacobi_coeffs(m, alpha, beta):
         b2[0] = 4.0 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
         b2[1:] = (4.0 * kk * (kk + alpha) * (kk + beta) * (kk + s)
                   / ((2 * kk + s) ** 2 * (2 * kk + s + 1) * (2 * kk + s - 1)))
-    mu0 = np.exp((s + 1) * np.log(2.0) + orthopoly._log_beta(alpha + 1, beta + 1))
-    return a, np.sqrt(b2), mu0
+    return a, np.sqrt(b2), orthopoly._jacobi_mass(alpha, beta)
 
 
 def _hermite_coeffs(m):
@@ -184,7 +183,7 @@ def _christoffel_pass(weight, m, *params):
 def _jacobi_moments(degree, alpha, beta):
     # mu_{k+1} = ((beta-alpha) mu_k + k mu_{k-1}) / (alpha+beta+2+k)
     mu = np.empty(degree + 1)
-    mu[0] = np.exp((alpha + beta + 1) * np.log(2.0) + orthopoly._log_beta(alpha + 1, beta + 1))
+    mu[0] = orthopoly._jacobi_mass(alpha, beta)
     if degree >= 1:
         mu[1] = (beta - alpha) / (alpha + beta + 2.0) * mu[0]
     for k in range(1, degree):

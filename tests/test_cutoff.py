@@ -43,6 +43,53 @@ def test_delta_sequence_multilog_offset():
     assert d[16] == pytest.approx(expected, rel=1e-13)
 
 
+def _delta_by_the_general_loops(epsilon, log_depth, m_max):
+    # the width sequence as formed by the loops over any log depth that the
+    # depth-1 and depth-2 closed forms replace
+    delta = np.ones(m_max + 1)
+    j = np.arange(2, m_max + 1, dtype=float)
+    if log_depth == 1:
+        delta[2:] = 1.0 / (j * np.log(j) ** (1.0 + epsilon))
+        return delta
+    factors = [np.log(j)]
+    for _ in range(log_depth - 1):
+        prev = factors[-1]
+        nxt = np.full_like(prev, np.nan)
+        ok = prev > 0
+        nxt[ok] = np.log(prev[ok])
+        factors.append(nxt)
+    valid = np.ones(j.shape, dtype=bool)
+    for f in factors:
+        valid &= np.isfinite(f) & (f > 1.0)
+    prod = np.ones_like(j)
+    for f in factors[:-1]:
+        prod = prod * f
+    with np.errstate(invalid="ignore"):
+        vals = 1.0 / (j * prod * factors[-1] ** (1.0 + epsilon))
+    delta[2:] = np.where(valid, vals, 1.0)
+    return delta
+
+
+@pytest.mark.parametrize("log_depth", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+def test_delta_sequence_keeps_the_bits_of_the_general_loops(epsilon, log_depth):
+    for m_max in (2, 3, 15, 16, 17, 64, 1000, 4096):
+        expected = _delta_by_the_general_loops(epsilon, log_depth, m_max)
+        assert np.array_equal(co.build_delta_sequence(epsilon, log_depth, m_max), expected)
+
+
+def test_log_depth_three_is_refused_by_the_widths_and_the_spec():
+    # its iterated logs stay below 1 for every j < e^(e^e), about 3.8 million,
+    # so the loops once returned 4,097 unit widths here
+    message = "log_depth > 2 needs astronomically many"
+    with pytest.raises(ValueError, match=message):
+        co.build_delta_sequence(1.0, 3, 4096)
+    with pytest.raises(ValueError, match=message):
+        co.CutoffSpec("c", log_depth=3).validate()
+    with pytest.raises(ValueError, match=message):
+        co.build_bump(co.CutoffSpec("a", grid_points=4096, log_depth=3, m_max=64))
+
+
 def test_delta_sequence_rejects_bad_args():
     with pytest.raises(ValueError):
         co.build_delta_sequence(0.0, 1, 8)

@@ -535,13 +535,36 @@ def test_weighted_jacobi_envelope_flattens_endpoint_growth(cutoff_c):
     assert ratio_wtd < ratio_raw
 
 
+def _log_product_by_the_general_loop(u, epsilon, log_depth):
+    # the log product as formed by the loop over any depth, with its tower
+    # of exponentials, that the depth-1 and depth-2 closed forms replace
+    u = np.asarray(u, dtype=float)
+    out = np.ones_like(u)
+    for level in range(1, log_depth + 1):
+        tower = 1.0
+        for _ in range(level):
+            tower = math.exp(tower)
+        val = np.log(tower + u)
+        for _ in range(level - 1):
+            val = np.log(val)
+        out = out * val if level < log_depth else out * val ** (1.0 + epsilon)
+    return out
+
+
 def test_log_product_depths():
-    u = np.array([0.0, 5.0, 100.0])
+    u = np.concatenate([np.linspace(0.0, 1e6, 10_001), np.geomspace(1e-12, 1e6, 10_000), [0.0, 5.0, 100.0]])
     d1 = de._log_product(u, 1.0, 1)
     assert d1[0] == pytest.approx(1.0)
-    d2 = de._log_product(u, 1.0, 2)
-    expect = np.log(np.e + u) * np.log(np.log(np.exp(np.e) + u)) ** 2
-    assert np.allclose(d2, expect)
+    for eps in (0.25, 0.5, 1.0):
+        for depth in (1, 2):
+            expect = _log_product_by_the_general_loop(u, eps, depth)
+            assert np.array_equal(de._log_product(u, eps, depth), expect)
+            assert de._log_product(u[3], eps, depth) == expect[3]
+
+
+def test_fit_refuses_log_depth_three(cheb_env_128):
+    with pytest.raises(ValueError, match="log_depth > 2 needs astronomically many"):
+        de.fit_bound(cheb_env_128, de.SubExponential(1.0, 3))
 
 
 def test_wavelet_checks():

@@ -800,6 +800,22 @@ def test_zonal_and_difference_kernels_refuse_non_finite_arguments(cutoff_c, v):
         ke.laguerre_K_kernel(cutoff_c, 8, [0.0], 1, 0, np.array([0.3, v]))
 
 
+def test_kernel_descriptor_holds_the_spec_wire_format(cutoff_c):
+    kernel = ke.KernelInstance("chebyshev", cutoff_c, 8)
+    assert kernel.descriptor()["cutoff"] == json.loads(co.spec_to_json(cutoff_c.spec))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_cosines_within_round_off_take_the_bits_of_the_ends(cutoff_c, d):
+    # the package's round-off rule: within 1e-12 of [-1, 1] is clipped onto it
+    ends = ke.sphere_kernel(cutoff_c, 16, d, np.array([1.0, -1.0]))
+    near = ke.sphere_kernel(cutoff_c, 16, d, np.array([1.0 + 1e-13, -1.0 - 5e-13]))
+    assert np.array_equal(near, ends)
+    assert ke.sphere_kernel(cutoff_c, 16, d, 1.0 + 1e-13) == ends[0]
+    with pytest.raises(ValueError, match=r"evaluation points must lie in \[-1, 1\]"):
+        ke.sphere_kernel(cutoff_c, 16, d, 1.0 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # tensor-product blocks
 

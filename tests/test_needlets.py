@@ -161,6 +161,13 @@ def test_parseval_random_inputs(jacobi_system, hermite_system, laguerre_system, 
         assert worst < 1e-8
 
 
+def test_parseval_refuses_a_callable(jacobi_system):
+    # a callable's projection held more coefficients than the capacity
+    # check accepts at every J >= 2, so parseval_check takes coefficients only
+    with pytest.raises(ValueError, match="analyze"):
+        ne.parseval_check(jacobi_system, lambda x: np.ones_like(x))
+
+
 def test_parseval_rejects_beyond_capacity(jacobi_system):
     with pytest.raises(ValueError, match="capacity"):
         ne.parseval_check(jacobi_system, np.ones(jacobi_system.capacity + 10))
