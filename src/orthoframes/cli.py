@@ -10,19 +10,24 @@ error.  A fixed default seed keeps CSV outputs byte-identical across runs.
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import cutoff as cutoff_mod
-from . import decay, kernels, needlets, quadrature
+from . import decay, kernels, needlets, orthopoly, quadrature
 
 
-def _outdir(args):
+def _artifact(args, name, text=None):
+    """The path of the artifact ``name`` under --out, which is made if
+    missing; ``text``, when given, is written there."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    path = os.path.join(args.out, name)
+    if text is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return path
 
 
 def _add_cutoff_opts(p):
@@ -99,12 +104,10 @@ def _numbers(text):
 
 def cmd_cutoff(args):
     cut = _resolve_cutoff(args)
-    out = _outdir(args)
     if args.action == "build":
-        path = os.path.join(out, f"cutoff_{cut.spec.kind}.csv")
+        path = _artifact(args, f"cutoff_{cut.spec.kind}.csv")
         cutoff_mod.save_samples_csv(cut, path)
-        with open(os.path.join(out, f"cutoff_{cut.spec.kind}.json"), "w") as fh:
-            fh.write(cutoff_mod.spec_to_json(cut.spec))
+        _artifact(args, f"cutoff_{cut.spec.kind}.json", cutoff_mod.spec_to_json(cut.spec))
         print(f"cutoff build: kind={cut.spec.kind} eps={cut.spec.epsilon} -> {path}")
         return 0
     report, ok = cutoff_mod.check_profile(cut, args.seed, args.tolerance)
@@ -115,27 +118,21 @@ def cmd_cutoff(args):
     else:
         dev = report["quadratic_identity_deviation"]
         print(f"cutoff check: quadratic identity deviation {dev:.3e}")
-    with open(os.path.join(out, "cutoff_check.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True)
+    _artifact(args, "cutoff_check.json", orthopoly._to_json(report))
     return 0 if ok else 1
 
 
 def cmd_kernel(args):
     cut = _resolve_cutoff(args)
     kernel = _kernel_from_args(args, cut)
-    out = _outdir(args)
     if args.action == "eval":
         if kernels.FAMILIES[args.family].scalar(kernel.params) and (np.ndim(args.x) or np.ndim(args.y)):
             raise ValueError(f"kernel eval takes one pair: {args.family} points have 1 coordinate")
         val = kernel(args.x, args.y)
         rho = kernel.distance(args.x, args.y)
         print(f"kernel eval: {args.family} n={args.n} rho={rho:.6g} value={val:.12g}")
-        with open(os.path.join(out, "kernel_eval.json"), "w") as fh:
-            json.dump(
-                {"descriptor": kernel.descriptor(), "rho": rho, "value": val},
-                fh,
-                sort_keys=True,
-            )
+        record = {"descriptor": kernel.descriptor(), "rho": rho, "value": val}
+        _artifact(args, "kernel_eval.json", orthopoly._to_json(record))
         return 0
     # grid
     rng = np.random.default_rng(args.seed)
@@ -150,7 +147,7 @@ def cmd_kernel(args):
     else:
         print(f"kernel grid: family {args.family} not supported", file=sys.stderr)
         return 2
-    path = os.path.join(out, f"kernel_grid_{args.family}.csv")
+    path = _artifact(args, f"kernel_grid_{args.family}.csv")
     kernels.export_grid(kernel, xs, ys, path)
     print(f"kernel grid: wrote {args.count} pairs -> {path}")
     return 0
@@ -168,12 +165,10 @@ def cmd_quad(args):
     else:
         rule = quadrature.gauss_rule(args.weight, args.m, alpha=args.alpha, beta=args.beta)
         check, verify = "moment", quadrature.verify_exactness
-    out = _outdir(args)
     if args.action == "build":
-        path = os.path.join(out, f"quad_{args.weight}_{args.m}.csv")
+        path = _artifact(args, f"quad_{args.weight}_{args.m}.csv")
         quadrature.save_rule_csv(rule, path)
-        with open(os.path.join(out, f"quad_{args.weight}_{args.m}.json"), "w") as fh:
-            fh.write(quadrature.rule_to_json(rule))
+        _artifact(args, f"quad_{args.weight}_{args.m}.json", quadrature.rule_to_json(rule))
         print(f"quad build: {args.weight} m={args.m} -> {path}")
         return 0
     degree = args.degree if args.degree is not None else rule.exactness
@@ -186,11 +181,8 @@ def cmd_quad(args):
 def cmd_needlet(args):
     cut = _resolve_cutoff(args)
     system = needlets.build_needlet_system(args.family, _params_from_args(args), cut, args.jmax)
-    out = _outdir(args)
     if args.action == "build":
-        path = os.path.join(out, f"needlet_{args.family}.json")
-        with open(path, "w") as fh:
-            fh.write(needlets.frame_to_json(system))
+        path = _artifact(args, f"needlet_{args.family}.json", needlets.frame_to_json(system))
         counts = [len(l.nodes) for l in system.levels]
         print(f"needlet build: {args.family} J={args.jmax} node counts {counts} -> {path}")
         return 0
@@ -202,17 +194,12 @@ def cmd_needlet(args):
 
 
 def cmd_decay(args):
-    out = _outdir(args)
     if args.action == "wavelet":
         w = decay.build_wavelet(args.epsilon)
         fit, ok = w.check(args.tolerance)
-        path = os.path.join(out, "wavelet.csv")
-        with open(path, "w") as fh:
-            fh.write("x,psi\n")
-            for xv, pv in zip(w.x, w.values):
-                fh.write(f"{xv:.17g},{pv:.17g}\n")
-        with open(os.path.join(out, "wavelet_fit.json"), "w") as fh:
-            fh.write(decay.fit_to_json(fit))
+        path = _artifact(args, "wavelet.csv")
+        orthopoly._write_csv(path, ("x", "psi"), zip(w.x, w.values))
+        _artifact(args, "wavelet_fit.json", decay.fit_to_json(fit))
         print(
             f"decay wavelet: plancherel {w.plancherel_defect:.3e} mean {w.mean_abs:.3e} "
             f"rate {fit.c_rate:.3g} -> {path}"
@@ -221,8 +208,7 @@ def cmd_decay(args):
     if args.action == "counterexample":
         cut = _resolve_cutoff(args)
         report = decay.counterexample_suite(cut, [int(v) for v in args.n_list.split(",")])
-        with open(os.path.join(out, "counterexample.json"), "w") as fh:
-            fh.write(report.to_json())
+        _artifact(args, "counterexample.json", report.to_json())
         ok = report.matches(args.variant, args.tolerance)
         vals = np.array2string(report.values[args.variant], precision=8)
         pred = np.array2string(report.predicted[args.variant], precision=8)
@@ -232,7 +218,7 @@ def cmd_decay(args):
     kernel = _kernel_from_args(args, cut)
     plan = decay.SamplingPlan(seed=args.seed, weighted=args.weighted)
     if args.action == "envelope":
-        path = os.path.join(out, f"envelope_{args.family}_{args.n}.csv")
+        path = _artifact(args, f"envelope_{args.family}_{args.n}.csv")
         decay.envelope_to_csv(decay.measure_envelope(kernel, plan), path)
         print(f"decay envelope: {args.family} n={args.n} -> {path}")
         return 0
@@ -242,8 +228,7 @@ def cmd_decay(args):
         else:
             form = decay.SubExponential(cut.spec.epsilon, cut.spec.log_depth)
         fit = decay.fit_bound(decay.measure_envelope(kernel, plan), form)
-        with open(os.path.join(out, "fit.json"), "w") as fh:
-            fh.write(decay.fit_to_json(fit))
+        _artifact(args, "fit.json", decay.fit_to_json(fit))
         print(
             f"decay fit: {args.family} n={args.n} form={args.form} c={fit.c:.4g} "
             f"rate={fit.c_rate} violations={fit.violations}"
@@ -254,9 +239,7 @@ def cmd_decay(args):
     fits = decay.compare_cutoffs(
         args.family, args.n, cutoffs, epsilon=cut.spec.epsilon, plan=plan, params=kernel.params
     )
-    rows = [json.loads(decay.fit_to_json(f)) for f in fits]
-    with open(os.path.join(out, "compare.json"), "w") as fh:
-        json.dump(rows, fh, sort_keys=True)
+    _artifact(args, "compare.json", orthopoly._to_json([decay._fit_record(f) for f in fits]))
     smooth, control = fits[0].c_rate, fits[1].c_rate
     ordered = smooth > control
     # a fitted rate is nan or at least 1e-3, so the gap's divisor is never 0

@@ -99,8 +99,11 @@ class CutoffSpec:
 
     def fields(self):
         """The spec's wire format: {kind, epsilon, log_depth, m_max, grid}."""
-        return {"kind": self.kind, "epsilon": self.epsilon, "log_depth": self.log_depth,
-                "m_max": self.m_max, "grid": self.grid_points}
+        return {key: getattr(self, name) for key, name in _WIRE.items()}
+
+
+# The spec's wire format: each JSON key and the CutoffSpec field it holds.
+_WIRE = {"kind": "kind", "epsilon": "epsilon", "log_depth": "log_depth", "m_max": "m_max", "grid": "grid_points"}
 
 
 def _check_epsilon(epsilon):
@@ -738,24 +741,39 @@ def _simpson_uniform(y, h):
 
 def spec_to_json(spec):
     """Serialize a cutoff spec to its JSON wire format."""
-    return json.dumps(spec.fields(), sort_keys=True)
+    return orthopoly._to_json(spec.fields())
 
 
 def spec_from_json(text):
-    """Parse the JSON wire format into a CutoffSpec."""
+    """Parse the JSON wire format into a CutoffSpec.  kind and epsilon are
+    required; log_depth, m_max and grid keep their defaults when absent.  A
+    key outside the format, a missing kind or epsilon, a non-numeric epsilon
+    and a count that is not a whole number (512.0 reads as 512) raise a
+    ValueError naming the key."""
     raw = json.loads(text)
-    return CutoffSpec(
-        kind=raw["kind"],
-        epsilon=float(raw["epsilon"]),
-        log_depth=int(raw.get("log_depth", 1)),
-        m_max=int(raw.get("m_max", DEFAULT_M_MAX)),
-        grid_points=int(raw.get("grid", DEFAULT_GRID)),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"a cutoff spec is a JSON object of the keys {list(_WIRE)}, got a {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(_WIRE))
+    if unknown:
+        raise ValueError(f"unknown cutoff spec keys {unknown}: the keys are {list(_WIRE)}")
+    for key in ("kind", "epsilon"):
+        if key not in raw:
+            raise ValueError(f"the cutoff spec needs the key {key!r}")
+    return CutoffSpec(**{_WIRE[key]: _wire_value(key, value) for key, value in raw.items()})
+
+
+def _wire_value(key, value):
+    """A wire-format value: kind as given, epsilon as a float, a count as an int."""
+    if key == "kind":
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"cutoff spec key {key!r} must be a number, got {value!r}")
+    if key == "epsilon":
+        return float(value)
+    message = f"cutoff spec key {key!r} must be a whole number, got {value!r}"
+    return orthopoly._check_integer(value, -math.inf, math.inf, message)
 
 
 def save_samples_csv(f, path):
     """Write the sampled profile as two-column CSV with header ``t,ahat``."""
-    with open(path, "w") as fh:
-        fh.write("t,ahat\n")
-        for ti, vi in zip(f.t, f.values):
-            fh.write(f"{ti:.17g},{vi:.17g}\n")
+    orthopoly._write_csv(path, ("t", "ahat"), zip(f.t, f.values))

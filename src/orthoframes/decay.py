@@ -26,10 +26,9 @@ sampler keeps its fixed pairs in the bins they fall in, so some of its bins
 come up short or empty.
 """
 
-import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -378,24 +377,7 @@ class CounterexampleReport:
         return bool(np.all(resid * np.asarray(self.n_list) < 10.0))
 
     def to_json(self):
-        def conv(d):
-            return {k: [float(x) for x in v] for k, v in d.items()}
-
-        return json.dumps(
-            {
-                "n_list": list(self.n_list),
-                "profile_integral": self.profile_integral,
-                "first_moment": self.first_moment,
-                "a0": self.a0,
-                "values": conv(self.values),
-                "predicted": conv(self.predicted),
-                "residuals": conv(self.residuals),
-                "slice_fprime": conv(self.slice_fprime),
-                "slice_predicted": conv(self.slice_predicted),
-                "sup_norms": conv(self.sup_norms),
-            },
-            sort_keys=True,
-        )
+        return orthopoly._to_json(asdict(self))
 
 
 def counterexample_suite(cutoff, n_list):
@@ -447,28 +429,22 @@ def counterexample_suite(cutoff, n_list):
 
 def envelope_to_csv(env, path):
     """CSV columns: rho, max_abs, n, family, weighted."""
-    with open(path, "w") as fh:
-        fh.write("rho,max_abs,n,family,weighted\n")
-        for r, v in zip(env.rho, env.values):
-            fh.write(f"{r:.17g},{v:.17g},{env.n},{env.family},{int(env.weighted)}\n")
+    tail = (str(env.n), env.family, int(env.weighted))
+    rows = ((r, v, *tail) for r, v in zip(env.rho, env.values))
+    orthopoly._write_csv(path, ("rho", "max_abs", "n", "family", "weighted"), rows)
 
 
-def fit_to_json(fit):
-    """JSON report {form, epsilon, log_depth, sigma, c, c_rate, violations, satisfied}."""
+def _fit_record(fit):
+    """The fit as the record {form, epsilon, log_depth, sigma, c, c_rate,
+    violations, satisfied} that ``fit_to_json`` encodes."""
     if isinstance(fit.form, Polynomial):
         form, eps, depth, sigma = "polynomial", None, None, fit.form.sigma
     else:
         form, eps, depth, sigma = "sub_exponential", fit.form.epsilon, fit.form.log_depth, None
-    return json.dumps(
-        {
-            "form": form,
-            "epsilon": eps,
-            "log_depth": depth,
-            "sigma": sigma,
-            "c": fit.c,
-            "c_rate": fit.c_rate,
-            "violations": fit.violations,
-            "satisfied": fit.satisfied,
-        },
-        sort_keys=True,
-    )
+    return {"form": form, "epsilon": eps, "log_depth": depth, "sigma": sigma, "c": fit.c,
+            "c_rate": fit.c_rate, "violations": fit.violations, "satisfied": fit.satisfied}
+
+
+def fit_to_json(fit):
+    """JSON report {form, epsilon, log_depth, sigma, c, c_rate, violations, satisfied}."""
+    return orthopoly._to_json(_fit_record(fit))

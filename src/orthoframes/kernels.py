@@ -25,7 +25,6 @@ evaluates through.
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -360,13 +359,13 @@ def _surface_area(d):
 
 def _gegenbauer_series(coeff, lam, arg):
     """sum_j coeff_j C_j^lam(arg), lam > 0, through the Jacobi rows
-    P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j.
+    P_j^(lam - 1/2, lam - 1/2) and the ratios C_j^lam / P_j, at arguments
+    the caller has checked and clipped onto [-1, 1].
 
     A row past the largest double leaves the sum non-finite, which is
     refused.  A bound on the rows before they recur would have to hold at
     arg = 1, where P_j(1) = binom(j + lam - 1/2, j) leaves double range long
     before the rows at the ball's arguments do (mu = 1e6 at n = 32)."""
-    arg = _clamped(arg, "evaluation points must lie in [-1, 1]")
     coeff = coeff * orthopoly._gegenbauer_ratio(lam, len(coeff) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _series(partial(orthopoly._jacobi_rows, lam - 0.5, lam - 0.5), coeff, arg)
@@ -381,6 +380,7 @@ def sphere_kernel(cutoff, n, d, cosine):
     lam = (d - 1) / 2.0
     w = cutoff_band(cutoff, n)
     j = np.arange(len(w), dtype=float)
+    cosine = _clamped(cosine, "evaluation points must lie in [-1, 1]")
     return _gegenbauer_series(w * (j + lam) / (lam * _surface_area(d)), lam, cosine)
 
 
@@ -1353,14 +1353,14 @@ class KernelInstance:
         return d
 
     def to_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
+        return orthopoly._to_json(self.descriptor())
 
 
 def export_grid(kernel, xs, ys, path):
     """CSV of kernel values over point pairs: x coords, y coords, rho, value.
     The pairs are evaluated in one ``pair_values`` call."""
-    xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in xs])
-    ys = np.array([np.atleast_1d(np.asarray(y, dtype=float)) for y in ys])
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
     dim = xs.shape[1]
     px, py = (xs[:, 0], ys[:, 0]) if FAMILIES[kernel.family].scalar(kernel.params) else (xs, ys)
     rho = kernel.distance(px, py)
@@ -1368,7 +1368,4 @@ def export_grid(kernel, xs, ys, path):
     header = (
         [f"x{i}" for i in range(dim)] + [f"y{i}" for i in range(dim)] + ["rho", "value"]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.column_stack([xs, ys, rho, vals]):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    orthopoly._write_csv(path, header, np.column_stack([xs, ys, rho, vals]))

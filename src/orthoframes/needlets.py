@@ -20,7 +20,6 @@ tightness verification) or plain callables integrated by a recorded
 fallback rule.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -99,7 +98,7 @@ class NeedletSystem:
         return out if out.ndim else float(out)
 
     def token(self):
-        return (self.family, json.dumps(kernels._json_params(self.params), sort_keys=True), self.j_max)
+        return (self.family, orthopoly._to_json(self.params), self.j_max)
 
 
 @dataclass
@@ -324,24 +323,17 @@ def needlet_decay_profile(system, j, xi_index):
 def frame_to_json(system):
     """Frame dump {family, params, levels: [{j, n_j, nodes, weights}]}."""
     levels = [
-        {
-            "j": lvl.j,
-            "n_j": lvl.n_j,
-            "nodes": [float(v) for v in lvl.nodes],
-            "weights": [float(v) for v in lvl.rule.weights],
-        }
+        {"j": lvl.j, "n_j": lvl.n_j, "nodes": lvl.nodes, "weights": lvl.rule.weights}
         for lvl in system.levels
     ]
-    return json.dumps(
-        {"family": system.family, "params": kernels._json_params(system.params), "levels": levels},
-        sort_keys=True,
-    )
+    return orthopoly._to_json({"family": system.family, "params": system.params, "levels": levels})
 
 
 def coefficients_to_csv(system, coefficients, path):
     """CSV dump of coefficients: level, node index, node coordinate, value."""
-    with open(path, "w") as fh:
-        fh.write("level,node_index,node,coeff\n")
-        for lvl, c in zip(system.levels, coefficients.levels):
-            for i, v in enumerate(c):
-                fh.write(f"{lvl.j},{i},{lvl.nodes[i]:.17g},{v:.17g}\n")
+    rows = (
+        (lvl.j, i, lvl.nodes[i], v)
+        for lvl, c in zip(system.levels, coefficients.levels)
+        for i, v in enumerate(c)
+    )
+    orthopoly._write_csv(path, ("level", "node_index", "node", "coeff"), rows)

@@ -11,10 +11,15 @@ no table or norm loads scipy: only a Gauss rule of more than 256 nodes does.
 Each recurrence hands its finished rows, one at a time, to a consumer: the
 table builders store them, and the kernels reduce them as they arrive.
 
+Every artifact of the package has one writer here: ``_write_csv`` writes
+each CSV, floats at 17 significant digits, and ``_to_json`` encodes each
+JSON record, with sorted keys and numpy values as plain lists and numbers.
+
 Operations are pure functions of their arguments and safe for concurrent
 use.
 """
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +51,28 @@ def _check_values(values, accept, message):
         raise ValueError(f"{message} (got nan or inf)")
     if not np.all(accept(values)):
         raise ValueError(message)
+
+
+def _write_csv(path, header, rows):
+    """Write the CSV of the column names ``header`` and one line per row:
+    a float at 17 significant digits, which reads back as the same double,
+    any other value as ``str`` gives it."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _plain(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _to_json(record):
+    """``record`` as JSON with sorted keys, numpy arrays and scalars as
+    lists and numbers."""
+    return json.dumps(record, sort_keys=True, default=_plain)
 
 
 # The Jacobi recurrences, the rows here and the Gauss rules' coefficients,
@@ -539,7 +566,5 @@ def check_laguerre_bound(alpha, n_max, t_points=600):
 def save_table_csv(table, path):
     """Write a value table as CSV (degree, value); point arrays flatten."""
     vals = np.atleast_2d(table.values.reshape(table.n_max + 1, -1))
-    with open(path, "w") as fh:
-        fh.write("degree," + ",".join(f"v{i}" for i in range(vals.shape[1])) + "\n")
-        for n in range(table.n_max + 1):
-            fh.write(str(n) + "," + ",".join(f"{v:.17g}" for v in vals[n]) + "\n")
+    header = ["degree"] + [f"v{i}" for i in range(vals.shape[1])]
+    _write_csv(path, header, ([n, *row] for n, row in enumerate(vals)))

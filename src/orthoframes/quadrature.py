@@ -20,7 +20,6 @@ integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
 sums of the normalized functions themselves.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -294,15 +293,9 @@ def laguerre_function_rule(alpha, m):
 
 def rule_to_json(rule):
     """JSON descriptor {weight, params, m} of a rule."""
-    return json.dumps(
-        {"weight": rule.weight, "params": list(rule.params), "m": rule.m},
-        sort_keys=True,
-    )
+    return orthopoly._to_json({"weight": rule.weight, "params": rule.params, "m": rule.m})
 
 
 def save_rule_csv(rule, path):
     """Write nodes and weights as two-column CSV with header ``node,weight``."""
-    with open(path, "w") as fh:
-        fh.write("node,weight\n")
-        for n, w in zip(rule.nodes, rule.weights):
-            fh.write(f"{n:.17g},{w:.17g}\n")
+    orthopoly._write_csv(path, ("node", "weight"), zip(rule.nodes, rule.weights))

@@ -47,6 +47,24 @@ def test_cutoff_check_reads_json_config(tmp_path):
     assert run(["cutoff", "check", "--config", str(cfg), "--out", out]) == 0
 
 
+@pytest.mark.parametrize("raw, key", [
+    pytest.param({"kind": "c", "epsilon": 1.0, "grid_points": 4096}, "grid_points", id="unknown-key"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "log_depth": 2.5}, "log_depth", id="fractional-log_depth"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "m_max": 512.9}, "m_max", id="fractional-m_max"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "grid": 4096.5}, "grid", id="fractional-grid"),
+    pytest.param({"kind": "c"}, "epsilon", id="missing-epsilon"),
+    pytest.param([1, 2], "JSON object", id="non-object"),
+])
+def test_a_refused_config_is_a_usage_error_naming_the_key(tmp_path, capsys, raw, key):
+    # a missing key or a non-object once died on a traceback and exit 1
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(["cutoff", "build", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_kernel_eval_and_grid(tmp_path, capsys):
     out = str(tmp_path / "o")
     code = run(

@@ -638,6 +638,32 @@ def test_spec_json_round_trip():
     assert back == spec
 
 
+# each spec the wire format refuses, and the key its message names
+REFUSED_SPECS = [
+    pytest.param({"kind": "c", "epsilon": 1.0, "grid_points": 4096}, "grid_points", id="unknown-key"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "log_depth": 2.5}, "log_depth", id="fractional-log_depth"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "m_max": 512.9}, "m_max", id="fractional-m_max"),
+    pytest.param({"kind": "c", "epsilon": 1.0, "grid": 4096.5}, "grid", id="fractional-grid"),
+    pytest.param({"kind": "c"}, "epsilon", id="missing-epsilon"),
+    pytest.param({"epsilon": 1.0}, "kind", id="missing-kind"),
+    pytest.param({"kind": "c", "epsilon": "1"}, "epsilon", id="string-epsilon"),
+    pytest.param([1, 2], "JSON object", id="non-object"),
+]
+
+
+@pytest.mark.parametrize("raw, key", REFUSED_SPECS)
+def test_spec_from_json_refuses_by_name(raw, key):
+    with pytest.raises(ValueError, match=key):
+        co.spec_from_json(json.dumps(raw))
+
+
+def test_spec_from_json_reads_whole_floats_as_counts_and_defaults_the_rest():
+    spec = co.spec_from_json('{"kind": "a", "epsilon": 0.5, "log_depth": 2.0, "m_max": 512.0}')
+    assert spec == co.CutoffSpec("a", 0.5, 2, 512)
+    assert all(type(v) is int for v in (spec.log_depth, spec.m_max, spec.grid_points))
+    assert co.spec_from_json('{"kind": "c", "epsilon": 1}') == co.CutoffSpec("c")
+
+
 def test_samples_csv(tmp_path, cutoff_c):
     path = tmp_path / "cut.csv"
     co.save_samples_csv(cutoff_c, path)

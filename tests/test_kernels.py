@@ -291,6 +291,15 @@ def test_a_ball_mu_whose_gegenbauer_rows_leave_double_range_is_refused(cutoff_c)
         assert ke.ball_kernel(cutoff_c, 32, 1e6, 2, x, y) == 9.103060950242862e191
 
 
+def test_ball_points_within_round_off_of_the_sphere_take_the_bits_of_the_edge(cutoff_c):
+    # x.y = 1 + 1.8e-12 leaves [-1, 1] by more than the round-off rule; the
+    # ball clips its auxiliary arguments, so the pair is the edge pair's value
+    near, edge = np.array([1.0 + 9e-13, 0.0]), np.array([1.0, 0.0])
+    value = ke.ball_kernel(cutoff_c, 8, 1.0, 2, near, near)
+    assert value == ke.ball_kernel(cutoff_c, 8, 1.0, 2, edge, edge) == 3009.700884385352
+    assert ke.KernelInstance("ball", cutoff_c, 8, {"mu": 1.0, "d": 2})(near, near) == value
+
+
 def test_ball_rejects_zero_mu(cutoff_c):
     with pytest.raises(ValueError):
         ke.ball_kernel(cutoff_c, 8, 0.0, 2, np.zeros(2), np.zeros(2))
