@@ -1173,7 +1173,7 @@ def _line_profile(lo_clip, xi, n_j):
 class Frame:
     """What a family's tight needlet frame (``needlets``) reads of it."""
 
-    rule: object  # rule(p, m): the Gauss rule whose normalized functions are the basis
+    rule: object  # rule(p, m, level=None): the Gauss rule whose normalized functions are the basis
     base: float  # levels are base-adic in nu: n_j = base^(j - 1), base^j nodes
     band_arg: object  # the cutoff's argument at t = nu / n_j
     profile: object  # profile(xi, n_j): (diameter, offset sampler) of a decay profile about xi
@@ -1241,7 +1241,7 @@ FAMILIES = {
         ),
         params=("alpha", "beta"), check=_jacobi_check,
         frame=Frame(
-            lambda p, m: quadrature.gauss_rule("jacobi", m, alpha=p["alpha"], beta=p["beta"]),
+            lambda p, m, level=None: quadrature.gauss_rule("jacobi", m, p["alpha"], p["beta"], level),
             2.0, lambda t: t, _angle_profile, (-1, 1),
         ),
     ),
@@ -1279,7 +1279,8 @@ FAMILIES = {
         diameter=lambda n, p: math.sqrt(8.0 * n + 2.0),
         params=("d",), defaults={"d": 1}, check=_hermite_check,
         frame=Frame(
-            lambda p, m: quadrature.hermite_function_rule(m), 4.0, np.sqrt, partial(_line_profile, -np.inf), (-3, 3)
+            lambda p, m, level=None: quadrature.hermite_function_rule(m, level),
+            4.0, np.sqrt, partial(_line_profile, -np.inf), (-3, 3),
         ),
     ),
     "laguerre": Family(
@@ -1291,7 +1292,7 @@ FAMILIES = {
         weight=lambda n, x, p: np.prod((x + n**-0.5) ** (2.0 * np.asarray(p["alpha"], dtype=float) + 1.0), axis=-1),
         params=("alpha", "d"), defaults={"alpha": 0.0, "d": lambda p: np.size(p["alpha"])}, check=_laguerre_check,
         frame=Frame(
-            lambda p, m: quadrature.laguerre_function_rule(p["alpha"], m),
+            lambda p, m, level=None: quadrature.laguerre_function_rule(p["alpha"], m, level),
             4.0, np.sqrt, partial(_line_profile, 0.0), (0.05, 3),
         ),
     ),

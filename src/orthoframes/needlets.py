@@ -21,7 +21,7 @@ fallback rule.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,13 +151,13 @@ def build_needlet_system(family, params, cutoff, j_max):
     levels = []
     for j in range(j_max + 1):
         n_j, lo, hi, band = _level(frame, cutoff, j)
-        rule = frame.rule(params, hi)
-        # the rule's table holds phi_0..phi_{hi-1} at its nodes; its band
-        # rows, scaled in place, are the level's matrix as a (nodes, band) view
-        psi = rule.table[lo:]
-        psi *= band[:, None]
+        # the pass that sums the rule's weights writes b_j(nu) phi_nu at its
+        # nodes, nu = lo..hi-1, into the rows of psi; scaled by the roots of
+        # the weights, they are the level's matrix as a (nodes, band) view
+        psi = np.empty((hi - lo, hi))
+        rule = frame.rule(params, hi, (band, psi))
         psi *= np.sqrt(rule.weights)
-        levels.append(NeedletLevel(j, n_j, lo, hi, band, replace(rule, table=None), psi.T))
+        levels.append(NeedletLevel(j, n_j, lo, hi, band, rule, psi.T))
     capacity = int(levels[-1].n_j) if j_max >= 1 else 0
     return NeedletSystem(family, params, cutoff, j_max, levels, capacity)
 
@@ -200,7 +200,7 @@ def _project_callable(system, f, degree, meta):
     rule = kernels.FAMILIES[system.family].frame.rule(system.params, max(top, degree) + 2)
     vals = np.asarray(f(rule.nodes), dtype=float)
     meta["fallback_rule"] = {"weight": rule.weight, "m": rule.m}
-    return rule.table[:top] @ (rule.weights * vals)
+    return quadrature._rule_functions(rule, top - 1, rule.nodes) @ (rule.weights * vals)
 
 
 def _spectral(system, coefficients):

@@ -216,6 +216,35 @@ def _recur(seed0, seed1, x, top, step, consume, log_seed=None, lift=None):
         consume(n + 1, cur if exp is None else np.ldexp(cur, exp, out=row))
 
 
+# A two-term step forms the point factors of a block of rows in one operation
+# of at most _FACTOR_ENTRIES entries (at least one row): at a few points most
+# of a row's cost is the Python call of each numpy operation.
+_FACTOR_ENTRIES = 2**15
+
+
+def _two_term(factor, coeff, top, x):
+    """The step ``out = F_n cur - coeff[n] prev`` of rows n + 1 = 2..top at
+    the flat points x, for ``_recur``; ``factor(lo, hi)`` returns the point
+    factors F_lo..F_{hi-1} as rows, each formed in the order of a factor taken
+    row by row, so a row keeps its bits at any number of points."""
+    width = max(1, _FACTOR_ENTRIES // max(x.size, 1))
+    coeff = coeff.tolist()
+    rows = [None] * top  # the factors of the current block, each dropped once used
+
+    def step(n, x, cur, prev, out):
+        f = rows[n]
+        if f is None:
+            hi = min(n + width, top)
+            rows[n:hi] = factor(n, hi)
+            f = rows[n]
+        rows[n] = None
+        np.multiply(f, cur, out=out)
+        prev *= coeff[n]
+        out -= prev
+
+    return step
+
+
 def _chebyshev_rows(top, x, consume):
     """T_n(x) = cos(n arccos x) by T_{n+1} = 2x T_n - T_{n-1}."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -349,6 +378,13 @@ def _jacobi_fn_values(alpha, beta, n_max, x):
     return out
 
 
+def _jacobi_fn_rows(alpha, beta, top, x, consume):
+    """The rows of ``_jacobi_fn_values`` as a row source."""
+    root = np.sqrt(_jacobi_norms_upto(alpha, beta, top))
+    out = np.empty(np.size(x))
+    _jacobi_rows(alpha, beta, top, x, lambda n, row: consume(n, np.divide(row, root[n], out=out)))
+
+
 def gegenbauer_all(lam, n_max, t):
     """Gegenbauer polynomials C_n^lam via their Jacobi relatives.
 
@@ -378,15 +414,6 @@ def _gegenbauer_ratio(lam, n_max):
     return np.exp(logratio)
 
 
-def _hermite_step(n, t, cur, prev, out):
-    # t sqrt(2 / (n + 1)) cur - sqrt(n / (n + 1)) prev; math.sqrt rounds as
-    # np.sqrt does, at a fraction of its cost on one number
-    np.multiply(t, math.sqrt(2.0 / (n + 1)), out=out)
-    out *= cur
-    prev *= math.sqrt(n / (n + 1.0))
-    out -= prev
-
-
 # Past _FAR a point's square leaves double range.  Every Hermite row there,
 # and every Laguerre F-row, whose argument is that square, carries
 # exp(-t^2 / 2) and lies far below double range, so such a point is held at
@@ -401,11 +428,17 @@ def _square(t):
 
 
 def _hermite_rows(top, t, consume):
-    """L2-normalized Hermite functions h_n(t)."""
+    """L2-normalized Hermite functions h_n(t) by h_{n+1} = t sqrt(2 / (n + 1))
+    h_n - sqrt(n / (n + 1)) h_{n-1}.  Each row is an odd or even function of
+    t, and so is each step's arithmetic: the rows at -t are (-1)^n times
+    those at t, bit for bit."""
     t = np.clip(np.asarray(t, dtype=float).reshape(-1), -_FAR, _FAR)
+    n = np.arange(top, dtype=float)
+    a, b = np.sqrt(2.0 / (n + 1)), np.sqrt(n / (n + 1.0))
     seed0 = np.pi**-0.25 * np.exp(-0.5 * t**2)
+    step = _two_term(lambda lo, hi: np.multiply.outer(a[lo:hi], t), b, top, t)
     _recur(
-        seed0, np.sqrt(2.0) * t * seed0, t, top, _hermite_step, consume,
+        seed0, np.sqrt(2.0) * t * seed0, t, top, step, consume,
         lambda t: -0.5 * t**2 - 0.25 * np.log(np.pi), lambda t: np.sqrt(2.0) * t,
     )
 
@@ -430,16 +463,17 @@ def _laguerre_rows(alpha, top, s, consume):
     """Normalized Laguerre values ell_n(s) = sqrt(n!/Gamma(n+a+1)) *
     L_n^a(s) * exp(-s/2), the common core of all three function types."""
     s = np.asarray(s, dtype=float).reshape(-1)
+    # ell_{n+1} = (2n + alpha + 1 - s) / sqrt((n + 1)(n + alpha + 1)) ell_n
+    #   - sqrt(n (n + alpha) / ((n + 1)(n + alpha + 1))) ell_{n-1}
+    n = np.arange(top, dtype=float)
+    c, d = 2.0 * n + alpha + 1.0, np.sqrt((n + 1.0) * (n + alpha + 1.0))
 
-    def step(n, s, cur, prev, out):
-        # (2n + alpha + 1 - s) / sqrt((n + 1)(n + alpha + 1)) cur
-        #   - sqrt(n (n + alpha) / ((n + 1)(n + alpha + 1))) prev
-        np.subtract(2.0 * n + alpha + 1.0, s, out=out)
-        out /= math.sqrt((n + 1.0) * (n + alpha + 1.0))
-        out *= cur
-        prev *= math.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0)))
-        out -= prev
+    def factor(lo, hi):
+        out = np.subtract.outer(c[lo:hi], s)
+        out /= d[lo:hi, None]
+        return out
 
+    step = _two_term(factor, np.sqrt(n * (n + alpha) / ((n + 1.0) * (n + alpha + 1.0))), top, s)
     _recur(
         np.exp(-0.5 * s - 0.5 * _lgamma(alpha + 1.0)),
         (alpha + 1.0 - s) * np.exp(-0.5 * s - 0.5 * _lgamma(alpha + 2.0)),
@@ -479,6 +513,13 @@ def _laguerre_fn_values(alpha, n_max, t):
     out = _laguerre_core(alpha, n_max, _square(np.asarray(t, dtype=float)))
     out *= np.sqrt(2.0)
     return out
+
+
+def _laguerre_fn_rows(alpha, top, t, consume):
+    """The rows of ``_laguerre_fn_values`` as a row source."""
+    out, root2 = np.empty(np.size(t)), np.sqrt(2.0)
+    s = _square(np.asarray(t, dtype=float))
+    _laguerre_rows(alpha, top, s, lambda n, row: consume(n, np.multiply(row, root2, out=out)))
 
 
 def _times_power(core, t, power):

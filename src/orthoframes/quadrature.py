@@ -6,13 +6,20 @@ coefficients (Golub and Welsch, Math. Comp. 1969).  Up to ``_DENSE_MAX`` =
 ``eigh_tridiagonal``.  Both end in LAPACK's ``dsterf`` on the same diagonal
 and squared off-diagonal (reducing a matrix that is already tridiagonal
 takes zero Householder vectors), so either path gives the nodes the same
-bits, and only rules above the cut load scipy.  Weights are the Christoffel
-numbers 1 / sum_k f_k(x)^2 over one table of the family's normalized
-functions f_0..f_{m-1} at the nodes: orthonormal Jacobi polynomials, or
-Hermite and Laguerre functions that carry the root of their weight, so no
-weight underflows before its true value does.  The rule keeps that table.
-An m-point rule integrates all polynomials of degree <= 2m-1 exactly
-against its weight.
+bits, and only rules above the cut load scipy.  The Hermite weight is even,
+so an m-point Hermite rule takes its nodes as +-sqrt(s) from the
+floor(m/2)-point Laguerre rule at alpha = -1/2 (m even) or +1/2 (m odd, with
+a node at 0) (Gautschi, Orthogonal Polynomials, 2004): half the eigenproblem,
+and nodes exactly antisymmetric; only Hermite rules above 513 nodes load
+scipy.  Weights are the Christoffel numbers 1 / sum_k f_k(x)^2 of the
+family's normalized functions f_0..f_{m-1} at the nodes: orthonormal Jacobi
+polynomials, or Hermite and Laguerre functions that carry the root of their
+weight, so no weight underflows before its true value does.  One pass over
+the rows adds their squares as they come and keeps no table; Hermite rows
+are recurred at the nodes x >= 0 only, since the rows at -x are (-1)^n times
+those at x.  A frame level asks the same pass to write its band rows.  An
+m-point rule integrates all polynomials of degree <= 2m-1 exactly against
+its weight.
 
 Two derived rules serve band-limited function spaces directly: they
 integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
@@ -21,7 +28,7 @@ sums of the normalized functions themselves.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +50,13 @@ _FAMILIES = ("jacobi", "hermite", "laguerre")
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights with declared polynomial exactness against a weight,
-    and the ``table`` of normalized functions f_0..f_{m-1} (rows) at the
-    nodes whose Christoffel sums gave the weights."""
+    """Nodes/weights with declared polynomial exactness against a weight."""
 
     weight: str
     params: tuple
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
-    table: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -76,11 +80,6 @@ def _jacobi_coeffs(m, alpha, beta):
     return a, np.sqrt(b2), orthopoly._jacobi_mass(alpha, beta)
 
 
-def _hermite_coeffs(m):
-    k = np.arange(1, m, dtype=float)
-    return np.zeros(m), np.sqrt(k / 2.0), np.sqrt(np.pi)
-
-
 def _laguerre_coeffs(m, alpha):
     orthopoly._check_values(alpha, lambda v: v > -1.0, "laguerre weight needs alpha > -1")
     k = np.arange(m, dtype=float)
@@ -90,12 +89,15 @@ def _laguerre_coeffs(m, alpha):
     return a, b, np.exp(orthopoly._lgamma(alpha + 1))
 
 
-def gauss_rule(weight, m, alpha=None, beta=None):
+def gauss_rule(weight, m, alpha=None, beta=None, level=None):
     """Gaussian rule with m nodes for one of the classical weights.
 
     weight   "jacobi" ((1-x)^alpha (1+x)^beta on [-1, 1]),
              "hermite" (exp(-x^2) on R), or
              "laguerre" (x^alpha exp(-x) on (0, inf), alpha defaults to 0)
+    level    optional (band, out): the pass that sums the weights also
+             writes band[i] f_n(x), n = m - len(band) + i, into out[i]
+             (len(band) x m), f_n the normalized functions of the weights
     """
     if weight not in _FAMILIES:
         raise ValueError(f"unknown weight {weight!r}; expected one of {_FAMILIES}")
@@ -103,7 +105,7 @@ def gauss_rule(weight, m, alpha=None, beta=None):
         raise ValueError("jacobi rule needs alpha and beta")
     params = {"jacobi": (alpha, beta), "hermite": (), "laguerre": (alpha or 0.0,)}[weight]
     params = tuple(float(v) for v in params)
-    nodes, table, sums, mu0 = _christoffel_pass(weight, m, *params)
+    nodes, sums, mu0 = _christoffel_pass(weight, m, *params, level=level)
     # Christoffel numbers 1/sums; the Hermite and Laguerre functions carry the
     # root of their weight, which the line weights put back without leaving
     # range: full relative accuracy, and 0 only below double range
@@ -113,31 +115,7 @@ def gauss_rule(weight, m, alpha=None, beta=None):
         else:
             weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
     m = len(nodes)
-    return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1, table)
-
-
-# Per rule weight: its recurrence coefficients (a, b, mu0) from (m, *params),
-# the map of the sorted eigenvalues onto the nodes, and its normalized functions
-# f_0..f_top at points x from (params, top, x), looked up in orthopoly at call
-# time so a replaced attribute reaches them.  The weights of the function rules
-# are the passes that ``gauss_rule`` does not build.
-_PASSES = {
-    "jacobi": (_jacobi_coeffs, lambda x: np.clip(x, -1.0, 1.0),
-               lambda p, top, x: orthopoly._jacobi_fn_values(*p, top, x)),
-    "hermite": (_hermite_coeffs, lambda x: x, lambda p, top, x: orthopoly._hermite_fn_values(top, x)),
-    "laguerre": (_laguerre_coeffs, lambda x: np.clip(x, 0.0, None),
-                 lambda p, top, x: orthopoly._laguerre_core(*p, top, x)),
-    # the Laguerre weight in t = sqrt(s), tabulating the F-type functions of t
-    "laguerre_fn": (_laguerre_coeffs, lambda x: np.sqrt(np.clip(x, 0.0, None)),
-                    lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x)),
-}
-_PASSES["hermite_fn"] = _PASSES["hermite"]
-
-
-def _rule_functions(rule, top, x):
-    """The normalized functions f_0..f_top of ``rule`` at x, rows by degree:
-    the functions whose Christoffel sums at the nodes gave its weights."""
-    return _PASSES[rule.weight][2](rule.params, top, x)
+    return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1)
 
 
 # The largest Jacobi matrix whose eigenvalues come from numpy's dense solver.
@@ -160,23 +138,88 @@ def _eigenvalues(a, b):
     return eigh_tridiagonal(a, b, eigvals_only=True)
 
 
-def _christoffel_pass(weight, m, *params):
-    """(nodes, table, sums, mu0) of the m-point rule of a ``_PASSES`` entry:
-    the nodes from the eigenvalues of the Jacobi matrix, the table of the
-    normalized functions f_0..f_{m-1} at them, the Christoffel sums
-    sum_k f_k(x)^2, taken row by row, and the zeroth moment."""
+def _eigen_nodes(coeffs, support):
+    """nodes(m, *params) -> (nodes, mu0): the sorted eigenvalues of the Jacobi
+    matrix of ``coeffs``, mapped by ``support``, and the zeroth moment."""
+
+    def nodes(m, *params):
+        a, b, mu0 = coeffs(m, *params)
+        try:
+            return support(np.sort(_eigenvalues(a, b))), mu0
+        except np.linalg.LinAlgError as err:  # pragma: no cover
+            raise RuntimeError("tridiagonal eigensolver failed") from err
+
+    return nodes
+
+
+_laguerre_nodes = _eigen_nodes(_laguerre_coeffs, lambda x: np.clip(x, 0.0, None))
+
+
+def _hermite_nodes(m):
+    """The m Gauss-Hermite nodes +-sqrt(s), s the nodes of the k = floor(m/2)
+    point Laguerre rule at alpha = -1/2 (m = 2k) or +1/2 (m = 2k + 1, with 0
+    between), and the zeroth moment sqrt(pi)."""
+    root = np.sqrt(_laguerre_nodes(m // 2, m % 2 - 0.5)[0])
+    return np.concatenate([-root[::-1], np.zeros(m % 2), root]), np.sqrt(np.pi)
+
+
+# Per rule weight: its nodes and zeroth moment from (m, *params); its
+# normalized functions f_0..f_top at points x, as a table from (params, top,
+# x) and as a row source rows(params, top, x, consume), both looked up in
+# orthopoly at call time so a replaced attribute reaches them; and whether the
+# weight is even, its rows at -x (-1)^n times those at x.  The weights of the
+# function rules are the passes that ``gauss_rule`` does not build.
+_PASSES = {
+    "jacobi": (_eigen_nodes(_jacobi_coeffs, lambda x: np.clip(x, -1.0, 1.0)),
+               lambda p, top, x: orthopoly._jacobi_fn_values(*p, top, x),
+               lambda p, top, x, consume: orthopoly._jacobi_fn_rows(*p, top, x, consume), False),
+    "hermite": (_hermite_nodes, lambda p, top, x: orthopoly._hermite_fn_values(top, x),
+                lambda p, top, x, consume: orthopoly._hermite_rows(top, x, consume), True),
+    "laguerre": (_laguerre_nodes, lambda p, top, x: orthopoly._laguerre_core(*p, top, x),
+                 lambda p, top, x, consume: orthopoly._laguerre_rows(*p, top, x, consume), False),
+    # the Laguerre weight in t = sqrt(s), whose functions are the F-type functions of t
+    "laguerre_fn": (_eigen_nodes(_laguerre_coeffs, lambda x: np.sqrt(np.clip(x, 0.0, None))),
+                    lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x),
+                    lambda p, top, x, consume: orthopoly._laguerre_fn_rows(*p, top, x, consume), False),
+}
+_PASSES["hermite_fn"] = _PASSES["hermite"]
+
+
+def _rule_functions(rule, top, x):
+    """The normalized functions f_0..f_top of ``rule`` at x, rows by degree:
+    the functions whose Christoffel sums at the nodes gave its weights."""
+    return _PASSES[rule.weight][1](rule.params, top, x)
+
+
+def _christoffel_pass(weight, m, *params, level=None):
+    """(nodes, sums, mu0) of the m-point rule of a ``_PASSES`` entry: the
+    nodes, the Christoffel sums sum_k f_k(x)^2 of the normalized functions
+    f_0..f_{m-1} at them, added row by row as the rows come, and the zeroth
+    moment.  ``level`` = (band, out) has the same pass write band[i] f_n,
+    n = m - len(band) + i, into out[i].  An even weight's rows are recurred
+    at its last ceil(m/2) nodes, those >= 0, and mirrored onto the first:
+    out gets (-1)^n band[i] times them in reverse, and the sums their
+    reverse."""
     m = orthopoly._check_integer(m, 1, math.inf, "node count m must be an integer >= 1")
-    coeffs, support, functions = _PASSES[weight]
-    a, b, mu0 = coeffs(m, *params)
-    try:
-        nodes = support(np.sort(_eigenvalues(a, b)))
-    except np.linalg.LinAlgError as err:  # pragma: no cover
-        raise RuntimeError("tridiagonal eigensolver failed") from err
-    table = functions(params, m - 1, nodes)
-    sums = np.zeros(m)
-    for row in table:
-        sums += row * row
-    return nodes, table, sums, mu0
+    node_source, _, rows, even = _PASSES[weight]
+    nodes, mu0 = node_source(m, *params)
+    half = m // 2 if even else 0
+    sums, square = np.zeros(m - half), np.empty(m - half)
+    band, out = level if level is not None else ((), None)
+    lo = m - len(band)
+
+    def consume(n, row):
+        np.add(sums, np.multiply(row, row, out=square), out=sums)
+        if n >= lo:
+            b = band[n - lo]
+            np.multiply(row, b, out=out[n - lo, half:])
+            if half:
+                np.multiply(row[::-1][:half], -b if n % 2 else b, out=out[n - lo, :half])
+
+    rows(params, m - 1, nodes[half:], consume)
+    if half:
+        sums = np.concatenate([sums[::-1][:half], sums])
+    return nodes, sums, mu0
 
 
 def _jacobi_moments(degree, alpha, beta):
@@ -205,6 +248,13 @@ def _log_sum(logs, signs):
 EXACTNESS_TOL = 1e-10
 
 
+def _check_degree(rule, degree):
+    """``degree`` as an int if it is a whole number in 0..the rule's
+    exactness, else raise as ``orthopoly._check_integer`` does."""
+    message = f"degree must be an integer in 0..{rule.exactness}, the declared exactness"
+    return orthopoly._check_integer(degree, 0, rule.exactness, message)
+
+
 def verify_exactness(rule, degree):
     """Max relative error of the rule's monomial moments up to ``degree``.
 
@@ -215,8 +265,7 @@ def verify_exactness(rule, degree):
     checked against the neighboring even scale.  A non-finite error is
     returned, never dropped.
     """
-    message = f"degree must be an integer in 0..{rule.exactness}, the declared exactness"
-    degree = orthopoly._check_integer(degree, 0, rule.exactness, message)
+    degree = _check_degree(rule, degree)
     x, w = rule.nodes, rule.weights
     errors = np.empty(degree + 1)
     if rule.weight == "jacobi":
@@ -255,10 +304,8 @@ def verify_orthonormality(rule, degree=None):
     """
     if rule.weight not in _PASSES or rule.weight in _FAMILIES:
         raise ValueError(f"orthonormality is checked on function rules, not {rule.weight!r}")
+    degree = rule.exactness if degree is None else _check_degree(rule, degree)
     rows = _rule_functions(rule, rule.m - 1, rule.nodes)
-    degree = rule.exactness if degree is None else degree
-    if not 0 <= degree <= rule.exactness:
-        raise ValueError(f"degree must lie in 0..{rule.exactness}")
     gram = (rows * rule.weights) @ rows.T
     j = np.arange(rule.m)
     gram[np.diag_indices(rule.m)] -= 1.0
@@ -266,29 +313,29 @@ def verify_orthonormality(rule, degree=None):
     return float(err) if np.isfinite(err) else math.nan
 
 
-def hermite_function_rule(m):
+def hermite_function_rule(m, level=None):
     """Rule integrating ``p(x) exp(-x^2)`` over R exactly for deg p <= 2m-1.
 
     Weights are ``exp(x_i^2)`` times the Gauss-Hermite weights, formed as
     reciprocal Christoffel sums of the normalized Hermite functions so that
-    no intermediate quantity underflows.
+    no intermediate quantity underflows.  ``level`` is ``gauss_rule``'s.
     """
-    nodes, table, sums, _ = _christoffel_pass("hermite_fn", m)
-    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * len(nodes) - 1, table)
+    nodes, sums, _ = _christoffel_pass("hermite_fn", m, level=level)
+    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * len(nodes) - 1)
 
 
-def laguerre_function_rule(alpha, m):
+def laguerre_function_rule(alpha, m, level=None):
     """Rule for ``integral_0^inf G(t) t^(2 alpha + 1) dt`` on Laguerre-type
     functions ``G(t) = p(t^2) exp(-t^2)``, exact for deg p <= 2m-1.
 
     Built from the generalized Gauss-Laguerre rule in the substituted
     variable s = t^2; the exponential factor is absorbed through Christoffel
-    sums of the normalized F-type functions at the nodes t.
+    sums of the normalized F-type functions at the nodes t.  ``level`` is
+    ``gauss_rule``'s.
     """
     orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0")
-    nodes, table, sums, _ = _christoffel_pass("laguerre_fn", m, alpha)
-    exactness = 2 * len(nodes) - 1
-    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, exactness, table)
+    nodes, sums, _ = _christoffel_pass("laguerre_fn", m, alpha, level=level)
+    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, 2 * len(nodes) - 1)
 
 
 def rule_to_json(rule):

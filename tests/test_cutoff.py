@@ -795,7 +795,7 @@ def test_importing_and_assembling_loads_no_scipy_until_a_rule():
         "env = decay.measure_envelope(kernels.KernelInstance('chebyshev', prof, 32), decay.SamplingPlan())\n"
         "loaded = [m for m in ('scipy.interpolate', 'scipy.special', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "rule = quadrature.gauss_rule('hermite', 257)\n"
+        "rule = quadrature.gauss_rule('hermite', 514)\n"
         "assert abs(rule.weights.sum() - 3.141592653589793 ** 0.5) < 1e-13\n"
         "assert 'scipy.linalg' in sys.modules\n"
     )

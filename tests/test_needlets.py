@@ -8,6 +8,7 @@ from orthoframes import decay as de
 from orthoframes import kernels as ke
 from orthoframes import needlets as ne
 from orthoframes import orthopoly as op
+from orthoframes import quadrature as qd
 
 
 @pytest.fixture(scope="module")
@@ -440,25 +441,66 @@ def test_needlet_matrices_match_the_copying_reference(jacobi_system, hermite_sys
             assert np.array_equal(lvl.needlet_matrix, ref)
 
 
-@pytest.mark.parametrize("family, params, table", [
-    ("jacobi", {"alpha": 2.0, "beta": 0.5}, "_jacobi_values"),
-    ("hermite", {}, "_hermite_fn_values"),
-    ("laguerre", {"alpha": 0.0}, "_laguerre_core"),
+def _tabulated_level(lvl):
+    """A level's (weights, matrix) by a table of f_0..f_{m-1} at the nodes:
+    the squares summed row by row into the Christoffel sums, and the band
+    rows of the table scaled in place into a (nodes, band) view."""
+    rule = lvl.rule
+    table = qd._rule_functions(rule, rule.m - 1, rule.nodes)
+    sums = np.zeros(rule.m)
+    for row in table:
+        sums += row * row
+    weights = 1.0 / sums
+    if rule.weight == "jacobi" and rule.m == 1:
+        weights = np.array([op._jacobi_mass(*rule.params)])
+    psi = table[lvl.band_lo :]
+    psi *= lvl.band[:, None]
+    psi *= np.sqrt(weights)
+    return weights, psi.T
+
+
+@pytest.mark.parametrize("family, params, j_max", [
+    ("jacobi", {"alpha": 0.0, "beta": 0.0}, 6), ("jacobi", {"alpha": 2.0, "beta": 0.5}, 6),
+    ("jacobi", {"alpha": -0.5, "beta": -0.5}, 6), ("laguerre", {"alpha": 0.0}, 6), ("laguerre", {"alpha": 1.5}, 5),
 ])
-def test_needlet_build_evaluates_one_basis_table_per_level(monkeypatch, cutoff_c, family, params, table):
-    # each level's rule hands its table of phi_0..phi_{m-1} at the m nodes on
-    # to the level matrix, so a build evaluates one m x m table per level
-    shapes = []
-    evaluate = getattr(op, table)
+def test_streamed_levels_keep_the_bits_of_the_tabulated_levels(cutoff_c, family, params, j_max):
+    # the one pass writes each band row, times its band weight, as the table
+    # path scaled it, and adds the same squares in the same order; the matrix
+    # keeps the table view's layout, so products with it keep their bits too
+    system = ne.build_needlet_system(family, params, cutoff_c, j_max)
+    for lvl in system.levels:
+        weights, matrix = _tabulated_level(lvl)
+        assert np.array_equal(lvl.rule.weights, weights), lvl.j
+        assert np.array_equal(lvl.needlet_matrix, matrix), lvl.j
+        assert lvl.needlet_matrix.strides == matrix.strides
 
-    def counted(*args):
-        out = evaluate(*args)
-        shapes.append(out.shape)
-        return out
 
-    monkeypatch.setattr(op, table, counted)
+def test_hermite_level_rows_at_mirrored_nodes_are_sign_mirrors(cutoff_c):
+    # phi_nu(-x) = (-1)^nu phi_nu(x) holds bit for bit at the exactly
+    # antisymmetric nodes, for the rows recurred at x >= 0 and mirrored
+    system = ne.build_needlet_system("hermite", {}, cutoff_c, 5)
+    for lvl in system.levels:
+        sign = (-1.0) ** np.arange(lvl.band_lo, lvl.band_hi)
+        assert np.array_equal(lvl.nodes, -lvl.nodes[::-1])
+        assert np.array_equal(lvl.needlet_matrix[::-1], lvl.needlet_matrix * sign)
+
+
+@pytest.mark.parametrize("family, params, rows, table", [
+    ("jacobi", {"alpha": 2.0, "beta": 0.5}, "_jacobi_rows", "_jacobi_values"),
+    ("hermite", {}, "_hermite_rows", "_hermite_fn_values"),
+    ("laguerre", {"alpha": 0.0}, "_laguerre_rows", "_laguerre_core"),
+])
+def test_needlet_build_recurs_each_level_once_and_forms_no_table(monkeypatch, cutoff_c, family, params, rows, table):
+    # one pass over each level's rows sums its rule's weights and writes its
+    # matrix: the rows phi_0..phi_{m-1} are recurred once at the m nodes (the
+    # Hermite rows at the nodes >= 0 only, the others mirrored) and no m x m
+    # table is formed
+    calls, recur = [], getattr(op, rows)
+    monkeypatch.setattr(op, rows, lambda *args: calls.append((args[-3], len(args[-2]))) or recur(*args))
+    monkeypatch.setattr(op, table, lambda *args: pytest.fail(f"{table} formed a table"))
     system = ne.build_needlet_system(family, params, cutoff_c, 4)
-    assert shapes == [(len(lvl.nodes), len(lvl.nodes)) for lvl in system.levels]
+    half = family == "hermite"
+    assert calls == [(lvl.rule.m - 1, -(-lvl.rule.m // 2) if half else lvl.rule.m) for lvl in system.levels]
 
 
 def test_basis_values_slices_consecutive_degrees(laguerre_system):

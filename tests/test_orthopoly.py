@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -527,6 +529,36 @@ def test_row_sources_keep_the_bits_of_the_allocating_recurrence(name):
     coeff[::7] = 0.0  # skipped rows
     assert np.array_equal(ke._series(rows, coeff, pts, pts[::-1]), ke._series(ref, coeff, pts, pts[::-1]))
     assert np.array_equal(ke._series(rows, coeff, pts), ke._series(ref, coeff, pts))
+
+
+# each row source's interval, and that of its far points (None: none), whose
+# seeds lie below 2^-1000
+_ROW_DOMAINS = {
+    "chebyshev": ((-1.0, 1.0), None), "jacobi": ((-1.0, 1.0), None), "jacobi-a": ((-1.0, 1.0), None),
+    "hermite": ((-30.0, 30.0), (38.0, 85.0)), "laguerre": ((0.0, 1000.0), (1400.0, 16000.0)),
+    "raw-laguerre": ((0.0, 200.0), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SOURCES))
+@pytest.mark.parametrize("count", [1, 50, 4096, 40000])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), far=st.floats(0.0, 1.0))
+@example(seed=0, far=1.0)
+def test_row_sources_keep_their_bits_at_any_number_of_points(name, count, seed, far):
+    # the two-term steps form their point factors a block of rows at a time,
+    # as many rows as fit _FACTOR_ENTRIES at this count: every row keeps the
+    # bits of the step formed row by row
+    rows, ref, top, _ = _ROW_SOURCES[name]
+    top = min(top, 2**21 // count)
+    (lo, hi), far_range = _ROW_DOMAINS[name]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, count)
+    if far_range is not None:
+        out = rng.random(count) < far
+        sign = -1.0 if name == "hermite" else 1.0
+        pts[out] = rng.uniform(*far_range, out.sum()) * np.where(rng.random(out.sum()) < 0.5, sign, 1.0)
+    assert np.array_equal(op._table(rows, top, pts), op._table(ref, top, pts))
 
 
 @pytest.mark.parametrize("name", sorted(_ROW_SOURCES))

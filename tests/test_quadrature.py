@@ -195,10 +195,12 @@ def test_function_rules_share_the_plain_rules_nodes():
 
 # every Jacobi matrix of the rules: the Jacobi weights of the needlets and of
 # the ball at mu = 1/2, 1 and 3/2, and the line weights' (the function rules
-# share the Hermite and Laguerre matrices)
+# share the Laguerre matrices, and the Hermite rules take the Laguerre
+# matrices at alpha = -1/2 and +1/2)
 _EIGEN_CASES = [
     ("jacobi", (0.0, 0.0)), ("jacobi", (2.0, 0.5)), ("jacobi", (-0.9, 3.0)), ("jacobi", (-0.5, -0.5)),
-    ("jacobi", (0.5, 0.5)), ("hermite", ()), ("laguerre", (0.0,)), ("laguerre", (5.0,)),
+    ("jacobi", (0.5, 0.5)), ("laguerre", (-0.5,)), ("laguerre", (0.5,)), ("laguerre", (0.0,)),
+    ("laguerre", (5.0,)),
 ]
 
 
@@ -208,9 +210,9 @@ def test_dense_eigenvalues_keep_the_tridiagonal_solvers_bits(weight, params):
     # two LAPACK builds differ, this fails rather than the nodes moving
     from scipy.linalg import eigh_tridiagonal
 
-    assert {qd._PASSES[w][0] for w in qd._PASSES} == {qd._PASSES[w][0] for w, _ in _EIGEN_CASES}
+    coeffs = {"jacobi": qd._jacobi_coeffs, "laguerre": qd._laguerre_coeffs}[weight]
     for m in range(1, qd._DENSE_MAX + 1):
-        a, b, _ = qd._PASSES[weight][0](m, *params)
+        a, b, _ = coeffs(m, *params)
         dense = np.sort(qd._eigenvalues(a, b))
         assert np.array_equal(dense, np.sort(eigh_tridiagonal(a, b, eigvals_only=True))), m
 
@@ -222,7 +224,7 @@ def test_dense_eigenvalues_keep_the_tridiagonal_solvers_bits(weight, params):
 def test_christoffel_sums_match_squared_table_sums(weight, table):
     # summing squares row by row takes the additions in numpy's axis-0 order
     for m in (1, 2, 17, 300):
-        nodes, _, sums, _ = qd._christoffel_pass(weight, m, *(() if weight == "hermite" else (0.5,)))
+        nodes, sums, _ = qd._christoffel_pass(weight, m, *(() if weight == "hermite" else (0.5,)))
         assert np.array_equal(sums, np.sum(table(m, nodes) ** 2, axis=0))
 
 
@@ -300,6 +302,47 @@ def test_function_rules_are_orthonormal_and_a_perturbed_weight_is_not(build):
     assert math.isnan(qd.verify_orthonormality(dataclasses.replace(rule, weights=weights)))
     with pytest.raises(ValueError, match="degree"):
         qd.verify_orthonormality(rule, rule.exactness + 1)
+
+
+@pytest.mark.parametrize("degree", [3.5, -1, 16, math.nan, math.inf])
+def test_orthonormality_reads_the_degree_as_exactness_does(degree):
+    # a fractional degree once passed verify_orthonormality unchecked
+    message = r"degree must be an integer in 0\.\.15, the declared exactness"
+    with pytest.raises(ValueError, match=message):
+        qd.verify_orthonormality(qd.hermite_function_rule(8), degree)
+    with pytest.raises(ValueError, match=message):
+        qd.verify_exactness(qd.gauss_rule("hermite", 8), degree)
+
+
+def test_orthonormality_reads_a_whole_float_degree_as_its_integer():
+    rule = qd.laguerre_function_rule(0.5, 8)
+    assert qd.verify_orthonormality(rule, 6.0) == qd.verify_orthonormality(rule, 6)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 256, 257, 512, 513, 514, 515, 1024, 4097])
+def test_hermite_rules_come_from_the_half_size_laguerre_problem(m):
+    # nodes +-sqrt(s) over the floor(m/2)-point Laguerre rule at alpha =
+    # -1/2 (m even) or +1/2 (m odd, with 0 between): exactly antisymmetric,
+    # with symmetric weights, for the plain and the function rule alike
+    k = m // 2
+    half = qd.gauss_rule("laguerre", k, alpha=m % 2 - 0.5).nodes if k else np.empty(0)
+    for rule in (qd.gauss_rule("hermite", m), qd.hermite_function_rule(m)):
+        assert np.array_equal(rule.nodes[m - k :], np.sqrt(half))
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        if m % 2:
+            assert rule.nodes[k] == 0.0 and not np.signbit(rule.nodes[k])
+        assert np.all(np.diff(rule.nodes) > 0)
+
+
+# verify_orthonormality of the Hermite function rules when their nodes came
+# from the full m x m Hermite matrix, which the half problem stays within
+_HERMITE_ORTHONORMALITY = {1: 0.0, 2: 2.3e-16, 3: 6.7e-16, 513: 4.6e-13, 1024: 8.1e-13, 2048: 1.5e-12}
+
+
+@pytest.mark.parametrize("m", sorted(_HERMITE_ORTHONORMALITY))
+def test_hermite_function_rules_stay_as_orthonormal_as_from_the_full_problem(m):
+    assert qd.verify_orthonormality(qd.hermite_function_rule(m)) <= _HERMITE_ORTHONORMALITY[m]
 
 
 def test_orthonormality_is_checked_on_function_rules_only():
