@@ -648,14 +648,17 @@ def check_partition_of_unity(f, t_lo=1.0, t_hi=1.0e4, samples=200_000):
 
     Only kind-"c" cutoffs satisfy the identity; the sum truncates on its own
     because the profile vanishes outside (1/2, 2).  The samples are sorted and
-    t / 2^nu is exact, so each scale's window is one slice of them.
+    t / 2^nu is exact, so each scale's window is one slice of them.  Needs
+    1 <= t_lo < t_hi <= 2^1021, where the window ends of every scale stay in
+    double range, and a whole number of samples >= 1.
     """
     if f.spec.kind != "c":
         raise ValueError("partition check requires TypeC")
-    if t_lo < 1.0:
-        raise ValueError("t_lo must be >= 1")
-    if t_hi <= t_lo:
-        raise ValueError("t_hi must exceed t_lo")
+    orthopoly._check_values(t_lo, lambda v: v >= 1.0, "t_lo must be a finite number >= 1")
+    orthopoly._check_values(
+        t_hi, lambda v: (v > t_lo) & (v <= 2.0**1021), "t_hi must be a number exceeding t_lo and at most 2^1021"
+    )
+    samples = orthopoly._check_integer(samples, 1, math.inf, "samples must be an integer >= 1")
     t = np.geomspace(t_lo, t_hi, samples)
     total = np.zeros_like(t)
     scales = 2.0 ** np.arange(int(np.ceil(np.log2(t_hi))) + 2)
@@ -723,7 +726,9 @@ def _transform_spline(f):
 
 
 def integrate_profile(f, moment=0):
-    """Integral of ``t^moment * ahat(t)`` over [0, 2] from the samples."""
+    """Integral of ``t^moment * ahat(t)`` over [0, 2] from the samples, for a
+    finite ``moment`` >= 0."""
+    orthopoly._check_values(moment, lambda v: v >= 0.0, "moment must be a finite number >= 0")
     w = f.values if moment == 0 else f.t**moment * f.values
     return float(_simpson_uniform(w, f.grid_step))
 

@@ -535,13 +535,13 @@ def _simplex_check(p, *points):
 # w_{nu_i} f_{nu_i}(x_i) f_{nu_i}(y_i), the tables folded by ``_block_sums``.
 
 
-def _function_axis(values, weight=None):
-    """The axis builder of the functions f_j tabulated by ``values(top - 1,
-    t)``, in one recurrence over [x, y], with the weights ``weight(j)`` (1
-    when None)."""
+def _function_axis(rows, weight=None):
+    """The axis builder of the functions f_j of the row source ``rows(top, t,
+    consume)``, tabulated in one recurrence over [x, y], with the weights
+    ``weight(j)`` (1 when None)."""
 
     def axis(x, y, top):
-        f = values(top - 1, np.stack([x, y]))
+        f = orthopoly._table(rows, top - 1, np.stack([x, y]))
         if weight is not None:
             f[:, 0] *= weight(np.arange(top, dtype=float))[:, None]
         return (f[:, 0] * f[:, 1]).T
@@ -620,7 +620,7 @@ def _hermite_check(p, *points):
 
 
 def _hermite_axes(d):
-    return [_function_axis(orthopoly._hermite_fn_values)] * d
+    return [_function_axis(orthopoly._hermite_rows)] * d
 
 
 def hermite_kernel(cutoff, n, x, y, d=1):
@@ -664,7 +664,7 @@ def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
             orthopoly._laguerre_rows(a, top, orthopoly._square(t), consume)
 
         return _series(rows, 2.0 * cutoff_band(cutoff, n), x, y)
-    axes = [_function_axis(partial(orthopoly._laguerre_fn_values, a)) for a in np.atleast_1d(alpha)]
+    axes = [_function_axis(partial(orthopoly._laguerre_fn_rows, a)) for a in np.atleast_1d(alpha)]
     return _contract(axes, cutoff_band(cutoff, n), x, y)
 
 
@@ -689,8 +689,8 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
 def _tensor_axes(variant):
     if variant not in TENSOR_VARIANTS:
         raise ValueError(f"variant must be one of {TENSOR_VARIANTS}")
-    chebyshev = _function_axis(partial(orthopoly._table, orthopoly._chebyshev_rows), _chebyshev_weight)
-    legendre = _function_axis(partial(orthopoly._jacobi_values, 0.0, 0.0), _legendre_weight)
+    chebyshev = _function_axis(orthopoly._chebyshev_rows, _chebyshev_weight)
+    legendre = _function_axis(partial(orthopoly._jacobi_rows, 0.0, 0.0), _legendre_weight)
     return [legendre if leg else chebyshev for leg in (variant.startswith("leg"), variant.endswith("leg"))]
 
 

@@ -90,7 +90,7 @@ class NeedletSystem:
 
     def psi(self, j, i, x):
         """Frame element psi_xi at node index i of level j."""
-        lvl = self.levels[j]
+        lvl, i = _level_node(self, j, i)
         degs = np.arange(lvl.band_lo, lvl.band_hi)
         coeff = lvl.needlet_matrix[i]
         vals = self.basis_values(degs, x)
@@ -111,6 +111,16 @@ class FrameCoefficients:
 
     def norm_squared(self):
         return float(sum(np.dot(c, c) for c in self.levels))
+
+
+def _level_node(system, j, i):
+    """(level j, i) of ``system`` with i an int; a j outside 0..j_max or an i
+    outside the level's node indices raises, and so does one that is not a
+    whole number."""
+    j = orthopoly._check_integer(j, 0, system.j_max, f"level j must be an integer in 0..{system.j_max}")
+    lvl = system.levels[j]
+    last = len(lvl.nodes) - 1
+    return lvl, orthopoly._check_integer(i, 0, last, f"node index must be an integer in 0..{last} at level {j}")
 
 
 def _level(frame, cutoff, j):
@@ -181,8 +191,10 @@ def analyze(system, f, f_degree=None):
     The rule used is recorded in the coefficient metadata.
     """
     meta = {}
+    degree = system.levels[-1].band_hi
+    if f_degree is not None:
+        degree = orthopoly._check_integer(f_degree, 0, math.inf, "f_degree must be an integer >= 0")
     if callable(f):
-        degree = int(f_degree if f_degree is not None else system.levels[-1].band_hi)
         f = _project_callable(system, f, degree, meta)
     coeffs = np.asarray(f, dtype=float)
     _check_band_limit(system, coeffs, "analyze")
@@ -303,7 +315,7 @@ def needlet_decay_profile(system, j, xi_index):
     diameter and the offsets' sampler are the family's frame record's
     ``profile``.
     """
-    lvl = system.levels[j]
+    lvl, xi_index = _level_node(system, j, xi_index)
     xi = float(lvl.nodes[xi_index])
     spec = kernels.FAMILIES[system.family]
     diameter, sample = spec.frame.profile(xi, lvl.n_j)

@@ -8,8 +8,9 @@ functions are O(1).  Every Gamma-function ratio goes through log-Gamma
 differences to dodge overflow past n ~ 170.  Every log-Gamma in the
 package is ``_lgamma``, built on the standard library's ``math.lgamma``, so
 no table or norm loads scipy: only a Gauss rule of more than 256 nodes does.
-Each recurrence hands its finished rows, one at a time, to a consumer: the
-table builders store them, and the kernels reduce them as they arrive.
+Each basis has one definition, its row source: a recurrence handing its
+finished rows, one at a time, to a consumer.  ``_table`` stores them, the
+Gauss rules add their squares and the kernels reduce them as they arrive.
 
 Every artifact of the package has one writer here: ``_write_csv`` writes
 each CSV, floats at 17 significant digits, and ``_to_json`` encodes each
@@ -370,16 +371,8 @@ def _jacobi_norms_upto(alpha, beta, n_max):
     return h[: n_max + 1]
 
 
-def _jacobi_fn_values(alpha, beta, n_max, x):
-    """Orthonormal Jacobi polynomials P_n / sqrt(h_n), n = 0..n_max, at x."""
-    x = np.asarray(x, dtype=float)
-    out = _jacobi_values(alpha, beta, n_max, x)
-    out /= np.sqrt(_jacobi_norms_upto(alpha, beta, n_max)).reshape((-1,) + (1,) * x.ndim)
-    return out
-
-
 def _jacobi_fn_rows(alpha, beta, top, x, consume):
-    """The rows of ``_jacobi_fn_values`` as a row source."""
+    """Orthonormal Jacobi polynomials P_n / sqrt(h_n), n = 0..top, at x."""
     root = np.sqrt(_jacobi_norms_upto(alpha, beta, top))
     out = np.empty(np.size(x))
     _jacobi_rows(alpha, beta, top, x, lambda n, row: consume(n, np.divide(row, root[n], out=out)))
@@ -507,16 +500,9 @@ def _laguerre_core(alpha, n_max, s):
     return _table(_laguerre_rows, n_max, s, alpha)
 
 
-def _laguerre_fn_values(alpha, n_max, t):
+def _laguerre_fn_rows(alpha, top, t, consume):
     """The F-type functions sqrt(2) ell_n(t^2), orthonormal in
     L2(R_+, t^(2a+1) dt)."""
-    out = _laguerre_core(alpha, n_max, _square(np.asarray(t, dtype=float)))
-    out *= np.sqrt(2.0)
-    return out
-
-
-def _laguerre_fn_rows(alpha, top, t, consume):
-    """The rows of ``_laguerre_fn_values`` as a row source."""
     out, root2 = np.empty(np.size(t)), np.sqrt(2.0)
     s = _square(np.asarray(t, dtype=float))
     _laguerre_rows(alpha, top, s, lambda n, row: consume(n, np.multiply(row, root2, out=out)))
@@ -548,7 +534,7 @@ def laguerre_fn_all(alpha, n_max, t, which="F"):
     t = np.asarray(t, dtype=float)
     _check_values(t, lambda v: v >= 0.0, "evaluation points must be nonnegative")
     if which == "F":
-        vals = _laguerre_fn_values(alpha, n_max, t)
+        vals = _table(_laguerre_fn_rows, n_max, t, alpha)
     elif which == "L":
         vals = _times_power(_laguerre_core(alpha, n_max, t), t, lambda t: t ** (0.5 * alpha))
     else:

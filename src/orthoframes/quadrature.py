@@ -15,7 +15,8 @@ scipy.  Weights are the Christoffel numbers 1 / sum_k f_k(x)^2 of the
 family's normalized functions f_0..f_{m-1} at the nodes: orthonormal Jacobi
 polynomials, or Hermite and Laguerre functions that carry the root of their
 weight, so no weight underflows before its true value does.  One pass over
-the rows adds their squares as they come and keeps no table; Hermite rows
+the family's row source adds the squares of its rows as they come and keeps no
+table, and every table of a rule's functions is that source's; Hermite rows
 are recurred at the nodes x >= 0 only, since the rows at -x are (-1)^n times
 those at x.  A frame level asks the same pass to write its band rows.  An
 m-point rule integrates all polynomials of degree <= 2m-1 exactly against
@@ -163,32 +164,28 @@ def _hermite_nodes(m):
     return np.concatenate([-root[::-1], np.zeros(m % 2), root]), np.sqrt(np.pi)
 
 
-# Per rule weight: its nodes and zeroth moment from (m, *params); its
-# normalized functions f_0..f_top at points x, as a table from (params, top,
-# x) and as a row source rows(params, top, x, consume), both looked up in
-# orthopoly at call time so a replaced attribute reaches them; and whether the
+# Per rule weight: its nodes and zeroth moment from (m, *params); the row
+# source rows(*params, top, x, consume) of its normalized functions f_0..f_top,
+# which its Christoffel sums and every table of them read, looked up in
+# orthopoly at call time so a replaced attribute reaches it; and whether the
 # weight is even, its rows at -x (-1)^n times those at x.  The weights of the
 # function rules are the passes that ``gauss_rule`` does not build.
 _PASSES = {
     "jacobi": (_eigen_nodes(_jacobi_coeffs, lambda x: np.clip(x, -1.0, 1.0)),
-               lambda p, top, x: orthopoly._jacobi_fn_values(*p, top, x),
-               lambda p, top, x, consume: orthopoly._jacobi_fn_rows(*p, top, x, consume), False),
-    "hermite": (_hermite_nodes, lambda p, top, x: orthopoly._hermite_fn_values(top, x),
-                lambda p, top, x, consume: orthopoly._hermite_rows(top, x, consume), True),
-    "laguerre": (_laguerre_nodes, lambda p, top, x: orthopoly._laguerre_core(*p, top, x),
-                 lambda p, top, x, consume: orthopoly._laguerre_rows(*p, top, x, consume), False),
+               lambda *a: orthopoly._jacobi_fn_rows(*a), False),
+    "hermite": (_hermite_nodes, lambda *a: orthopoly._hermite_rows(*a), True),
+    "laguerre": (_laguerre_nodes, lambda *a: orthopoly._laguerre_rows(*a), False),
     # the Laguerre weight in t = sqrt(s), whose functions are the F-type functions of t
     "laguerre_fn": (_eigen_nodes(_laguerre_coeffs, lambda x: np.sqrt(np.clip(x, 0.0, None))),
-                    lambda p, top, x: orthopoly._laguerre_fn_values(*p, top, x),
-                    lambda p, top, x, consume: orthopoly._laguerre_fn_rows(*p, top, x, consume), False),
+                    lambda *a: orthopoly._laguerre_fn_rows(*a), False),
 }
 _PASSES["hermite_fn"] = _PASSES["hermite"]
 
 
 def _rule_functions(rule, top, x):
     """The normalized functions f_0..f_top of ``rule`` at x, rows by degree:
-    the functions whose Christoffel sums at the nodes gave its weights."""
-    return _PASSES[rule.weight][1](rule.params, top, x)
+    the table of the row source whose Christoffel sums gave its weights."""
+    return orthopoly._table(_PASSES[rule.weight][1], top, x, *rule.params)
 
 
 def _christoffel_pass(weight, m, *params, level=None):
@@ -201,7 +198,7 @@ def _christoffel_pass(weight, m, *params, level=None):
     out gets (-1)^n band[i] times them in reverse, and the sums their
     reverse."""
     m = orthopoly._check_integer(m, 1, math.inf, "node count m must be an integer >= 1")
-    node_source, _, rows, even = _PASSES[weight]
+    node_source, rows, even = _PASSES[weight]
     nodes, mu0 = node_source(m, *params)
     half = m // 2 if even else 0
     sums, square = np.zeros(m - half), np.empty(m - half)
@@ -216,7 +213,7 @@ def _christoffel_pass(weight, m, *params, level=None):
             if half:
                 np.multiply(row[::-1][:half], -b if n % 2 else b, out=out[n - lo, :half])
 
-    rows(params, m - 1, nodes[half:], consume)
+    rows(*params, m - 1, nodes[half:], consume)
     if half:
         sums = np.concatenate([sums[::-1][:half], sums])
     return nodes, sums, mu0
@@ -297,18 +294,20 @@ def verify_orthonormality(rule, degree=None):
     ``hermite_function_rule`` or ``laguerre_function_rule``, whose weights
     integrate products of the normalized functions f_j.
 
-    The functions are tabulated afresh at the rule's nodes.  Unlike the
-    monomial moments and the Gauss weights, neither these sums nor the
-    function rule's weights leave double range at any m.  A non-finite
-    entry is returned as nan, never dropped.
+    The functions f_0..f_top, top = min(m - 1, degree), the only ones such a
+    pair reaches, are tabulated afresh at the rule's nodes, and only their
+    Gram block is formed.  Unlike the monomial moments and the Gauss weights,
+    neither these sums nor the function rule's weights leave double range at
+    any m.  A non-finite entry is returned as nan, never dropped.
     """
     if rule.weight not in _PASSES or rule.weight in _FAMILIES:
         raise ValueError(f"orthonormality is checked on function rules, not {rule.weight!r}")
     degree = rule.exactness if degree is None else _check_degree(rule, degree)
-    rows = _rule_functions(rule, rule.m - 1, rule.nodes)
+    top = min(rule.m - 1, degree)
+    rows = _rule_functions(rule, top, rule.nodes)
     gram = (rows * rule.weights) @ rows.T
-    j = np.arange(rule.m)
-    gram[np.diag_indices(rule.m)] -= 1.0
+    j = np.arange(top + 1)
+    gram[np.diag_indices(top + 1)] -= 1.0
     err = np.abs(gram[j[:, None] + j <= degree]).max()
     return float(err) if np.isfinite(err) else math.nan
 

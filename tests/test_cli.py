@@ -38,6 +38,15 @@ def test_cutoff_check_partition(tmp_path, capsys):
     assert "partition-of-unity deviation" in captured.out
 
 
+def test_cutoff_check_prints_the_quadratic_identity_of_kind_b(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["cutoff", "check", "--type", "b"] + FAST + ["--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("cutoff check: quadratic identity deviation ")
+    report = json.loads((out / "cutoff_check.json").read_text())
+    assert f"{report['quadratic_identity_deviation']:.3e}" in line
+
+
 def test_cutoff_check_reads_json_config(tmp_path):
     cfg = tmp_path / "spec.json"
     cfg.write_text(
@@ -83,6 +92,14 @@ def test_kernel_eval_and_grid(tmp_path, capsys):
     lines = (tmp_path / "o" / "kernel_grid_chebyshev.csv").read_text().splitlines()
     assert lines[0] == "x0,y0,rho,value"
     assert len(lines) == 21
+
+
+def test_kernel_grid_of_a_family_it_draws_no_points_for_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["kernel", "grid", "--family", "sphere", "--dim", "2", "--n", "8", "--count", "5"]
+    assert run(args + FAST + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "kernel grid: family sphere not supported\n"
+    assert not (out / "kernel_grid_sphere.csv").exists()
 
 
 def test_kernel_grid_draws_points_of_the_kernels_dimension(tmp_path, capsys):

@@ -494,6 +494,32 @@ def test_partition_requires_type_c(cutoff_a):
         co.check_partition_of_unity(cutoff_a, 1.0, 10.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_lo": math.nan}, "t_lo must be a finite number >= 1"),
+    ({"t_lo": 0.5}, "t_lo must be a finite number >= 1"),
+    ({"t_lo": -math.inf}, "t_lo must be a finite number >= 1"),
+    ({"t_hi": math.inf}, "t_hi must be a number exceeding t_lo and at most 2\\^1021"),
+    ({"t_hi": 1.7e308}, "t_hi must be a number exceeding t_lo and at most 2\\^1021"),
+    ({"t_hi": math.nan}, "t_hi must be a number exceeding t_lo"),
+    ({"t_lo": 4.0, "t_hi": 4.0}, "t_hi must be a number exceeding t_lo"),
+    ({"samples": 2.5}, "samples must be an integer >= 1"),
+    ({"samples": 0}, "samples must be an integer >= 1"),
+    ({"samples": math.nan}, "samples must be an integer >= 1"),
+])
+def test_partition_check_refuses_ranges_and_counts_with_no_finite_answer(cutoff_c, kwargs, message):
+    # a nan t_lo once returned 1.0 with a RuntimeWarning, an infinite t_hi
+    # raised OverflowError and 2.5 samples a TypeError
+    with pytest.raises(ValueError, match=message):
+        co.check_partition_of_unity(cutoff_c, **kwargs)
+
+
+def test_partition_check_reaches_2_to_the_1021_and_reads_whole_float_counts(cutoff_c):
+    assert co.check_partition_of_unity(cutoff_c, 1.0, 2.0**1021, 2_000) < 1e-8
+    assert co.check_partition_of_unity(cutoff_c, 1.3, 37.0, 999.0) == co.check_partition_of_unity(
+        cutoff_c, 1.3, 37.0, 999
+    )
+
+
 def test_derivative_norms_k0(cutoff_c):
     est = co.estimate_derivative_norms(cutoff_c, 0)
     assert est.values[0] == pytest.approx(1.0, abs=1e-9)
@@ -683,6 +709,14 @@ def test_inverse_transform_mass(cutoff_c):
 def test_integrate_profile_closed_form(cutoff_a):
     # flat part contributes 1, the symmetric roll-off contributes 1/2
     assert co.integrate_profile(cutoff_a) == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("moment", [-1, -0.5, math.nan, math.inf])
+def test_integrate_profile_refuses_a_moment_that_is_not_finite_and_at_least_0(cutoff_a, cutoff_c, moment):
+    # -1 once returned inf for kind a and nan for kind c, and nan returned nan
+    for f in (cutoff_a, cutoff_c):
+        with pytest.raises(ValueError, match="moment must be a finite number >= 0"):
+            co.integrate_profile(f, moment)
 
 
 # ---------------------------------------------------------------------------

@@ -932,7 +932,7 @@ _HERMITE = op._hermite_fn_values
         pytest.param("hermite", {"d": 3}, [_HERMITE] * 3, id="hermite-d3"),
         pytest.param(
             "laguerre", {"alpha": (0.0, 2.0), "d": 2},
-            [partial(op._laguerre_fn_values, a) for a in (0.0, 2.0)], id="laguerre-d2",
+            [lambda top, t, a=a: op.laguerre_fn_all(a, top, t).values for a in (0.0, 2.0)], id="laguerre-d2",
         ),
     ],
 )
@@ -1565,7 +1565,7 @@ def _table_pair_values(k, x, y):
         return np.tensordot(band, table, axes=(0, 0))
     if k.family == "laguerre":
         a = p["alpha"]
-        table = op._laguerre_fn_values(a, top, x) * op._laguerre_fn_values(a, top, y)
+        table = op.laguerre_fn_all(a, top, x).values * op.laguerre_fn_all(a, top, y).values
         return np.tensordot(band, table, axes=(0, 0))
     if k.family == "sphere":
         lam = (p["d"] - 1) / 2.0

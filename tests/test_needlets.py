@@ -249,6 +249,44 @@ def test_analyze_callable_matches_spectral(jacobi_system):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("f_degree", [2.5, -3, math.nan, math.inf])
+def test_analyze_refuses_an_f_degree_that_is_not_a_whole_number_at_least_0(jacobi_system, f_degree):
+    # 2.5 was truncated to 2, -3 accepted and nan raised numpy's conversion error
+    fun = lambda x: np.ones_like(x)
+    with pytest.raises(ValueError, match="f_degree must be an integer >= 0"):
+        ne.analyze(jacobi_system, fun, f_degree=f_degree)
+    with pytest.raises(ValueError, match="f_degree"):
+        ne.analyze(jacobi_system, np.ones(3), f_degree=f_degree)
+
+
+@pytest.mark.parametrize("j, i, message", [
+    (-1, 0, "level j must be an integer in 0..5"),
+    (6, 0, "level j must be an integer in 0..5"),
+    (1.5, 0, "level j must be an integer in 0..5"),
+    (math.nan, 0, "level j"),
+    (1, -1, "node index must be an integer in 0..1 at level 1"),
+    (1, 2, "node index must be an integer in 0..1 at level 1"),
+    (4, 0.5, "node index must be an integer in 0..15 at level 4"),
+    (4, math.inf, "node index"),
+])
+def test_frame_elements_refuse_levels_and_node_indices_out_of_range(jacobi_system, j, i, message):
+    # a negative j or i once wrapped round to the top level or the last node,
+    # and a float node index raised numpy's IndexError
+    with pytest.raises(ValueError, match=message):
+        jacobi_system.psi(j, i, 0.5)
+    with pytest.raises(ValueError, match=message):
+        ne.needlet_decay_profile(jacobi_system, j, i)
+
+
+def test_frame_elements_read_whole_float_indices_as_their_integers(jacobi_system):
+    x = np.linspace(-0.9, 0.9, 5)
+    assert np.array_equal(jacobi_system.psi(4.0, 7.0, x), jacobi_system.psi(4, 7, x))
+    assert np.array_equal(
+        ne.needlet_decay_profile(jacobi_system, np.int64(4), 7.0).values,
+        ne.needlet_decay_profile(jacobi_system, 4, 7).values,
+    )
+
+
 def test_needlet_positive_at_own_node(hermite_system):
     lvl = 2
     i = len(hermite_system.levels[lvl].nodes) // 2

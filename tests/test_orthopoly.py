@@ -152,6 +152,20 @@ def test_norms_sliced_off_a_longer_vector_keep_their_bits(monkeypatch):
             assert np.array_equal(op._jacobi_norms_upto(a, b, top), op.jacobi_norms(op.JacobiParams(a, b), top))
 
 
+def test_norms_read_after_the_store_is_cleared_keep_their_bits(monkeypatch):
+    # the store holds _NORMS_KEPT parameter pairs; the next new pair clears it
+    monkeypatch.setattr(op, "_NORMS", {})
+    pairs = [(0.5 * k, 0.25) for k in range(op._NORMS_KEPT)]
+    first = {p: op._jacobi_norms_upto(*p, 40).copy() for p in pairs}
+    assert len(op._NORMS) == op._NORMS_KEPT
+    extra = op._jacobi_norms_upto(-0.5, -0.5, 40)
+    assert list(op._NORMS) == [(-0.5, -0.5)]
+    assert np.array_equal(extra, op.jacobi_norms(op.JacobiParams(-0.5, -0.5), 40))
+    for p, h in first.items():
+        assert np.array_equal(op._jacobi_norms_upto(*p, 40), h)
+        assert np.array_equal(op._jacobi_norms_upto(*p, 12), h[:13])
+
+
 def test_gegenbauer_normalization_and_recurrence():
     lam = 1.0
     vals = op.gegenbauer_all(lam, 6, 1.0).values

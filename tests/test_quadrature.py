@@ -304,6 +304,37 @@ def test_function_rules_are_orthonormal_and_a_perturbed_weight_is_not(build):
         qd.verify_orthonormality(rule, rule.exactness + 1)
 
 
+def _full_gram_error(rule, degree):
+    # the m x m Gram matrix the check once formed at every degree
+    rows = qd._rule_functions(rule, rule.m - 1, rule.nodes)
+    gram = (rows * rule.weights) @ rows.T - np.eye(rule.m)
+    j = np.arange(rule.m)
+    return float(np.abs(gram[j[:, None] + j <= degree]).max())
+
+
+@pytest.mark.parametrize("build, degree, top", [
+    (qd.hermite_function_rule, 10, 10),
+    (qd.hermite_function_rule, 0, 0),
+    (qd.hermite_function_rule, 150, 95),
+    (qd.hermite_function_rule, 191, 95),
+    (lambda m: qd.laguerre_function_rule(1.0, m), 10, 10),
+])
+def test_orthonormality_tabulates_only_the_rows_its_degree_reaches(monkeypatch, build, degree, top):
+    # a pair j + k <= degree reaches rows 0..min(m - 1, degree) only: a
+    # Hermite rule of 2,048 nodes at degree 10 once formed its whole
+    # 2,048 x 2,048 Gram matrix
+    rule = build(96)
+    full = _full_gram_error(rule, degree)
+    tops, functions = [], qd._rule_functions
+    monkeypatch.setattr(qd, "_rule_functions", lambda r, t, x: tops.append(t) or functions(r, t, x))
+    err = qd.verify_orthonormality(rule, degree)
+    assert tops == [top]
+    # the smaller product sums in another order: equal to round-off
+    assert err == pytest.approx(full, rel=0.05, abs=1e-15)
+    if top == rule.m - 1:
+        assert err == full
+
+
 @pytest.mark.parametrize("degree", [3.5, -1, 16, math.nan, math.inf])
 def test_orthonormality_reads_the_degree_as_exactness_does(degree):
     # a fractional degree once passed verify_orthonormality unchecked
