@@ -20,7 +20,9 @@ of equal total degree: one contraction (``_contract``) folds one table per
 axis into those blocks over whole arrays of pairs.  The ball integrates
 over one auxiliary axis (``_auxiliary_integral``).  Each family has one
 kernel body, its public ``*_kernel`` function, which a ``KernelInstance``
-evaluates through.
+evaluates through.  Every domain check runs ``orthopoly``'s one round-off
+rule (``orthopoly._domain`` and ``orthopoly._clamped``), the one its tables
+run, and a sum that leaves double range is refused, never returned.
 
 Kernel evaluation is pure; instances are safe to evaluate concurrently.
 """
@@ -73,39 +75,18 @@ def cutoff_band(cutoff, n):
     return np.asarray(cutoff(j / n), dtype=float)
 
 
-# One round-off rule for every family domain: a point within _ROUND_OFF of
-# the domain is accepted (interval points clipped onto [-1, 1]), a point
-# farther out, or with a nan or infinite coordinate, raises the family's message.
-_ROUND_OFF = 1e-12
-
-
-def _domain(points, excess, message):
-    """The points, unless one has a non-finite coordinate or lies farther than
-    ``_ROUND_OFF`` outside the domain by ``excess(v)`` (<= 0 inside): that
-    raises ``message``."""
-    for v in points:
-        orthopoly._check_values(v, lambda v: excess(v) <= _ROUND_OFF, message)
-    return points
-
-
 def _finite_check(p, *points):
     """The points of a domain without edge (the trig angles, Hermite's R^d):
     any finite coordinates."""
-    return _domain(points, np.zeros_like, "points must be finite")
-
-
-def _clamped(v, message="arccos argument outside [-1, 1]"):
-    """v as a float array of [-1, 1], round-off clipped onto it."""
-    (v,) = _domain([np.asarray(v, dtype=float)], lambda v: np.abs(v) - 1.0, message)
-    return np.clip(v, -1.0, 1.0)
+    return orthopoly._domain(points, np.zeros_like, "points must be finite")
 
 
 def _interval_check(p, *points):
-    return [_clamped(v, "points must lie in [-1, 1]") for v in points]
+    return [orthopoly._clamped(v, "points must lie in [-1, 1]") for v in points]
 
 
 def _safe_arccos(v):
-    return np.arccos(_clamped(v))
+    return np.arccos(orthopoly._clamped(v, "arccos argument outside [-1, 1]"))
 
 
 # Most points one recurrence of ``_series`` runs over: a pair sum takes 2^14
@@ -380,7 +361,7 @@ def sphere_kernel(cutoff, n, d, cosine):
     lam = (d - 1) / 2.0
     w = cutoff_band(cutoff, n)
     j = np.arange(len(w), dtype=float)
-    cosine = _clamped(cosine, "evaluation points must lie in [-1, 1]")
+    cosine = orthopoly._clamped(cosine, "evaluation points must lie in [-1, 1]")
     return _gegenbauer_series(w * (j + lam) / (lam * _surface_area(d)), lam, cosine)
 
 
@@ -460,7 +441,7 @@ def _ball_check(p, *points):
     orthopoly._check_values(p.get("d", 2), lambda v: v >= 2, "ball dimension d must be >= 2")
     points = _check_dimension(p["d"], *points) if "d" in p else points
     radius_excess = lambda v: np.linalg.norm(v, axis=-1) - 1.0
-    return _domain(points, radius_excess, "points must lie in the closed unit ball")
+    return orthopoly._domain(points, radius_excess, "points must lie in the closed unit ball")
 
 
 def simplex_kernel(cutoff, n, kappa, x, y):
@@ -523,7 +504,7 @@ def _simplex_check(p, *points):
     orthopoly._check_size(kappa, "simplex parameters kappa")
     # a point of the 1-simplex may be a scalar
     points = _check_dimension(len(kappa) - 1, *map(np.atleast_1d, points))
-    return _domain(points, lambda v: -_barycentric(v), "points must lie in the simplex")
+    return orthopoly._domain(points, lambda v: -_barycentric(v), "points must lie in the simplex")
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +623,11 @@ def _laguerre_check(p, *points):
     d = p["d"]
     if d not in (1, 2):
         raise ValueError("laguerre kernel supports d in {1, 2}")
-    alpha = np.atleast_1d(np.asarray(p["alpha"], dtype=float))
-    orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha components must be >= 0")
     # the axes are alpha's components, so a d given beside alpha must agree
-    if len(alpha) != d:
+    if len(orthopoly._laguerre_alpha(p["alpha"])) != d:
         raise ValueError(f"alpha must have one component per axis (d = {d})")
     points = _check_dimension(d, *points) if d > 1 else points
-    return _domain(points, np.negative, "points must be nonnegative")
+    return orthopoly._domain(points, np.negative, "points must be nonnegative")
 
 
 def laguerre_kernel(cutoff, n, alpha, x, y, d=1):
@@ -674,12 +653,17 @@ def laguerre_K_kernel(cutoff, n, alpha, d, k, t):
     _check_level(n)
     k = orthopoly._check_integer(k, 0, n / 4, "difference order k must be an integer in 0..n/4")
     d = orthopoly._check_integer(d, 1, np.inf, "dimension d must be a positive integer")
-    orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha components must be >= 0")
-    (t,) = _domain([np.asarray(t, dtype=float)], np.negative, "t must be nonnegative")
-    lift = float(np.sum(alpha, dtype=float)) + k + d
+    lift = float(np.sum(orthopoly._laguerre_alpha(alpha))) + k + d
+    (t,) = orthopoly._domain([np.asarray(t, dtype=float)], np.negative, "t must be nonnegative")
     top = int(math.ceil(2.0 * n))
     diffs = np.diff(np.asarray(cutoff(np.arange(top + k + 2) / n), dtype=float), k + 1)[:top]
-    return _series(partial(orthopoly._raw_laguerre_rows, lift), diffs, t)
+    # the raw rows grow with the lifted parameter: past double range the sum
+    # comes out non-finite, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _series(partial(orthopoly._raw_laguerre_rows, lift), diffs, t)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the raw Laguerre rows L_j^{lift:g}, j < {top}, of alpha lifted by k + d leave double range")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +683,7 @@ _TENSOR_DOMAIN = "tensor kernels live on [-1, 1]^2"
 
 def _tensor_check(p, *points):
     """Points (..., 2) of [-1, 1]^2 as float arrays, clipped onto the square."""
-    return [_clamped(v, _TENSOR_DOMAIN) for v in _check_dimension(2, *points, message=_TENSOR_DOMAIN)]
+    return [orthopoly._clamped(v, _TENSOR_DOMAIN) for v in _check_dimension(2, *points, message=_TENSOR_DOMAIN)]
 
 
 def tensor_block(variant, m, x, y):
@@ -1120,7 +1104,7 @@ def _sphere_check(p, *points):
         d = p["d"]
         points = _check_dimension(d + 1, *points, message=f"points must have dimension d + 1 = {d + 1}")
     radius_gap = lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0)
-    return _domain(points, radius_gap, "points must lie on the unit sphere")
+    return orthopoly._domain(points, radius_gap, "points must lie on the unit sphere")
 
 
 def _half_chord(lift, message):
@@ -1129,10 +1113,10 @@ def _half_chord(lift, message):
     points, exact at 0 and accurate up to pi, where the arccos of their dot
     product reads a point's distance to itself as up to 3e-8.  A lift puts
     the points outside its domain off the sphere; one farther off than
-    ``_ROUND_OFF`` raises ``message``."""
+    ``orthopoly._ROUND_OFF`` raises ``message``."""
 
     def metric(x, y):
-        x, y = _domain([lift(x), lift(y)], lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0), message)
+        x, y = orthopoly._domain([lift(x), lift(y)], lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0), message)
         return 2.0 * np.arctan2(np.linalg.norm(x - y, axis=-1), np.linalg.norm(x + y, axis=-1))
 
     return metric
@@ -1196,7 +1180,7 @@ class Family:
     ``defaults``, each a value or a function of the parameters filled before
     it; ``check(p, *points)``, the check the family's kernel runs, rejects
     the values given that do not fit and points (..., dim) of another
-    dimension or farther than ``_ROUND_OFF`` outside the domain, and returns
+    dimension or farther than ``orthopoly._ROUND_OFF`` outside the domain, and returns
     the points.  ``_check_params`` fills, names and checks them all.
     """
 

@@ -20,7 +20,10 @@ table, and every table of a rule's functions is that source's; Hermite rows
 are recurred at the nodes x >= 0 only, since the rows at -x are (-1)^n times
 those at x.  A frame level asks the same pass to write its band rows.  An
 m-point rule integrates all polynomials of degree <= 2m-1 exactly against
-its weight.
+its weight.  Each parameter is one number, checked by ``orthopoly``'s
+owners (``JacobiParams`` the Jacobi pair, ``_laguerre_alpha`` the function
+rule's alpha), and a rule with a weight that is not finite, as the
+Laguerre rules' at large alpha, is refused.
 
 Two derived rules serve band-limited function spaces directly: they
 integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
@@ -65,8 +68,7 @@ class QuadratureRule:
 
 
 def _jacobi_coeffs(m, alpha, beta):
-    orthopoly._check_values((alpha, beta), lambda v: v > -1.0, "jacobi weight needs alpha, beta > -1")
-    orthopoly._check_size((alpha, beta), "jacobi weight parameters alpha, beta")
+    orthopoly.JacobiParams(alpha, beta)
     k = np.arange(m, dtype=float)
     s = alpha + beta
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -87,7 +89,10 @@ def _laguerre_coeffs(m, alpha):
     a = 2 * k + alpha + 1
     kk = k[1:]
     b = np.sqrt(kk * (kk + alpha))
-    return a, b, np.exp(orthopoly._lgamma(alpha + 1))
+    # Gamma(alpha + 1), read by a one-node rule only, is inf past alpha = 170.6,
+    # where that rule's weight is refused
+    with np.errstate(over="ignore"):
+        return a, b, np.exp(orthopoly._lgamma(alpha + 1))
 
 
 def gauss_rule(weight, m, alpha=None, beta=None, level=None):
@@ -104,19 +109,34 @@ def gauss_rule(weight, m, alpha=None, beta=None, level=None):
         raise ValueError(f"unknown weight {weight!r}; expected one of {_FAMILIES}")
     if weight == "jacobi" and (alpha is None or beta is None):
         raise ValueError("jacobi rule needs alpha and beta")
-    params = {"jacobi": (alpha, beta), "hermite": (), "laguerre": (alpha or 0.0,)}[weight]
-    params = tuple(float(v) for v in params)
+    params = {"jacobi": (alpha, beta), "hermite": (), "laguerre": (0.0 if alpha is None else alpha,)}[weight]
+    params = tuple(orthopoly._one_number(v, f"{weight} parameter {p}") for p, v in zip(("alpha", "beta"), params))
     nodes, sums, mu0 = _christoffel_pass(weight, m, *params, level=level)
     # Christoffel numbers 1/sums; the Hermite and Laguerre functions carry the
     # root of their weight, which the line weights put back without leaving
     # range: full relative accuracy, and 0 only below double range
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
         if weight == "jacobi":
             weights = 1.0 / sums
         else:
             weights = np.exp(-nodes ** (2 if weight == "hermite" else 1) - np.log(sums))
+    return _finite_rule(weight, params, nodes, weights if len(nodes) > 1 else np.array([mu0]))
+
+
+def _finite_rule(weight, params, nodes, weights):
+    """The rule of these nodes and weights, unless a weight is not finite,
+    which raises, naming the weight, its parameters and m.  The Laguerre rules
+    reach that at large alpha, first at the whole alpha 171, 135, 105 and 89
+    (Gauss rule) and 143, 130, 100 and 85 (function rule) for m = 1, 16, 256
+    and 1,024: the function rule's weights and the one-node Gamma(alpha + 1)
+    leave double range, the other Gauss rules' Christoffel sums underflow."""
     m = len(nodes)
-    return QuadratureRule(weight, params, nodes, weights if m > 1 else np.array([mu0]), 2 * m - 1)
+    if not np.all(np.isfinite(weights)):
+        at = "".join(f"{name} = {v:g}, " for name, v in zip(("alpha", "beta"), params))
+        raise ValueError(
+            f"the {weight} rule at {at}m = {m} has non-finite weights: they or their sums leave double range"
+        )
+    return QuadratureRule(weight, params, nodes, weights, 2 * m - 1)
 
 
 # The largest Jacobi matrix whose eigenvalues come from numpy's dense solver.
@@ -320,7 +340,7 @@ def hermite_function_rule(m, level=None):
     no intermediate quantity underflows.  ``level`` is ``gauss_rule``'s.
     """
     nodes, sums, _ = _christoffel_pass("hermite_fn", m, level=level)
-    return QuadratureRule("hermite_fn", (), nodes, 1.0 / sums, 2 * len(nodes) - 1)
+    return _finite_rule("hermite_fn", (), nodes, 1.0 / sums)
 
 
 def laguerre_function_rule(alpha, m, level=None):
@@ -332,9 +352,11 @@ def laguerre_function_rule(alpha, m, level=None):
     sums of the normalized F-type functions at the nodes t.  ``level`` is
     ``gauss_rule``'s.
     """
-    orthopoly._check_values(alpha, lambda v: v >= 0.0, "alpha must be >= 0")
+    (alpha,) = orthopoly._laguerre_alpha(orthopoly._one_number(alpha, "laguerre_fn parameter alpha"))
     nodes, sums, _ = _christoffel_pass("laguerre_fn", m, alpha, level=level)
-    return QuadratureRule("laguerre_fn", (float(alpha),), nodes, 1.0 / sums, 2 * len(nodes) - 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = 1.0 / sums
+    return _finite_rule("laguerre_fn", (float(alpha),), nodes, weights)
 
 
 def rule_to_json(rule):

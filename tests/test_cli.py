@@ -165,6 +165,27 @@ def test_family_options_are_read_by_the_family_or_refused(tmp_path, capsys, args
     assert not list((tmp_path / "o").glob("*.*"))
 
 
+@pytest.mark.parametrize("args, message", [
+    (["quad", "build", "--weight", "laguerre", "--alpha", "200", "--m", "16"],
+     "the laguerre rule at alpha = 200, m = 16 has non-finite weights"),
+    (["quad", "verify", "--weight", "laguerre", "--alpha", "200", "--m", "16"],
+     "the laguerre_fn rule at alpha = 200, m = 16 has non-finite weights"),
+    (["needlet", "parseval", "--family", "laguerre", "--alpha", "200", "--jmax", "3"] + FAST,
+     "the laguerre_fn rule at alpha = 200, m = 1 has non-finite weights"),
+    (["quad", "build", "--weight", "jacobi", "--alpha", "1500", "--m", "4"],
+     "jacobi parameters alpha = 1500, beta = 0 put the norms"),
+], ids=["laguerre-build", "laguerre-verify", "laguerre-frame", "jacobi-build"])
+def test_rules_whose_weights_leave_double_range_exit_2(tmp_path, capsys, args, message):
+    # the Laguerre build once wrote inf weights and exited 0, the verify and
+    # the frame printed nan and exited 1, and the Jacobi build warned first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("*.*"))
+
+
 # one point of each width, inside every domain that has points of that width
 _POINT_OF_WIDTH = {1: ("1", "0"), 2: ("1,0", "0,1"), 3: ("1,0,0", "0,0,1")}
 

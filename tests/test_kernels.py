@@ -402,7 +402,7 @@ def _gegenbauer_sum_even(band, lam, arg):
     if lam < 1e-13:
         coeff[::2] = 2.0 * band
         coeff[0] = band[0]
-        return ke._series(op._chebyshev_rows, coeff, ke._clamped(arg))
+        return ke._series(op._chebyshev_rows, coeff, op._clamped(arg, "arccos argument outside [-1, 1]"))
     j = np.arange(len(band), dtype=float)
     coeff[::2] = band * (2.0 * j + lam) / lam
     return ke._gegenbauer_series(coeff, lam, arg)
@@ -751,6 +751,37 @@ def test_laguerre_difference_kernel_rejects_bad_k(cutoff_c):
         ke.laguerre_K_kernel(cutoff_c, 8, [0.0], 1, 3, 1.0)
 
 
+# the sites that read the alpha of the Laguerre function families
+_LAGUERRE_ALPHA_SITES = {
+    "kernel": lambda cut, a: ke.laguerre_kernel(cut, 8, a, 0.5, 0.2),
+    "difference-kernel": lambda cut, a: ke.laguerre_K_kernel(cut, 8, a, 1, 0, 0.5),
+    "table": lambda cut, a: op.laguerre_fn_all(a, 3, 0.5),
+    "function-rule": lambda cut, a: qd.laguerre_function_rule(a, 4),
+    "frame": lambda cut, a: ne.build_needlet_system("laguerre", {"alpha": a}, cut, 1),
+}
+
+
+@pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("site", sorted(_LAGUERRE_ALPHA_SITES))
+def test_laguerre_alpha_is_refused_with_one_message_at_every_site(cutoff_c, site, alpha):
+    # the table and the function rule once said "alpha must be >= 0", the
+    # table adding "for the Laguerre function families"
+    suffix = "" if alpha == -0.5 else _NONFINITE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^alpha components must be >= 0{suffix}$"):
+            _LAGUERRE_ALPHA_SITES[site](cutoff_c, alpha)
+
+
+def test_difference_kernel_sums_past_double_range_are_refused(cutoff_c):
+    # alpha = 1e25 once read nan with overflow warnings; 1e20 stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(ke.laguerre_K_kernel(cutoff_c, 8, 1e20, 1, 0, 0.5))
+        with pytest.raises(ValueError, match=r"raw Laguerre rows L_j\^1e\+25, j < 16, .* leave double range"):
+            ke.laguerre_K_kernel(cutoff_c, 8, 1e25, 1, 0, 0.5)
+
+
 _NONFINITE = r" \(got nan or inf\)"
 _JACOBI = {"alpha": 0.0, "beta": 0.0}
 
@@ -823,6 +854,50 @@ def test_sphere_cosines_within_round_off_take_the_bits_of_the_ends(cutoff_c, d):
     assert ke.sphere_kernel(cutoff_c, 16, d, 1.0 + 1e-13) == ends[0]
     with pytest.raises(ValueError, match=r"evaluation points must lie in \[-1, 1\]"):
         ke.sphere_kernel(cutoff_c, 16, d, 1.0 + 1e-9)
+
+
+_DOUBLE_MAX = np.finfo(float).max
+# per public table with a domain edge: itself, its domain's ends, the outward
+# direction at each, and the kernel whose check decides the same points
+_TABLE_EDGES = {
+    "jacobi": (lambda t: op.jacobi_all(op.JacobiParams(0.5, 1.5), 4, t), [-1.0, 1.0], [-1.0, 1.0],
+               lambda cut, t: ke.jacobi_kernel(cut, 8, 0.5, 1.5, t, 0.2)),
+    "gegenbauer": (lambda t: op.gegenbauer_all(1.5, 4, t), [-1.0, 1.0], [-1.0, 1.0],
+                   lambda cut, t: ke.sphere_kernel(cut, 8, 4, t)),
+    **{
+        f"laguerre-{w}": (lambda t, w=w: op.laguerre_fn_all(0.5, 4, t, which=w), [0.0], [-1.0],
+                          lambda cut, t: ke.laguerre_kernel(cut, 8, 0.5, t, 0.2))
+        for w in "FLM"
+    },
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_EDGES))
+def test_tables_take_points_within_round_off_of_their_domain_as_their_kernels_do(cutoff_c, table):
+    # the tables once refused 1 + 1e-13 (and -1e-13 on the half line), which
+    # the kernels accept
+    tabulate, ends, outward, kernel = _TABLE_EDGES[table]
+    ends, outward = np.array(ends), np.array(outward)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        near = tabulate(ends + 1e-13 * outward)
+        assert np.array_equal(near.values, tabulate(ends).values)
+        assert np.array_equal(near.x, ends)
+        assert np.all(np.isfinite(kernel(cutoff_c, ends + 1e-13 * outward)))
+        for evaluate in (tabulate, partial(kernel, cutoff_c)):
+            with pytest.raises(ValueError, match="points must"):
+                evaluate(ends + 1e-11 * outward)
+
+
+def test_hermite_table_takes_every_finite_point_as_its_kernel_does(cutoff_c):
+    # the line has no edge: its ends are the largest doubles, which read 0
+    # as the kernel's rows do there, and beyond them inf, refused by both
+    ends = np.array([-_DOUBLE_MAX, _DOUBLE_MAX])
+    assert np.array_equal(op.hermite_fn_all(4, ends).values, np.zeros((5, 2)))
+    assert np.array_equal(ke.hermite_kernel(cutoff_c, 8, ends, ends), np.zeros(2))
+    for evaluate in (partial(op.hermite_fn_all, 4), lambda t: ke.hermite_kernel(cutoff_c, 8, t, 0.2)):
+        with pytest.raises(ValueError, match=r"points must be finite \(got nan or inf\)"):
+            evaluate(np.array([0.0, math.inf]))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ def test_public_tables_refuse_non_finite_points(table, bad):
     [
         (lambda v: op.JacobiParams(v, 0.0), "alpha, beta > -1"),
         (lambda v: op.gegenbauer_all(v, 3, 0.2), "gegenbauer parameter must be positive"),
-        (lambda v: op.laguerre_fn_all(v, 3, 0.2), "alpha must be >= 0"),
-        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi weight needs alpha, beta > -1"),
+        (lambda v: op.laguerre_fn_all(v, 3, 0.2), "alpha components must be >= 0"),
+        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi parameters must satisfy alpha, beta > -1"),
         (lambda v: qd.gauss_rule("laguerre", 4, alpha=v), "laguerre weight needs alpha > -1"),
-        (lambda v: qd.laguerre_function_rule(v, 4), "alpha must be >= 0"),
+        (lambda v: qd.laguerre_function_rule(v, 4), "alpha components must be >= 0"),
     ],
     ids=["jacobi-params", "gegenbauer", "laguerre-fn", "jacobi-rule", "laguerre-rule", "laguerre-fn-rule"],
 )
@@ -92,7 +92,7 @@ def test_parameters_refuse_nan_and_inf(build, message, bad):
     [
         (lambda v: op.JacobiParams(v, 0.0), "jacobi parameters alpha, beta must be at most 1e"),
         (lambda v: op.gegenbauer_all(v, 3, 0.2), "gegenbauer parameter must be at most 1e"),
-        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi weight parameters alpha, beta must be at most 1e"),
+        (lambda v: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=v), "jacobi parameters alpha, beta must be at most 1e"),
     ],
     ids=["jacobi-params", "gegenbauer", "jacobi-rule"],
 )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -393,3 +394,64 @@ def test_the_rule_functions_are_those_whose_christoffel_sums_gave_the_weights(bu
     for row in rows:
         sums += row * row
     assert np.array_equal(1.0 / sums, rule.weights)
+
+
+def _laguerre_rule_builders(alpha, m):
+    return {
+        "laguerre": lambda: qd.gauss_rule("laguerre", m, alpha=alpha),
+        "laguerre_fn": lambda: qd.laguerre_function_rule(alpha, m),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.0, 400.0), m=st.integers(1, 1024))
+@example(alpha=171.0, m=1)
+@example(alpha=143.0, m=1)
+@example(alpha=400.0, m=1024)
+@example(alpha=0.0, m=1024)
+def test_laguerre_rules_give_finite_nonnegative_weights_or_refuse(alpha, m):
+    # past alpha ~ 90 to 171, by m, the weights once came out inf with
+    # overflow and division warnings, and Gamma(alpha + 1) overflowed at any m
+    for weight, build in _laguerre_rule_builders(alpha, m).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rule = build()
+            except ValueError as exc:
+                assert f"the {weight} rule at alpha = {alpha:g}, m = {m} has non-finite weights" in str(exc)
+                continue
+        assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights >= 0.0)
+
+
+@pytest.mark.parametrize("weight, m, alpha", [
+    ("laguerre", 1, 171.0), ("laguerre", 16, 135.0), ("laguerre", 256, 105.0), ("laguerre", 1024, 89.0),
+    ("laguerre_fn", 1, 143.0), ("laguerre_fn", 16, 130.0), ("laguerre_fn", 256, 100.0), ("laguerre_fn", 1024, 85.0),
+])
+def test_laguerre_rules_are_refused_from_the_first_alpha_whose_weights_leave_double_range(weight, m, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(_laguerre_rule_builders(alpha - 1.0, m)[weight]().weights))
+        with pytest.raises(ValueError, match=f"the {weight} rule at alpha = {alpha:g}, m = {m} has non-finite weights"):
+            _laguerre_rule_builders(alpha, m)[weight]()
+
+
+def test_jacobi_rules_whose_mass_leaves_double_range_are_refused_without_a_warning():
+    # the mass 2^1501 / 1501 once overflowed in the rule's zeroth moment first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m in (1, 4):
+            with pytest.raises(ValueError, match=r"jacobi parameters alpha = 1500, beta = 0 put the norms"):
+                qd.gauss_rule("jacobi", m, alpha=1500.0, beta=0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda a: qd.gauss_rule("laguerre", 4, alpha=a), "laguerre parameter alpha must be one number"),
+    (lambda a: qd.gauss_rule("jacobi", 4, alpha=a, beta=0.0), "jacobi parameter alpha must be one number"),
+    (lambda a: qd.gauss_rule("jacobi", 4, alpha=0.0, beta=a), "jacobi parameter beta must be one number"),
+    (lambda a: qd.laguerre_function_rule(a, 4), "laguerre_fn parameter alpha must be one number"),
+], ids=["laguerre", "jacobi-alpha", "jacobi-beta", "laguerre_fn"])
+def test_rule_parameters_are_one_number_each(build, message):
+    # the Gauss rules once raised numpy's "truth value of an array is
+    # ambiguous" and the function rule a broadcast error
+    with pytest.raises(ValueError, match=message):
+        build(np.array([0.0, 1.0]))
