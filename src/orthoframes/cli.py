@@ -154,28 +154,18 @@ def cmd_kernel(args):
 
 
 def cmd_quad(args):
-    # past a few hundred nodes the Hermite and Laguerre moments, and the
-    # smallest Gauss weights, leave double range; the frame's function rule on
-    # the same nodes does not, so it is checked by orthonormality of its rows
-    # (the Laguerre function rule needs alpha >= 0; below, the moments remain)
-    line_rule = args.weight == "hermite" or args.weight == "laguerre" and args.alpha >= 0
-    if args.action == "verify" and line_rule:
-        rule = kernels.FAMILIES[args.weight].frame.rule({"alpha": args.alpha}, args.m)
-        check, verify = "orthonormality", quadrature.verify_orthonormality
-    else:
-        rule = quadrature.gauss_rule(args.weight, args.m, alpha=args.alpha, beta=args.beta)
-        check, verify = "moment", quadrature.verify_exactness
     if args.action == "build":
+        rule = quadrature.gauss_rule(args.weight, args.m, alpha=args.alpha, beta=args.beta)
         path = _artifact(args, f"quad_{args.weight}_{args.m}.csv")
         quadrature.save_rule_csv(rule, path)
         _artifact(args, f"quad_{args.weight}_{args.m}.json", quadrature.rule_to_json(rule))
         print(f"quad build: {args.weight} m={args.m} -> {path}")
         return 0
-    degree = args.degree if args.degree is not None else rule.exactness
-    err = verify(rule, degree)
-    tol = quadrature.EXACTNESS_TOL if args.tolerance is None else args.tolerance
+    check, degree, err, ok = quadrature.check_rule(
+        args.weight, args.m, args.alpha, args.beta, args.degree, args.tolerance
+    )
     print(f"quad verify: {args.weight} m={args.m} degree={degree} {check} error {err:.3e}")
-    return 0 if err < tol else 1
+    return 0 if ok else 1
 
 
 def cmd_needlet(args):

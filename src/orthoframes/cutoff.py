@@ -31,6 +31,13 @@ The phase, the profile and its inverse transform are only ever known as
 samples on uniform grids; each is interpolated by a B-spline (quintic phase,
 cubic profile and transform), fit and evaluated in numpy with mirror ends,
 so importing this module and assembling a cutoff load no scipy module.
+
+The inputs have one range check, ``_check_inputs``, which specs, width
+sequences, bumps and the control cutoff run: epsilon is one number in
+(0, 1] and a count a whole number (4096.0 reads as 4096).  The phase scale
+follows the log depth alone: 8/epsilon at depth 1, whose widths
+``build_bump`` holds within 4/epsilon, and 2 (1 + 1/64) sum(delta) at
+depth 2, whose widths overrun that budget.
 """
 
 import json
@@ -88,14 +95,13 @@ class CutoffSpec:
     grid_points: int = DEFAULT_GRID
 
     def validate(self):
+        """Raise unless every field is in range; store them as ``_check_inputs`` reads them."""
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        _check_epsilon(self.epsilon)
-        _check_log_depth(self.log_depth)
-        _check_m_max(self.m_max)
+        inputs = _check_inputs(self.epsilon, self.log_depth, self.m_max, self.grid_points)
+        self.epsilon, self.log_depth, self.m_max, self.grid_points = inputs
         if self.m_max < 8:
             raise ValueError("m_max must be at least 8 for cutoff assembly")
-        _check_grid(self.grid_points)
 
     def fields(self):
         """The spec's wire format: {kind, epsilon, log_depth, m_max, grid}."""
@@ -106,30 +112,32 @@ class CutoffSpec:
 _WIRE = {"kind": "kind", "epsilon": "epsilon", "log_depth": "log_depth", "m_max": "m_max", "grid": "grid_points"}
 
 
-def _check_epsilon(epsilon):
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-
-
 def _check_log_depth(log_depth):
-    # the widths and decay's log product have closed forms at depths 1 and 2 only
-    if not isinstance(log_depth, numbers.Integral) or log_depth < 1:
-        raise ValueError("log_depth must be a positive integer")
+    """``log_depth`` as an int: 1 or 2, where the widths and decay's log product have closed forms."""
+    log_depth = orthopoly._check_integer(log_depth, 1, math.inf, "log_depth must be a positive integer")
     if log_depth > 2:
         raise ValueError(
             "log_depth > 2 needs astronomically many convolution factors "
             "before the iterated logarithms exceed 1"
         )
+    return log_depth
 
 
-def _check_m_max(m_max):
-    if not isinstance(m_max, numbers.Integral):
-        raise ValueError(f"m_max must be an integer, got {m_max!r}")
-
-
-def _check_grid(grid_points):
-    if grid_points < 4096 or grid_points % 2:
-        raise ValueError("grid_points must be an even integer >= 4096")
+def _check_inputs(epsilon, log_depth, m_max, grid_points=DEFAULT_GRID):
+    """(epsilon, log_depth, m_max, grid_points) as a float and three ints, a
+    whole float read as a count as the wire format reads it: the one range
+    check of specs, width sequences, bumps and the control cutoff."""
+    epsilon = orthopoly._one_number(epsilon, "epsilon")
+    orthopoly._check_values(epsilon, lambda v: (v > 0.0) & (v <= 1.0), f"epsilon must lie in (0, 1], got {epsilon}")
+    log_depth = _check_log_depth(log_depth)
+    m_max = orthopoly._check_integer(m_max, -math.inf, math.inf, f"m_max must be an integer, got {m_max!r}")
+    if m_max < 2:
+        raise ValueError("m_max must be at least 2")
+    message = "grid_points must be an even integer >= 4096"
+    grid_points = orthopoly._check_integer(grid_points, 4096, math.inf, message)
+    if grid_points % 2:
+        raise ValueError(message)
+    return epsilon, log_depth, m_max, grid_points
 
 
 @dataclass
@@ -296,11 +304,7 @@ def build_delta_sequence(epsilon, log_depth=1, m_max=DEFAULT_M_MAX):
     for ``log_depth == 2`` they are ``1/(j * log(j) * loglog(j)**(1+eps))``
     where loglog j > 1 (so log j > 1 too), and 1 elsewhere (j < 16).
     """
-    _check_epsilon(epsilon)
-    _check_log_depth(log_depth)
-    _check_m_max(m_max)
-    if m_max < 2:
-        raise ValueError("m_max must be at least 2")
+    epsilon, log_depth, m_max, _ = _check_inputs(epsilon, log_depth, m_max)
     delta = np.ones(m_max + 1)
     j = np.arange(2, m_max + 1, dtype=float)
     logs = np.log(j)
@@ -481,14 +485,14 @@ def build_bump(spec):
     Accepts any ``m_max >= 2`` (the full cutoff assembly requires more
     factors, but the bump alone is well defined from two).
     """
-    _check_grid(spec.grid_points)
-    delta = build_delta_sequence(spec.epsilon, spec.log_depth, spec.m_max)
-    if spec.log_depth == 1 and delta.sum() > 4.0 / spec.epsilon:
+    epsilon, log_depth, m_max, grid_points = _check_inputs(spec.epsilon, spec.log_depth, spec.m_max, spec.grid_points)
+    delta = build_delta_sequence(epsilon, log_depth, m_max)
+    if log_depth == 1 and delta.sum() > 4.0 / epsilon:
         raise ValueError(
             "width sequence sums beyond 4/epsilon; reduce m_max "
             f"(sum = {delta.sum():.6f})"
         )
-    return _bump_from_delta(delta, spec.epsilon, spec.log_depth, spec.grid_points)
+    return _bump_from_delta(delta, epsilon, log_depth, grid_points)
 
 
 def _phase_spline(bump, scale):
@@ -509,9 +513,9 @@ def _phase_spline(bump, scale):
 
 
 def _assemble_from_bump(kind, bump, spec):
-    eps = spec.epsilon
-    if bump.log_depth == 1 and bump.support_radius <= 4.0 / eps:
-        scale = 8.0 / eps
+    if bump.log_depth == 1:
+        # widths within the 4/eps budget put the transition inside [-1/2, 1/2]
+        scale = 8.0 / spec.epsilon
     else:
         # deeper log variants overrun the 4/eps support budget; stretch the
         # rescaling just enough to keep the phase transition inside (-1/2, 1/2)
@@ -557,11 +561,7 @@ def build_control_cutoff(epsilon=1.0, m_max=4, grid_points=DEFAULT_GRID):
     Its kernels decay polynomially rather than sub-exponentially, which makes
     it a control case when fitting decay rates.
     """
-    _check_epsilon(epsilon)
-    _check_m_max(m_max)
-    if m_max < 2:
-        raise ValueError("m_max must be at least 2")
-    _check_grid(grid_points)
+    epsilon, _, m_max, grid_points = _check_inputs(epsilon, 1, m_max, grid_points)
     delta = np.full(m_max + 1, (4.0 / epsilon) / (m_max + 1))
     bump = _bump_from_delta(delta, epsilon, 1, grid_points)
     spec = CutoffSpec(

@@ -28,7 +28,7 @@ come up short or empty.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -200,16 +200,17 @@ _RATE_MAX = 20.0
 
 
 def _check_form(form):
-    """Refuse a bound form whose exponent is not finite, or a sub-exponential
-    form whose log depth is not 1 or 2."""
+    """The form, a sub-exponential log depth read as an int; refuse a form
+    whose exponent is not finite, or whose log depth is not 1 or 2."""
     if isinstance(form, Polynomial):
         name, exponent = "sigma", form.sigma
     elif isinstance(form, SubExponential):
         name, exponent = "epsilon", form.epsilon
-        cutoff_mod._check_log_depth(form.log_depth)
+        form = replace(form, log_depth=cutoff_mod._check_log_depth(form.log_depth))
     else:
         raise ValueError("form must be Polynomial or SubExponential")
     orthopoly._check_values(exponent, np.isfinite, f"bound {name} must be finite")
+    return form
 
 
 def fit_bound(env, form):
@@ -225,7 +226,7 @@ def fit_bound(env, form):
     a non-finite sigma or epsilon, or a log depth that is not 1 or 2,
     raises ValueError.
     """
-    _check_form(form)
+    form = _check_form(form)
     polynomial = isinstance(form, Polynomial)
     vals = np.asarray(env.values, dtype=float)
     nonfinite = int(np.count_nonzero(~np.isfinite(vals)))

@@ -17,7 +17,9 @@ products of two level functions (2^j nodes for Jacobi, 4^j for the others).
 
 Analysis accepts either spectral coefficient vectors (exact sums, used for
 tightness verification) or plain callables integrated by a recorded
-fallback rule.
+fallback rule.  Frame coefficients carry their system's token (the family,
+its parameters, the cutoff's spec and j_max), and synthesis refuses those of
+any other system.
 """
 
 import math
@@ -98,7 +100,10 @@ class NeedletSystem:
         return out if out.ndim else float(out)
 
     def token(self):
-        return (self.family, orthopoly._to_json(self.params), self.j_max)
+        """What frame coefficients must share with the system that reads
+        them: the family, its parameters, the cutoff's spec and j_max."""
+        return (self.family, orthopoly._to_json(self.params), orthopoly._to_json(self.cutoff.spec.fields()),
+                self.j_max)
 
 
 @dataclass

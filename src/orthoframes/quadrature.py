@@ -28,7 +28,9 @@ Laguerre rules' at large alpha, is refused.
 Two derived rules serve band-limited function spaces directly: they
 integrate ``p(x) exp(-x^2)`` over the line and ``p(t^2) exp(-t^2)`` against
 ``t^(2a+1)`` over the half line, with weights the reciprocal Christoffel
-sums of the normalized functions themselves.
+sums of the normalized functions themselves.  ``check_rule`` decides a
+rule's verdict: the Hermite and Laguerre (alpha >= 0) weights by the
+orthonormality of their function rules, every other by its moments.
 """
 
 import math
@@ -43,6 +45,7 @@ __all__ = [
     "gauss_rule",
     "verify_exactness",
     "verify_orthonormality",
+    "check_rule",
     "hermite_function_rule",
     "laguerre_function_rule",
     "rule_to_json",
@@ -330,6 +333,24 @@ def verify_orthonormality(rule, degree=None):
     gram[np.diag_indices(top + 1)] -= 1.0
     err = np.abs(gram[j[:, None] + j <= degree]).max()
     return float(err) if np.isfinite(err) else math.nan
+
+
+def check_rule(weight, m, alpha=0.0, beta=0.0, degree=None, tol=None):
+    """(check, degree, error, passed) of the m-point rule of ``weight``: the
+    check's name, the degree it reached (default: the rule's exactness), its
+    error, and whether that lies below ``tol`` (default ``EXACTNESS_TOL``;
+    a nan fails).  The Hermite and Laguerre (alpha >= 0) weights are checked
+    by the orthonormality of their function rules, which stay in double
+    range past the few hundred nodes where the moments leave it."""
+    if weight == "hermite":
+        rule, check, verify = hermite_function_rule(m), "orthonormality", verify_orthonormality
+    elif weight == "laguerre" and orthopoly._one_number(alpha, "laguerre parameter alpha") >= 0:
+        rule, check, verify = laguerre_function_rule(alpha, m), "orthonormality", verify_orthonormality
+    else:
+        rule, check, verify = gauss_rule(weight, m, alpha=alpha, beta=beta), "moment", verify_exactness
+    degree = rule.exactness if degree is None else _check_degree(rule, degree)
+    error = verify(rule, degree)
+    return check, degree, error, error < (EXACTNESS_TOL if tol is None else tol)
 
 
 def hermite_function_rule(m, level=None):

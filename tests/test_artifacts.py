@@ -229,7 +229,8 @@ def test_frame_json_keeps_its_bytes(frame, small_cutoff):
     assert ne.frame_to_json(frame) == _frame_json(frame)
     laguerre = ne.build_needlet_system("laguerre", {"alpha": 1.0}, small_cutoff, 2)
     assert ne.frame_to_json(laguerre) == _frame_json(laguerre)
-    token = (frame.family, json.dumps(_plain_params(frame.params), sort_keys=True), frame.j_max)
+    token = (frame.family, json.dumps(_plain_params(frame.params), sort_keys=True), json.dumps(frame.cutoff.spec.fields(), sort_keys=True),
+             frame.j_max)
     assert frame.token() == token
 
 

@@ -556,3 +556,20 @@ def test_bad_value_maps_to_usage_error(tmp_path):
     out = str(tmp_path / "o")
     code = run(["cutoff", "build", "--type", "c", "--epsilon", "7"] + FAST + ["--out", out])
     assert code == 2
+
+
+@pytest.mark.parametrize("weight, m, alpha, beta, degree", [
+    ("hermite", 1024, 0.0, 0.0, None),
+    ("laguerre", 400, 0.0, 0.0, None),
+    ("laguerre", 20, -0.5, 0.0, None),
+    ("jacobi", 30, 0.5, 1.5, None),
+    ("hermite", 2048, 0.0, 0.0, 10),
+], ids=["hermite", "laguerre", "laguerre-moments", "jacobi", "hermite-degree"])
+def test_quad_verify_prints_the_verdict_of_check_rule(tmp_path, capsys, weight, m, alpha, beta, degree):
+    check, reached, err, ok = quadrature.check_rule(weight, m, alpha, beta, degree)
+    assert (check == "moment") == (weight == "jacobi" or alpha < 0) and ok is True
+    args = ["quad", "verify", "--weight", weight, "--m", str(m), "--alpha", str(alpha), "--beta", str(beta)]
+    args += [] if degree is None else ["--degree", str(degree)]
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    line = f"quad verify: {weight} m={m} degree={reached} {check} error {err:.3e}"
+    assert capsys.readouterr().out.strip() == line

@@ -898,3 +898,42 @@ def test_ball_and_simplex_runs_and_rules_up_to_256_nodes_load_no_scipy():
         "assert quadrature.verify_exactness(rule, 40) < quadrature.EXACTNESS_TOL\n"
         "assert 'scipy.linalg' in sys.modules and 'scipy.special' not in sys.modules\n"
     )
+
+
+@pytest.mark.parametrize("epsilon", [0.15, 0.3, 0.55, 0.62])
+def test_control_profile_is_continuous_in_epsilon(epsilon):
+    # the five widths of (4/eps)/5 sum past 4/eps by rounding at these eps,
+    # which once switched the phase to the stretched depth-2 scale (0.0058 off)
+    values = co.build_control_cutoff(epsilon).values
+    for near in (epsilon - 1e-7, epsilon + 1e-7):
+        assert np.abs(values - co.build_control_cutoff(near).values).max() <= 1e-12
+
+
+def test_whole_float_counts_read_as_ints_as_the_wire_format_reads_them():
+    spec = co.CutoffSpec("c", m_max=4096.0, log_depth=1.0, grid_points=8192.0)
+    spec.validate()
+    wire = co.spec_from_json('{"kind": "c", "epsilon": 1, "m_max": 4096.0, "log_depth": 1.0, "grid": 8192.0}')
+    assert spec == wire == co.CutoffSpec("c")
+    assert co.spec_to_json(spec) == co.spec_to_json(wire)
+    assert all(type(v) is int for v in (spec.log_depth, spec.m_max, spec.grid_points))
+
+    whole = co.build_bump(co.CutoffSpec("a", m_max=512.0, log_depth=1.0, grid_points=4096.0))
+    bump = co.build_bump(co.CutoffSpec("a", m_max=512, grid_points=4096))
+    assert type(whole.log_depth) is int and np.array_equal(whole.values, bump.values)
+    assert np.array_equal(co.build_delta_sequence(1.0, 1.0, 64.0), co.build_delta_sequence(1.0, 1, 64))
+    control = co.build_control_cutoff(m_max=4.0, grid_points=8192.0)
+    assert type(control.spec.m_max) is int and type(control.spec.grid_points) is int
+    assert np.array_equal(control.values, co.build_control_cutoff(m_max=4).values)
+
+
+@pytest.mark.parametrize("epsilon", ["1", np.array([0.5, 0.5]), None], ids=["string", "array", "none"])
+@pytest.mark.parametrize("build", [
+    lambda e: co.CutoffSpec("c", epsilon=e).validate(),
+    lambda e: co.build_delta_sequence(e, 1, 64),
+    lambda e: co.build_bump(co.CutoffSpec("a", epsilon=e, m_max=64, grid_points=4096)),
+    lambda e: co.build_control_cutoff(e),
+], ids=["validate", "widths", "bump", "control"])
+def test_epsilon_is_one_number(build, epsilon):
+    # a string once raised a TypeError, an array numpy's "truth value is ambiguous"
+    with pytest.raises(ValueError, match="epsilon must be one number"):
+        build(epsilon)

@@ -430,6 +430,12 @@ def test_fit_refuses_forms_that_are_not_finite(cheb_env_128, form, message):
         de.fit_bound(cheb_env_128, form)
 
 
+def test_fit_reads_a_whole_float_log_depth_as_the_spec_does(cheb_env_128):
+    whole = de.fit_bound(cheb_env_128, de.SubExponential(1.0, 2.0))
+    assert type(whole.form.log_depth) is int
+    assert de.fit_to_json(whole) == de.fit_to_json(de.fit_bound(cheb_env_128, de.SubExponential(1.0, 2)))
+
+
 def _per_bin_envelope(kernel, plan):
     """rho, values and counts of an envelope evaluated bin by bin, on
     measure_envelope's bin edges: each bin's pairs drawn from its own edges,

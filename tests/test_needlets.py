@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from orthoframes import cutoff as co
 from orthoframes import decay as de
 from orthoframes import kernels as ke
 from orthoframes import needlets as ne
@@ -556,3 +557,14 @@ def test_a_one_component_laguerre_alpha_reads_as_its_number(cutoff_c):
     assert one.params == ref.params == {"alpha": 0.5}
     for a, b in zip(one.levels, ref.levels, strict=True):
         assert np.array_equal(a.needlet_matrix, b.needlet_matrix)
+
+
+def test_coefficients_from_a_system_on_another_cutoff_are_refused():
+    # the two systems once shared a token, and the mix-up read 7.5e-4 off
+    cuts = [co.assemble_cutoff(co.CutoffSpec("c", epsilon=e, m_max=512, grid_points=4096)) for e in (1.0, 0.5)]
+    first, second = (ne.build_needlet_system("jacobi", {"alpha": 0.0, "beta": 0.0}, cut, 4) for cut in cuts)
+    assert first.token() != second.token()
+    frame = ne.analyze(first, np.ones(8))
+    assert ne.synthesize(first, frame, 0.3) == pytest.approx(np.ones(8) @ first.basis_values(np.arange(8), 0.3))
+    with pytest.raises(ValueError, match="incompatible"):
+        ne.synthesize(second, frame, 0.3)

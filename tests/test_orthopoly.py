@@ -637,3 +637,21 @@ def test_raw_laguerre_rows_keep_far_points_whose_exponential_underflows():
     coeff = np.zeros(3001)
     coeff[500] = 1.0
     assert ke._series(partial(op._raw_laguerre_rows, 0.5), coeff, t[:1])[0] == rows[500, 0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda cut: op.JacobiParams("0.5", 0),
+    lambda cut: ke.KernelInstance("jacobi", cut, 8, {"alpha": "0.5", "beta": 0})(0.1, 0.2),
+    lambda cut: ke.KernelInstance("ball", cut, 8, {"d": 2, "mu": "1"})(np.array([0.1, 0.2]), np.array([0.0, 0.1])),
+    lambda cut: qd.gauss_rule("laguerre", 4, alpha="1"),
+    lambda cut: qd.check_rule("laguerre", 4, alpha="1"),
+    lambda cut: op.laguerre_fn_all(None, 4, 0.5),
+    lambda cut: op.jacobi_all(op.JacobiParams(0, 0), 4, "0.5"),
+    lambda cut: op.gegenbauer_all(1.0, 4, np.array([0.5, 1j])),
+], ids=["jacobi-params", "jacobi-kernel", "ball-mu", "laguerre-rule", "laguerre-rule-check", "laguerre-table-alpha",
+        "string-point", "complex-point"])
+def test_values_that_are_not_numbers_are_refused(cutoff_c, build):
+    # the strings were once read as numbers, or failed in numpy's ufuncs with
+    # a UFuncTypeError or a TypeError
+    with pytest.raises(ValueError):
+        build(cutoff_c)

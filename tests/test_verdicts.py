@@ -9,6 +9,7 @@ import pytest
 from orthoframes import cutoff as co
 from orthoframes import decay as de
 from orthoframes import needlets as ne
+from orthoframes import quadrature as qd
 
 
 def _partition(cutoffs, monkeypatch, nan):
@@ -52,6 +53,15 @@ def _corner(variant):
     return verdict
 
 
+def _rule(weight, verify):
+    def verdict(cutoffs, monkeypatch, nan):
+        if nan:
+            monkeypatch.setattr(qd, verify, lambda *args: math.nan)
+        return qd.check_rule(weight, 16)[3]
+
+    return verdict
+
+
 @pytest.mark.parametrize(
     "verdict",
     [
@@ -61,8 +71,11 @@ def _corner(variant):
         _plancherel,
         _corner("chebcheb"),
         _corner("legleg"),
+        _rule("jacobi", "verify_exactness"),
+        _rule("hermite", "verify_orthonormality"),
     ],
-    ids=["partition", "parseval-trial", "roundtrip-trial", "plancherel", "exact-corner", "leading-term-corner"],
+    ids=["partition", "parseval-trial", "roundtrip-trial", "plancherel", "exact-corner", "leading-term-corner",
+         "rule-moments", "rule-orthonormality"],
 )
 def test_a_nan_fails_every_verdict(cutoff_a, cutoff_c, monkeypatch, verdict):
     cutoffs = {"a": cutoff_a, "c": cutoff_c}
